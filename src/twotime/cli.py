@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import correlators, dynamics, gaussian, qcore, realism, spinlab
+from .qcore import BOUND_TOL, FINITE_DIFF_STEP, FINITE_DIFF_TOL, FIXTURE_GAP_MIN, IDENTITY_TOL
+from .qcore import PRECESSION_TOL, UNCERTAINTY_TOL
 
 DEFAULT_SEED = 20240001
 DEFAULT_SAMPLES = 10000
 DEFAULT_R_LIST = (0.2, 0.5, 0.8, 1.0)
 OUT_ENV_VAR = "TWOTIME_OUT"
-BOUND_TOL = 1e-9
 
 SCATTER_HEADER = ("r", "theta", "phi", "irr_spin", "irr_torque")
 CURVE_HEADER = ("r", "phi", "irr_spin", "irr_torque")
@@ -67,9 +68,18 @@ def _write_table(cfg: RunConfig, stem: str, header, rows) -> Path:
     return path
 
 
+def _sci(tol: float) -> str:
+    # The report lines quote these tolerances as 1e-6, not Python's 1e-06.
+    return f"{tol:.0e}".replace("e-0", "e-")
+
+
 def cmd_figure1(cfg: RunConfig, r_list) -> int:
-    """Write the irreality trade-off scan and verify the purity bound row by row."""
+    """Verify the purity bound row by row, then write the irreality trade-off scan."""
     rows = spinlab.figure1_scan(r_list, cfg.samples, cfg.seed)
+    min_slack, worst = min((row.irr_spin + row.irr_torque - row.bound_rhs, i) for i, row in enumerate(rows))
+    if min_slack < -BOUND_TOL:
+        print(f"FAIL: bound violated at {rows[worst]}", file=sys.stderr)
+        return 1
     scatter = [r for r in rows if not r.is_curve]
     curves = [r for r in rows if r.is_curve]
     scatter_path = _write_table(
@@ -80,25 +90,14 @@ def cmd_figure1(cfg: RunConfig, r_list) -> int:
         cfg, "figure1_curves", CURVE_HEADER,
         [(row.r, row.phi, row.irr_spin, row.irr_torque) for row in curves],
     )
-    min_slack = math.inf
-    worst = None
-    for row in rows:
-        slack = row.irr_spin + row.irr_torque - row.bound_rhs
-        if slack < min_slack:
-            min_slack, worst = slack, row
     print(f"wrote {len(scatter)} scatter rows to {scatter_path}")
     print(f"wrote {len(curves)} curve rows to {curves_path}")
     print(f"min bound slack {min_slack:.6e} over {len(rows)} rows")
-    if min_slack < -BOUND_TOL:
-        print(f"FAIL: bound violated at {worst}", file=sys.stderr)
-        return 1
     return 0
 
 
 def cmd_lambda(cfg: RunConfig, theta_steps: int) -> int:
-    """Tabulate the conditional operator's Bloch norm over a theta grid."""
-    if theta_steps < 2:
-        raise SystemExit(f"error: --theta-steps must be >= 2, got {theta_steps}")
+    """Tabulate the conditional operator's Bloch norm over a theta grid, once it checks out."""
     alpha = (np.eye(2, dtype=complex) - qcore.SIGMA_Z) / 2.0
     channel = dynamics.ChannelFamily(np.zeros((2, 2), dtype=complex))
     rows = []
@@ -113,22 +112,18 @@ def cmd_lambda(cfg: RunConfig, theta_steps: int) -> int:
         max_norm_defect = max(max_norm_defect, abs(nu_norm - 1.0 / abs(math.sin(theta / 2.0))))
         if report.physical:
             physical_thetas.append(theta)
-    path = _write_table(cfg, "lambda", LAMBDA_HEADER, rows)
-    fraction = len(physical_thetas) / theta_steps
-    print(f"wrote {theta_steps} rows to {path}")
-    print(f"fraction of physical points: {fraction:.6g} (expected {1 / theta_steps:.6g}, theta = pi only)")
-    ok = max_norm_defect <= 1e-10 and physical_thetas == [rows[-1][0]]
+    ok = max_norm_defect <= IDENTITY_TOL and physical_thetas == [rows[-1][0]]
     if not ok:
         print(
             f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {physical_thetas}",
             file=sys.stderr,
         )
         return 1
+    path = _write_table(cfg, "lambda", LAMBDA_HEADER, rows)
+    fraction = len(physical_thetas) / theta_steps
+    print(f"wrote {theta_steps} rows to {path}")
+    print(f"fraction of physical points: {fraction:.6g} (expected {1 / theta_steps:.6g}, theta = pi only)")
     return 0
-
-
-def _random_state(dim, rng):
-    return qcore.random_density_matrix(dim, rng)
 
 
 def _random_instance(dim, rng):
@@ -137,7 +132,7 @@ def _random_instance(dim, rng):
     channel = dynamics.ChannelFamily(qcore.random_hermitian(dim, rng))
     t1 = rng.uniform(0.0, 1.0)
     t2 = t1 + rng.uniform(0.1, 1.0)
-    return a, b, channel, t1, t2, _random_state(dim, rng)
+    return a, b, channel, t1, t2, qcore.random_density_matrix(dim, rng)
 
 
 def _random_pm1_instance(rng):
@@ -149,7 +144,7 @@ def _random_pm1_instance(rng):
     channel = dynamics.ChannelFamily(qcore.random_hermitian(2, rng))
     t1 = rng.uniform(0.0, 1.0)
     t2 = t1 + rng.uniform(0.1, 1.0)
-    return axis_observable(), axis_observable(), channel, t1, t2, _random_state(2, rng)
+    return axis_observable(), axis_observable(), channel, t1, t2, qcore.random_density_matrix(2, rng)
 
 
 def _dephased_start_instance(dim, rng):
@@ -175,12 +170,12 @@ def cmd_tpm_gap(cfg: RunConfig, dim: int, trials: int) -> int:
     rng = np.random.default_rng(cfg.seed)
     ok = True
     eq4_gap = max(_gap(_dephased_start_instance(dim, rng)) for _ in range(10))
-    print(f"d={dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= 1e-10)")
-    ok &= eq4_gap <= 1e-10
+    print(f"d={dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
+    ok &= eq4_gap <= IDENTITY_TOL
     if dim == 2:
         max_gap = max(_gap(_random_pm1_instance(rng)) for _ in range(trials))
-        print(f"d=2: max gap over {trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= 1e-10)")
-        ok &= max_gap <= 1e-10
+        print(f"d=2: max gap over {trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
+        ok &= max_gap <= IDENTITY_TOL
     else:
         max_gap = max(_gap(_random_instance(3, rng)) for _ in range(trials))
         print(f"d=3: max gap over {trials} random instances: {max_gap:.3e}")
@@ -188,8 +183,10 @@ def cmd_tpm_gap(cfg: RunConfig, dim: int, trials: int) -> int:
         tpm = correlators.tpm_correlator(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
         op = correlators.TwoTimeOperator("product", fx.A, fx.B, fx.t1, fx.t2, fx.channel)
         heis = correlators.heisenberg_correlator(op, fx.rho0)
-        print(f"d=3 fixture: protocol {tpm:.12g}, Heisenberg {heis:.12g}, gap {abs(tpm - heis):.6g} (expected > 1e-6)")
-        ok &= abs(tpm - heis) > 1e-6
+        gap = abs(tpm - heis)
+        expected = _sci(FIXTURE_GAP_MIN)
+        print(f"d=3 fixture: protocol {tpm:.12g}, Heisenberg {heis:.12g}, gap {gap:.6g} (expected > {expected})")
+        ok &= gap > FIXTURE_GAP_MIN
     return 0 if ok else 1
 
 
@@ -204,7 +201,7 @@ def _report_torque_bound(cfg: RunConfig) -> bool:
     return _check(
         "torque-bound",
         min_slack >= -BOUND_TOL,
-        f"min bound slack {min_slack:.6e} over {len(rows)} rows (tolerance -1e-09)",
+        f"min bound slack {min_slack:.6e} over {len(rows)} rows (tolerance {-BOUND_TOL:g})",
     )
 
 
@@ -222,8 +219,8 @@ def _report_eigenprep(cfg: RunConfig) -> bool:
             worst = max(worst, abs(j))
     return _check(
         "eigenprep",
-        worst <= 1e-10,
-        f"max irreality in eigenstate preparations {worst:.3e} over 100 operators (tolerance 1e-10)",
+        worst <= IDENTITY_TOL,
+        f"max irreality in eigenstate preparations {worst:.3e} over 100 operators (tolerance {IDENTITY_TOL:g})",
     )
 
 
@@ -252,12 +249,12 @@ def _report_displacement(cfg: RunConfig) -> bool:
         min_weighted = min(min_weighted, report.weighted_slack)
         _, spread = gaussian.displacement_stats(prep, particle, t1, t2)
         spread_defect = max(spread_defect, abs(spread - prep.dp * (t2 - t1) / particle.mass))
-    ok = min_product >= -1e-12 and min_weighted >= -1e-12 and spread_defect == 0.0
+    ok = min_product >= -UNCERTAINTY_TOL and min_weighted >= -UNCERTAINTY_TOL and spread_defect == 0.0
     return _check(
         "displacement",
         ok,
         f"min product slack {min_product:.6e}, min weighted slack {min_weighted:.6e}, "
-        f"spread formula defect {spread_defect:.1e} over 1000 preparations (tolerance -1e-12)",
+        f"spread formula defect {spread_defect:.1e} over 1000 preparations (tolerance {-UNCERTAINTY_TOL:g})",
     )
 
 
@@ -266,7 +263,6 @@ def _report_precession(cfg: RunConfig) -> bool:
     closed_vs_channel = 0.0
     field_component = 0.0
     derivative_defect = 0.0
-    step = 1e-5
     for _ in range(100):
         h = rng.standard_normal(3)
         h /= np.linalg.norm(h)
@@ -274,22 +270,23 @@ def _report_precession(cfg: RunConfig) -> bool:
         channel = spinlab.precession_channel(h)
         evolved = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau))
         torque = spinlab.instantaneous_torque(h, tau)
-        plus = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau + step))
-        minus = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau - step))
+        plus = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau + FINITE_DIFF_STEP))
+        minus = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau - FINITE_DIFF_STEP))
         field_dot_torque = sum(h[i] * torque[i] for i in range(3))
         field_component = max(field_component, np.max(np.abs(field_dot_torque)))
         for i, sigma_i in enumerate(qcore.SIGMA):
             via_channel = channel.propagate_observable(sigma_i, tau)
             closed_vs_channel = max(closed_vs_channel, np.max(np.abs(evolved[i] - via_channel)))
-            finite_diff = (plus[i] - minus[i]) / (2.0 * step)
+            finite_diff = (plus[i] - minus[i]) / (2.0 * FINITE_DIFF_STEP)
             derivative_defect = max(derivative_defect, np.max(np.abs(finite_diff - torque[i])))
-    ok = closed_vs_channel <= 1e-12 and field_component <= 1e-12 and derivative_defect <= 1e-8
+    tol = PRECESSION_TOL
+    ok = closed_vs_channel <= tol and field_component <= tol and derivative_defect <= FINITE_DIFF_TOL
     return _check(
         "precession",
         ok,
-        f"closed form vs channel {closed_vs_channel:.3e} (<= 1e-12), "
-        f"field component of torque {field_component:.3e} (<= 1e-12), "
-        f"finite-difference defect {derivative_defect:.3e} (<= 1e-8) over 100 draws",
+        f"closed form vs channel {closed_vs_channel:.3e} (<= {tol:g}), "
+        f"field component of torque {field_component:.3e} (<= {tol:g}), "
+        f"finite-difference defect {derivative_defect:.3e} (<= {_sci(FINITE_DIFF_TOL)}) over 100 draws",
     )
 
 
@@ -312,7 +309,20 @@ def _parse_r_list(text: str):
         raise argparse.ArgumentTypeError(f"invalid radius list {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("radius list is empty")
+    for r in values:
+        if not 0.0 <= r <= 1.0:
+            raise argparse.ArgumentTypeError(f"radius {r!r} outside [0, 1]")
     return values
+
+
+def _int_at_least(low: int):
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,11 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated band radii (default 0.2,0.5,0.8,1.0)")
 
     p_lam = commands.add_parser("lambda", help="conditional-operator Bloch norm over a theta grid")
-    p_lam.add_argument("--theta-steps", type=int, default=180, help="grid points on (0, pi] (default %(default)s)")
+    p_lam.add_argument("--theta-steps", type=_int_at_least(2), default=180,
+                       help="grid points on (0, pi] (default %(default)s)")
 
     p_gap = commands.add_parser("tpm-gap", help="protocol vs Heisenberg correlator gaps")
     p_gap.add_argument("--dim", type=int, choices=(2, 3), default=2, help="Hilbert space dimension")
-    p_gap.add_argument("--trials", type=int, default=1000, help="random instances (default %(default)s)")
+    p_gap.add_argument("--trials", type=_int_at_least(1), default=1000, help="random instances (default %(default)s)")
 
     p_rep = commands.add_parser("report", help="run one invariant suite and print pass/fail")
     p_rep.add_argument("name", choices=sorted(_REPORTS))

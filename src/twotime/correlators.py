@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelFamily
-from .qcore import DensityMatrix, Observable, _as_square_complex, _readonly
-
-MARGINAL_TOL = 1e-12
+from .dynamics import ChannelFamily, _require_unitary
+from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, PSD_FLOOR
+from .qcore import DensityMatrix, Observable, _hermitian, _readonly
 
 _KINDS = ("product", "sum")
 
@@ -73,38 +72,33 @@ class LambdaReport:
     physical: bool
 
 
-def _require_unitary(channel):
-    if not getattr(channel, "unitary", False):
-        raise TypeError("this operation requires a unitary channel family")
+def _two_time_matrix(op: TwoTimeOperator) -> np.ndarray:
+    # Hermitian only up to roundoff: callers symmetrize it through _hermitian.
+    _require_unitary(op.channel)
+    a1 = op.channel.propagate_observable(op.A.matrix, op.t1)
+    b2 = op.channel.propagate_observable(op.B.matrix, op.t2)
+    if op.kind == "product":
+        return 0.5 * (a1 @ b2 + b2 @ a1)
+    return a1 + b2
 
 
-def realize(op: TwoTimeOperator, group_tol: float = None) -> Observable:
+def realize(op: TwoTimeOperator) -> Observable:
     """Realize a two-time operator as a single Observable with its spectrum.
 
     Heisenberg-evolves both constituents and combines them; degenerate
     eigenvalues of the result are grouped (the spin product {Sx(t1), Sy(t2)}/2,
     for instance, is proportional to the identity).
     """
-    _require_unitary(op.channel)
-    a1 = op.channel.propagate_observable(op.A.matrix, op.t1)
-    b2 = op.channel.propagate_observable(op.B.matrix, op.t2)
-    if op.kind == "product":
-        c = 0.5 * (a1 @ b2 + b2 @ a1)
-    else:
-        c = a1 + b2
-    c = (c + c.conj().T) / 2.0
-    if group_tol is None:
-        group_tol = max(op.A.group_tol, op.B.group_tol)
-    return Observable(c, group_tol=group_tol)
+    return Observable(_two_time_matrix(op))
 
 
 def heisenberg_correlator(op: TwoTimeOperator, rho0: DensityMatrix) -> float:
     """Tr(C12 rho0) for the realized two-time operator; real up to roundoff."""
-    _require_unitary(op.channel)
+    c12 = _hermitian(_two_time_matrix(op), "two-time operator")
     if rho0.dim != op.channel.dim:
         raise ValueError(f"dimension mismatch: state dim {rho0.dim}, operator dim {op.channel.dim}")
-    value = np.trace(realize(op).matrix @ rho0.matrix)
-    if abs(value.imag) > 1e-12:
+    value = np.trace(c12 @ rho0.matrix)
+    if abs(value.imag) > IMAGINARY_TOL:
         raise ArithmeticError(f"correlator has spurious imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -134,7 +128,7 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
             continue
         evolved = channel.propagate_state(branch / marginal, t2 - t1)
         conditional = np.array([np.trace(beta @ evolved).real for beta in B.projectors])
-        if abs(conditional.sum() - 1.0) > 1e-10:
+        if abs(conditional.sum() - 1.0) > MEASUREMENT_TOL:
             raise ArithmeticError(f"conditional distribution sums to {conditional.sum():.15g}")
         joint[i] = marginal * np.clip(conditional, 0.0, 1.0)
     return a_values, b_values, joint
@@ -158,9 +152,9 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
     with negative eigenvalues whenever alpha and rho_t1 fail to commute badly
     enough. When they commute and alpha is rank one, it equals alpha itself.
     """
-    alpha = _as_square_complex(projector)
-    if np.max(np.abs(alpha - alpha.conj().T)) > 1e-10 or np.max(np.abs(alpha @ alpha - alpha)) > 1e-10:
-        raise ValueError("projector must be Hermitian and idempotent")
+    alpha = _hermitian(projector, "projector")
+    if not np.max(np.abs(alpha @ alpha - alpha)) <= MEASUREMENT_TOL:
+        raise ValueError("projector must be idempotent")
     if alpha.shape[0] != rho0.dim or channel.dim != rho0.dim:
         raise ValueError("projector, state and channel must share one dimension")
     rho_t1 = channel.propagate_state(rho0.matrix, t1)
@@ -175,7 +169,7 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
         matrix=_readonly(lam),
         min_eigenvalue=min_eig,
         trace=float(lam.trace().real),
-        physical=min_eig >= -1e-10,
+        physical=min_eig >= PSD_FLOOR,
     )
 
 
@@ -187,8 +181,7 @@ def prepare_eigenstate(op: TwoTimeOperator, k: int) -> DensityMatrix:
     and leaves the realized operator an exact fixed point of its dephasing,
     so the operator's irreality vanishes in the prepared state.
     """
-    obs = realize(op)
-    spectrum = obs.spectrum
+    spectrum = realize(op).spectrum
     if not 0 <= k < len(spectrum):
         raise IndexError(f"eigenvalue index {k} out of range for {len(spectrum)} distinct eigenvalues")
     _, proj = spectrum[k]

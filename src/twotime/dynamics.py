@@ -14,7 +14,7 @@ propagation segment, with no time parameterization.
 
 import numpy as np
 
-from .qcore import DensityMatrix, Observable, _as_square_complex, _readonly, hermiticity_defect
+from .qcore import MEASUREMENT_TOL, DensityMatrix, Observable, _as_square_complex, _hermitian, _readonly
 
 
 class ChannelFamily:
@@ -31,13 +31,8 @@ class ChannelFamily:
     unitary = True
 
     def __init__(self, hamiltonian):
-        h = _as_square_complex(hamiltonian)
-        defect = hermiticity_defect(h)
-        if defect > 1e-10:
-            raise ValueError(f"hamiltonian is not Hermitian: max |H - H^dag| = {defect:.3e}")
-        h = (h + h.conj().T) / 2.0
-        self._hamiltonian = _readonly(h)
-        self._energies, self._modes = np.linalg.eigh(h)
+        self._hamiltonian = _readonly(_hermitian(hamiltonian, "hamiltonian"))
+        self._energies, self._modes = np.linalg.eigh(self._hamiltonian)
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -83,7 +78,7 @@ class KrausChannel:
             raise ValueError("Kraus operators must share one square shape")
         total = sum(k.conj().T @ k for k in ops)
         defect = np.max(np.abs(total - np.eye(d)))
-        if defect > 1e-10:
+        if not defect <= MEASUREMENT_TOL:
             raise ValueError(f"Kraus operators are not trace preserving: |sum K^dag K - 1| = {defect:.3e}")
         self._ops = [_readonly(k.copy()) for k in ops]
 
@@ -103,6 +98,11 @@ class KrausChannel:
         return out
 
 
+def _require_unitary(channel):
+    if not getattr(channel, "unitary", False):
+        raise TypeError("Heisenberg evolution requires a unitary channel family")
+
+
 def evolve_state(channel, rho: DensityMatrix, t: float) -> DensityMatrix:
     """Evolve a state forward: the Schrodinger-picture map of the channel."""
     if channel.dim != rho.dim:
@@ -115,12 +115,7 @@ def evolve_observable(channel, obs: Observable, t: float) -> Observable:
 
     Requires a unitary family; the Kraus hook has no observable direction.
     """
-    if not getattr(channel, "unitary", False):
-        raise TypeError("Heisenberg evolution requires a unitary channel family")
+    _require_unitary(channel)
     if channel.dim != obs.dim:
         raise ValueError(f"dimension mismatch: channel dim {channel.dim}, observable dim {obs.dim}")
-    u = channel.unitary_at(t)
-    udag = u.conj().T
-    matrix = udag @ obs.matrix @ u
-    spectrum = [(val, (udag @ proj @ u + (udag @ proj @ u).conj().T) / 2.0) for val, proj in obs.spectrum]
-    return Observable._from_parts(matrix, spectrum, obs.group_tol)
+    return Observable(channel.propagate_observable(obs.matrix, t))

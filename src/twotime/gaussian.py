@@ -19,6 +19,8 @@ zero for a near-momentum-eigenstate while the position spreads blow up.
 import math
 from dataclasses import dataclass
 
+from .qcore import UNCERTAINTY_TOL
+
 
 @dataclass(frozen=True)
 class GaussianPrep:
@@ -38,7 +40,7 @@ class GaussianPrep:
         if self.dx <= 0.0 or self.dp <= 0.0:
             raise ValueError(f"spreads must be positive, got dx={self.dx!r}, dp={self.dp!r}")
         det = self.dx**2 * self.dp**2 - self.xp_corr**2
-        if det < 0.25 - 1e-12:
+        if det < 0.25 - UNCERTAINTY_TOL:
             raise ValueError(f"covariance determinant {det:.15g} violates the uncertainty floor 1/4")
 
 

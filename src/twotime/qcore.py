@@ -9,12 +9,28 @@ import math
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_FLOOR = -1e-10
-GROUP_TOL_DEFAULT = 1e-9
-SUPPORT_TOL = 1e-12
-SUPPORT_WEIGHT_TOL = 1e-10
+# Tolerances, each named for what it guards. A check written ``not defect <= TOL`` also rejects NaN.
+STATE_TOL = 1e-12  # max |rho - rho^dag| and |Tr rho - 1| of a density matrix
+OPERATOR_HERMITICITY_TOL = 1e-10  # max |H - H^dag| of observables, Hamiltonians, projectors
+PSD_FLOOR = -1e-10  # lowest eigenvalue of a state, and of a physical conditional operator
+GROUP_TOL_DEFAULT = 1e-9  # eigenvalues closer than this share one projector
+MEASUREMENT_TOL = 1e-10  # projector algebra; sum P_a = sum K^dag K = sum_b p(b|a) = 1; Phi_B Phi_A depolarizes
+RECONSTRUCTION_TOL = 1e-9  # max |sum a P_a - A| of a spectral decomposition
+UNIT_NORM_TOL = 1e-12  # ||v| - 1| of a unit vector; excess of a Bloch norm over 1
+SUPPORT_TOL = 1e-12  # eta-eigenvalue treated as zero in a relative entropy
+SUPPORT_WEIGHT_TOL = 1e-10  # rho-weight on that null space that makes it infinite
+NEGATIVE_ENTROPY_TOL = 1e-9  # roundoff below zero clamped in a relative entropy
+PROBABILITY_TOL = 1e-12  # binary-entropy argument outside [0, 1] that is clamped
+MARGINAL_TOL = 1e-12  # first-outcome probability treated as zero
+IMAGINARY_TOL = 1e-12  # imaginary part of a correlator of Hermitian operators
+POLE_TOL = 1e-12  # distance of 1 - z.r1 from the conditional Bloch pole
+UNCERTAINTY_TOL = 1e-12  # roundoff allowed below a Gaussian uncertainty bound
+BOUND_TOL = 1e-9  # irreality-sum slack allowed below the purity bound
+IDENTITY_TOL = 1e-10  # residual of an exact identity: correlator gap, lambda Bloch norm, eigenstate irreality
+FIXTURE_GAP_MIN = 1e-6  # gap the qutrit fixture must exceed
+PRECESSION_TOL = 1e-12  # closed-form precession vs channel; field component of torque
+FINITE_DIFF_TOL = 1e-8  # central difference vs analytic torque
+FINITE_DIFF_STEP = 1e-5  # step of that central difference
 
 LN2 = math.log(2.0)
 
@@ -36,10 +52,13 @@ def _as_square_complex(matrix) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(matrix) -> float:
-    """Max-norm distance of a square matrix from its own adjoint."""
+def _hermitian(matrix, what: str, tol: float = OPERATOR_HERMITICITY_TOL) -> np.ndarray:
+    """The symmetrized matrix, once max |H - H^dag| is within ``tol`` (a NaN or inf entry fails)."""
     m = _as_square_complex(matrix)
-    return float(np.max(np.abs(m - m.conj().T)))
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if not defect <= tol:
+        raise ValueError(f"{what} is not Hermitian: max |H - H^dag| = {defect:.3e}")
+    return (m + m.conj().T) / 2.0
 
 
 class DensityMatrix:
@@ -50,13 +69,9 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix):
-        m = _as_square_complex(matrix)
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
-        m = (m + m.conj().T) / 2.0
+        m = _hermitian(matrix, "density matrix", STATE_TOL)
         trace = m.trace()
-        if abs(trace - 1.0) > TRACE_TOL:
+        if abs(trace - 1.0) > STATE_TOL:
             raise ValueError(f"density matrix trace is {trace:.15g}, expected 1")
         eigs = np.linalg.eigvalsh(m)
         if eigs[0] < PSD_FLOOR:
@@ -107,11 +122,11 @@ def spectral_decompose(matrix, group_tol: float = GROUP_TOL_DEFAULT):
 
     Raises ValueError for non-Hermitian input, quoting the defect.
     """
-    m = _as_square_complex(matrix)
-    defect = hermiticity_defect(m)
-    if defect > 1e-10:
-        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}")
-    eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return _grouped_spectrum(_hermitian(matrix, "matrix"), group_tol)
+
+
+def _grouped_spectrum(h: np.ndarray, group_tol: float):
+    eigvals, eigvecs = np.linalg.eigh(h)
     spectrum = []
     start = 0
     for stop in range(1, len(eigvals) + 1):
@@ -128,44 +143,22 @@ class Observable:
     """A Hermitian matrix with its grouped spectral decomposition cached.
 
     ``spectrum`` is a list of (eigenvalue, projector) pairs in ascending
-    eigenvalue order; distinct eigenvalues are separated by more than the
-    grouping tolerance used at construction.
+    eigenvalue order; distinct eigenvalues are separated by more than
+    ``GROUP_TOL_DEFAULT``.
     """
 
-    def __init__(self, matrix, group_tol: float = GROUP_TOL_DEFAULT):
-        m = _as_square_complex(matrix)
-        spectrum = spectral_decompose(m, group_tol=group_tol)
-        self._matrix = _readonly((m + m.conj().T) / 2.0)
-        self._spectrum = spectrum
-        self._group_tol = group_tol
-        self._validate()
-
-    @classmethod
-    def _from_parts(cls, matrix, spectrum, group_tol: float) -> "Observable":
-        # Internal constructor for pre-diagonalized operators (e.g. a rotated
-        # spectrum under unitary evolution); skips the eigh call but not the
-        # consistency checks.
-        obj = cls.__new__(cls)
-        m = _as_square_complex(matrix)
-        obj._matrix = _readonly((m + m.conj().T) / 2.0)
-        obj._spectrum = [(float(val), _readonly(np.asarray(proj))) for val, proj in spectrum]
-        obj._group_tol = group_tol
-        obj._validate()
-        return obj
-
-    def _validate(self):
-        d = self.dim
-        total = np.zeros((d, d), dtype=complex)
-        for i, (_, proj) in enumerate(self._spectrum):
-            total += proj
-            for j, (_, other) in enumerate(self._spectrum):
-                target = proj if i == j else 0.0
-                if np.max(np.abs(proj @ other - target)) > 1e-10:
-                    raise ValueError("projectors are not orthogonal/idempotent")
-        if np.max(np.abs(total - np.eye(d))) > 1e-10:
+    def __init__(self, matrix):
+        self._matrix = _readonly(_hermitian(matrix, "observable"))
+        self._spectrum = _grouped_spectrum(self._matrix, GROUP_TOL_DEFAULT)
+        projs = np.array(self.projectors)
+        # P_i P_j = delta_ij P_i for every pair, as one (k, k, d, d) comparison.
+        pairs = projs[:, None] @ projs[None, :] - np.eye(len(projs))[:, :, None, None] * projs[:, None]
+        if not np.max(np.abs(pairs)) <= MEASUREMENT_TOL:
+            raise ValueError("projectors are not orthogonal/idempotent")
+        if not np.max(np.abs(projs.sum(axis=0) - np.eye(self.dim))) <= MEASUREMENT_TOL:
             raise ValueError("projectors do not resolve the identity")
-        rebuilt = sum(val * proj for val, proj in self._spectrum)
-        if np.max(np.abs(rebuilt - self._matrix)) > 1e-9:
+        rebuilt = np.tensordot(np.array(self.eigenvalues), projs, axes=1)
+        if not np.max(np.abs(rebuilt - self._matrix)) <= RECONSTRUCTION_TOL:
             raise ValueError("spectral decomposition does not reconstruct the matrix")
 
     @property
@@ -188,10 +181,6 @@ class Observable:
     def projectors(self):
         return tuple(proj for _, proj in self._spectrum)
 
-    @property
-    def group_tol(self) -> float:
-        return self._group_tol
-
     def __repr__(self):
         vals = ", ".join(f"{v:.6g}" for v in self.eigenvalues)
         return f"Observable(dim={self.dim}, eigenvalues=[{vals}])"
@@ -204,11 +193,9 @@ class BlochVector:
         vec = np.asarray(components, dtype=float)
         if vec.shape != (3,):
             raise ValueError(f"Bloch vector must have 3 real components, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("Bloch vector components must be finite")
         norm = float(np.linalg.norm(vec))
-        if norm > 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector norm {norm:.15g} exceeds 1")
+        if not norm <= 1.0 + UNIT_NORM_TOL:
+            raise ValueError(f"Bloch vector norm {norm:.15g} is not finite or exceeds 1")
         self._vec = _readonly(vec.copy())
         self._norm = norm
 
@@ -272,7 +259,7 @@ def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
     cross = float((weights[~null] * np.log(q[~null])).sum())
     value = -von_neumann_entropy(rho) - cross
     if value < 0.0:
-        if value < -1e-9:
+        if value < -NEGATIVE_ENTROPY_TOL:
             raise ArithmeticError(f"relative entropy evaluated to {value:.3e} < 0")
         value = 0.0
     return value
@@ -284,7 +271,7 @@ def binary_entropy(u: float) -> float:
     Inputs within 1e-12 outside the unit interval are clamped; anything
     further out is rejected.
     """
-    if u < -1e-12 or u > 1.0 + 1e-12:
+    if u < -PROBABILITY_TOL or u > 1.0 + PROBABILITY_TOL:
         raise ValueError(f"binary entropy argument {u!r} outside [0, 1]")
     u = min(max(u, 0.0), 1.0)
     if u == 0.0 or u == 1.0:
@@ -327,7 +314,7 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m /= m.trace().real
-    return DensityMatrix((m + m.conj().T) / 2.0)
+    return DensityMatrix(m)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
+    MEASUREMENT_TOL,
     SIGMA_X,
     SIGMA_Y,
     DensityMatrix,
@@ -67,10 +68,12 @@ def dephase(A: Observable, rho: DensityMatrix) -> DensityMatrix:
     """Nonselective projective measurement of A: sum_a alpha_a rho alpha_a."""
     if A.dim != rho.dim:
         raise ValueError(f"dimension mismatch: observable dim {A.dim}, state dim {rho.dim}")
-    out = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for proj in A.projectors:
-        out += proj @ rho.matrix @ proj
-    return DensityMatrix((out + out.conj().T) / 2.0)
+    return DensityMatrix(_dephase(A.projectors, rho.matrix))
+
+
+def _dephase(projectors, m: np.ndarray) -> np.ndarray:
+    # sum_a alpha_a M alpha_a for one matrix M of shape (d, d) or a stack (n, d, d).
+    return sum(proj @ m @ proj for proj in projectors)
 
 
 def irreality(A: Observable, rho: DensityMatrix) -> IrrealityReport:
@@ -115,20 +118,10 @@ def _composed_dephasing_is_depolarizing(first: Observable, second: Observable) -
     # Phi_second(Phi_first(.)) must send every matrix unit E_ij to
     # delta_ij * identity / d for the entropic bound below to apply.
     d = first.dim
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            out = np.zeros((d, d), dtype=complex)
-            for p in first.projectors:
-                out += p @ unit @ p
-            out2 = np.zeros((d, d), dtype=complex)
-            for p in second.projectors:
-                out2 += p @ out @ p
-            target = (np.eye(d) / d) if i == j else np.zeros((d, d))
-            if np.max(np.abs(out2 - target)) > 1e-10:
-                return False
-    return True
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # E_ij at index i*d + j
+    targets = np.eye(d).reshape(d * d, 1, 1) * np.eye(d) / d
+    composed = _dephase(second.projectors, _dephase(first.projectors, units))
+    return bool(np.max(np.abs(composed - targets)) <= MEASUREMENT_TOL)
 
 
 def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, second: Observable = None) -> ComplementarityReport:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily
-from .qcore import LN2, SIGMA, BlochVector, binary_entropy
+from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _readonly, binary_entropy
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class PrecessionConfig:
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "h_hat", _unit_field(self.h_hat))
+        object.__setattr__(self, "h_hat", _unit_vector(self.h_hat))
         object.__setattr__(self, "tau", float(self.tau))
 
 
@@ -64,16 +64,14 @@ class ScanRow:
     is_curve: bool
 
 
-def _unit_field(h_hat) -> np.ndarray:
-    h = np.asarray(h_hat, dtype=float)
-    if h.shape != (3,):
-        raise ValueError(f"field direction must be a 3-vector, got shape {h.shape}")
-    norm = np.linalg.norm(h)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"field direction must be a unit vector, got norm {norm:.15g}")
-    h = h.copy()
-    h.setflags(write=False)
-    return h
+def _unit_vector(vector) -> np.ndarray:
+    v = np.asarray(vector, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError(f"expected a unit vector, got norm {norm:.15g}")
+    return _readonly(v.copy())
 
 
 def _field_algebra(h):
@@ -102,9 +100,8 @@ def finite_torque(h_hat, tau1: float, tau2: float):
     """Mean dimensionless torque over [tau1, tau2]: (sigma(tau2) - sigma(tau1)) / (tau2 - tau1)."""
     if tau2 == tau1:
         raise ValueError("tau2 == tau1: use instantaneous_torque for the zero-interval limit")
-    h = _unit_field(h_hat)
-    before = pauli_heisenberg(PrecessionConfig(h, tau1))
-    after = pauli_heisenberg(PrecessionConfig(h, tau2))
+    before = pauli_heisenberg(PrecessionConfig(h_hat, tau1))
+    after = pauli_heisenberg(PrecessionConfig(h_hat, tau2))
     dtau = tau2 - tau1
     return tuple((a - b) / dtau for a, b in zip(after, before))
 
@@ -114,7 +111,7 @@ def instantaneous_torque(h_hat, tau: float):
 
     Orthogonal to the field as an operator identity: h . T = 0.
     """
-    h = _unit_field(h_hat)
+    h = _unit_vector(h_hat)
     c, s = math.cos(tau), math.sin(tau)
     h_dot_sigma, cross = _field_algebra(h)
     return tuple(
@@ -125,7 +122,7 @@ def instantaneous_torque(h_hat, tau: float):
 
 def precession_channel(h_hat) -> ChannelFamily:
     """Unitary family for precession about h with omega = 1, so t = tau."""
-    h = _unit_field(h_hat)
+    h = _unit_vector(h_hat)
     h_dot_sigma, _ = _field_algebra(h)
     return ChannelFamily(h_dot_sigma / 2.0)
 
@@ -169,14 +166,9 @@ def bloch_lambda_nu(r_hat1):
     Its norm is 1 / |sin(theta / 2)| >= 1, so the operator lies outside the
     Bloch ball except at theta = pi.
     """
-    r1 = np.asarray(r_hat1, dtype=float)
-    if r1.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {r1.shape}")
-    norm = np.linalg.norm(r1)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"expected a unit vector, got norm {norm:.15g}")
+    r1 = _unit_vector(r_hat1)
     denom = 1.0 - r1[2]
-    if denom <= 1e-12:
+    if denom <= POLE_TOL:
         raise ValueError("pole: the conditional Bloch vector diverges as r1 -> z")
     nu = (r1 - np.array([0.0, 0.0, 1.0])) / denom
     return nu, float(np.linalg.norm(nu))

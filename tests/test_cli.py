@@ -78,8 +78,9 @@ class TestLambdaCommand:
             assert nu_norm == pytest.approx(1.0 / abs(math.sin(theta / 2.0)), rel=1e-9)
 
     def test_rejects_tiny_grid(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["--out", str(tmp_path), "lambda", "--theta-steps", "1"])
+        assert exc.value.code == 2
 
 
 class TestTpmGapCommand:
@@ -119,3 +120,24 @@ def test_seed_changes_output(tmp_path):
     assert cli.main(["--out", str(a), "--samples", "20", "figure1"]) == 0
     assert cli.main(["--out", str(b), "--samples", "20", "--seed", "1", "figure1"]) == 0
     assert (a / "figure1_scatter.csv").read_bytes() != (b / "figure1_scatter.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["figure1", "--r-list", "1.5"], ["tpm-gap", "--trials", "0"], ["lambda", "--theta-steps", "1"]],
+)
+def test_usage_errors_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, tolerance, written",
+    [(["--samples", "10", "figure1"], "BOUND_TOL", "figure1_*"), (["lambda"], "IDENTITY_TOL", "lambda.*")],
+)
+def test_failed_check_writes_no_table(tmp_path, monkeypatch, argv, tolerance, written):
+    # A negative tolerance makes the run's own invariant check fail.
+    monkeypatch.setattr(cli, tolerance, -1.0)
+    assert cli.main(["--out", str(tmp_path)] + argv) == 1
+    assert list(tmp_path.glob(written)) == []

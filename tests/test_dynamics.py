@@ -150,3 +150,16 @@ def test_dimension_mismatch_errors():
         evolve_state(family, DensityMatrix.maximally_mixed(3), 1.0)
     with pytest.raises(ValueError, match="dimension"):
         evolve_observable(family, Observable(np.eye(3)), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [DensityMatrix, Observable, ChannelFamily, lambda m: KrausChannel([m])],
+    ids=["DensityMatrix", "Observable", "ChannelFamily", "KrausChannel"],
+)
+def test_rejects_non_finite_entry(build, bad):
+    matrix = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError):
+        build(matrix)
