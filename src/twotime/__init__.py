@@ -57,7 +57,6 @@ from .realism import (
 )
 from .spinlab import (
     PrecessionConfig,
-    ScanRow,
     TorquePair,
     bloch_lambda_nu,
     bound_rhs,
@@ -66,6 +65,7 @@ from .spinlab import (
     instantaneous_torque,
     pauli_heisenberg,
     precession_channel,
+    row_angles,
     torque_irreality_pair,
 )
 
@@ -85,7 +85,6 @@ __all__ = [
     "MinFormReport",
     "Observable",
     "PrecessionConfig",
-    "ScanRow",
     "SIGMA",
     "SIGMA_X",
     "SIGMA_Y",
@@ -119,6 +118,7 @@ __all__ = [
     "random_hermitian",
     "realize",
     "relative_entropy",
+    "row_angles",
     "spectral_decompose",
     "state_to_bloch",
     "tpm_correlator",

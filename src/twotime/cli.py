@@ -8,7 +8,6 @@ environment variable.
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -46,26 +45,35 @@ class RunConfig:
         self.out_dir = Path(self.out_dir)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def _write_tables(cfg: RunConfig, tables) -> list:
+    """Write (stem, header, columns) tables and publish them together; returns their paths.
 
-
-def _write_table(cfg: RunConfig, stem: str, header, rows) -> Path:
+    Each table goes to a temporary file in the output directory, and all of
+    them are renamed into place only once every one is written. Cells are
+    strings or numbers, numbers with 12 significant digits. If the directory
+    cannot be written, no table is published: the temporary files are
+    removed and the run exits 2.
+    """
+    sep = "," if cfg.fmt == "csv" else "\t"
+    paths = [cfg.out_dir / f"{stem}.{cfg.fmt}" for stem, _, _ in tables]
+    temps = []
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        path = cfg.out_dir / f"{stem}.{cfg.fmt}"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, delimiter="," if cfg.fmt == "csv" else "\t", lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+        for path, (_, header, columns) in zip(paths, tables):
+            row = sep.join("%s" if isinstance(column[0], str) else "%.12g" for column in columns) + "\n"
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(temp, "w", newline="") as fh:
+                temps.append(temp)
+                fh.write(sep.join(header) + "\n")
+                fh.writelines(row % cells for cells in zip(*columns))
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
     except OSError as exc:
-        raise SystemExit(f"error: cannot write to {cfg.out_dir}: {exc}")
-    return path
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        print(f"error: cannot write to {cfg.out_dir}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    return paths
 
 
 def _sci(tol: float) -> str:
@@ -73,26 +81,35 @@ def _sci(tol: float) -> str:
     return f"{tol:.0e}".replace("e-0", "e-")
 
 
+def _least_slack(tables):
+    """(slack, table, row) of the row whose irreality sum sits least above its purity bound."""
+    least = None
+    for table in tables:
+        radii, band = np.unique(table["r"], return_inverse=True)
+        bound = np.array([spinlab.bound_rhs(r) for r in radii])[band]
+        slack = table["irr_spin"] + table["irr_torque"] - bound
+        row = int(np.argmin(slack))
+        if least is None or slack[row] < least[0]:
+            least = (float(slack[row]), table, row)
+    return least
+
+
 def cmd_figure1(cfg: RunConfig, r_list) -> int:
     """Verify the purity bound row by row, then write the irreality trade-off scan."""
-    rows = spinlab.figure1_scan(r_list, cfg.samples, cfg.seed)
-    min_slack, worst = min((row.irr_spin + row.irr_torque - row.bound_rhs, i) for i, row in enumerate(rows))
+    scatter, curves = spinlab.figure1_scan(r_list, cfg.samples, cfg.seed)
+    min_slack, table, row = _least_slack((scatter, curves))
     if min_slack < -BOUND_TOL:
-        print(f"FAIL: bound violated at {rows[worst]}", file=sys.stderr)
+        cells = ", ".join(f"{name}={table[name][row]:.12g}" for name in SCATTER_HEADER)
+        print(f"FAIL: bound violated by {min_slack:.6e} at {cells}", file=sys.stderr)
         return 1
-    scatter = [r for r in rows if not r.is_curve]
-    curves = [r for r in rows if r.is_curve]
-    scatter_path = _write_table(
-        cfg, "figure1_scatter", SCATTER_HEADER,
-        [(row.r, row.theta, row.phi, row.irr_spin, row.irr_torque) for row in scatter],
-    )
-    curves_path = _write_table(
-        cfg, "figure1_curves", CURVE_HEADER,
-        [(row.r, row.phi, row.irr_spin, row.irr_torque) for row in curves],
-    )
-    print(f"wrote {len(scatter)} scatter rows to {scatter_path}")
-    print(f"wrote {len(curves)} curve rows to {curves_path}")
-    print(f"min bound slack {min_slack:.6e} over {len(rows)} rows")
+    scatter_path, curves_path = _write_tables(cfg, [
+        ("figure1_scatter", SCATTER_HEADER, [scatter[name].tolist() for name in SCATTER_HEADER]),
+        ("figure1_curves", CURVE_HEADER, [curves[name].tolist() for name in CURVE_HEADER]),
+    ])
+    n_scatter, n_curves = len(scatter["r"]), len(curves["r"])
+    print(f"wrote {n_scatter} scatter rows to {scatter_path}")
+    print(f"wrote {n_curves} curve rows to {curves_path}")
+    print(f"min bound slack {min_slack:.6e} over {n_scatter + n_curves} rows")
     return 0
 
 
@@ -119,7 +136,9 @@ def cmd_lambda(cfg: RunConfig, theta_steps: int) -> int:
             file=sys.stderr,
         )
         return 1
-    path = _write_table(cfg, "lambda", LAMBDA_HEADER, rows)
+    theta, nu_norm, min_eigenvalue, physical = zip(*rows)
+    physical = ["true" if p else "false" for p in physical]
+    (path,) = _write_tables(cfg, [("lambda", LAMBDA_HEADER, [theta, nu_norm, min_eigenvalue, physical])])
     fraction = len(physical_thetas) / theta_steps
     print(f"wrote {theta_steps} rows to {path}")
     print(f"fraction of physical points: {fraction:.6g} (expected {1 / theta_steps:.6g}, theta = pi only)")
@@ -196,12 +215,13 @@ def _check(name: str, ok: bool, detail: str) -> bool:
 
 
 def _report_torque_bound(cfg: RunConfig) -> bool:
-    rows = spinlab.figure1_scan(DEFAULT_R_LIST, cfg.samples, cfg.seed)
-    min_slack = min(r.irr_spin + r.irr_torque - r.bound_rhs for r in rows)
+    tables = spinlab.figure1_scan(DEFAULT_R_LIST, cfg.samples, cfg.seed)
+    min_slack, _, _ = _least_slack(tables)
+    n_rows = sum(len(table["r"]) for table in tables)
     return _check(
         "torque-bound",
         min_slack >= -BOUND_TOL,
-        f"min bound slack {min_slack:.6e} over {len(rows)} rows (tolerance {-BOUND_TOL:g})",
+        f"min bound slack {min_slack:.6e} over {n_rows} rows (tolerance {-BOUND_TOL:g})",
     )
 
 
@@ -212,11 +232,9 @@ def _report_eigenprep(cfg: RunConfig) -> bool:
         dim = 2 if index % 2 == 0 else 3
         kind = "product" if index % 4 < 2 else "sum"
         a, b, channel, t1, t2, _ = _random_instance(dim, rng)
-        op = correlators.TwoTimeOperator(kind, a, b, t1, t2, channel)
-        realized = correlators.realize(op)
+        realized = correlators.realize(correlators.TwoTimeOperator(kind, a, b, t1, t2, channel))
         for k in range(len(realized.spectrum)):
-            j = realism.irreality(realized, correlators.prepare_eigenstate(op, k)).irreality
-            worst = max(worst, abs(j))
+            worst = max(worst, abs(realism.irreality(realized, realized.eigenstate(k)).irreality))
     return _check(
         "eigenprep",
         worst <= IDENTITY_TOL,
@@ -330,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twotime",
         description="Two-time observable scenarios: scans, gap comparisons, and invariant reports.",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)")
+    parser.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
+                        help="RNG seed, >= 0 (default %(default)s)")
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="samples per band (default %(default)s)")
     parser.add_argument(
         "--out", default=os.environ.get(OUT_ENV_VAR, "."),

@@ -179,14 +179,11 @@ def prepare_eigenstate(op: TwoTimeOperator, k: int) -> DensityMatrix:
     Indexing follows the ascending spectrum. A degenerate eigenvalue yields
     the maximally mixed state on its eigenspace, which is basis independent
     and leaves the realized operator an exact fixed point of its dephasing,
-    so the operator's irreality vanishes in the prepared state.
+    so the operator's irreality vanishes in the prepared state. To prepare
+    several eigenstates of one operator, realize it once and call
+    ``Observable.eigenstate``.
     """
-    spectrum = realize(op).spectrum
-    if not 0 <= k < len(spectrum):
-        raise IndexError(f"eigenvalue index {k} out of range for {len(spectrum)} distinct eigenvalues")
-    _, proj = spectrum[k]
-    rank = int(round(proj.trace().real))
-    return DensityMatrix(proj / rank)
+    return realize(op).eigenstate(k)
 
 
 @dataclass(frozen=True)

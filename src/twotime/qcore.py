@@ -181,6 +181,13 @@ class Observable:
     def projectors(self):
         return tuple(proj for _, proj in self._spectrum)
 
+    def eigenstate(self, k: int) -> DensityMatrix:
+        """Maximally mixed state on the eigenspace of the k-th distinct eigenvalue (ascending)."""
+        if not 0 <= k < len(self._spectrum):
+            raise IndexError(f"eigenvalue index {k} out of range for {len(self._spectrum)} distinct eigenvalues")
+        _, proj = self._spectrum[k]
+        return DensityMatrix(proj / int(round(proj.trace().real)))
+
     def __repr__(self):
         vals = ", ".join(f"{v:.6g}" for v in self.eigenvalues)
         return f"Observable(dim={self.dim}, eigenvalues=[{vals}])"
@@ -265,18 +272,29 @@ def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
     return value
 
 
-def binary_entropy(u: float) -> float:
-    """-u ln u - (1-u) ln(1-u) for u in [0, 1], in nats.
+def binary_entropy(u):
+    """-u ln u - (1-u) ln(1-u) for u in [0, 1], in nats; elementwise over an array.
 
     Inputs within 1e-12 outside the unit interval are clamped; anything
-    further out is rejected.
+    further out, or NaN, is rejected. Every entry rounds as the scalar
+    formula does on that float alone.
     """
-    if u < -PROBABILITY_TOL or u > 1.0 + PROBABILITY_TOL:
-        raise ValueError(f"binary entropy argument {u!r} outside [0, 1]")
-    u = min(max(u, 0.0), 1.0)
-    if u == 0.0 or u == 1.0:
-        return 0.0
-    return -u * math.log(u) - (1.0 - u) * math.log(1.0 - u)
+    values = np.asarray(u, dtype=float)
+    outside = ~((values >= -PROBABILITY_TOL) & (values <= 1.0 + PROBABILITY_TOL))
+    if outside.any():
+        raise ValueError(f"binary entropy argument {float(values[outside][0])!r} outside [0, 1]")
+    p = np.clip(values, 0.0, 1.0).reshape(-1)
+    inner = np.flatnonzero((p > 0.0) & (p < 1.0))
+    q = p[inner]
+    h = np.zeros_like(p)
+    h[inner] = -q * _each(math.log, q) - (1.0 - q) * _each(math.log, 1.0 - q)
+    return float(h[0]) if values.ndim == 0 else h.reshape(values.shape)
+
+
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of every entry as a Python float: math's rounding, which numpy's own
+    sin, cos and log do not always share (they can differ in the last ulp)."""
+    return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 
 def bloch_to_state(r) -> DensityMatrix:

@@ -20,12 +20,13 @@ boundary curves.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ChannelFamily
-from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _readonly, binary_entropy
+from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _each, _readonly, binary_entropy
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,6 @@ class TorquePair:
     r: float
     theta: float
     phi: float
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One record of the irreality trade-off scan."""
-
-    r: float
-    theta: float
-    phi: float
-    irr_spin: float
-    irr_torque: float
-    bound_rhs: float
-    is_curve: bool
 
 
 def _unit_vector(vector) -> np.ndarray:
@@ -140,15 +128,31 @@ def torque_irreality_pair(r_vec) -> TorquePair:
     unit Bloch axis keeps only that axis component).
     """
     vec = r_vec if isinstance(r_vec, BlochVector) else BlochVector(r_vec)
-    x, y, _ = vec.components
-    base = binary_entropy((1.0 + vec.r) / 2.0)
-    return TorquePair(
-        irr_torque=binary_entropy((1.0 + abs(y)) / 2.0) - base,
-        irr_spin=binary_entropy((1.0 + abs(x)) / 2.0) - base,
-        r=vec.r,
-        theta=vec.theta,
-        phi=vec.phi,
+    (irr_spin,), (irr_torque,) = _irrealities(vec.components[None, :])
+    return TorquePair(irr_torque=float(irr_torque), irr_spin=float(irr_spin), r=vec.r, theta=vec.theta, phi=vec.phi)
+
+
+def _irrealities(vectors: np.ndarray):
+    """Columns (irr_spin, irr_torque) of :func:`torque_irreality_pair` for the rows of an (N, 3) array.
+
+    Each row rounds as one ``BlochVector`` does, and rows of norm above
+    1 + UNIT_NORM_TOL, or NaN, are rejected.
+    """
+    norms = _norms(vectors)
+    bad = ~(norms <= 1.0 + UNIT_NORM_TOL)
+    if bad.any():
+        raise ValueError(f"Bloch vector norm {norms[bad][0]:.15g} is not finite or exceeds 1")
+    base = binary_entropy((1.0 + norms) / 2.0)
+    return (
+        binary_entropy((1.0 + np.abs(vectors[:, 0])) / 2.0) - base,
+        binary_entropy((1.0 + np.abs(vectors[:, 1])) / 2.0) - base,
     )
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    # sqrt(v . v) through the BLAS dot that np.linalg.norm uses, so that every
+    # row's norm is bitwise np.linalg.norm(v); a row sum can differ in the last ulp.
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
 
 
 def bound_rhs(r: float) -> float:
@@ -174,39 +178,120 @@ def bloch_lambda_nu(r_hat1):
     return nu, float(np.linalg.norm(nu))
 
 
-def _sample_row(seed, r_index: int, sample_index: int):
-    # Per-row stream keyed on (seed, band index, sample index) so any
-    # partitioning of the scan across workers reproduces identical output.
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r_index, sample_index)))
-    theta = rng.uniform(0.0, math.pi)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    return theta, phi
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 (pcg64.h) constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    # SeedSequence's hashmix: each call advances the shared constant.
+    def hashed(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashed
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _seed_state(seed, band, index):
+    """``SeedSequence(seed, spawn_key=(band, i)).generate_state(4, np.uint64)`` per row, as four uint64 columns."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # With a spawn key, the run entropy is zero-padded to the pool size.
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(len(index), w, dtype=np.uint32) for w in words] + [band, index]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashed = _hasher(_INIT_B, _MULT_B)
+    state = [hashed(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * MULT + inc mod 2**128, the state as (hi, lo) uint64 columns."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    carry = ((a0 * b0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (carry >> 32) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def row_angles(seed, band, index):
+    """(theta, phi) columns, each row drawn from its own random stream.
+
+    Row ``(band[j], index[j])`` takes the first two draws of
+    ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(band[j], index[j])))``,
+    ``uniform(0, pi)`` then ``uniform(0, 2*pi)``, bit for bit, with the seeding
+    and PCG64 arithmetic done on whole columns. Keying every row on its own
+    stream makes any partitioning of a scan produce the same rows.
+    """
+    band, index = (np.asarray(k, dtype=np.int64) for k in np.broadcast_arrays(band, index))
+    if np.any((band < 0) | (band > _MASK32) | (index < 0) | (index > _MASK32)):
+        raise ValueError("band and sample indices must lie in [0, 2**32)")
+    seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(seed, band.astype(np.uint32), index.astype(np.uint32))
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+    draws = []
+    for high in (math.pi, 2.0 * math.pi):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output, then next_double and uniform's low + (high - low) * u.
+        xored, rot = hi ^ lo, hi >> 58
+        out = (xored >> rot) | (xored << ((64 - rot) & 63))
+        draws.append(0.0 + (high - 0.0) * ((out >> 11) * (1.0 / 9007199254740992.0)))
+    return tuple(draws)
+
+
+def _scan_table(r, theta, phi) -> dict:
+    # Components in BlochVector.from_angles' operation order, through math's sin and cos.
+    r_sin_theta = r * _each(math.sin, theta)
+    vectors = np.stack([r_sin_theta * _each(math.cos, phi), r_sin_theta * _each(math.sin, phi),
+                        r * _each(math.cos, theta)], axis=1)
+    irr_spin, irr_torque = _irrealities(vectors)
+    return {"r": r, "theta": theta, "phi": phi, "irr_spin": irr_spin, "irr_torque": irr_torque}
 
 
 def figure1_scan(r_values, n: int, seed, curve_points: int = 360):
     """Irreality trade-off scan: n random (theta, phi) samples per radius.
 
-    Returns ScanRow records: for each r first the n scatter rows (sampling is
-    uniform in theta and phi separately), then for each r the analytic
-    equatorial boundary curve at ``curve_points`` evenly spaced phi values
-    (is_curve = True). Every row carries the purity bound for its radius.
+    Returns two column tables (scatter, curves), each a dict of equal-length
+    arrays keyed r, theta, phi, irr_spin and irr_torque. The scatter table
+    holds the n sampled rows of each radius in turn, row i of band b drawn by
+    :func:`row_angles` (uniform in theta and phi separately); the curve table
+    the analytic equatorial boundary (theta = pi/2) of each radius at
+    ``curve_points`` evenly spaced phi values.
     """
     r_values = [float(r) for r in r_values]
     for r in r_values:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"radius {r!r} outside [0, 1]")
-    rows = []
-    for r_index, r in enumerate(r_values):
-        rhs = bound_rhs(r)
-        for sample_index in range(n):
-            theta, phi = _sample_row(seed, r_index, sample_index)
-            pair = torque_irreality_pair(BlochVector.from_angles(r, theta, phi))
-            rows.append(ScanRow(r, theta, phi, pair.irr_spin, pair.irr_torque, rhs, False))
-    half_pi = math.pi / 2.0
-    for r in r_values:
-        rhs = bound_rhs(r)
-        for j in range(curve_points):
-            phi = 2.0 * math.pi * j / curve_points
-            pair = torque_irreality_pair(BlochVector.from_angles(r, half_pi, phi))
-            rows.append(ScanRow(r, half_pi, phi, pair.irr_spin, pair.irr_torque, rhs, True))
-    return rows
+    bands = len(r_values)
+    theta, phi = row_angles(seed, np.repeat(np.arange(bands), n), np.tile(np.arange(n), bands))
+    curve_phi = 2.0 * math.pi * np.arange(curve_points) / curve_points
+    return (
+        _scan_table(np.repeat(r_values, n), theta, phi),
+        _scan_table(np.repeat(r_values, curve_points), np.full(bands * curve_points, math.pi / 2.0),
+                    np.tile(curve_phi, bands)),
+    )

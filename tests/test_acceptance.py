@@ -114,17 +114,22 @@ def test_criterion_03_heisenberg_precession():
 
 
 def test_criterion_04_torque_bound_and_scan(tmp_path):
-    rows = figure1_scan((0.2, 0.5, 0.8, 1.0), cli.DEFAULT_SAMPLES, cli.DEFAULT_SEED)
-    min_slack = min(r.irr_spin + r.irr_torque - r.bound_rhs for r in rows)
+    scatter, curves = figure1_scan((0.2, 0.5, 0.8, 1.0), cli.DEFAULT_SAMPLES, cli.DEFAULT_SEED)
+    bound = {radius: bound_rhs(radius) for radius in (0.2, 0.5, 0.8, 1.0)}
+    min_slack = min(
+        float(np.min(t["irr_spin"] + t["irr_torque"] - np.array([bound[r] for r in t["r"].tolist()])))
+        for t in (scatter, curves)
+    )
     band_ok = True
     for radius in (0.2, 0.5, 0.8, 1.0):
-        scatter = [r for r in rows if not r.is_curve and r.r == radius]
-        curve_min = min(r.irr_spin + r.irr_torque for r in rows if r.is_curve and r.r == radius)
-        best = min(scatter, key=lambda row: row.irr_spin + row.irr_torque)
-        best_sum = best.irr_spin + best.irr_torque
-        band_ok &= best_sum >= curve_min - 1e-9
-        band_ok &= best_sum - curve_min <= 5e-3
-        band_ok &= abs(best.theta - math.pi / 2.0) <= 0.2
+        in_band = scatter["r"] == radius
+        sums = scatter["irr_spin"][in_band] + scatter["irr_torque"][in_band]
+        curve_min = np.min((curves["irr_spin"] + curves["irr_torque"])[curves["r"] == radius])
+        best = np.argmin(sums)
+        best_sum = sums[best]
+        band_ok &= bool(best_sum >= curve_min - 1e-9)
+        band_ok &= bool(best_sum - curve_min <= 5e-3)
+        band_ok &= bool(abs(scatter["theta"][in_band][best] - math.pi / 2.0) <= 0.2)
     tight = torque_irreality_pair(BlochVector.from_angles(1.0, math.pi / 2.0, 0.0))
     attained = abs(tight.irr_torque + tight.irr_spin - bound_rhs(1.0))
 

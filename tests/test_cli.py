@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from twotime import cli
+from twotime import cli, correlators
 from twotime.spinlab import bound_rhs
 
 
@@ -101,6 +101,13 @@ class TestReportCommand:
         assert cli.main(["report", name]) == 0
         assert capsys.readouterr().out.startswith("PASS")
 
+    def test_eigenprep_realizes_each_operator_once(self, monkeypatch):
+        calls = []
+        realize = correlators.realize
+        monkeypatch.setattr(correlators, "realize", lambda op: calls.append(op) or realize(op))
+        assert cli.main(["report", "eigenprep"]) == 0
+        assert len(calls) == 100
+
     def test_torque_bound_report(self, capsys):
         assert cli.main(["--samples", "500", "report", "torque-bound"]) == 0
         assert "min bound slack" in capsys.readouterr().out
@@ -124,7 +131,12 @@ def test_seed_changes_output(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["figure1", "--r-list", "1.5"], ["tpm-gap", "--trials", "0"], ["lambda", "--theta-steps", "1"]],
+    [
+        ["figure1", "--r-list", "1.5"],
+        ["tpm-gap", "--trials", "0"],
+        ["lambda", "--theta-steps", "1"],
+        ["--seed", "-1", "figure1"],
+    ],
 )
 def test_usage_errors_exit_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -141,3 +153,49 @@ def test_failed_check_writes_no_table(tmp_path, monkeypatch, argv, tolerance, wr
     monkeypatch.setattr(cli, tolerance, -1.0)
     assert cli.main(["--out", str(tmp_path)] + argv) == 1
     assert list(tmp_path.glob(written)) == []
+
+
+@pytest.mark.parametrize("command", ["figure1", "lambda"])
+def test_unwritable_out_exits_2_and_publishes_nothing(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(blocker / "sub"), "--samples", "10", command])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write to")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
+
+
+def test_tables_are_published_together(tmp_path, monkeypatch):
+    # The second rename fails: the first table is already in place, but no
+    # temporary file is left behind and the run exits 2.
+    renames = []
+
+    def failing_replace(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise PermissionError("read-only")
+        return real_replace(src, dst)
+
+    real_replace = cli.os.replace
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "--samples", "10", "figure1"])
+    assert exc.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["figure1_scatter.csv"]
+
+
+def test_write_failure_leaves_no_table(tmp_path, monkeypatch):
+    # A failure while writing the second table publishes neither.
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        if "figure1_curves" in str(path):
+            raise OSError("disk full")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", failing_open)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "--samples", "10", "figure1"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []

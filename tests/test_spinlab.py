@@ -1,9 +1,12 @@
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
+from twotime import spinlab
 from twotime.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, Observable, bloch_to_state
 from twotime.realism import irreality
 from twotime.spinlab import (
@@ -14,6 +17,7 @@ from twotime.spinlab import (
     finite_torque,
     instantaneous_torque,
     pauli_heisenberg,
+    row_angles,
     torque_irreality_pair,
 )
 
@@ -226,27 +230,33 @@ class TestBlochLambdaNu:
             bloch_lambda_nu((0.5, 0.0, 0.0))
 
 
+def rows(table):
+    """The rows of a figure1 column table, as records with one attribute per column."""
+    return [SimpleNamespace(**dict(zip(table, cells))) for cells in zip(*(c.tolist() for c in table.values()))]
+
+
 class TestFigure1Scan:
     def test_row_counts_and_layout(self):
-        rows = figure1_scan([0.2, 1.0], 25, seed=1)
-        scatter = [r for r in rows if not r.is_curve]
-        curves = [r for r in rows if r.is_curve]
-        assert len(scatter) == 50
-        assert len(curves) == 720
-        assert all(r.theta == math.pi / 2.0 for r in curves)
+        scatter, curves = figure1_scan([0.2, 1.0], 25, seed=1)
+        assert len(rows(scatter)) == 50
+        assert len(rows(curves)) == 720
+        assert all(len(column) == len(table["r"]) for table in (scatter, curves) for column in table.values())
+        assert all(r.theta == math.pi / 2.0 for r in rows(curves))
 
     def test_bound_holds_everywhere(self):
-        rows = figure1_scan([0.2, 0.5, 0.8, 1.0], 500, seed=2)
-        for row in rows:
-            assert row.irr_spin + row.irr_torque - row.bound_rhs >= -1e-9
+        for table in figure1_scan([0.2, 0.5, 0.8, 1.0], 500, seed=2):
+            for row in rows(table):
+                assert row.irr_spin + row.irr_torque - bound_rhs(row.r) >= -1e-9
 
     def test_deterministic_and_per_row_stream_derivation(self):
         a = figure1_scan([0.3, 0.9], 40, seed=77)
         b = figure1_scan([0.3, 0.9], 40, seed=77)
-        assert a == b
+        for table_a, table_b in zip(a, b):
+            assert table_a.keys() == table_b.keys()
+            assert all(np.array_equal(table_a[k], table_b[k]) for k in table_a)
         # every row's angles come from its own (seed, band index, sample
         # index) stream, so any partitioning across workers is equivalent
-        scatter = [r for r in a if not r.is_curve]
+        scatter = rows(a[0])
         for r_index in range(2):
             for sample_index in range(40):
                 rng = np.random.default_rng(
@@ -257,9 +267,9 @@ class TestFigure1Scan:
                 assert row.phi == rng.uniform(0.0, 2.0 * math.pi)
 
     def test_band_minimum_sits_on_the_equator_curve(self):
-        rows = figure1_scan([0.5, 1.0], 10_000, seed=3)
+        scatter_table, _ = figure1_scan([0.5, 1.0], 10_000, seed=3)
         for radius in (0.5, 1.0):
-            scatter = [r for r in rows if not r.is_curve and r.r == radius]
+            scatter = [r for r in rows(scatter_table) if r.r == radius]
             best = min(scatter, key=lambda row: row.irr_spin + row.irr_torque)
             best_sum = best.irr_spin + best.irr_torque
             assert best_sum >= bound_rhs(radius) - 1e-9
@@ -267,20 +277,87 @@ class TestFigure1Scan:
             assert abs(best.theta - math.pi / 2.0) <= 0.2
 
     def test_equality_only_on_equator_at_quarter_turns(self):
-        rows = figure1_scan([0.5, 1.0], 2000, seed=4)
-        for row in rows:
-            slack = row.irr_spin + row.irr_torque - row.bound_rhs
-            if slack <= 1e-8:
-                assert abs(row.theta - math.pi / 2.0) <= 1e-4
-                quarter = row.phi % (math.pi / 2.0)
-                assert min(quarter, math.pi / 2.0 - quarter) <= 1e-4
+        for table in figure1_scan([0.5, 1.0], 2000, seed=4):
+            for row in rows(table):
+                slack = row.irr_spin + row.irr_torque - bound_rhs(row.r)
+                if slack <= 1e-8:
+                    assert abs(row.theta - math.pi / 2.0) <= 1e-4
+                    quarter = row.phi % (math.pi / 2.0)
+                    assert min(quarter, math.pi / 2.0 - quarter) <= 1e-4
 
     def test_zero_radius_band_collapses(self):
-        rows = figure1_scan([0.0], 50, seed=5)
-        for row in rows:
-            assert abs(row.irr_spin) <= 1e-12
-            assert abs(row.irr_torque) <= 1e-12
+        for table in figure1_scan([0.0], 50, seed=5):
+            for row in rows(table):
+                assert abs(row.irr_spin) <= 1e-12
+                assert abs(row.irr_torque) <= 1e-12
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             figure1_scan([0.5, 1.1], 10, seed=0)
+
+
+class TestRowAngles:
+    def test_matches_numpy_generator(self):
+        # Seed 0, one-word seeds, seeds of 2 to 7 words (more than the
+        # 4-word pool from 2**128 on) and band/sample indices up to 2**32 - 1.
+        picker = random.Random(20240001)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**127, 2**128, 2**128 + 1, 2**155, 2**223 + 7]
+        seeds += [picker.getrandbits(picker.choice([16, 32, 48, 64, 100, 128, 129, 160, 224])) for _ in range(1190)]
+        for seed in seeds:
+            band = picker.choice([0, 1, 3, picker.getrandbits(32)])
+            index = picker.choice([0, picker.randrange(10_000), picker.getrandbits(32)])
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(band, index)))
+            theta, phi = row_angles(seed, [band], [index])
+            assert theta[0] == rng.uniform(0.0, math.pi)
+            assert phi[0] == rng.uniform(0.0, 2.0 * math.pi)
+
+    def test_every_default_scan_row(self):
+        band, index = np.divmod(np.arange(40_000), 10_000)
+        theta, phi = row_angles(20240001, band, index)
+        for j in range(0, 40_000, 37):
+            rng = np.random.default_rng(np.random.SeedSequence(20240001, spawn_key=(int(band[j]), int(index[j]))))
+            assert theta[j] == rng.uniform(0.0, math.pi)
+            assert phi[j] == rng.uniform(0.0, 2.0 * math.pi)
+
+    @pytest.mark.parametrize("seed, band, index", [(-1, 0, 0), (7, -1, 0), (7, 0, 2**32)])
+    def test_rejects_negative_or_wide_keys(self, seed, band, index):
+        with pytest.raises(ValueError):
+            row_angles(seed, [band], [index])
+
+
+class TestIrrealityKernel:
+    def test_norm_is_bitwise_np_linalg_norm(self):
+        # BlochVector's radius comes from np.linalg.norm; the column kernel
+        # must see the same float in every row.
+        rng = np.random.default_rng(89)
+        vectors = rng.uniform(-1.0, 1.0, (5000, 3)) * rng.uniform(0.0, 1.0, (5000, 1)) / math.sqrt(3.0)
+        expected = [float(np.linalg.norm(v)) for v in vectors]
+        assert spinlab._norms(vectors).tolist() == expected
+
+    def test_columns_match_the_scalar_formula(self):
+        # Bitwise, so the kernel must round like math.log on each float
+        # (np.log differs from it in the last ulp on some inputs).
+        def entropy(u):
+            return 0.0 if u in (0.0, 1.0) else -u * math.log(u) - (1.0 - u) * math.log(1.0 - u)
+
+        rng = np.random.default_rng(90)
+        vectors = rng.uniform(-1.0, 1.0, (20_000, 3)) * rng.uniform(0.0, 1.0, (20_000, 1)) / math.sqrt(3.0)
+        irr_spin, irr_torque = spinlab._irrealities(vectors)
+        for j, vec in enumerate(vectors.tolist()):
+            base = entropy((1.0 + float(np.linalg.norm(vectors[j]))) / 2.0)
+            assert irr_spin[j] == entropy((1.0 + abs(vec[0])) / 2.0) - base
+            assert irr_torque[j] == entropy((1.0 + abs(vec[1])) / 2.0) - base
+        pair = torque_irreality_pair(vectors[0])
+        assert (pair.irr_spin, pair.irr_torque) == (irr_spin[0], irr_torque[0])
+
+    def test_scan_rows_match_the_scalar_pair(self):
+        for table in figure1_scan([0.2, 0.8, 1.0], 300, seed=6):
+            for row in rows(table):
+                pair = torque_irreality_pair(BlochVector.from_angles(row.r, row.theta, row.phi))
+                assert (row.irr_spin, row.irr_torque) == (pair.irr_spin, pair.irr_torque)
+
+    @pytest.mark.parametrize("bad", [(1.0, 1e-5, 0.0), (math.nan, 0.0, 0.0)])
+    def test_rejects_rows_outside_the_ball(self, bad):
+        vectors = np.array([(0.1, 0.2, 0.3), bad])
+        with pytest.raises(ValueError, match="not finite or exceeds 1"):
+            spinlab._irrealities(vectors)
