@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,22 +29,7 @@ CURVE_HEADER = ("r", "phi", "irr_spin", "irr_torque")
 LAMBDA_HEADER = ("theta", "nu_norm", "min_eigenvalue", "physical")
 
 
-@dataclass
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    samples: int = DEFAULT_SAMPLES
-    out_dir: Path = Path(".")
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.fmt not in ("csv", "tsv"):
-            raise ValueError(f"format must be csv or tsv, got {self.fmt!r}")
-        self.out_dir = Path(self.out_dir)
-
-
-def _write_tables(cfg: RunConfig, tables) -> list:
+def _write_tables(args, tables) -> list:
     """Write (stem, header, columns) tables and publish them together; returns their paths.
 
     Each table goes to a temporary file in the output directory, and all of
@@ -54,11 +38,11 @@ def _write_tables(cfg: RunConfig, tables) -> list:
     cannot be written, no table is published: the temporary files are
     removed and the run exits 2.
     """
-    sep = "," if cfg.fmt == "csv" else "\t"
-    paths = [cfg.out_dir / f"{stem}.{cfg.fmt}" for stem, _, _ in tables]
+    sep = "," if args.format == "csv" else "\t"
+    paths = [args.out / f"{stem}.{args.format}" for stem, _, _ in tables]
     temps = []
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         for path, (_, header, columns) in zip(paths, tables):
             row = sep.join("%s" if isinstance(column[0], str) else "%.12g" for column in columns) + "\n"
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -71,7 +55,7 @@ def _write_tables(cfg: RunConfig, tables) -> list:
     except OSError as exc:
         for temp in temps:
             temp.unlink(missing_ok=True)
-        print(f"error: cannot write to {cfg.out_dir}: {exc}", file=sys.stderr)
+        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     return paths
 
@@ -94,15 +78,15 @@ def _least_slack(tables):
     return least
 
 
-def cmd_figure1(cfg: RunConfig, r_list) -> int:
+def cmd_figure1(args) -> int:
     """Verify the purity bound row by row, then write the irreality trade-off scan."""
-    scatter, curves = spinlab.figure1_scan(r_list, cfg.samples, cfg.seed)
+    scatter, curves = spinlab.figure1_scan(args.r_list, args.samples, args.seed)
     min_slack, table, row = _least_slack((scatter, curves))
     if min_slack < -BOUND_TOL:
         cells = ", ".join(f"{name}={table[name][row]:.12g}" for name in SCATTER_HEADER)
         print(f"FAIL: bound violated by {min_slack:.6e} at {cells}", file=sys.stderr)
         return 1
-    scatter_path, curves_path = _write_tables(cfg, [
+    scatter_path, curves_path = _write_tables(args, [
         ("figure1_scatter", SCATTER_HEADER, [scatter[name].tolist() for name in SCATTER_HEADER]),
         ("figure1_curves", CURVE_HEADER, [curves[name].tolist() for name in CURVE_HEADER]),
     ])
@@ -113,15 +97,15 @@ def cmd_figure1(cfg: RunConfig, r_list) -> int:
     return 0
 
 
-def cmd_lambda(cfg: RunConfig, theta_steps: int) -> int:
+def cmd_lambda(args) -> int:
     """Tabulate the conditional operator's Bloch norm over a theta grid, once it checks out."""
     alpha = (np.eye(2, dtype=complex) - qcore.SIGMA_Z) / 2.0
     channel = dynamics.ChannelFamily(np.zeros((2, 2), dtype=complex))
     rows = []
     max_norm_defect = 0.0
     physical_thetas = []
-    for i in range(1, theta_steps + 1):
-        theta = i * math.pi / theta_steps
+    for i in range(1, args.theta_steps + 1):
+        theta = i * math.pi / args.theta_steps
         direction = (math.sin(theta), 0.0, math.cos(theta))
         _, nu_norm = spinlab.bloch_lambda_nu(direction)
         report = correlators.lambda_operator(alpha, qcore.bloch_to_state(direction), 0.0, channel)
@@ -138,10 +122,10 @@ def cmd_lambda(cfg: RunConfig, theta_steps: int) -> int:
         return 1
     theta, nu_norm, min_eigenvalue, physical = zip(*rows)
     physical = ["true" if p else "false" for p in physical]
-    (path,) = _write_tables(cfg, [("lambda", LAMBDA_HEADER, [theta, nu_norm, min_eigenvalue, physical])])
-    fraction = len(physical_thetas) / theta_steps
-    print(f"wrote {theta_steps} rows to {path}")
-    print(f"fraction of physical points: {fraction:.6g} (expected {1 / theta_steps:.6g}, theta = pi only)")
+    (path,) = _write_tables(args, [("lambda", LAMBDA_HEADER, [theta, nu_norm, min_eigenvalue, physical])])
+    fraction = len(physical_thetas) / args.theta_steps
+    print(f"wrote {args.theta_steps} rows to {path}")
+    print(f"fraction of physical points: {fraction:.6g} (expected {1 / args.theta_steps:.6g}, theta = pi only)")
     return 0
 
 
@@ -184,20 +168,20 @@ def _gap(instance) -> float:
     return abs(tpm - correlators.heisenberg_correlator(op, rho0))
 
 
-def cmd_tpm_gap(cfg: RunConfig, dim: int, trials: int) -> int:
+def cmd_tpm_gap(args) -> int:
     """Compare the protocol and Heisenberg correlators over random instances."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     ok = True
-    eq4_gap = max(_gap(_dephased_start_instance(dim, rng)) for _ in range(10))
-    print(f"d={dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
+    eq4_gap = max(_gap(_dephased_start_instance(args.dim, rng)) for _ in range(10))
+    print(f"d={args.dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
     ok &= eq4_gap <= IDENTITY_TOL
-    if dim == 2:
-        max_gap = max(_gap(_random_pm1_instance(rng)) for _ in range(trials))
-        print(f"d=2: max gap over {trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
+    if args.dim == 2:
+        max_gap = max(_gap(_random_pm1_instance(rng)) for _ in range(args.trials))
+        print(f"d=2: max gap over {args.trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
         ok &= max_gap <= IDENTITY_TOL
     else:
-        max_gap = max(_gap(_random_instance(3, rng)) for _ in range(trials))
-        print(f"d=3: max gap over {trials} random instances: {max_gap:.3e}")
+        max_gap = max(_gap(_random_instance(3, rng)) for _ in range(args.trials))
+        print(f"d=3: max gap over {args.trials} random instances: {max_gap:.3e}")
         fx = correlators.qutrit_gap_fixture()
         tpm = correlators.tpm_correlator(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
         op = correlators.TwoTimeOperator("product", fx.A, fx.B, fx.t1, fx.t2, fx.channel)
@@ -214,8 +198,8 @@ def _check(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _report_torque_bound(cfg: RunConfig) -> bool:
-    tables = spinlab.figure1_scan(DEFAULT_R_LIST, cfg.samples, cfg.seed)
+def _report_torque_bound(args) -> bool:
+    tables = spinlab.figure1_scan(DEFAULT_R_LIST, args.samples, args.seed)
     min_slack, _, _ = _least_slack(tables)
     n_rows = sum(len(table["r"]) for table in tables)
     return _check(
@@ -225,8 +209,8 @@ def _report_torque_bound(cfg: RunConfig) -> bool:
     )
 
 
-def _report_eigenprep(cfg: RunConfig) -> bool:
-    rng = np.random.default_rng(cfg.seed)
+def _report_eigenprep(args) -> bool:
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     for index in range(100):
         dim = 2 if index % 2 == 0 else 3
@@ -252,8 +236,8 @@ def _random_gaussian_prep(rng) -> gaussian.GaussianPrep:
     )
 
 
-def _report_displacement(cfg: RunConfig) -> bool:
-    rng = np.random.default_rng(cfg.seed)
+def _report_displacement(args) -> bool:
+    rng = np.random.default_rng(args.seed)
     min_product = math.inf
     min_weighted = math.inf
     spread_defect = 0.0
@@ -276,8 +260,8 @@ def _report_displacement(cfg: RunConfig) -> bool:
     )
 
 
-def _report_precession(cfg: RunConfig) -> bool:
-    rng = np.random.default_rng(cfg.seed)
+def _report_precession(args) -> bool:
+    rng = np.random.default_rng(args.seed)
     closed_vs_channel = 0.0
     field_component = 0.0
     derivative_defect = 0.0
@@ -316,8 +300,8 @@ _REPORTS = {
 }
 
 
-def cmd_report(cfg: RunConfig, name: str) -> int:
-    return 0 if _REPORTS[name](cfg) else 1
+def cmd_report(args) -> int:
+    return 0 if _REPORTS[args.name](args) else 1
 
 
 def _parse_r_list(text: str):
@@ -350,45 +334,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
                         help="RNG seed, >= 0 (default %(default)s)")
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="samples per band (default %(default)s)")
+    parser.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES,
+                        help="samples per band, >= 1 (default %(default)s)")
     parser.add_argument(
-        "--out", default=os.environ.get(OUT_ENV_VAR, "."),
+        "--out", type=Path, default=os.environ.get(OUT_ENV_VAR, "."),
         help="output directory (default $" + OUT_ENV_VAR + " or the working directory)",
     )
     parser.add_argument("--format", choices=("csv", "tsv"), default="csv", help="table format (default %(default)s)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_fig = commands.add_parser("figure1", help="irreality trade-off scan over Bloch bands")
+    p_fig.set_defaults(run=cmd_figure1)
     p_fig.add_argument("--r-list", type=_parse_r_list, default=list(DEFAULT_R_LIST),
                        help="comma-separated band radii (default 0.2,0.5,0.8,1.0)")
 
     p_lam = commands.add_parser("lambda", help="conditional-operator Bloch norm over a theta grid")
+    p_lam.set_defaults(run=cmd_lambda)
     p_lam.add_argument("--theta-steps", type=_int_at_least(2), default=180,
                        help="grid points on (0, pi] (default %(default)s)")
 
     p_gap = commands.add_parser("tpm-gap", help="protocol vs Heisenberg correlator gaps")
+    p_gap.set_defaults(run=cmd_tpm_gap)
     p_gap.add_argument("--dim", type=int, choices=(2, 3), default=2, help="Hilbert space dimension")
     p_gap.add_argument("--trials", type=_int_at_least(1), default=1000, help="random instances (default %(default)s)")
 
     p_rep = commands.add_parser("report", help="run one invariant suite and print pass/fail")
+    p_rep.set_defaults(run=cmd_report)
     p_rep.add_argument("name", choices=sorted(_REPORTS))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = RunConfig(seed=args.seed, samples=args.samples, out_dir=Path(args.out), fmt=args.format)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "figure1":
-        return cmd_figure1(cfg, args.r_list)
-    if args.command == "lambda":
-        return cmd_lambda(cfg, args.theta_steps)
-    if args.command == "tpm-gap":
-        return cmd_tpm_gap(cfg, args.dim, args.trials)
-    return cmd_report(cfg, args.name)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -118,20 +118,19 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
     if not t2 > t1:
         raise ValueError(f"the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}")
     rho_t1 = channel.propagate_state(rho0.matrix, t1)
-    a_values = np.array(A.eigenvalues)
-    b_values = np.array(B.eigenvalues)
-    joint = np.zeros((len(a_values), len(b_values)))
-    for i, alpha in enumerate(A.projectors):
-        branch = alpha @ rho_t1 @ alpha
-        marginal = branch.trace().real
-        if marginal <= MARGINAL_TOL:
-            continue
-        evolved = channel.propagate_state(branch / marginal, t2 - t1)
-        conditional = np.array([np.trace(beta @ evolved).real for beta in B.projectors])
-        if abs(conditional.sum() - 1.0) > MEASUREMENT_TOL:
-            raise ArithmeticError(f"conditional distribution sums to {conditional.sum():.15g}")
-        joint[i] = marginal * np.clip(conditional, 0.0, 1.0)
-    return a_values, b_values, joint
+    alphas = np.array(A.projectors)
+    branches = alphas @ rho_t1 @ alphas
+    marginals = np.trace(branches, axis1=1, axis2=2).real
+    kept = ~(marginals <= MARGINAL_TOL)  # a NaN branch is kept, so the sum check below rejects it
+    evolved = channel.propagate_state(branches[kept] / marginals[kept, None, None], t2 - t1)
+    conditional = np.einsum("bij,kji->kb", np.array(B.projectors), evolved).real
+    sums = conditional.sum(axis=1)
+    off = np.flatnonzero(~(np.abs(sums - 1.0) <= MEASUREMENT_TOL))
+    if off.size:
+        raise ArithmeticError(f"conditional distribution sums to {sums[off[0]]:.15g}")
+    joint = np.zeros((len(alphas), len(B.projectors)))
+    joint[kept] = marginals[kept, None] * np.clip(conditional, 0.0, 1.0)
+    return np.array(A.eigenvalues), np.array(B.eigenvalues), joint
 
 
 def tpm_correlator(A: Observable, B: Observable, t1: float, t2: float, channel, rho0: DensityMatrix) -> float:

@@ -27,7 +27,6 @@ class ChannelFamily:
     (omega = 1) and pass tau as the time.
     """
 
-    kind = "unitary"
     unitary = True
 
     def __init__(self, hamiltonian):
@@ -43,6 +42,8 @@ class ChannelFamily:
         return self._hamiltonian.shape[0]
 
     def unitary_at(self, t: float) -> np.ndarray:
+        if not np.isfinite(t):
+            raise ValueError(f"time must be finite, got {t!r}")
         phases = np.exp(-1j * self._energies * t)
         return (self._modes * phases) @ self._modes.conj().T
 
@@ -66,7 +67,6 @@ class KrausChannel:
     and is rejected by the two-time operator machinery.
     """
 
-    kind = "kraus"
     unitary = False
 
     def __init__(self, kraus_ops):

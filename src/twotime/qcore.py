@@ -54,11 +54,31 @@ def _as_square_complex(matrix) -> np.ndarray:
 
 def _hermitian(matrix, what: str, tol: float = OPERATOR_HERMITICITY_TOL) -> np.ndarray:
     """The symmetrized matrix, once max |H - H^dag| is within ``tol`` (a NaN or inf entry fails)."""
-    m = _as_square_complex(matrix)
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    return _symmetrized(_as_square_complex(matrix), what, tol)
+
+
+def _symmetrized(m: np.ndarray, what: str, tol: float) -> np.ndarray:
+    # _hermitian's check for a matrix or an (n, d, d) stack, taken over the whole stack.
+    adjoint = m.conj().swapaxes(-1, -2)
+    defect = float(np.max(np.abs(m - adjoint)))
     if not defect <= tol:
         raise ValueError(f"{what} is not Hermitian: max |H - H^dag| = {defect:.3e}")
-    return (m + m.conj().T) / 2.0
+    return (m + adjoint) / 2.0
+
+
+def _states(stack: np.ndarray):
+    """Check an (n, d, d) stack of density matrices: each one Hermitian and of unit trace within
+    ``STATE_TOL``, with no eigenvalue below ``PSD_FLOOR``. Returns (symmetrized stack, eigenvalues)."""
+    m = _symmetrized(stack, "density matrix", STATE_TOL)
+    traces = np.trace(m, axis1=1, axis2=2)
+    off = np.flatnonzero(np.abs(traces - 1.0) > STATE_TOL)
+    if off.size:
+        raise ValueError(f"density matrix trace is {traces[off[0]]:.15g}, expected 1")
+    eigs = np.linalg.eigvalsh(m)
+    low = np.flatnonzero(eigs[:, 0] < PSD_FLOOR)
+    if low.size:
+        raise ValueError(f"density matrix is not positive semidefinite: min eigenvalue = {eigs[low[0], 0]:.3e}")
+    return m, eigs
 
 
 class DensityMatrix:
@@ -69,15 +89,9 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix):
-        m = _hermitian(matrix, "density matrix", STATE_TOL)
-        trace = m.trace()
-        if abs(trace - 1.0) > STATE_TOL:
-            raise ValueError(f"density matrix trace is {trace:.15g}, expected 1")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < PSD_FLOOR:
-            raise ValueError(f"density matrix is not positive semidefinite: min eigenvalue = {eigs[0]:.3e}")
-        self._matrix = _readonly(m)
-        self._eigs = _readonly(eigs)
+        m, eigs = _states(_as_square_complex(matrix)[None])
+        self._matrix = _readonly(m[0])
+        self._eigs = _readonly(eigs[0])
 
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
@@ -258,18 +272,21 @@ def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
     """
     if rho.dim != eta.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {eta.dim}")
-    q, basis = np.linalg.eigh(eta.matrix)
-    weights = np.einsum("ji,jk,ki->i", basis.conj(), rho.matrix, basis).real
+    return float(_relative_entropies(rho, eta.matrix[None])[0])
+
+
+def _relative_entropies(rho: DensityMatrix, etas: np.ndarray) -> np.ndarray:
+    # relative_entropy(rho, eta) for every eta of a checked (n, d, d) stack, with one stacked eigh.
+    q, basis = np.linalg.eigh(etas)
+    weights = np.einsum("nji,jk,nki->ni", basis.conj(), rho.matrix, basis).real
     null = q < SUPPORT_TOL
-    if np.any(weights[null] > SUPPORT_WEIGHT_TOL):
-        return math.inf
-    cross = float((weights[~null] * np.log(q[~null])).sum())
-    value = -von_neumann_entropy(rho) - cross
-    if value < 0.0:
-        if value < -NEGATIVE_ENTROPY_TOL:
-            raise ArithmeticError(f"relative entropy evaluated to {value:.3e} < 0")
-        value = 0.0
-    return value
+    infinite = np.any(null & (weights > SUPPORT_WEIGHT_TOL), axis=1)
+    cross = (weights * np.log(np.where(null, 1.0, q))).sum(axis=1)  # log 1 = 0 on the null space
+    values = np.where(infinite, math.inf, -von_neumann_entropy(rho) - cross)
+    negative = np.flatnonzero(values < -NEGATIVE_ENTROPY_TOL)
+    if negative.size:
+        raise ArithmeticError(f"relative entropy evaluated to {values[negative[0]]:.3e} < 0")
+    return np.where(values < 0.0, 0.0, values)
 
 
 def binary_entropy(u):
@@ -329,10 +346,15 @@ def random_bloch_states(r: float, n: int, seed) -> list:
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state from a normalized Ginibre matrix G G^dag."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    m /= m.trace().real
-    return DensityMatrix(m)
+    return DensityMatrix(_ginibre_states(dim, 1, rng)[0])
+
+
+def _ginibre_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    # n unchecked states as an (n, d, d) stack, bitwise those of n successive random_density_matrix calls.
+    g = rng.standard_normal((n, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

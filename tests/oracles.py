@@ -60,6 +60,24 @@ def heisenberg_bruteforce(a_mat, b_mat, hamiltonian, t1, t2, rho0, kind="product
     return np.trace(c @ rho0).real
 
 
+def relative_entropy_logm(rho, eta, tol=1e-12):
+    """Tr[rho (ln rho - ln eta)] with scipy's logm, each log taken on its matrix's support.
+
+    +inf when rho carries weight outside the support of eta.
+    """
+
+    def support_and_log(m):
+        w, v = np.linalg.eigh(m)
+        s = v[:, w > tol]  # orthonormal basis of the support
+        return s @ s.conj().T, s @ scipy.linalg.logm(s.conj().T @ m @ s) @ s.conj().T
+
+    p_eta, log_eta = support_and_log(np.asarray(eta, dtype=complex))
+    if np.trace(rho - p_eta @ rho).real > 1e-10:
+        return np.inf
+    _, log_rho = support_and_log(np.asarray(rho, dtype=complex))
+    return float(np.trace(rho @ (log_rho - log_eta)).real)
+
+
 def random_state_matrix(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T

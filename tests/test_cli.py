@@ -117,10 +117,6 @@ class TestReportCommand:
             cli.main(["report", "unknown-scenario"])
 
 
-def test_invalid_samples_rejected(tmp_path):
-    assert cli.main(["--out", str(tmp_path), "--samples", "0", "figure1"]) == 2
-
-
 def test_seed_changes_output(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -136,6 +132,7 @@ def test_seed_changes_output(tmp_path):
         ["tpm-gap", "--trials", "0"],
         ["lambda", "--theta-steps", "1"],
         ["--seed", "-1", "figure1"],
+        ["--samples", "0", "figure1"],
     ],
 )
 def test_usage_errors_exit_2(tmp_path, argv):

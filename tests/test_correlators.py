@@ -257,6 +257,30 @@ class TestTpmCorrelator:
         assert value == pytest.approx(math.sqrt(1.0 - p), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "correlate",
+    [
+        lambda fx, channel: tpm_correlator(fx.A, fx.B, -math.inf, 1.0, channel, fx.rho0),
+        lambda fx, channel: tpm_correlator(fx.A, fx.B, 0.0, math.inf, channel, fx.rho0),
+        lambda fx, channel: heisenberg_correlator(TwoTimeOperator("product", fx.A, fx.B, 0.0, math.inf, channel), fx.rho0),
+    ],
+    ids=["tpm-t1-minus-inf", "tpm-t2-inf", "heisenberg-t2-inf"],
+)
+def test_rejects_non_finite_times(correlate):
+    channel = ChannelFamily(np.diag([0.0, 1.0, 2.0]).astype(complex))
+    with pytest.raises(ValueError, match="time must be finite"):
+        correlate(qutrit_gap_fixture(), channel)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_branch_fails_instead_of_vanishing():
+    # |E t| beyond the float range makes every phase NaN; the protocol must not report 0.
+    fx = qutrit_gap_fixture()
+    channel = ChannelFamily(np.diag([0.0, 1.0, 2.0]).astype(complex))
+    with pytest.raises(ArithmeticError, match="nan"):
+        tpm_correlator(fx.A, fx.B, 1e308, 1.5e308, channel, fx.rho0)
+
+
 class TestLambdaOperator:
     def setup_method(self):
         self.channel = ChannelFamily(np.zeros((2, 2)))

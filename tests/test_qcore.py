@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -19,6 +20,7 @@ from twotime.qcore import (
     state_to_bloch,
     von_neumann_entropy,
 )
+from twotime.qcore import _ginibre_states, _relative_entropies, _states
 
 LN2 = math.log(2.0)
 # -0.9 ln 0.9 - 0.1 ln 0.1, evaluated directly
@@ -164,6 +166,45 @@ class TestEntropies:
             assert value >= 0.0
             if gap > 1e-3:
                 assert value > 1e-8
+
+
+class TestStateStacks:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_ginibre_stack_is_successive_draws_bitwise(self, dim):
+        stacked, eigs = _states(_ginibre_states(dim, 70, np.random.default_rng(dim)))
+        rng = np.random.default_rng(dim)
+        for k in range(70):
+            one = random_density_matrix(dim, rng)
+            assert np.array_equal(stacked[k], one.matrix)
+            assert np.array_equal(eigs[k], one.eigenvalues())
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermitian"),
+            (np.eye(2) * 0.6, "trace"),
+            (np.diag([1.5, -0.5]), "positive semidefinite"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "Hermitian"),
+        ],
+    )
+    def test_stack_check_rejects_one_bad_matrix(self, bad, message):
+        stack = np.array([np.eye(2) / 2.0, bad, np.eye(2) / 2.0], dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            _states(stack)
+
+    def test_relative_entropy_kernel_matches_logm_oracle(self):
+        # rho has rank 2 in d = 3; the stack holds a full-rank eta, eta = rho and an eta on rho's null space.
+        rng = np.random.default_rng(31)
+        kets = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0].T
+        rho = DensityMatrix(0.7 * np.outer(kets[0], kets[0].conj()) + 0.3 * np.outer(kets[1], kets[1].conj()))
+        etas = [random_density_matrix(3, rng).matrix, rho.matrix, np.outer(kets[2], kets[2].conj())]
+        values = _relative_entropies(rho, _states(np.array(etas))[0])
+        expected = [oracles.relative_entropy_logm(rho.matrix, eta) for eta in etas]
+        assert abs(values[0] - expected[0]) <= 1e-10
+        assert abs(values[1]) <= 1e-12 and abs(expected[1]) <= 1e-10
+        assert values[2] == expected[2] == math.inf
+        for value, eta in zip(values, etas):
+            assert value == relative_entropy(rho, DensityMatrix(eta))
 
 
 class TestBinaryEntropy:

@@ -16,7 +16,14 @@ from twotime.qcore import (
     relative_entropy,
     von_neumann_entropy,
 )
-from twotime.realism import complementarity_bound_check, dephase, irreality, min_form_check
+from twotime.realism import (
+    MIN_FORM_BLOCK,
+    MinFormReport,
+    complementarity_bound_check,
+    dephase,
+    irreality,
+    min_form_check,
+)
 
 LN2 = math.log(2.0)
 
@@ -119,7 +126,56 @@ class TestIrreality:
         assert np.max(np.abs(dephase(obs, generic).matrix - generic.matrix)) > 1e-8
 
 
+def per_sample_min_form(A, rho, n_samples, seed):
+    """min_form_check one sample at a time: successive random_density_matrix draws, each dephased and scored."""
+    j = irreality(A, rho).irreality
+    rng = np.random.default_rng(seed)
+    values = [relative_entropy(rho, dephase(A, random_density_matrix(rho.dim, rng))) for _ in range(n_samples)]
+    margins = [value - j for value in values if not math.isinf(value)]
+    return MinFormReport(
+        irreality=j,
+        identity_gap=abs(relative_entropy(rho, dephase(A, rho)) - j),
+        min_margin=min(margins, default=math.inf),
+        infinite_samples=len(values) - len(margins),
+        n_samples=n_samples,
+    )
+
+
 class TestMinForm:
+    @pytest.mark.parametrize("n_samples", [1, MIN_FORM_BLOCK - 1, MIN_FORM_BLOCK, MIN_FORM_BLOCK + 1, 500])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_blocks_match_the_per_sample_loop(self, dim, n_samples):
+        rng = np.random.default_rng(dim * 1000 + n_samples)
+        obs = Observable(oracles.random_hermitian_matrix(dim, rng))
+        rho = random_density_matrix(dim, rng)
+        report = min_form_check(obs, rho, n_samples=n_samples, seed=n_samples)
+        expected = per_sample_min_form(obs, rho, n_samples, n_samples)
+        assert (report.infinite_samples, report.n_samples) == (expected.infinite_samples, expected.n_samples)
+        for field in ("irreality", "identity_gap", "min_margin"):
+            assert abs(getattr(report, field) - getattr(expected, field)) <= 1e-12
+
+    def test_every_sample_is_checked_twice(self, monkeypatch):
+        # Each sampled state and its dephased image go through the eigenvalue check.
+        obs = Observable(SIGMA_X)
+        rho = DensityMatrix.from_ket([1.0, 0.0])
+        eigvalsh = np.linalg.eigvalsh
+        checked = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: checked.append(len(a)) or eigvalsh(a))
+        min_form_check(obs, rho, n_samples=0)
+        without_samples = sum(checked)
+        checked.clear()
+        min_form_check(obs, rho, n_samples=MIN_FORM_BLOCK + 1)
+        assert sum(checked) - without_samples == 2 * (MIN_FORM_BLOCK + 1)
+        assert max(checked) == MIN_FORM_BLOCK
+
+    def test_rejects_negative_sample_count(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=-3)
+
+    def test_zero_samples(self):
+        report = min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=0)
+        assert (report.min_margin, report.infinite_samples, report.n_samples) == (math.inf, 0, 0)
+
     def test_identity_and_sampled_minimum(self):
         rng = np.random.default_rng(77)
         for dim in (2, 3):
