@@ -42,7 +42,6 @@ from .qcore import (
     random_density_matrix,
     random_hermitian,
     relative_entropy,
-    spectral_decompose,
     state_to_bloch,
     von_neumann_entropy,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "realize",
     "relative_entropy",
     "row_angles",
-    "spectral_decompose",
     "state_to_bloch",
     "tpm_correlator",
     "tpm_joint_distribution",

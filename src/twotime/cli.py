@@ -154,7 +154,7 @@ def _dephased_start_instance(dim, rng):
     # Preparation chosen so the evolved state at t1 is already diagonal in
     # the first observable's eigenbasis; the two correlator routes coincide.
     a, b, channel, t1, t2, _ = _random_instance(dim, rng)
-    weights = rng.uniform(0.1, 1.0, len(a.spectrum))
+    weights = rng.uniform(0.1, 1.0, len(a.eigenvalues))
     weights /= weights.sum()
     rho_t1 = sum(w * p / p.trace().real for w, p in zip(weights, a.projectors))
     rho0 = qcore.DensityMatrix(channel.propagate_state(rho_t1, -t1))
@@ -217,7 +217,7 @@ def _report_eigenprep(args) -> bool:
         kind = "product" if index % 4 < 2 else "sum"
         a, b, channel, t1, t2, _ = _random_instance(dim, rng)
         realized = correlators.realize(correlators.TwoTimeOperator(kind, a, b, t1, t2, channel))
-        for k in range(len(realized.spectrum)):
+        for k in range(len(realized.eigenvalues)):
             worst = max(worst, abs(realism.irreality(realized, realized.eigenstate(k)).irreality))
     return _check(
         "eigenprep",

@@ -107,7 +107,8 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
     """Joint outcome distribution of the two-point-measurement protocol.
 
     Returns (a_values, b_values, joint) where joint[i, j] is the probability
-    of outcome a_i at t1 followed by b_j at t2. The update after the first
+    of outcome a_i at t1 followed by b_j at t2; a_values and b_values are the
+    read-only ``eigenvalues`` arrays of A and B. The update after the first
     measurement is the Lueders projection alpha rho alpha / Tr(alpha rho);
     for rank-1 projectors the conditional probabilities reduce to
     Tr[beta phi*(alpha)]. Outcomes whose first-measurement marginal is below
@@ -118,19 +119,18 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
     if not t2 > t1:
         raise ValueError(f"the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}")
     rho_t1 = channel.propagate_state(rho0.matrix, t1)
-    alphas = np.array(A.projectors)
-    branches = alphas @ rho_t1 @ alphas
+    branches = A.projectors @ rho_t1 @ A.projectors
     marginals = np.trace(branches, axis1=1, axis2=2).real
     kept = ~(marginals <= MARGINAL_TOL)  # a NaN branch is kept, so the sum check below rejects it
     evolved = channel.propagate_state(branches[kept] / marginals[kept, None, None], t2 - t1)
-    conditional = np.einsum("bij,kji->kb", np.array(B.projectors), evolved).real
+    conditional = np.einsum("bij,kji->kb", B.projectors, evolved).real
     sums = conditional.sum(axis=1)
     off = np.flatnonzero(~(np.abs(sums - 1.0) <= MEASUREMENT_TOL))
     if off.size:
         raise ArithmeticError(f"conditional distribution sums to {sums[off[0]]:.15g}")
-    joint = np.zeros((len(alphas), len(B.projectors)))
+    joint = np.zeros((len(A.eigenvalues), len(B.eigenvalues)))
     joint[kept] = marginals[kept, None] * np.clip(conditional, 0.0, 1.0)
-    return np.array(A.eigenvalues), np.array(B.eigenvalues), joint
+    return A.eigenvalues, B.eigenvalues, joint
 
 
 def tpm_correlator(A: Observable, B: Observable, t1: float, t2: float, channel, rho0: DensityMatrix) -> float:

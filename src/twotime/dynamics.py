@@ -12,6 +12,8 @@ sequential-measurement simulator: a fixed Kraus map applied once per
 propagation segment, with no time parameterization.
 """
 
+import math
+
 import numpy as np
 
 from .qcore import MEASUREMENT_TOL, DensityMatrix, Observable, _as_square_complex, _hermitian, _readonly
@@ -32,6 +34,7 @@ class ChannelFamily:
     def __init__(self, hamiltonian):
         self._hamiltonian = _readonly(_hermitian(hamiltonian, "hamiltonian"))
         self._energies, self._modes = np.linalg.eigh(self._hamiltonian)
+        self._energy_scale = float(np.max(np.abs(self._energies)))
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -42,8 +45,9 @@ class ChannelFamily:
         return self._hamiltonian.shape[0]
 
     def unitary_at(self, t: float) -> np.ndarray:
-        if not np.isfinite(t):
-            raise ValueError(f"time must be finite, got {t!r}")
+        # Every phase E t must be finite; a float product, so an overflow gives inf without a warning.
+        if not math.isfinite(float(t) * self._energy_scale):
+            raise ValueError(f"time must be finite and keep every phase E*t finite, got {t!r}")
         phases = np.exp(-1j * self._energies * t)
         return (self._modes * phases) @ self._modes.conj().T
 

@@ -22,6 +22,12 @@ from dataclasses import dataclass
 from .qcore import UNCERTAINTY_TOL
 
 
+def _finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaussianPrep:
     """Gaussian state: means (x0, p0), spreads (dx, dp), symmetric covariance.
@@ -37,6 +43,7 @@ class GaussianPrep:
     xp_corr: float = 0.0
 
     def __post_init__(self):
+        _finite(x0=self.x0, p0=self.p0, dx=self.dx, dp=self.dp, xp_corr=self.xp_corr)
         if self.dx <= 0.0 or self.dp <= 0.0:
             raise ValueError(f"spreads must be positive, got dx={self.dx!r}, dp={self.dp!r}")
         det = self.dx**2 * self.dp**2 - self.xp_corr**2
@@ -49,6 +56,7 @@ class FreeParticle:
     mass: float
 
     def __post_init__(self):
+        _finite(mass=self.mass)
         if self.mass <= 0.0:
             raise ValueError(f"mass must be positive, got {self.mass!r}")
 
@@ -74,6 +82,7 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
     mean = p0 (t2 - t1) / m, spread = dp (t2 - t1) / m. The dp -> 0 limit
     makes the displacement definite for any bounded interval.
     """
+    _finite(t1=t1, t2=t2)
     if t2 < t1:
         raise ValueError(f"interval must be ordered, got t1={t1!r}, t2={t2!r}")
     dt = t2 - t1
@@ -82,6 +91,7 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
 
 def position_spread(g: GaussianPrep, fp: FreeParticle, t: float) -> float:
     """Spread of X_t = X + P t / m: sqrt(dx^2 + (dp t / m)^2 + 2 xp_corr t / m)."""
+    _finite(t=t)
     if t < 0.0:
         raise ValueError(f"time must be non-negative, got {t!r}")
     variance = g.dx**2 + (g.dp * t / fp.mass) ** 2 + 2.0 * g.xp_corr * t / fp.mass
@@ -92,6 +102,7 @@ def position_spread(g: GaussianPrep, fp: FreeParticle, t: float) -> float:
 
 def uncertainty_report(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float) -> UncertaintyReport:
     """Evaluate both displacement/position trade-offs for one preparation."""
+    _finite(t1=t1, t2=t2)
     if not t2 > t1:
         raise ValueError(f"interval must satisfy t2 > t1, got t1={t1!r}, t2={t2!r}")
     dt = t2 - t1

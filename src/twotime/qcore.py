@@ -126,52 +126,31 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6g})"
 
 
-def spectral_decompose(matrix, group_tol: float = GROUP_TOL_DEFAULT):
-    """Decompose a Hermitian matrix into (eigenvalue, projector) pairs.
-
-    Eigenvalues closer than ``group_tol`` are merged into a single projector,
-    so degenerate operators (e.g. multiples of the identity) come out with the
-    correct coarse-grained spectrum. Projectors are orthogonal, idempotent and
-    sum to the identity; ``sum(eig * proj)`` reconstructs the input.
-
-    Raises ValueError for non-Hermitian input, quoting the defect.
-    """
-    return _grouped_spectrum(_hermitian(matrix, "matrix"), group_tol)
-
-
-def _grouped_spectrum(h: np.ndarray, group_tol: float):
-    eigvals, eigvecs = np.linalg.eigh(h)
-    spectrum = []
-    start = 0
-    for stop in range(1, len(eigvals) + 1):
-        if stop == len(eigvals) or eigvals[stop] - eigvals[stop - 1] > group_tol:
-            block = eigvecs[:, start:stop]
-            proj = block @ block.conj().T
-            proj = (proj + proj.conj().T) / 2.0
-            spectrum.append((float(eigvals[start:stop].mean()), _readonly(proj)))
-            start = stop
-    return spectrum
-
-
 class Observable:
     """A Hermitian matrix with its grouped spectral decomposition cached.
 
-    ``spectrum`` is a list of (eigenvalue, projector) pairs in ascending
-    eigenvalue order; distinct eigenvalues are separated by more than
-    ``GROUP_TOL_DEFAULT``.
+    ``eigenvalues`` is a read-only (k,) array of the distinct eigenvalues in
+    ascending order, separated by more than ``GROUP_TOL_DEFAULT`` (closer
+    eigenvalues share one projector and are averaged); ``projectors`` is the
+    read-only (k, d, d) stack of their eigenprojectors.
     """
 
     def __init__(self, matrix):
         self._matrix = _readonly(_hermitian(matrix, "observable"))
-        self._spectrum = _grouped_spectrum(self._matrix, GROUP_TOL_DEFAULT)
-        projs = np.array(self.projectors)
+        eigvals, eigvecs = np.linalg.eigh(self._matrix)
+        edges = [0, *(np.flatnonzero(np.diff(eigvals) > GROUP_TOL_DEFAULT) + 1).tolist(), len(eigvals)]
+        groups = list(zip(edges[:-1], edges[1:]))
+        projs = np.array([eigvecs[:, a:b] @ eigvecs[:, a:b].conj().T for a, b in groups])
+        projs = (projs + projs.conj().swapaxes(1, 2)) / 2.0
+        self._eigenvalues = _readonly(np.array([eigvals[a:b].sum() / (b - a) for a, b in groups]))
+        self._projectors = _readonly(projs)
         # P_i P_j = delta_ij P_i for every pair, as one (k, k, d, d) comparison.
         pairs = projs[:, None] @ projs[None, :] - np.eye(len(projs))[:, :, None, None] * projs[:, None]
         if not np.max(np.abs(pairs)) <= MEASUREMENT_TOL:
             raise ValueError("projectors are not orthogonal/idempotent")
         if not np.max(np.abs(projs.sum(axis=0) - np.eye(self.dim))) <= MEASUREMENT_TOL:
             raise ValueError("projectors do not resolve the identity")
-        rebuilt = np.tensordot(np.array(self.eigenvalues), projs, axes=1)
+        rebuilt = np.tensordot(self._eigenvalues, projs, axes=1)
         if not np.max(np.abs(rebuilt - self._matrix)) <= RECONSTRUCTION_TOL:
             raise ValueError("spectral decomposition does not reconstruct the matrix")
 
@@ -184,26 +163,27 @@ class Observable:
         return self._matrix.shape[0]
 
     @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenvalues
+
+    @property
+    def projectors(self) -> np.ndarray:
+        return self._projectors
+
+    @property
     def spectrum(self):
-        return list(self._spectrum)
-
-    @property
-    def eigenvalues(self):
-        return tuple(val for val, _ in self._spectrum)
-
-    @property
-    def projectors(self):
-        return tuple(proj for _, proj in self._spectrum)
+        """(eigenvalue, projector) pairs in ascending eigenvalue order."""
+        return list(zip(self._eigenvalues.tolist(), self._projectors))
 
     def eigenstate(self, k: int) -> DensityMatrix:
         """Maximally mixed state on the eigenspace of the k-th distinct eigenvalue (ascending)."""
-        if not 0 <= k < len(self._spectrum):
-            raise IndexError(f"eigenvalue index {k} out of range for {len(self._spectrum)} distinct eigenvalues")
-        _, proj = self._spectrum[k]
+        if not 0 <= k < len(self._eigenvalues):
+            raise IndexError(f"eigenvalue index {k} out of range for {len(self._eigenvalues)} distinct eigenvalues")
+        proj = self._projectors[k]
         return DensityMatrix(proj / int(round(proj.trace().real)))
 
     def __repr__(self):
-        vals = ", ".join(f"{v:.6g}" for v in self.eigenvalues)
+        vals = ", ".join(f"{v:.6g}" for v in self._eigenvalues.tolist())
         return f"Observable(dim={self.dim}, eigenvalues=[{vals}])"
 
 

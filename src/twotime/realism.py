@@ -132,12 +132,14 @@ def _composed_dephasing_is_depolarizing(first: Observable, second: Observable) -
 def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, second: Observable = None) -> ComplementarityReport:
     """Check S(Phi_first(rho)) + S(Phi_second(rho)) >= ln d + S(rho).
 
-    With no observables given, uses the qubit pair (sigma_x, sigma_y). The
-    bound holds for any pair whose composed dephasings fully depolarize
-    (monotonicity of relative entropy under channels); the pair is validated
-    before use.
+    Takes both observables or neither; with neither, uses the qubit pair
+    (sigma_x, sigma_y). The bound holds for any pair whose composed
+    dephasings fully depolarize (monotonicity of relative entropy under
+    channels); the pair is validated before use.
     """
-    if first is None or second is None:
+    if (first is None) != (second is None):
+        raise ValueError("give both observables of the pair or neither")
+    if first is None:
         if rho.dim != 2:
             raise ValueError(f"default observables are the qubit pair; got state dim {rho.dim}")
         first = Observable(SIGMA_X)

@@ -163,3 +163,19 @@ def test_rejects_non_finite_entry(build, bad):
     matrix = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         build(matrix)
+
+
+@pytest.mark.parametrize(
+    "energies, t",
+    [((0.0, 0.0), math.inf), ((0.0, 0.0), math.nan), ((0.0, 2.0), 1e308), ((0.0, 2.0), -1e308), ((-2.0, 0.0), 1e308)],
+    ids=["zero-H-inf", "zero-H-nan", "phase-overflow", "negative-time-overflow", "negative-energy-overflow"],
+)
+def test_unitary_at_rejects_a_non_finite_phase(energies, t):
+    with pytest.raises(ValueError, match="time must be finite"):
+        ChannelFamily(np.diag(energies).astype(complex)).unitary_at(t)
+
+
+def test_unitary_at_accepts_large_finite_phases():
+    assert np.array_equal(ChannelFamily(np.zeros((2, 2))).unitary_at(1e308), np.eye(2))
+    u = ChannelFamily(np.diag([0.0, 2.0]).astype(complex)).unitary_at(5e307)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12

@@ -140,3 +140,35 @@ class TestUncertaintyReport:
         g = GaussianPrep(x0=0.0, p0=0.0, dx=1.0, dp=0.5)
         with pytest.raises(ValueError, match="t2 > t1"):
             uncertainty_report(g, FreeParticle(1.0), 1.0, 1.0)
+
+
+_G = GaussianPrep(x0=0.0, p0=0.0, dx=1.0, dp=0.5)
+_FP = FreeParticle(1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianPrep(0.0, 0.0, dx=math.nan, dp=1.0),
+        lambda: GaussianPrep(0.0, 0.0, dx=math.inf, dp=1.0),
+        lambda: GaussianPrep(math.nan, 0.0, dx=1.0, dp=1.0),
+        lambda: GaussianPrep(0.0, -math.inf, dx=1.0, dp=1.0),
+        lambda: GaussianPrep(0.0, 0.0, dx=1.0, dp=1.0, xp_corr=math.nan),
+        lambda: FreeParticle(math.nan),
+        lambda: FreeParticle(math.inf),
+        lambda: position_spread(_G, _FP, math.nan),
+        lambda: position_spread(_G, _FP, math.inf),
+        lambda: displacement_stats(_G, _FP, 0.0, math.nan),
+        lambda: displacement_stats(_G, _FP, math.nan, 1.0),
+        lambda: displacement_stats(_G, _FP, 0.0, math.inf),
+        lambda: uncertainty_report(_G, _FP, math.nan, 1.0),
+        lambda: uncertainty_report(_G, _FP, 0.0, math.inf),
+    ],
+    ids=[
+        "prep-dx-nan", "prep-dx-inf", "prep-x0-nan", "prep-p0-minus-inf", "prep-corr-nan", "mass-nan", "mass-inf",
+        "spread-t-nan", "spread-t-inf", "stats-t2-nan", "stats-t1-nan", "stats-t2-inf", "report-t1-nan", "report-t2-inf",
+    ],
+)
+def test_rejects_non_finite_input(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()

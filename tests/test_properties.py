@@ -1,0 +1,93 @@
+"""Hypothesis property tests of the irreality, the protocol and the realized two-time operator.
+
+Matrices come from a drawn seed; observables get a drawn integer spectrum in a random
+basis, so repeated entries give degenerate observables.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from twotime.correlators import TwoTimeOperator, realize, tpm_joint_distribution
+from twotime.dynamics import ChannelFamily
+from twotime.qcore import DensityMatrix, Observable, random_hermitian
+from twotime.realism import complementarity_bound_check, dephase, irreality
+
+
+def unitary(dim, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+def state(dim, rank, rng):
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return DensityMatrix(m / m.trace().real)
+
+
+def conjugated(u, matrix):
+    return u @ matrix @ u.conj().T
+
+
+@st.composite
+def systems(draw):
+    """(dim, rng, [spectrum, spectrum], rank of the state)."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spectra = [draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)) for _ in range(2)]
+    return dim, rng, spectra, draw(st.integers(1, dim))
+
+
+def observable(spectrum, rng):
+    return conjugated(unitary(len(spectrum), rng), np.diag(spectrum).astype(complex))
+
+
+@given(systems())
+def test_irreality_is_non_negative_and_vanishes_on_dephased_states(system):
+    dim, rng, (spectrum, _), rank = system
+    a = Observable(observable(spectrum, rng))
+    rho = state(dim, rank, rng)
+    assert irreality(a, rho).irreality >= -1e-12
+    assert abs(irreality(a, dephase(a, rho)).irreality) <= 1e-12
+
+
+@given(systems(), st.floats(-2.0, 2.0), st.floats(0.01, 3.0))
+def test_tpm_joint_distribution_is_normalized(system, t1, dt):
+    dim, rng, (spec_a, spec_b), rank = system
+    a, b = Observable(observable(spec_a, rng)), Observable(observable(spec_b, rng))
+    channel = ChannelFamily(random_hermitian(dim, rng))
+    a_values, b_values, joint = tpm_joint_distribution(a, b, t1, t1 + dt, channel, state(dim, rank, rng))
+    assert joint.shape == (len(a_values), len(b_values))
+    assert np.all(joint >= 0.0)
+    assert abs(joint.sum() - 1.0) <= 1e-10
+
+
+@given(systems(), st.sampled_from(["product", "sum"]), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_realize_is_hermitian_and_commutes_with_a_change_of_basis(system, kind, t1, t2):
+    dim, rng, (spec_a, spec_b), _ = system
+    a, b, h = observable(spec_a, rng), observable(spec_b, rng), random_hermitian(dim, rng)
+    c = realize(TwoTimeOperator(kind, Observable(a), Observable(b), t1, t2, ChannelFamily(h)))
+    assert np.array_equal(c.matrix, c.matrix.conj().T)
+    # Projectors of eigenvalues closer than this are too ill-conditioned to compare.
+    assume(np.all(np.diff(c.eigenvalues) > 1e-6))
+    v = unitary(dim, rng)
+    rotated = TwoTimeOperator(
+        kind, Observable(conjugated(v, a)), Observable(conjugated(v, b)), t1, t2, ChannelFamily(conjugated(v, h))
+    )
+    c_v = realize(rotated)
+    assert c_v.eigenvalues.shape == c.eigenvalues.shape
+    assert np.max(np.abs(c_v.eigenvalues - c.eigenvalues)) <= 1e-10
+    assert np.max(np.abs(c_v.projectors - conjugated(v, c.projectors))) <= 1e-8
+
+
+@given(systems())
+def test_complementarity_bound_for_mutually_unbiased_bases(system):
+    dim, rng, _, rank = system
+    u = unitary(dim, rng)
+    fourier = np.exp(2j * math.pi * np.outer(range(dim), range(dim)) / dim) / math.sqrt(dim)
+    distinct = np.diag(np.arange(dim, dtype=float)).astype(complex)
+    first = Observable(conjugated(u, distinct))
+    second = Observable(conjugated(u @ fourier, distinct))
+    assert complementarity_bound_check(state(dim, rank, rng), first, second).slack >= -1e-10

@@ -16,7 +16,6 @@ from twotime.qcore import (
     random_bloch_states,
     random_density_matrix,
     relative_entropy,
-    spectral_decompose,
     state_to_bloch,
     von_neumann_entropy,
 )
@@ -61,15 +60,17 @@ class TestDensityMatrix:
 
 
 class TestSpectralDecompose:
+    # Observable's grouped decomposition, read as (eigenvalue, projector) pairs.
+
     def test_sigma_z(self):
-        spectrum = spectral_decompose(SIGMA_Z)
+        spectrum = Observable(SIGMA_Z).spectrum
         assert [val for val, _ in spectrum] == [-1.0, 1.0]
         by_value = {val: proj for val, proj in spectrum}
         assert np.allclose(by_value[1.0], np.diag([1.0, 0.0]), atol=1e-14)
         assert np.allclose(by_value[-1.0], np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_identity_groups_to_single_projector(self):
-        spectrum = spectral_decompose(np.eye(2, dtype=complex))
+        spectrum = Observable(np.eye(2, dtype=complex)).spectrum
         assert len(spectrum) == 1
         val, proj = spectrum[0]
         assert val == pytest.approx(1.0, abs=1e-14)
@@ -81,7 +82,7 @@ class TestSpectralDecompose:
         sx_0 = SIGMA_X
         sy_quarter = SIGMA_Y * math.cos(math.pi / 2) + SIGMA_X * math.sin(math.pi / 2)
         product = 0.5 * (sx_0 @ sy_quarter + sy_quarter @ sx_0)
-        spectrum = spectral_decompose(product)
+        spectrum = Observable(product).spectrum
         assert len(spectrum) == 1
         val, proj = spectrum[0]
         assert val == pytest.approx(1.0, abs=1e-12)
@@ -93,7 +94,7 @@ class TestSpectralDecompose:
             for _ in range(340):
                 g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
                 h = (g + g.conj().T) / 2.0
-                spectrum = spectral_decompose(h)
+                spectrum = Observable(h).spectrum
                 rebuilt = sum(val * proj for val, proj in spectrum)
                 assert np.max(np.abs(rebuilt - h)) <= 1e-9
                 total = sum(proj for _, proj in spectrum)
@@ -102,12 +103,11 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian_with_defect(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match=r"max \|H - H\^dag\|"):
-            spectral_decompose(bad)
+            Observable(bad)
 
     def test_grouping_tolerance_is_respected(self):
         h = np.diag([0.0, 1e-12, 1.0])
-        assert len(spectral_decompose(h, group_tol=1e-9)) == 2
-        assert len(spectral_decompose(h, group_tol=1e-14)) == 3
+        assert len(Observable(h).spectrum) == 2
 
 
 class TestObservable:
@@ -122,8 +122,64 @@ class TestObservable:
 
     def test_degenerate_observable(self):
         obs = Observable(np.eye(3, dtype=complex) * 2.5)
-        assert obs.eigenvalues == (2.5,)
+        assert obs.eigenvalues.tolist() == [2.5]
         assert int(round(obs.projectors[0].trace().real)) == 3
+
+
+
+
+def reference_grouped_spectrum(h):
+    # The per-group loop Observable's array path replaced, kept as the bitwise reference.
+    eigvals, eigvecs = np.linalg.eigh(h)
+    spectrum = []
+    start = 0
+    for stop in range(1, len(eigvals) + 1):
+        if stop == len(eigvals) or eigvals[stop] - eigvals[stop - 1] > 1e-9:
+            block = eigvecs[:, start:stop]
+            proj = block @ block.conj().T
+            proj = (proj + proj.conj().T) / 2.0
+            spectrum.append((float(eigvals[start:stop].mean()), proj))
+            start = stop
+    return spectrum
+
+
+def forced_spectra(dim, rng):
+    # Exact repeats, a 1e-12 split (one group), a 1e-8 split (two groups), c * I and a generic spectrum.
+    base = np.sort(rng.uniform(-2.0, 2.0, dim))
+    repeats = np.sort(rng.integers(-1, 2, dim).astype(float))
+    tiny = base.copy()
+    tiny[1] = tiny[0] + 1e-12
+    small = base.copy()
+    small[1] = small[0] + 1e-8
+    return [base, repeats, tiny, small, np.full(dim, rng.uniform(-3.0, 3.0))]
+
+
+class TestObservableArrays:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_bitwise_equal_to_the_grouping_loop(self, dim):
+        rng = np.random.default_rng(1000 + dim)
+        matrices = [oracles.random_hermitian_matrix(dim, rng) for _ in range(40)]
+        for _ in range(8):
+            for values in forced_spectra(dim, rng):
+                q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+                matrices += [np.diag(values).astype(complex), q @ np.diag(values) @ q.conj().T]
+        groups = set()
+        for matrix in matrices:
+            obs = Observable(matrix)
+            reference = reference_grouped_spectrum(obs.matrix)
+            groups.add(len(reference))
+            assert obs.eigenvalues.shape == (len(reference),)
+            assert obs.projectors.shape == (len(reference), dim, dim)
+            assert obs.eigenvalues.tobytes() == np.array([val for val, _ in reference]).tobytes()
+            assert obs.projectors.tobytes() == np.array([proj for _, proj in reference]).tobytes()
+        assert {1, dim - 1, dim} <= groups
+
+    def test_arrays_are_read_only(self):
+        obs = Observable(SIGMA_X)
+        with pytest.raises(ValueError):
+            obs.eigenvalues[0] = 2.0
+        with pytest.raises(ValueError):
+            obs.projectors[0, 0, 0] = 2.0
 
 
 class TestEntropies:

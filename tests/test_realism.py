@@ -245,3 +245,8 @@ class TestComplementarityBound:
     def test_rejects_non_qubit_default(self):
         with pytest.raises(ValueError, match="qubit"):
             complementarity_bound_check(DensityMatrix.maximally_mixed(3))
+
+    @pytest.mark.parametrize("given", ["first", "second"])
+    def test_rejects_a_single_observable(self, given):
+        with pytest.raises(ValueError, match="both observables"):
+            complementarity_bound_check(DensityMatrix.maximally_mixed(2), **{given: Observable(SIGMA_Z)})
