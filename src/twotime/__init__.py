@@ -38,7 +38,6 @@ from .qcore import (
     Observable,
     binary_entropy,
     bloch_to_state,
-    random_bloch_states,
     random_density_matrix,
     random_hermitian,
     relative_entropy,
@@ -69,59 +68,3 @@ from .spinlab import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlochVector",
-    "ChannelFamily",
-    "ComplementarityReport",
-    "CorrelatorInstance",
-    "DensityMatrix",
-    "FreeParticle",
-    "GaussianPrep",
-    "IrrealityReport",
-    "KrausChannel",
-    "LambdaReport",
-    "MinFormReport",
-    "Observable",
-    "PrecessionConfig",
-    "SIGMA",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "TorquePair",
-    "TwoTimeOperator",
-    "UncertaintyReport",
-    "binary_entropy",
-    "bloch_lambda_nu",
-    "bloch_to_state",
-    "bound_rhs",
-    "complementarity_bound_check",
-    "dephase",
-    "displacement_stats",
-    "evolve_observable",
-    "evolve_state",
-    "figure1_scan",
-    "finite_torque",
-    "heisenberg_correlator",
-    "instantaneous_torque",
-    "irreality",
-    "lambda_operator",
-    "min_form_check",
-    "pauli_heisenberg",
-    "position_spread",
-    "precession_channel",
-    "prepare_eigenstate",
-    "qutrit_gap_fixture",
-    "random_bloch_states",
-    "random_density_matrix",
-    "random_hermitian",
-    "realize",
-    "relative_entropy",
-    "row_angles",
-    "state_to_bloch",
-    "tpm_correlator",
-    "tpm_joint_distribution",
-    "torque_irreality_pair",
-    "uncertainty_report",
-    "von_neumann_entropy",
-]

@@ -129,58 +129,56 @@ def cmd_lambda(args) -> int:
     return 0
 
 
-def _random_instance(dim, rng):
-    a = qcore.Observable(qcore.random_hermitian(dim, rng))
-    b = qcore.Observable(qcore.random_hermitian(dim, rng))
-    channel = dynamics.ChannelFamily(qcore.random_hermitian(dim, rng))
+def _draw_instance(dim, rng):
+    """Raw A, B and H, times t1 < t2 and a Ginibre state of one random instance, unchecked."""
+    a, b, h = (qcore.random_hermitian(dim, rng) for _ in range(3))
+    t1 = rng.uniform(0.0, 1.0)
+    return a, b, h, t1, t1 + rng.uniform(0.1, 1.0), qcore._ginibre_states(dim, 1, rng)[0]
+
+
+def _draw_pm1_instance(rng):
+    # A qubit instance whose A and B are n . sigma along random unit axes n: spectrum {+1, -1}.
+    h = qcore.random_hermitian(2, rng)
     t1 = rng.uniform(0.0, 1.0)
     t2 = t1 + rng.uniform(0.1, 1.0)
-    return a, b, channel, t1, t2, qcore.random_density_matrix(dim, rng)
+    axes = [n / np.linalg.norm(n) for n in (rng.standard_normal(3), rng.standard_normal(3))]
+    a, b = (n[0] * qcore.SIGMA_X + n[1] * qcore.SIGMA_Y + n[2] * qcore.SIGMA_Z for n in axes)
+    return a, b, h, t1, t2, qcore._ginibre_states(2, 1, rng)[0]
 
 
-def _random_pm1_instance(rng):
-    def axis_observable():
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        return qcore.Observable(n[0] * qcore.SIGMA_X + n[1] * qcore.SIGMA_Y + n[2] * qcore.SIGMA_Z)
-
-    channel = dynamics.ChannelFamily(qcore.random_hermitian(2, rng))
-    t1 = rng.uniform(0.0, 1.0)
-    t2 = t1 + rng.uniform(0.1, 1.0)
-    return axis_observable(), axis_observable(), channel, t1, t2, qcore.random_density_matrix(2, rng)
-
-
-def _dephased_start_instance(dim, rng):
-    # Preparation chosen so the evolved state at t1 is already diagonal in
-    # the first observable's eigenbasis; the two correlator routes coincide.
-    a, b, channel, t1, t2, _ = _random_instance(dim, rng)
-    weights = rng.uniform(0.1, 1.0, len(a.eigenvalues))
+def _draw_dephased_instance(dim, rng):
+    # The drawn state is replaced by a preparation whose evolved state at t1 is diagonal in A's
+    # eigenbasis, so the two correlator routes coincide. One weight is drawn per distinct eigenvalue of A.
+    a, b, h, t1, t2, _ = _draw_instance(dim, rng)
+    projectors = qcore.Observable(a).projectors
+    weights = rng.uniform(0.1, 1.0, len(projectors))
     weights /= weights.sum()
-    rho_t1 = sum(w * p / p.trace().real for w, p in zip(weights, a.projectors))
-    rho0 = qcore.DensityMatrix(channel.propagate_state(rho_t1, -t1))
-    return a, b, channel, t1, t2, rho0
+    rho_t1 = sum(w * p / p.trace().real for w, p in zip(weights, projectors))
+    return a, b, h, t1, t2, qcore.DensityMatrix(dynamics.ChannelFamily(h).propagate_state(rho_t1, -t1)).matrix
 
 
-def _gap(instance) -> float:
-    a, b, channel, t1, t2, rho0 = instance
-    tpm = correlators.tpm_correlator(a, b, t1, t2, channel, rho0)
-    op = correlators.TwoTimeOperator("product", a, b, t1, t2, channel)
-    return abs(tpm - correlators.heisenberg_correlator(op, rho0))
+def _max_gap(draw, trials: int) -> float:
+    # Largest gap over ``trials`` instances of draw(): each block is drawn in rng order, then scored as stacks.
+    worst = 0.0
+    for start in range(0, trials, qcore.STACK_BLOCK):
+        block = [draw() for _ in range(min(qcore.STACK_BLOCK, trials - start))]
+        worst = max(worst, float(correlators._tpm_gaps(*map(np.array, zip(*block))).max()))
+    return worst
 
 
 def cmd_tpm_gap(args) -> int:
     """Compare the protocol and Heisenberg correlators over random instances."""
     rng = np.random.default_rng(args.seed)
     ok = True
-    eq4_gap = max(_gap(_dephased_start_instance(args.dim, rng)) for _ in range(10))
+    eq4_gap = _max_gap(lambda: _draw_dephased_instance(args.dim, rng), 10)
     print(f"d={args.dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
     ok &= eq4_gap <= IDENTITY_TOL
     if args.dim == 2:
-        max_gap = max(_gap(_random_pm1_instance(rng)) for _ in range(args.trials))
+        max_gap = _max_gap(lambda: _draw_pm1_instance(rng), args.trials)
         print(f"d=2: max gap over {args.trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
         ok &= max_gap <= IDENTITY_TOL
     else:
-        max_gap = max(_gap(_random_instance(3, rng)) for _ in range(args.trials))
+        max_gap = _max_gap(lambda: _draw_instance(3, rng), args.trials)
         print(f"d=3: max gap over {args.trials} random instances: {max_gap:.3e}")
         fx = correlators.qutrit_gap_fixture()
         tpm = correlators.tpm_correlator(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
@@ -215,8 +213,9 @@ def _report_eigenprep(args) -> bool:
     for index in range(100):
         dim = 2 if index % 2 == 0 else 3
         kind = "product" if index % 4 < 2 else "sum"
-        a, b, channel, t1, t2, _ = _random_instance(dim, rng)
-        realized = correlators.realize(correlators.TwoTimeOperator(kind, a, b, t1, t2, channel))
+        a, b, h, t1, t2, _ = _draw_instance(dim, rng)
+        op = correlators.TwoTimeOperator(kind, qcore.Observable(a), qcore.Observable(b), t1, t2, dynamics.ChannelFamily(h))
+        realized = correlators.realize(op)
         for k in range(len(realized.eigenvalues)):
             worst = max(worst, abs(realism.irreality(realized, realized.eigenstate(k)).irreality))
     return _check(

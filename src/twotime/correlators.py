@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelFamily, _require_unitary
-from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, PSD_FLOOR
-from .qcore import DensityMatrix, Observable, _hermitian, _readonly
+from .dynamics import ChannelFamily, _require_unitary, _unitaries
+from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR
+from .qcore import DensityMatrix, Observable, _hermitian, _readonly, _spectra, _states, _symmetrized
 
 _KINDS = ("product", "sum")
 
@@ -72,14 +72,20 @@ class LambdaReport:
     physical: bool
 
 
-def _two_time_matrix(op: TwoTimeOperator) -> np.ndarray:
-    # Hermitian only up to roundoff: callers symmetrize it through _hermitian.
-    _require_unitary(op.channel)
-    a1 = op.channel.propagate_observable(op.A.matrix, op.t1)
-    b2 = op.channel.propagate_observable(op.B.matrix, op.t2)
-    if op.kind == "product":
+def _two_time_matrices(kind: str, a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    # {A1, B2}/2 or A1 + B2 for (n, d, d) stacks of A, B and the unitaries at t1 and t2. Hermitian
+    # only up to roundoff: callers symmetrize it through the Hermitian check.
+    a1 = u1.conj().swapaxes(1, 2) @ a @ u1
+    b2 = u2.conj().swapaxes(1, 2) @ b @ u2
+    if kind == "product":
         return 0.5 * (a1 @ b2 + b2 @ a1)
     return a1 + b2
+
+
+def _two_time_matrix(op: TwoTimeOperator) -> np.ndarray:
+    _require_unitary(op.channel)
+    u1, u2 = (op.channel.unitary_at(t)[None] for t in (op.t1, op.t2))
+    return _two_time_matrices(op.kind, op.A.matrix[None], op.B.matrix[None], u1, u2)[0]
 
 
 def realize(op: TwoTimeOperator) -> Observable:
@@ -94,13 +100,18 @@ def realize(op: TwoTimeOperator) -> Observable:
 
 def heisenberg_correlator(op: TwoTimeOperator, rho0: DensityMatrix) -> float:
     """Tr(C12 rho0) for the realized two-time operator; real up to roundoff."""
-    c12 = _hermitian(_two_time_matrix(op), "two-time operator")
     if rho0.dim != op.channel.dim:
         raise ValueError(f"dimension mismatch: state dim {rho0.dim}, operator dim {op.channel.dim}")
-    value = np.trace(c12 @ rho0.matrix)
-    if abs(value.imag) > IMAGINARY_TOL:
-        raise ArithmeticError(f"correlator has spurious imaginary part {value.imag:.3e}")
-    return float(value.real)
+    return float(_trace_forms(_two_time_matrix(op)[None], rho0.matrix[None])[0])
+
+
+def _trace_forms(c12: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    # Tr(C12 rho0) for (n, d, d) stacks, each C12 passing the Hermitian check first.
+    values = np.trace(_symmetrized(c12, "two-time operator", OPERATOR_HERMITICITY_TOL) @ rho0, axis1=1, axis2=2)
+    spurious = np.flatnonzero(np.abs(values.imag) > IMAGINARY_TOL)
+    if spurious.size:
+        raise ArithmeticError(f"correlator has spurious imaginary part {values.imag[spurious[0]]:.3e}")
+    return values.real
 
 
 def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, channel, rho0: DensityMatrix):
@@ -118,19 +129,38 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
         raise ValueError("A, B, channel and state must share one dimension")
     if not t2 > t1:
         raise ValueError(f"the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}")
-    rho_t1 = channel.propagate_state(rho0.matrix, t1)
-    branches = A.projectors @ rho_t1 @ A.projectors
-    marginals = np.trace(branches, axis1=1, axis2=2).real
+    rho_t1 = channel.propagate_state(rho0.matrix, t1)[None]
+    joint = _tpm_joints(A.projectors[None], B.projectors[None], rho_t1, lambda s: channel.propagate_state(s, t2 - t1))
+    return A.eigenvalues, B.eigenvalues, joint[0]
+
+
+def _tpm_joints(a_projectors: np.ndarray, b_projectors: np.ndarray, rho_t1: np.ndarray, evolve) -> np.ndarray:
+    # joint[n, i, j] for (n, k, d, d) stacks of A's and B's projectors (zero ones give zero rows and
+    # columns) and the (n, d, d) states at t1; evolve carries an (n, k, d, d) stack of states to t2.
+    branches = a_projectors @ rho_t1[:, None] @ a_projectors
+    marginals = np.trace(branches, axis1=2, axis2=3).real
     kept = ~(marginals <= MARGINAL_TOL)  # a NaN branch is kept, so the sum check below rejects it
-    evolved = channel.propagate_state(branches[kept] / marginals[kept, None, None], t2 - t1)
-    conditional = np.einsum("bij,kji->kb", B.projectors, evolved).real
-    sums = conditional.sum(axis=1)
+    evolved = evolve(branches / np.where(kept, marginals, 1.0)[..., None, None])
+    conditional = np.einsum("nbij,nkji->nkb", b_projectors, evolved).real
+    sums = conditional.sum(axis=2)[kept]
     off = np.flatnonzero(~(np.abs(sums - 1.0) <= MEASUREMENT_TOL))
     if off.size:
         raise ArithmeticError(f"conditional distribution sums to {sums[off[0]]:.15g}")
-    joint = np.zeros((len(A.eigenvalues), len(B.eigenvalues)))
-    joint[kept] = marginals[kept, None] * np.clip(conditional, 0.0, 1.0)
-    return A.eigenvalues, B.eigenvalues, joint
+    return np.where(kept[..., None], marginals[..., None] * np.clip(conditional, 0.0, 1.0), 0.0)
+
+
+def _tpm_gaps(a, b, h, t1, t2, rho0) -> np.ndarray:
+    """|protocol - Heisenberg| of every instance in stacks of A, B, H (n, d, d), times (n,) and
+    states (n, d, d), each matrix checked as Observable, ChannelFamily and DensityMatrix check it."""
+    a, a_values, a_projectors = _spectra(a)
+    b, b_values, b_projectors = _spectra(b)
+    energies, modes = np.linalg.eigh(_symmetrized(h, "hamiltonian", OPERATOR_HERMITICITY_TOL))
+    rho0, _ = _states(rho0)
+    u1, u2, u21 = (_unitaries(energies, modes, t) for t in (t1, t2, t2 - t1))
+    rho_t1 = u1 @ rho0 @ u1.conj().swapaxes(1, 2)
+    joint = _tpm_joints(a_projectors, b_projectors, rho_t1, lambda s: u21[:, None] @ s @ u21.conj().swapaxes(1, 2)[:, None])
+    protocol = (a_values[:, None] @ joint @ b_values[:, :, None])[:, 0, 0]
+    return np.abs(protocol - _trace_forms(_two_time_matrices("product", a, b, u1, u2), rho0))
 
 
 def tpm_correlator(A: Observable, B: Observable, t1: float, t2: float, channel, rho0: DensityMatrix) -> float:

@@ -34,7 +34,6 @@ class ChannelFamily:
     def __init__(self, hamiltonian):
         self._hamiltonian = _readonly(_hermitian(hamiltonian, "hamiltonian"))
         self._energies, self._modes = np.linalg.eigh(self._hamiltonian)
-        self._energy_scale = float(np.max(np.abs(self._energies)))
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -45,11 +44,7 @@ class ChannelFamily:
         return self._hamiltonian.shape[0]
 
     def unitary_at(self, t: float) -> np.ndarray:
-        # Every phase E t must be finite; a float product, so an overflow gives inf without a warning.
-        if not math.isfinite(float(t) * self._energy_scale):
-            raise ValueError(f"time must be finite and keep every phase E*t finite, got {t!r}")
-        phases = np.exp(-1j * self._energies * t)
-        return (self._modes * phases) @ self._modes.conj().T
+        return _unitaries(self._energies[None], self._modes[None], np.array([t], dtype=float))[0]
 
     def propagate_state(self, matrix: np.ndarray, t: float) -> np.ndarray:
         """Schrodinger direction: U_t M U_t^dag."""
@@ -60,6 +55,16 @@ class ChannelFamily:
         """Heisenberg direction: U_t^dag M U_t."""
         u = self.unitary_at(t)
         return u.conj().T @ matrix @ u
+
+
+def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) for an (n, d) stack of H's eigenvalues, (n, d, d) of its eigenvectors and (n,) times."""
+    for t, row in zip(times.tolist(), energies.tolist()):
+        # Every phase E t must be finite; a float product, so an overflow gives inf without a warning.
+        if not math.isfinite(t * max(map(abs, row))):
+            raise ValueError(f"time must be finite and keep every phase E*t finite, got {t!r}")
+    phases = np.exp(energies * (-1j * times)[:, None])
+    return (modes * phases[:, None, :]) @ modes.conj().swapaxes(1, 2)
 
 
 class KrausChannel:

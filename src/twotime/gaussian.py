@@ -28,6 +28,14 @@ def _finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _squared(x: float) -> float:
+    # x**2 as ** rounds it (not always as x * x does), but inf where ** would raise OverflowError.
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class GaussianPrep:
     """Gaussian state: means (x0, p0), spreads (dx, dp), symmetric covariance.
@@ -46,7 +54,8 @@ class GaussianPrep:
         _finite(x0=self.x0, p0=self.p0, dx=self.dx, dp=self.dp, xp_corr=self.xp_corr)
         if self.dx <= 0.0 or self.dp <= 0.0:
             raise ValueError(f"spreads must be positive, got dx={self.dx!r}, dp={self.dp!r}")
-        det = self.dx**2 * self.dp**2 - self.xp_corr**2
+        det = _squared(self.dx) * _squared(self.dp) - _squared(self.xp_corr)
+        _finite(covariance_determinant=det)
         if det < 0.25 - UNCERTAINTY_TOL:
             raise ValueError(f"covariance determinant {det:.15g} violates the uncertainty floor 1/4")
 
@@ -86,7 +95,9 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
     if t2 < t1:
         raise ValueError(f"interval must be ordered, got t1={t1!r}, t2={t2!r}")
     dt = t2 - t1
-    return g.p0 * dt / fp.mass, g.dp * dt / fp.mass
+    mean, spread = g.p0 * dt / fp.mass, g.dp * dt / fp.mass
+    _finite(displacement_mean=mean, displacement_spread=spread)
+    return mean, spread
 
 
 def position_spread(g: GaussianPrep, fp: FreeParticle, t: float) -> float:
@@ -94,7 +105,8 @@ def position_spread(g: GaussianPrep, fp: FreeParticle, t: float) -> float:
     _finite(t=t)
     if t < 0.0:
         raise ValueError(f"time must be non-negative, got {t!r}")
-    variance = g.dx**2 + (g.dp * t / fp.mass) ** 2 + 2.0 * g.xp_corr * t / fp.mass
+    variance = _squared(g.dx) + _squared(g.dp * t / fp.mass) + 2.0 * g.xp_corr * t / fp.mass
+    _finite(position_variance=variance)
     if variance < 0.0:
         raise ValueError(f"position variance {variance:.15g} is negative: inconsistent covariance")
     return math.sqrt(variance)

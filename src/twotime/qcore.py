@@ -31,6 +31,7 @@ FIXTURE_GAP_MIN = 1e-6  # gap the qutrit fixture must exceed
 PRECESSION_TOL = 1e-12  # closed-form precession vs channel; field component of torque
 FINITE_DIFF_TOL = 1e-8  # central difference vs analytic torque
 FINITE_DIFF_STEP = 1e-5  # step of that central difference
+STACK_BLOCK = 64  # matrices drawn, checked and scored per stacked LAPACK call
 
 LN2 = math.log(2.0)
 
@@ -126,6 +127,37 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6g})"
 
 
+def _spectra(stack: np.ndarray):
+    """Check and decompose an (n, d, d) stack of observables as ``Observable`` does. Returns the
+    symmetrized stack, (n, d) eigenvalues and (n, d, d, d) projectors: slot k holds its eigenvector's
+    group mean, and a merged group's projector sits in its first slot, with zero projectors in the
+    rest (they keep sum P = 1 and P_i P_j = delta_ij P_i)."""
+    m = _symmetrized(stack, "observable", OPERATOR_HERMITICITY_TOL)
+    values, vectors = np.linalg.eigh(m)
+    cols = vectors.swapaxes(1, 2)
+    projs = cols[..., :, None] @ cols.conj()[..., None, :]
+    merged = np.diff(values, axis=1) <= GROUP_TOL_DEFAULT
+    for n in np.flatnonzero(merged.any(axis=1)):
+        edges = [0, *(np.flatnonzero(~merged[n]) + 1).tolist(), m.shape[1]]
+        for a, b in zip(edges[:-1], edges[1:]):
+            projs[n, a:b] = 0.0
+            projs[n, a] = vectors[n, :, a:b] @ vectors[n, :, a:b].conj().T
+            values[n, a:b] = values[n, a:b].sum() / (b - a)
+    projs = (projs + projs.conj().swapaxes(-1, -2)) / 2.0
+    eye = np.eye(m.shape[1])
+    # P_i P_j - delta_ij P_i for every pair, as one (n, d, d, d, d) stack.
+    pairs = projs[:, :, None] @ projs[:, None] - eye[..., None, None] * projs[:, :, None]
+    for message, residual, tol in (
+        ("projectors are not orthogonal/idempotent", pairs, MEASUREMENT_TOL),
+        ("projectors do not resolve the identity", projs.sum(axis=1) - eye, MEASUREMENT_TOL),
+        ("spectral decomposition does not reconstruct the matrix", np.einsum("nk,nkij->nij", values, projs) - m, RECONSTRUCTION_TOL),
+    ):
+        failed = np.flatnonzero(~(np.abs(residual).reshape(len(m), -1).max(axis=1) <= tol))
+        if failed.size:
+            raise ValueError(f"{message}: matrix {failed[0]} of {len(m)}")
+    return m, values, projs
+
+
 class Observable:
     """A Hermitian matrix with its grouped spectral decomposition cached.
 
@@ -136,23 +168,11 @@ class Observable:
     """
 
     def __init__(self, matrix):
-        self._matrix = _readonly(_hermitian(matrix, "observable"))
-        eigvals, eigvecs = np.linalg.eigh(self._matrix)
-        edges = [0, *(np.flatnonzero(np.diff(eigvals) > GROUP_TOL_DEFAULT) + 1).tolist(), len(eigvals)]
-        groups = list(zip(edges[:-1], edges[1:]))
-        projs = np.array([eigvecs[:, a:b] @ eigvecs[:, a:b].conj().T for a, b in groups])
-        projs = (projs + projs.conj().swapaxes(1, 2)) / 2.0
-        self._eigenvalues = _readonly(np.array([eigvals[a:b].sum() / (b - a) for a, b in groups]))
-        self._projectors = _readonly(projs)
-        # P_i P_j = delta_ij P_i for every pair, as one (k, k, d, d) comparison.
-        pairs = projs[:, None] @ projs[None, :] - np.eye(len(projs))[:, :, None, None] * projs[:, None]
-        if not np.max(np.abs(pairs)) <= MEASUREMENT_TOL:
-            raise ValueError("projectors are not orthogonal/idempotent")
-        if not np.max(np.abs(projs.sum(axis=0) - np.eye(self.dim))) <= MEASUREMENT_TOL:
-            raise ValueError("projectors do not resolve the identity")
-        rebuilt = np.tensordot(self._eigenvalues, projs, axes=1)
-        if not np.max(np.abs(rebuilt - self._matrix)) <= RECONSTRUCTION_TOL:
-            raise ValueError("spectral decomposition does not reconstruct the matrix")
+        m, eigenvalues, projectors = _spectra(_as_square_complex(matrix)[None])
+        groups = np.flatnonzero(projectors[0].any(axis=(1, 2)))
+        self._matrix = _readonly(m[0])
+        self._eigenvalues = _readonly(eigenvalues[0, groups])
+        self._projectors = _readonly(projectors[0, groups])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -308,20 +328,6 @@ def state_to_bloch(rho: DensityMatrix) -> BlochVector:
         raise ValueError(f"Bloch extraction requires a qubit state, got dim {rho.dim}")
     comps = [float(np.trace(rho.matrix @ s).real) for s in SIGMA]
     return BlochVector(comps)
-
-
-def random_bloch_states(r: float, n: int, seed) -> list:
-    """n Bloch vectors of fixed norm r with theta ~ U[0, pi], phi ~ U[0, 2*pi).
-
-    Sampling is uniform in the angles (not area-uniform on the sphere). The
-    same seed always yields the identical sequence.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"radius {r!r} outside [0, 1]")
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.0, math.pi, n)
-    phis = rng.uniform(0.0, 2.0 * math.pi, n)
-    return [BlochVector.from_angles(r, t, p) for t, p in zip(thetas, phis)]
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -21,6 +21,7 @@ from .qcore import (
     MEASUREMENT_TOL,
     SIGMA_X,
     SIGMA_Y,
+    STACK_BLOCK,
     DensityMatrix,
     Observable,
     _ginibre_states,
@@ -29,8 +30,6 @@ from .qcore import (
     relative_entropy,
     von_neumann_entropy,
 )
-
-MIN_FORM_BLOCK = 64  # samples drawn, checked and scored per stacked LAPACK call
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,8 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     identity_gap = abs(relative_entropy(rho, dephase(A, rho)) - j)
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
-    for start in range(0, n_samples, MIN_FORM_BLOCK):
-        block = values[start:start + MIN_FORM_BLOCK]
+    for start in range(0, n_samples, STACK_BLOCK):
+        block = values[start:start + STACK_BLOCK]
         sigmas, _ = _states(_ginibre_states(rho.dim, len(block), rng))
         dephased, _ = _states(_dephase(A.projectors, sigmas))
         block[:] = _relative_entropies(rho, dephased)

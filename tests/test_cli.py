@@ -1,9 +1,13 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
-from twotime import cli, correlators
+import oracles
+from twotime import cli, correlators, qcore
+from twotime.dynamics import ChannelFamily
+from twotime.qcore import DensityMatrix, Observable
 from twotime.spinlab import bound_rhs
 
 
@@ -93,6 +97,116 @@ class TestTpmGapCommand:
         out = capsys.readouterr().out
         assert "fixture" in out
         assert "expected > 1e-6" in out
+
+
+def per_instance_gap(a, b, h, t1, t2, rho0):
+    # One instance through the public objects and correlators, as tpm-gap scored it one at a time.
+    A, B, channel, rho = Observable(a), Observable(b), ChannelFamily(h), DensityMatrix(rho0)
+    protocol = correlators.tpm_correlator(A, B, t1, t2, channel, rho)
+    return abs(protocol - correlators.heisenberg_correlator(correlators.TwoTimeOperator("product", A, B, t1, t2, channel), rho))
+
+
+def degenerate_matrix(dim, rng):
+    # Eigenvalues from {-1, 0, 1}, so most draws repeat one, in a random basis.
+    q, _ = np.linalg.qr(oracles.random_hermitian_matrix(dim, rng))
+    return q @ np.diag(rng.integers(-1, 2, dim).astype(float)) @ q.conj().T
+
+
+class TestStackedGaps:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_degenerate_stack_matches_the_per_instance_path(self, dim):
+        # Mixed in one stack: generic and degenerate A, B degenerate or c * 1, and every fifth instance
+        # a diagonal A with H = 0 and a basis-state start, whose other branches have zero marginal.
+        rng = np.random.default_rng(60 + dim)
+        instances = []
+        for k in range(40):
+            basis_start = k % 5 == 0
+            if basis_start:
+                a = np.diag(rng.integers(-1, 2, dim).astype(float))
+            else:
+                a = degenerate_matrix(dim, rng) if k % 2 else oracles.random_hermitian_matrix(dim, rng)
+            b = degenerate_matrix(dim, rng) if k % 3 else np.eye(dim) * rng.uniform(-1.0, 1.0)
+            h = np.zeros((dim, dim)) if basis_start else oracles.random_hermitian_matrix(dim, rng)
+            rho0 = np.diag(np.eye(dim)[0]) if basis_start else oracles.random_state_matrix(dim, rng)
+            t1 = rng.uniform(0.0, 1.0)
+            instances.append((a, b, h, t1, t1 + rng.uniform(0.1, 1.0), rho0))
+        a, b, h, t1, t2, rho0 = (np.array(column) for column in zip(*instances))
+        gaps = correlators._tpm_gaps(*(m.astype(complex) for m in (a, b, h)), t1, t2, rho0.astype(complex))
+        for instance, gap in zip(instances, gaps):
+            assert abs(gap - per_instance_gap(*instance)) <= 1e-12
+
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_block_matches_the_per_instance_path(self, monkeypatch, dim, trials):
+        # The 10 dephased starts form one block, then the random instances STACK_BLOCK at a time.
+        blocks = []
+        stacked = correlators._tpm_gaps
+
+        def recorded(*block):
+            blocks.append((block, stacked(*block)))
+            return blocks[-1][1]
+
+        monkeypatch.setattr(correlators, "_tpm_gaps", recorded)
+        assert cli.main(["tpm-gap", "--dim", str(dim), "--trials", str(trials)]) == 0
+        full, rest = divmod(trials, qcore.STACK_BLOCK)
+        assert [len(gaps) for _, gaps in blocks] == [10] + [qcore.STACK_BLOCK] * full + [rest] * (rest > 0)
+        for block, gaps in blocks:
+            for instance, gap in zip(zip(*block), gaps):
+                assert abs(gap - per_instance_gap(*instance)) <= 1e-12
+
+    def test_default_seed_output_is_pinned(self, capsys):
+        assert cli.main(["tpm-gap", "--dim", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "d=3: max gap over 1000 random instances: 2.237e+00\n" in out
+        assert "Heisenberg 0.353553390593, gap 0.353553 (expected > 1e-6)" in out
+
+    def test_draws_keep_the_per_instance_rng_order(self):
+        # Each random instance takes A, B, H, t1, t2 - t1 and its state; a +-1 instance takes H, t1, t2 - t1,
+        # the two axes and its state.
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        a, b, h, t1, t2, rho0 = cli._draw_instance(3, rng)
+        assert all(np.array_equal(m, qcore.random_hermitian(3, ref)) for m in (a, b, h))
+        assert t1 == ref.uniform(0.0, 1.0) and t2 == t1 + ref.uniform(0.1, 1.0)
+        assert np.array_equal(rho0, qcore._ginibre_states(3, 1, ref)[0])
+        a, b, h, t1, t2, rho0 = cli._draw_pm1_instance(rng)
+        assert np.array_equal(h, qcore.random_hermitian(2, ref))
+        assert t1 == ref.uniform(0.0, 1.0) and t2 == t1 + ref.uniform(0.1, 1.0)
+        for m in (a, b):
+            n = ref.standard_normal(3)
+            n /= np.linalg.norm(n)
+            assert np.array_equal(m, n[0] * qcore.SIGMA_X + n[1] * qcore.SIGMA_Y + n[2] * qcore.SIGMA_Z)
+        assert np.array_equal(rho0, qcore._ginibre_states(2, 1, ref)[0])
+        assert rng.random() == ref.random()
+
+    def test_dephased_draw_takes_one_weight_per_distinct_eigenvalue(self, monkeypatch):
+        # With every drawn Hermitian replaced by diag(1, 1, -1), A has two distinct eigenvalues, so two weights.
+        degenerate = np.diag([1.0, 1.0, -1.0]).astype(complex)
+        draw = qcore.random_hermitian
+        monkeypatch.setattr(qcore, "random_hermitian", lambda dim, rng: draw(dim, rng) * 0.0 + degenerate)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        _, _, _, _, _, rho0 = cli._draw_dephased_instance(3, rng)
+        for _ in range(3):
+            draw(3, ref)
+        ref.uniform(0.0, 1.0)
+        ref.uniform(0.1, 1.0)
+        qcore._ginibre_states(3, 1, ref)  # the state the dephased start replaces
+        weights = ref.uniform(0.1, 1.0, 2)
+        weights /= weights.sum()
+        assert np.allclose(rho0, np.diag([weights[1] / 2.0, weights[1] / 2.0, weights[0]]), atol=1e-14)
+        assert rng.random() == ref.random()
+
+    def test_every_drawn_matrix_is_checked(self, monkeypatch):
+        # Each A, B and H passes an eigh and each state an eigvalsh, at most STACK_BLOCK per call.
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name, calls in shapes.items():
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(np.shape(a)[:-2]) or s(a))
+        assert cli.main(["tpm-gap", "--dim", "3", "--trials", "65"]) == 0
+        instances = 10 + 65
+        matrices = {name: [math.prod(shape) for shape in calls] for name, calls in shapes.items()}
+        assert sum(matrices["eigh"]) >= 3 * instances and sum(matrices["eigvalsh"]) >= instances
+        assert max(matrices["eigh"]) == max(matrices["eigvalsh"]) == qcore.STACK_BLOCK
+        assert len(matrices["eigh"]) < 3 * instances
 
 
 class TestReportCommand:

@@ -14,6 +14,7 @@ from twotime.correlators import (
     tpm_correlator,
     tpm_joint_distribution,
 )
+from twotime.correlators import _tpm_joints, _trace_forms
 from twotime.dynamics import ChannelFamily, KrausChannel
 from twotime.qcore import (
     SIGMA_X,
@@ -274,6 +275,21 @@ def test_rejects_non_finite_times(correlate):
     channel = ChannelFamily(np.diag([0.0, 1.0, 2.0]).astype(complex))
     with pytest.raises(ValueError, match="time must be finite"):
         correlate(qutrit_gap_fixture(), channel)
+
+
+class TestStackKernels:
+    def test_spurious_imaginary_part_in_any_row_is_rejected(self):
+        # A non-Hermitian "state" in the second row makes its trace form complex.
+        rho = np.array([np.eye(2) / 2.0, [[0.5, 0.25j], [0.0, 0.5]]], dtype=complex)
+        with pytest.raises(ArithmeticError, match="spurious imaginary part 2.500e-01"):
+            _trace_forms(np.array([SIGMA_X, SIGMA_X], dtype=complex), rho)
+
+    def test_conditional_sums_are_checked_in_every_row(self):
+        # An evolution that doubles the second row's states breaks only that row's conditional sums.
+        projectors = np.array([Observable(SIGMA_Z).projectors] * 2)
+        rho_t1 = np.array([np.eye(2) / 2.0] * 2, dtype=complex)
+        with pytest.raises(ArithmeticError, match="conditional distribution sums to 2"):
+            _tpm_joints(projectors, projectors, rho_t1, lambda s: s * np.array([1.0, 2.0])[:, None, None, None])
 
 
 class TestLambdaOperator:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twotime.dynamics import ChannelFamily, KrausChannel, evolve_observable, evolve_state
+from twotime.dynamics import ChannelFamily, KrausChannel, _unitaries, evolve_observable, evolve_state
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -179,3 +179,15 @@ def test_unitary_at_accepts_large_finite_phases():
     assert np.array_equal(ChannelFamily(np.zeros((2, 2))).unitary_at(1e308), np.eye(2))
     u = ChannelFamily(np.diag([0.0, 2.0]).astype(complex)).unitary_at(5e307)
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
+
+
+def test_stacked_unitaries_are_each_unitary_at_and_check_every_row():
+    rng = np.random.default_rng(12)
+    families = [ChannelFamily(oracles.random_hermitian_matrix(3, rng)) for _ in range(5)]
+    energies, modes = np.linalg.eigh(np.array([family.hamiltonian for family in families]))
+    times = rng.uniform(-2.0, 2.0, 5)
+    for u, family, t in zip(_unitaries(energies, modes, times), families, times):
+        assert np.array_equal(u, family.unitary_at(t))
+    times[3] = math.inf
+    with pytest.raises(ValueError, match=r"time must be finite and keep every phase E\*t finite, got inf"):
+        _unitaries(energies, modes, times)

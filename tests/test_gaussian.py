@@ -172,3 +172,17 @@ _FP = FreeParticle(1.0)
 def test_rejects_non_finite_input(build):
     with pytest.raises(ValueError, match="must be finite"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, quantity",
+    [
+        (lambda: GaussianPrep(0.0, 0.0, dx=1e200, dp=1.0), "covariance_determinant"),
+        (lambda: position_spread(_G, _FP, 1e200), "position_variance"),
+        (lambda: displacement_stats(_G, FreeParticle(1e-300), 0.0, 1e300), "displacement_spread"),
+    ],
+    ids=["prep-determinant", "spread-variance", "stats-spread"],
+)
+def test_rejects_finite_input_whose_result_overflows(build, quantity):
+    with pytest.raises(ValueError, match=f"{quantity} must be finite"):
+        build()

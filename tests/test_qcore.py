@@ -13,13 +13,12 @@ from twotime.qcore import (
     Observable,
     binary_entropy,
     bloch_to_state,
-    random_bloch_states,
     random_density_matrix,
     relative_entropy,
     state_to_bloch,
     von_neumann_entropy,
 )
-from twotime.qcore import _ginibre_states, _relative_entropies, _states
+from twotime.qcore import _ginibre_states, _relative_entropies, _spectra, _states
 
 LN2 = math.log(2.0)
 # -0.9 ln 0.9 - 0.1 ln 0.1, evaluated directly
@@ -154,17 +153,22 @@ def forced_spectra(dim, rng):
     return [base, repeats, tiny, small, np.full(dim, rng.uniform(-3.0, 3.0))]
 
 
+def observable_matrices(dim):
+    # 40 generic Hermitian matrices, then each forced spectrum as given and in a random basis.
+    rng = np.random.default_rng(1000 + dim)
+    matrices = [oracles.random_hermitian_matrix(dim, rng) for _ in range(40)]
+    for _ in range(8):
+        for values in forced_spectra(dim, rng):
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            matrices += [np.diag(values).astype(complex), q @ np.diag(values) @ q.conj().T]
+    return matrices
+
+
 class TestObservableArrays:
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_bitwise_equal_to_the_grouping_loop(self, dim):
-        rng = np.random.default_rng(1000 + dim)
-        matrices = [oracles.random_hermitian_matrix(dim, rng) for _ in range(40)]
-        for _ in range(8):
-            for values in forced_spectra(dim, rng):
-                q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-                matrices += [np.diag(values).astype(complex), q @ np.diag(values) @ q.conj().T]
         groups = set()
-        for matrix in matrices:
+        for matrix in observable_matrices(dim):
             obs = Observable(matrix)
             reference = reference_grouped_spectrum(obs.matrix)
             groups.add(len(reference))
@@ -180,6 +184,49 @@ class TestObservableArrays:
             obs.eigenvalues[0] = 2.0
         with pytest.raises(ValueError):
             obs.projectors[0, 0, 0] = 2.0
+
+
+class TestSpectraStack:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_stack_is_bitwise_each_observable(self, dim):
+        matrices = observable_matrices(dim)
+        m, values, projectors = _spectra(np.array(matrices))
+        assert values.shape == (len(matrices), dim) and projectors.shape == (len(matrices), dim, dim, dim)
+        padded_slots = 0
+        for k, matrix in enumerate(matrices):
+            obs = Observable(matrix)
+            groups = np.flatnonzero(projectors[k].any(axis=(1, 2)))
+            assert m[k].tobytes() == obs.matrix.tobytes()
+            assert values[k, groups].tobytes() == obs.eigenvalues.tobytes()
+            assert projectors[k, groups].tobytes() == obs.projectors.tobytes()
+            # The freed slots of merged eigenvalues hold zero projectors, and the stack still resolves 1.
+            padded = np.setdiff1d(np.arange(dim), groups)
+            assert np.all(projectors[k, padded] == 0.0)
+            assert np.max(np.abs(projectors[k].sum(axis=0) - np.eye(dim))) <= 1e-10
+            padded_slots += len(padded)
+        assert padded_slots > 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])],
+        ids=["non-hermitian", "nan"],
+    )
+    def test_one_bad_matrix_in_the_middle_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"observable is not Hermitian: max \|H - H\^dag\|"):
+            _spectra(np.array([SIGMA_X, bad, SIGMA_Z], dtype=complex))
+
+    def test_projector_checks_name_the_first_failing_matrix(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def stretched(a):
+            # Eigenvectors of the second matrix scaled by 2: projectors 4 P, neither idempotent nor summing to 1.
+            values, vectors = eigh(a)
+            vectors[1:] *= 2.0
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        with pytest.raises(ValueError, match="projectors are not orthogonal/idempotent: matrix 1 of 3"):
+            _spectra(np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
 
 class TestEntropies:
@@ -321,28 +368,3 @@ class TestBloch:
         assert vec.r == pytest.approx(0.7, abs=1e-12)
         assert vec.theta == pytest.approx(1.1, abs=1e-12)
         assert vec.phi == pytest.approx(2.3, abs=1e-12)
-
-
-class TestRandomBlochStates:
-    def test_fixed_norm(self):
-        for vec in random_bloch_states(0.8, 5, seed=42):
-            assert abs(vec.r - 0.8) <= 1e-12
-
-    def test_seed_determinism(self):
-        first = random_bloch_states(0.6, 20, seed=7001)
-        second = random_bloch_states(0.6, 20, seed=7001)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.components, b.components)
-
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            random_bloch_states(1.5, 3, seed=0)
-
-    def test_angle_distribution_moments(self):
-        # Uniform phi on [0, 2pi): mean pi, std (2pi)/sqrt(12); 3-sigma check.
-        n = 100_000
-        states = random_bloch_states(1.0, n, seed=99)
-        phis = np.array([v.phi for v in states])
-        thetas = np.array([v.theta for v in states])
-        assert abs(phis.mean() - math.pi) <= 3.0 * (2.0 * math.pi / math.sqrt(12.0)) / math.sqrt(n)
-        assert abs(thetas.mean() - math.pi / 2.0) <= 3.0 * (math.pi / math.sqrt(12.0)) / math.sqrt(n)

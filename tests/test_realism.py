@@ -8,16 +8,16 @@ from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    STACK_BLOCK,
+    BlochVector,
     DensityMatrix,
     Observable,
     bloch_to_state,
-    random_bloch_states,
     random_density_matrix,
     relative_entropy,
     von_neumann_entropy,
 )
 from twotime.realism import (
-    MIN_FORM_BLOCK,
     MinFormReport,
     complementarity_bound_check,
     dephase,
@@ -26,6 +26,14 @@ from twotime.realism import (
 )
 
 LN2 = math.log(2.0)
+
+
+def bloch_vectors(r, n, seed):
+    # n Bloch vectors of norm r with theta ~ U[0, pi] and phi ~ U[0, 2 pi): uniform in the angles.
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, math.pi, n)
+    phis = rng.uniform(0.0, 2.0 * math.pi, n)
+    return [BlochVector.from_angles(r, t, p) for t, p in zip(thetas, phis)]
 
 
 class TestDephase:
@@ -142,7 +150,7 @@ def per_sample_min_form(A, rho, n_samples, seed):
 
 
 class TestMinForm:
-    @pytest.mark.parametrize("n_samples", [1, MIN_FORM_BLOCK - 1, MIN_FORM_BLOCK, MIN_FORM_BLOCK + 1, 500])
+    @pytest.mark.parametrize("n_samples", [1, STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1, 500])
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_blocks_match_the_per_sample_loop(self, dim, n_samples):
         rng = np.random.default_rng(dim * 1000 + n_samples)
@@ -164,9 +172,9 @@ class TestMinForm:
         min_form_check(obs, rho, n_samples=0)
         without_samples = sum(checked)
         checked.clear()
-        min_form_check(obs, rho, n_samples=MIN_FORM_BLOCK + 1)
-        assert sum(checked) - without_samples == 2 * (MIN_FORM_BLOCK + 1)
-        assert max(checked) == MIN_FORM_BLOCK
+        min_form_check(obs, rho, n_samples=STACK_BLOCK + 1)
+        assert sum(checked) - without_samples == 2 * (STACK_BLOCK + 1)
+        assert max(checked) == STACK_BLOCK
 
     def test_rejects_negative_sample_count(self):
         with pytest.raises(ValueError, match="n_samples"):
@@ -215,7 +223,7 @@ class TestComplementarityBound:
         assert report.entropy_second == pytest.approx(LN2, abs=1e-12)
 
     def test_holds_over_random_states(self):
-        for vec in random_bloch_states(0.9, 500, seed=2024) + random_bloch_states(0.4, 500, seed=2025):
+        for vec in bloch_vectors(0.9, 500, seed=2024) + bloch_vectors(0.4, 500, seed=2025):
             report = complementarity_bound_check(bloch_to_state(vec))
             assert report.slack >= -1e-10
 
