@@ -208,16 +208,14 @@ def _report_torque_bound(args) -> bool:
 
 
 def _report_eigenprep(args) -> bool:
+    # Operator i has d = 2 + i % 2 and kind "product" for i % 4 < 2, else "sum": four stacks of 25, drawn in rng order.
     rng = np.random.default_rng(args.seed)
+    instances = [_draw_instance(2 + index % 2, rng)[:5] for index in range(100)]
     worst = 0.0
-    for index in range(100):
-        dim = 2 if index % 2 == 0 else 3
-        kind = "product" if index % 4 < 2 else "sum"
-        a, b, h, t1, t2, _ = _draw_instance(dim, rng)
-        op = correlators.TwoTimeOperator(kind, qcore.Observable(a), qcore.Observable(b), t1, t2, dynamics.ChannelFamily(h))
-        realized = correlators.realize(op)
-        for k in range(len(realized.eigenvalues)):
-            worst = max(worst, abs(realism.irreality(realized, realized.eigenstate(k)).irreality))
+    for group, kind in enumerate(("product", "product", "sum", "sum")):
+        (a, _, _), (b, _, _), units = correlators._checked_instances(*map(np.array, zip(*instances[group::4])))
+        _, _, projectors = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
+        worst = max(worst, float(np.abs(realism._eigenstate_irrealities(projectors)).max()))
     return _check(
         "eigenprep",
         worst <= IDENTITY_TOL,
@@ -264,6 +262,7 @@ def _report_precession(args) -> bool:
     closed_vs_channel = 0.0
     field_component = 0.0
     derivative_defect = 0.0
+    paulis = np.array(qcore.SIGMA)  # propagated as one stack: one unitary per draw
     for _ in range(100):
         h = rng.standard_normal(3)
         h /= np.linalg.norm(h)
@@ -275,11 +274,9 @@ def _report_precession(args) -> bool:
         minus = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau - FINITE_DIFF_STEP))
         field_dot_torque = sum(h[i] * torque[i] for i in range(3))
         field_component = max(field_component, np.max(np.abs(field_dot_torque)))
-        for i, sigma_i in enumerate(qcore.SIGMA):
-            via_channel = channel.propagate_observable(sigma_i, tau)
-            closed_vs_channel = max(closed_vs_channel, np.max(np.abs(evolved[i] - via_channel)))
-            finite_diff = (plus[i] - minus[i]) / (2.0 * FINITE_DIFF_STEP)
-            derivative_defect = max(derivative_defect, np.max(np.abs(finite_diff - torque[i])))
+        closed_vs_channel = max(closed_vs_channel, np.max(np.abs(np.array(evolved) - channel.propagate_observable(paulis, tau))))
+        finite_diff = (np.array(plus) - np.array(minus)) / (2.0 * FINITE_DIFF_STEP)
+        derivative_defect = max(derivative_defect, np.max(np.abs(finite_diff - np.array(torque))))
     tol = PRECESSION_TOL
     ok = closed_vs_channel <= tol and field_component <= tol and derivative_defect <= FINITE_DIFF_TOL
     return _check(

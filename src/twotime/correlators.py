@@ -149,14 +149,17 @@ def _tpm_joints(a_projectors: np.ndarray, b_projectors: np.ndarray, rho_t1: np.n
     return np.where(kept[..., None], marginals[..., None] * np.clip(conditional, 0.0, 1.0), 0.0)
 
 
+def _checked_instances(a, b, h, *times):
+    """_spectra of (n, d, d) stacks of A and B, and H's unitaries at each (n,) array of times, H checked as ChannelFamily does."""
+    energies, modes = np.linalg.eigh(_symmetrized(h, "hamiltonian", OPERATOR_HERMITICITY_TOL))
+    return _spectra(a), _spectra(b), [_unitaries(energies, modes, t) for t in times]
+
+
 def _tpm_gaps(a, b, h, t1, t2, rho0) -> np.ndarray:
     """|protocol - Heisenberg| of every instance in stacks of A, B, H (n, d, d), times (n,) and
     states (n, d, d), each matrix checked as Observable, ChannelFamily and DensityMatrix check it."""
-    a, a_values, a_projectors = _spectra(a)
-    b, b_values, b_projectors = _spectra(b)
-    energies, modes = np.linalg.eigh(_symmetrized(h, "hamiltonian", OPERATOR_HERMITICITY_TOL))
+    (a, a_values, a_projectors), (b, b_values, b_projectors), (u1, u2, u21) = _checked_instances(a, b, h, t1, t2, t2 - t1)
     rho0, _ = _states(rho0)
-    u1, u2, u21 = (_unitaries(energies, modes, t) for t in (t1, t2, t2 - t1))
     rho_t1 = u1 @ rho0 @ u1.conj().swapaxes(1, 2)
     joint = _tpm_joints(a_projectors, b_projectors, rho_t1, lambda s: u21[:, None] @ s @ u21.conj().swapaxes(1, 2)[:, None])
     protocol = (a_values[:, None] @ joint @ b_values[:, :, None])[:, 0, 0]

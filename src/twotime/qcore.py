@@ -67,19 +67,21 @@ def _symmetrized(m: np.ndarray, what: str, tol: float) -> np.ndarray:
     return (m + adjoint) / 2.0
 
 
-def _states(stack: np.ndarray):
+def _states(stack: np.ndarray, vectors: bool = False):
     """Check an (n, d, d) stack of density matrices: each one Hermitian and of unit trace within
-    ``STATE_TOL``, with no eigenvalue below ``PSD_FLOOR``. Returns (symmetrized stack, eigenvalues)."""
+    ``STATE_TOL``, with no eigenvalue below ``PSD_FLOOR``. Returns (symmetrized stack, eigenvalues), the
+    eigenvalues as (eigenvalues, eigenvectors) of one eigh with ``vectors``."""
     m = _symmetrized(stack, "density matrix", STATE_TOL)
     traces = np.trace(m, axis1=1, axis2=2)
     off = np.flatnonzero(np.abs(traces - 1.0) > STATE_TOL)
     if off.size:
         raise ValueError(f"density matrix trace is {traces[off[0]]:.15g}, expected 1")
-    eigs = np.linalg.eigvalsh(m)
+    spectrum = np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    eigs = spectrum[0] if vectors else spectrum
     low = np.flatnonzero(eigs[:, 0] < PSD_FLOOR)
     if low.size:
         raise ValueError(f"density matrix is not positive semidefinite: min eigenvalue = {eigs[low[0], 0]:.3e}")
-    return m, eigs
+    return m, spectrum
 
 
 class DensityMatrix:
@@ -259,9 +261,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     Eigenvalues in [-1e-10, 0) are clamped to zero before the log; anything
     more negative is already rejected by the DensityMatrix invariants.
     """
-    p = np.maximum(rho.eigenvalues(), 0.0)
-    pos = p[p > 0.0]
-    return max(float(-(pos * np.log(pos)).sum()), 0.0)
+    return float(_entropies(rho.eigenvalues()[None])[0])
+
+
+def _entropies(eigs: np.ndarray) -> np.ndarray:
+    # von_neumann_entropy of every row of an (n, d) stack of state eigenvalues.
+    p = np.maximum(eigs, 0.0)
+    entropies = -np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=1)
+    return np.where(entropies < 0.0, 0.0, entropies)  # as max(S, 0.0) does, keeping a -0.0
 
 
 def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
@@ -272,17 +279,16 @@ def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
     """
     if rho.dim != eta.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {eta.dim}")
-    return float(_relative_entropies(rho, eta.matrix[None])[0])
+    return float(_relative_entropies(rho.matrix, von_neumann_entropy(rho), *np.linalg.eigh(eta.matrix[None]))[0])
 
 
-def _relative_entropies(rho: DensityMatrix, etas: np.ndarray) -> np.ndarray:
-    # relative_entropy(rho, eta) for every eta of a checked (n, d, d) stack, with one stacked eigh.
-    q, basis = np.linalg.eigh(etas)
-    weights = np.einsum("nji,jk,nki->ni", basis.conj(), rho.matrix, basis).real
+def _relative_entropies(rho: np.ndarray, entropy: float, q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # relative_entropy(rho, eta) for a state matrix rho of that entropy and each eta of a checked stack given by its eigh.
+    weights = np.einsum("nji,jk,nki->ni", basis.conj(), rho, basis).real
     null = q < SUPPORT_TOL
     infinite = np.any(null & (weights > SUPPORT_WEIGHT_TOL), axis=1)
     cross = (weights * np.log(np.where(null, 1.0, q))).sum(axis=1)  # log 1 = 0 on the null space
-    values = np.where(infinite, math.inf, -von_neumann_entropy(rho) - cross)
+    values = np.where(infinite, math.inf, -entropy - cross)
     negative = np.flatnonzero(values < -NEGATIVE_ENTROPY_TOL)
     if negative.size:
         raise ArithmeticError(f"relative entropy evaluated to {values[negative[0]]:.3e} < 0")

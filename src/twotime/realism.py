@@ -24,6 +24,7 @@ from .qcore import (
     STACK_BLOCK,
     DensityMatrix,
     Observable,
+    _entropies,
     _ginibre_states,
     _relative_entropies,
     _states,
@@ -79,6 +80,19 @@ def _dephase(projectors, m: np.ndarray) -> np.ndarray:
     return sum(proj @ m @ proj for proj in projectors)
 
 
+def _eigenstate_irrealities(projectors: np.ndarray) -> np.ndarray:
+    """irreality(A, A.eigenstate(k)).irreality of each nonzero slot k of (n, k, d, d) projector stacks as
+    _spectra pads them, 0 in the zero slots; STACK_BLOCK eigenstates at a time."""
+    values = np.zeros(projectors.shape[:2])
+    rows = np.argwhere(projectors.any(axis=(2, 3)))
+    for n, k in (rows[start:start + STACK_BLOCK].T for start in range(0, len(rows), STACK_BLOCK)):
+        slots = projectors[n, k]
+        states, eigs = _states(slots / np.rint(np.trace(slots, axis1=1, axis2=2).real)[:, None, None])
+        _, dephased_eigs = _states(_dephase(projectors[n].swapaxes(0, 1), states))
+        values[n, k] = _entropies(dephased_eigs) - _entropies(eigs)
+    return values
+
+
 def irreality(A: Observable, rho: DensityMatrix) -> IrrealityReport:
     """Entropic distance of rho from being an A-reality state (nats)."""
     s_state = von_neumann_entropy(rho)
@@ -101,13 +115,19 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     j = irreality(A, rho).irreality
     identity_gap = abs(relative_entropy(rho, dephase(A, rho)) - j)
+    # In a basis V that block-diagonalizes A's projectors, V^dag Phi_A(sigma) V is V^dag sigma V with the entries
+    # between A's eigenspaces zeroed, and relative entropy is unitarily invariant.
+    labels, frame = np.linalg.eigh(sum(k * proj for k, proj in enumerate(A.projectors)))
+    mask = np.rint(labels)[:, None] == np.rint(labels)[None, :]
+    rho_in_frame, s_rho = frame.conj().T @ rho.matrix @ frame, von_neumann_entropy(rho)
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
     for start in range(0, n_samples, STACK_BLOCK):
         block = values[start:start + STACK_BLOCK]
         sigmas, _ = _states(_ginibre_states(rho.dim, len(block), rng))
-        dephased, _ = _states(_dephase(A.projectors, sigmas))
-        block[:] = _relative_entropies(rho, dephased)
+        # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
+        _, spectrum = _states(mask * (frame.conj().T @ sigmas @ frame), vectors=True)
+        block[:] = _relative_entropies(rho_in_frame, s_rho, *spectrum)
     finite = values[np.isfinite(values)]
     return MinFormReport(
         irreality=j,

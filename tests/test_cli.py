@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twotime import cli, correlators, qcore
+from twotime import cli, correlators, qcore, realism
 from twotime.dynamics import ChannelFamily
 from twotime.qcore import DensityMatrix, Observable
 from twotime.spinlab import bound_rhs
@@ -216,11 +216,23 @@ class TestReportCommand:
         assert capsys.readouterr().out.startswith("PASS")
 
     def test_eigenprep_realizes_each_operator_once(self, monkeypatch):
-        calls = []
-        realize = correlators.realize
-        monkeypatch.setattr(correlators, "realize", lambda op: calls.append(op) or realize(op))
+        # Four stacks of 25 are realized, and A and B (in correlators) and the realized operator (in cli)
+        # of each of the 100 pass the Observable checks in _spectra.
+        realized, checked = [], []
+        realize, spectra = correlators._two_time_matrices, qcore._spectra
+        monkeypatch.setattr(correlators, "_two_time_matrices", lambda kind, a, *rest: realized.append(len(a)) or realize(kind, a, *rest))
+        for module in (correlators, qcore):
+            monkeypatch.setattr(module, "_spectra", lambda stack: checked.append(len(stack)) or spectra(stack))
         assert cli.main(["report", "eigenprep"]) == 0
-        assert len(calls) == 100
+        assert realized == [25] * 4
+        assert checked == [25] * 12
+
+    def test_precession_computes_one_unitary_per_draw(self, monkeypatch):
+        times = []
+        unitary_at = ChannelFamily.unitary_at
+        monkeypatch.setattr(ChannelFamily, "unitary_at", lambda self, t: times.append(t) or unitary_at(self, t))
+        assert cli.main(["report", "precession"]) == 0
+        assert len(times) == 100
 
     def test_torque_bound_report(self, capsys):
         assert cli.main(["--samples", "500", "report", "torque-bound"]) == 0
@@ -229,6 +241,61 @@ class TestReportCommand:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["report", "unknown-scenario"])
+
+
+def per_operator_irrealities(kind, a, b, h, t1, t2):
+    # J of each eigenstate of one realized operator, as eigenprep scored them one operator at a time.
+    op = correlators.TwoTimeOperator(kind, Observable(a), Observable(b), t1, t2, ChannelFamily(h))
+    realized = correlators.realize(op)
+    return [realism.irreality(realized, realized.eigenstate(k)).irreality for k in range(len(realized.eigenvalues))]
+
+
+class TestStackedEigenprep:
+    @pytest.mark.parametrize("kind", ["product", "sum"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_matches_the_per_operator_path(self, monkeypatch, dim, kind):
+        # 30 operators, so d = 3 scores its eigenstates in two blocks. At d = 2 every third one is the spin
+        # product {Sx(t1), Sy(t2)}/2, a multiple of the identity; at d = 3 every third A and B are degenerate.
+        rng = np.random.default_rng(dim * 10 + len(kind))
+        instances = []
+        for n in range(30):
+            a, b, h, t1, t2, _ = cli._draw_instance(dim, rng)
+            if n % 3 == 0:
+                a, b = (qcore.SIGMA_X / 2.0, qcore.SIGMA_Y / 2.0) if dim == 2 else (degenerate_matrix(3, rng), degenerate_matrix(3, rng))
+            instances.append((a.astype(complex), b.astype(complex), h, t1, t2))
+        (a, _, _), (b, _, _), units = correlators._checked_instances(*map(np.array, zip(*instances)))
+        _, _, projectors = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
+        checked = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: checked.append(len(m)) or eigvalsh(m))
+        values = realism._eigenstate_irrealities(projectors)
+        monkeypatch.undo()
+        eigenstates = 0
+        for instance, row, slots in zip(instances, values, projectors):
+            expected = per_operator_irrealities(kind, *instance)
+            nonzero = slots.any(axis=(1, 2))
+            assert nonzero.sum() == len(expected) and np.all(row[~nonzero] == 0.0)
+            assert np.max(np.abs(row[nonzero] - expected)) <= 1e-12
+            eigenstates += len(expected)
+        # Every eigenstate and its dephased image pass the state check (J of an eigenstate is 0 up to roundoff,
+        # so an eigenstate left unscored would not show in the values).
+        assert sum(checked) == 2 * eigenstates and max(checked) <= qcore.STACK_BLOCK
+        if dim == 2 and kind == "product":
+            assert np.max(np.abs(projectors[::3, 0] - np.eye(2))) <= 1e-12 and not projectors[::3, 1].any()
+
+    def test_every_solver_call_takes_at_most_a_block(self, monkeypatch):
+        rng = np.random.default_rng(cli.DEFAULT_SEED)
+        kinds = ("product", "product", "sum", "sum")
+        eigenstates = sum(len(per_operator_irrealities(kinds[i % 4], *cli._draw_instance(2 + i % 2, rng)[:5])) for i in range(100))
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name, calls in shapes.items():
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
+        assert cli.main(["report", "eigenprep"]) == 0
+        # 4 stacks of A, B, H and the realized operators; every eigenstate and its dephased image checked.
+        assert len(shapes["eigh"]) == 4 * 4 and sum(shapes["eigh"]) == 4 * 100
+        assert sum(shapes["eigvalsh"]) == 2 * eigenstates
+        assert max(shapes["eigh"] + shapes["eigvalsh"]) <= qcore.STACK_BLOCK
 
 
 def test_seed_changes_output(tmp_path):

@@ -53,6 +53,17 @@ def test_irreality_is_non_negative_and_vanishes_on_dephased_states(system):
     assert abs(irreality(a, dephase(a, rho)).irreality) <= 1e-12
 
 
+@given(systems())
+def test_irreality_bounds_the_dephasing_defect(system):
+    # Pinsker's inequality for J = S(rho || Phi_A(rho)): J >= ||rho - Phi_A(rho)||_1^2 / 2, so J = 0 only on
+    # fixed points of Phi_A.
+    dim, rng, (spectrum, _), rank = system
+    a = Observable(observable(spectrum, rng))
+    rho = state(dim, rank, rng)
+    trace_norm = np.abs(np.linalg.eigvalsh(rho.matrix - dephase(a, rho).matrix)).sum()
+    assert irreality(a, rho).irreality >= 0.5 * trace_norm**2 - 1e-12
+
+
 @given(systems(), st.floats(-2.0, 2.0), st.floats(0.01, 3.0))
 def test_tpm_joint_distribution_is_normalized(system, t1, dt):
     dim, rng, (spec_a, spec_b), rank = system

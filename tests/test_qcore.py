@@ -18,7 +18,7 @@ from twotime.qcore import (
     state_to_bloch,
     von_neumann_entropy,
 )
-from twotime.qcore import _ginibre_states, _relative_entropies, _spectra, _states
+from twotime.qcore import _entropies, _ginibre_states, _relative_entropies, _spectra, _states
 
 LN2 = math.log(2.0)
 # -0.9 ln 0.9 - 0.1 ln 0.1, evaluated directly
@@ -301,13 +301,40 @@ class TestStateStacks:
         kets = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0].T
         rho = DensityMatrix(0.7 * np.outer(kets[0], kets[0].conj()) + 0.3 * np.outer(kets[1], kets[1].conj()))
         etas = [random_density_matrix(3, rng).matrix, rho.matrix, np.outer(kets[2], kets[2].conj())]
-        values = _relative_entropies(rho, _states(np.array(etas))[0])
+        _, spectrum = _states(np.array(etas), vectors=True)
+        values = _relative_entropies(rho.matrix, von_neumann_entropy(rho), *spectrum)
         expected = [oracles.relative_entropy_logm(rho.matrix, eta) for eta in etas]
         assert abs(values[0] - expected[0]) <= 1e-10
         assert abs(values[1]) <= 1e-12 and abs(expected[1]) <= 1e-10
         assert values[2] == expected[2] == math.inf
         for value, eta in zip(values, etas):
             assert value == relative_entropy(rho, DensityMatrix(eta))
+        # The kernel scores rho and the etas in any one common basis alike, as min_form_check uses it.
+        u = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0]
+        _, rotated = _states(u.conj().T @ np.array(etas) @ u, vectors=True)
+        in_frame = _relative_entropies(u.conj().T @ rho.matrix @ u, von_neumann_entropy(rho), *rotated)
+        assert np.all(np.abs(in_frame[:2] - values[:2]) <= 1e-12) and in_frame[2] == math.inf
+
+    def test_state_check_with_vectors_is_one_eigh(self):
+        stack = _ginibre_states(4, 5, np.random.default_rng(8))
+        m, eigs = _states(stack)
+        m_v, (eigs_v, vectors) = _states(stack, vectors=True)
+        assert np.array_equal(m, m_v) and np.max(np.abs(eigs - eigs_v)) <= 1e-15
+        assert np.max(np.abs(vectors @ (eigs_v[..., None] * vectors.conj().swapaxes(1, 2)) - m)) <= 1e-14
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _states(np.array([np.eye(2) / 2.0, np.diag([1.5, -0.5])], dtype=complex), vectors=True)
+
+    def test_stacked_entropies_are_von_neumann_entropy_of_each_row(self):
+        # Full-rank, rank-deficient (zero and roundoff-negative eigenvalues) and pure rows, d < 8.
+        rng = np.random.default_rng(12)
+        states = [oracles.random_state_matrix(3, rng), np.diag([0.5, 0.5, 0.0]), np.diag([1.0, 0.0, 0.0])]
+        states.append(np.diag([0.6, 0.4 + 5e-11, -5e-11]))
+        rhos = [DensityMatrix(m) for m in states]
+        values = _entropies(np.array([rho.eigenvalues() for rho in rhos]))
+        for value, rho in zip(values, rhos):
+            p = rho.eigenvalues()[rho.eigenvalues() > 0.0]
+            assert value == von_neumann_entropy(rho) == max(float(-(p * np.log(p)).sum()), 0.0)
+        assert math.copysign(1.0, values[2]) == -1.0  # the pure state's -0.0 is kept
 
 
 class TestBinaryEntropy:

@@ -149,32 +149,66 @@ def per_sample_min_form(A, rho, n_samples, seed):
     )
 
 
+def assert_matches_per_sample_min_form(A, rho, n_samples, seed):
+    report = min_form_check(A, rho, n_samples=n_samples, seed=seed)
+    expected = per_sample_min_form(A, rho, n_samples, seed)
+    assert (report.infinite_samples, report.n_samples) == (expected.infinite_samples, expected.n_samples)
+    for field in ("irreality", "identity_gap", "min_margin"):
+        assert abs(getattr(report, field) - getattr(expected, field)) <= 1e-12
+
+
 class TestMinForm:
     @pytest.mark.parametrize("n_samples", [1, STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1, 500])
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_blocks_match_the_per_sample_loop(self, dim, n_samples):
         rng = np.random.default_rng(dim * 1000 + n_samples)
         obs = Observable(oracles.random_hermitian_matrix(dim, rng))
-        rho = random_density_matrix(dim, rng)
-        report = min_form_check(obs, rho, n_samples=n_samples, seed=n_samples)
-        expected = per_sample_min_form(obs, rho, n_samples, n_samples)
-        assert (report.infinite_samples, report.n_samples) == (expected.infinite_samples, expected.n_samples)
-        for field in ("irreality", "identity_gap", "min_margin"):
-            assert abs(getattr(report, field) - getattr(expected, field)) <= 1e-12
+        assert_matches_per_sample_min_form(obs, random_density_matrix(dim, rng), n_samples, n_samples)
 
     def test_every_sample_is_checked_twice(self, monkeypatch):
-        # Each sampled state and its dephased image go through the eigenvalue check.
+        # Each sampled state goes through eigvalsh, and its dephased image through one eigh that serves
+        # both its state check and its relative entropy; no call takes more than STACK_BLOCK matrices.
         obs = Observable(SIGMA_X)
         rho = DensityMatrix.from_ket([1.0, 0.0])
-        eigvalsh = np.linalg.eigvalsh
-        checked = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: checked.append(len(a)) or eigvalsh(a))
+        counted = {"eigvalsh": [], "eigh": []}
+        for name, calls in counted.items():
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
         min_form_check(obs, rho, n_samples=0)
-        without_samples = sum(checked)
-        checked.clear()
+        without_samples = {name: sum(calls) for name, calls in counted.items()}
+        for calls in counted.values():
+            calls.clear()
         min_form_check(obs, rho, n_samples=STACK_BLOCK + 1)
-        assert sum(checked) - without_samples == 2 * (STACK_BLOCK + 1)
-        assert max(checked) == STACK_BLOCK
+        for name, calls in counted.items():
+            assert sum(calls) - without_samples[name] == STACK_BLOCK + 1
+            assert max(calls) == STACK_BLOCK
+
+    def test_dephased_images_pass_the_psd_check(self, monkeypatch):
+        # Shifting the eigenvalues of the sample blocks' eigh below PSD_FLOOR must fail the state check.
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            values, vectors = eigh(a)
+            return (values - 1.0 if np.ndim(a) == 3 and len(a) > 1 else values), vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=2)
+
+    @pytest.mark.parametrize("case", ["multiple of identity", "two rank-2 groups", "degenerate d=8", "pure state"])
+    def test_eigenframe_matches_the_per_sample_loop(self, case):
+        # A's eigenspace frame on degenerate A (a single group, rank-2 groups) and on a pure rho.
+        rng = np.random.default_rng(len(case))
+        spectrum = {"multiple of identity": [2.5] * 3, "two rank-2 groups": [1.0, 1.0, -1.0, -1.0],
+                    "degenerate d=8": [0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 3.0], "pure state": [0.3, -1.2, 2.0, 0.7]}[case]
+        u = np.linalg.qr(oracles.random_hermitian_matrix(len(spectrum), rng))[0]
+        obs = Observable(u @ np.diag(spectrum) @ u.conj().T)
+        assert len(obs.eigenvalues) == len(set(spectrum))
+        if case == "pure state":
+            rho = DensityMatrix.from_ket(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        else:
+            rho = random_density_matrix(len(spectrum), rng)
+        assert_matches_per_sample_min_form(obs, rho, STACK_BLOCK + 1, 3)
 
     def test_rejects_negative_sample_count(self):
         with pytest.raises(ValueError, match="n_samples"):
