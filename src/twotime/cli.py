@@ -147,14 +147,14 @@ def _draw_pm1_instance(rng):
 
 
 def _draw_dephased_instance(dim, rng):
-    # The drawn state is replaced by a preparation whose evolved state at t1 is diagonal in A's
-    # eigenbasis, so the two correlator routes coincide. One weight is drawn per distinct eigenvalue of A.
+    # The drawn state is replaced by an unchecked preparation (_tpm_gaps checks the whole block) whose evolved state
+    # at t1 is diagonal in A's eigenbasis, so the two correlator routes coincide. One weight per distinct eigenvalue of A.
     a, b, h, t1, t2, _ = _draw_instance(dim, rng)
     projectors = qcore.Observable(a).projectors
     weights = rng.uniform(0.1, 1.0, len(projectors))
     weights /= weights.sum()
     rho_t1 = sum(w * p / p.trace().real for w, p in zip(weights, projectors))
-    return a, b, h, t1, t2, qcore.DensityMatrix(dynamics.ChannelFamily(h).propagate_state(rho_t1, -t1)).matrix
+    return a, b, h, t1, t2, dynamics.ChannelFamily(h).propagate_state(rho_t1, -t1)
 
 
 def _max_gap(draw, trials: int) -> float:
@@ -246,8 +246,7 @@ def _report_displacement(args) -> bool:
         report = gaussian.uncertainty_report(prep, particle, t1, t2)
         min_product = min(min_product, report.product_slack)
         min_weighted = min(min_weighted, report.weighted_slack)
-        _, spread = gaussian.displacement_stats(prep, particle, t1, t2)
-        spread_defect = max(spread_defect, abs(spread - prep.dp * (t2 - t1) / particle.mass))
+        spread_defect = max(spread_defect, abs(report.displacement_spread - prep.dp * (t2 - t1) / particle.mass))
     ok = min_product >= -UNCERTAINTY_TOL and min_weighted >= -UNCERTAINTY_TOL and spread_defect == 0.0
     return _check(
         "displacement",

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelFamily, _require_unitary, _unitaries
+from .dynamics import ChannelFamily, _hamiltonians, _require_unitary, _unitaries
 from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR
-from .qcore import DensityMatrix, Observable, _hermitian, _readonly, _spectra, _states, _symmetrized
+from .qcore import DensityMatrix, Observable, _as_square_complex, _readonly, _same_dim, _spectra, _states, _symmetrized
 
 _KINDS = ("product", "sum")
 
@@ -52,10 +52,7 @@ class TwoTimeOperator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (self.A.dim == self.B.dim == self.channel.dim):
-            raise ValueError(
-                f"dimension mismatch: A dim {self.A.dim}, B dim {self.B.dim}, channel dim {self.channel.dim}"
-            )
+        _same_dim(A=self.A.dim, B=self.B.dim, channel=self.channel.dim)
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,7 @@ def realize(op: TwoTimeOperator) -> Observable:
 
 def heisenberg_correlator(op: TwoTimeOperator, rho0: DensityMatrix) -> float:
     """Tr(C12 rho0) for the realized two-time operator; real up to roundoff."""
-    if rho0.dim != op.channel.dim:
-        raise ValueError(f"dimension mismatch: state dim {rho0.dim}, operator dim {op.channel.dim}")
+    _same_dim(state=rho0.dim, operator=op.channel.dim)
     return float(_trace_forms(_two_time_matrix(op)[None], rho0.matrix[None])[0])
 
 
@@ -125,8 +121,7 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
     Tr[beta phi*(alpha)]. Outcomes whose first-measurement marginal is below
     1e-12 contribute zero rows and are skipped.
     """
-    if not (A.dim == B.dim == channel.dim == rho0.dim):
-        raise ValueError("A, B, channel and state must share one dimension")
+    _same_dim(A=A.dim, B=B.dim, channel=channel.dim, state=rho0.dim)
     if not t2 > t1:
         raise ValueError(f"the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}")
     rho_t1 = channel.propagate_state(rho0.matrix, t1)[None]
@@ -150,8 +145,8 @@ def _tpm_joints(a_projectors: np.ndarray, b_projectors: np.ndarray, rho_t1: np.n
 
 
 def _checked_instances(a, b, h, *times):
-    """_spectra of (n, d, d) stacks of A and B, and H's unitaries at each (n,) array of times, H checked as ChannelFamily does."""
-    energies, modes = np.linalg.eigh(_symmetrized(h, "hamiltonian", OPERATOR_HERMITICITY_TOL))
+    """_spectra of (n, d, d) stacks of A and B, and the unitaries of an H stack at each (n,) array of times."""
+    _, energies, modes = _hamiltonians(h)
     return _spectra(a), _spectra(b), [_unitaries(energies, modes, t) for t in times]
 
 
@@ -184,11 +179,10 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
     with negative eigenvalues whenever alpha and rho_t1 fail to commute badly
     enough. When they commute and alpha is rank one, it equals alpha itself.
     """
-    alpha = _hermitian(projector, "projector")
+    alpha = _symmetrized(_as_square_complex(projector), "projector", OPERATOR_HERMITICITY_TOL)
     if not np.max(np.abs(alpha @ alpha - alpha)) <= MEASUREMENT_TOL:
         raise ValueError("projector must be idempotent")
-    if alpha.shape[0] != rho0.dim or channel.dim != rho0.dim:
-        raise ValueError("projector, state and channel must share one dimension")
+    _same_dim(projector=alpha.shape[0], state=rho0.dim, channel=channel.dim)
     rho_t1 = channel.propagate_state(rho0.matrix, t1)
     denom = np.trace(alpha @ rho_t1).real
     if denom <= MARGINAL_TOL:

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .qcore import MEASUREMENT_TOL, DensityMatrix, Observable, _as_square_complex, _hermitian, _readonly
+from .qcore import MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, DensityMatrix, Observable
+from .qcore import _as_square_complex, _readonly, _same_dim, _symmetrized
 
 
 class ChannelFamily:
@@ -32,8 +33,9 @@ class ChannelFamily:
     unitary = True
 
     def __init__(self, hamiltonian):
-        self._hamiltonian = _readonly(_hermitian(hamiltonian, "hamiltonian"))
-        self._energies, self._modes = np.linalg.eigh(self._hamiltonian)
+        h, energies, modes = _hamiltonians(_as_square_complex(hamiltonian)[None])
+        self._hamiltonian = _readonly(h[0])
+        self._energies, self._modes = energies[0], modes[0]
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -55,6 +57,12 @@ class ChannelFamily:
         """Heisenberg direction: U_t^dag M U_t."""
         u = self.unitary_at(t)
         return u.conj().T @ matrix @ u
+
+
+def _hamiltonians(stack: np.ndarray):
+    """Check an (n, d, d) stack of Hamiltonians as Hermitian; returns it symmetrized, with its eigh (energies, modes)."""
+    h = _symmetrized(stack, "hamiltonian", OPERATOR_HERMITICITY_TOL)
+    return (h, *np.linalg.eigh(h))
 
 
 def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -114,8 +122,7 @@ def _require_unitary(channel):
 
 def evolve_state(channel, rho: DensityMatrix, t: float) -> DensityMatrix:
     """Evolve a state forward: the Schrodinger-picture map of the channel."""
-    if channel.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: channel dim {channel.dim}, state dim {rho.dim}")
+    _same_dim(channel=channel.dim, state=rho.dim)
     return DensityMatrix(channel.propagate_state(rho.matrix, t))
 
 
@@ -125,6 +132,5 @@ def evolve_observable(channel, obs: Observable, t: float) -> Observable:
     Requires a unitary family; the Kraus hook has no observable direction.
     """
     _require_unitary(channel)
-    if channel.dim != obs.dim:
-        raise ValueError(f"dimension mismatch: channel dim {channel.dim}, observable dim {obs.dim}")
+    _same_dim(channel=channel.dim, observable=obs.dim)
     return Observable(channel.propagate_observable(obs.matrix, t))

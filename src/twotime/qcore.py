@@ -14,7 +14,7 @@ STATE_TOL = 1e-12  # max |rho - rho^dag| and |Tr rho - 1| of a density matrix
 OPERATOR_HERMITICITY_TOL = 1e-10  # max |H - H^dag| of observables, Hamiltonians, projectors
 PSD_FLOOR = -1e-10  # lowest eigenvalue of a state, and of a physical conditional operator
 GROUP_TOL_DEFAULT = 1e-9  # eigenvalues closer than this share one projector
-MEASUREMENT_TOL = 1e-10  # projector algebra; sum P_a = sum K^dag K = sum_b p(b|a) = 1; Phi_B Phi_A depolarizes
+MEASUREMENT_TOL = 1e-10  # projector algebra; sum P_a = sum K^dag K = sum_b p(b|a) = 1; overlap constant c vs 1/d
 RECONSTRUCTION_TOL = 1e-9  # max |sum a P_a - A| of a spectral decomposition
 UNIT_NORM_TOL = 1e-12  # ||v| - 1| of a unit vector; excess of a Bloch norm over 1
 SUPPORT_TOL = 1e-12  # eta-eigenvalue treated as zero in a relative entropy
@@ -48,18 +48,19 @@ SIGMA = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 def _as_square_complex(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
 
 
-def _hermitian(matrix, what: str, tol: float = OPERATOR_HERMITICITY_TOL) -> np.ndarray:
-    """The symmetrized matrix, once max |H - H^dag| is within ``tol`` (a NaN or inf entry fails)."""
-    return _symmetrized(_as_square_complex(matrix), what, tol)
+def _same_dim(**dims) -> None:
+    """Raise one message naming every part's dimension unless all of ``dims`` (name=dim) agree."""
+    if len(set(dims.values())) > 1:
+        raise ValueError("dimension mismatch: " + ", ".join(f"{name} dim {dim}" for name, dim in dims.items()))
 
 
 def _symmetrized(m: np.ndarray, what: str, tol: float) -> np.ndarray:
-    # _hermitian's check for a matrix or an (n, d, d) stack, taken over the whole stack.
+    # (M + M^dag) / 2 of a matrix or an (n, d, d) stack, once max |M - M^dag| over it is within tol (NaN or inf fails).
     adjoint = m.conj().swapaxes(-1, -2)
     defect = float(np.max(np.abs(m - adjoint)))
     if not defect <= tol:
@@ -216,11 +217,8 @@ class BlochVector:
         vec = np.asarray(components, dtype=float)
         if vec.shape != (3,):
             raise ValueError(f"Bloch vector must have 3 real components, got shape {vec.shape}")
-        norm = float(np.linalg.norm(vec))
-        if not norm <= 1.0 + UNIT_NORM_TOL:
-            raise ValueError(f"Bloch vector norm {norm:.15g} is not finite or exceeds 1")
+        self._norm = float(_bloch_norms(vec[None])[0])
         self._vec = _readonly(vec.copy())
-        self._norm = norm
 
     @classmethod
     def from_angles(cls, r: float, theta: float, phi: float) -> "BlochVector":
@@ -255,6 +253,16 @@ class BlochVector:
         return f"BlochVector(({x:.6g}, {y:.6g}, {z:.6g}))"
 
 
+def _bloch_norms(vectors: np.ndarray) -> np.ndarray:
+    """Norms of the rows of an (n, 3) array, each bitwise np.linalg.norm of its row (sqrt of the BLAS dot
+    it uses; a row sum can differ in the last ulp); a row of norm above 1 + UNIT_NORM_TOL, or NaN, is rejected."""
+    norms = np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+    bad = np.flatnonzero(~(norms <= 1.0 + UNIT_NORM_TOL))
+    if bad.size:
+        raise ValueError(f"Bloch vector norm {norms[bad[0]]:.15g} is not finite or exceeds 1")
+    return norms
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -Tr(rho ln rho) in nats; 0*ln(0) is taken as 0.
 
@@ -277,14 +285,13 @@ def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
     Returns +inf when the support of rho is not contained in the support of
     eta (an eta-eigenvalue below 1e-12 carrying rho-weight above 1e-10).
     """
-    if rho.dim != eta.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {eta.dim}")
+    _same_dim(rho=rho.dim, eta=eta.dim)
     return float(_relative_entropies(rho.matrix, von_neumann_entropy(rho), *np.linalg.eigh(eta.matrix[None]))[0])
 
 
 def _relative_entropies(rho: np.ndarray, entropy: float, q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     # relative_entropy(rho, eta) for a state matrix rho of that entropy and each eta of a checked stack given by its eigh.
-    weights = np.einsum("nji,jk,nki->ni", basis.conj(), rho, basis).real
+    weights = np.einsum("nji,nji->ni", basis.conj(), rho @ basis).real
     null = q < SUPPORT_TOL
     infinite = np.any(null & (weights > SUPPORT_WEIGHT_TOL), axis=1)
     cross = (weights * np.log(np.where(null, 1.0, q))).sum(axis=1)  # log 1 = 0 on the null space

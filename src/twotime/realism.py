@@ -27,6 +27,7 @@ from .qcore import (
     _entropies,
     _ginibre_states,
     _relative_entropies,
+    _same_dim,
     _states,
     relative_entropy,
     von_neumann_entropy,
@@ -70,8 +71,7 @@ class ComplementarityReport:
 
 def dephase(A: Observable, rho: DensityMatrix) -> DensityMatrix:
     """Nonselective projective measurement of A: sum_a alpha_a rho alpha_a."""
-    if A.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: observable dim {A.dim}, state dim {rho.dim}")
+    _same_dim(observable=A.dim, state=rho.dim)
     return DensityMatrix(_dephase(A.projectors, rho.matrix))
 
 
@@ -138,23 +138,14 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     )
 
 
-def _composed_dephasing_is_depolarizing(first: Observable, second: Observable) -> bool:
-    # Phi_second(Phi_first(.)) must send every matrix unit E_ij to
-    # delta_ij * identity / d for the entropic bound below to apply.
-    d = first.dim
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # E_ij at index i*d + j
-    targets = np.eye(d).reshape(d * d, 1, 1) * np.eye(d) / d
-    composed = _dephase(second.projectors, _dephase(first.projectors, units))
-    return bool(np.max(np.abs(composed - targets)) <= MEASUREMENT_TOL)
-
-
 def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, second: Observable = None) -> ComplementarityReport:
     """Check S(Phi_first(rho)) + S(Phi_second(rho)) >= ln d + S(rho).
 
     Takes both observables or neither; with neither, uses the qubit pair
-    (sigma_x, sigma_y). The bound holds for any pair whose composed
-    dephasings fully depolarize (monotonicity of relative entropy under
-    channels); the pair is validated before use.
+    (sigma_x, sigma_y). The bound holds for any pair whose overlap constant
+    c = max_ab ||alpha_a beta_b||^2 takes its least value 1/d (Maassen and
+    Uffink; the composed dephasings then fully depolarize); a pair with c above
+    1/d + MEASUREMENT_TOL is rejected before use.
     """
     if (first is None) != (second is None):
         raise ValueError("give both observables of the pair or neither")
@@ -163,9 +154,9 @@ def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, se
             raise ValueError(f"default observables are the qubit pair; got state dim {rho.dim}")
         first = Observable(SIGMA_X)
         second = Observable(SIGMA_Y)
-    if not (first.dim == second.dim == rho.dim):
-        raise ValueError("observables and state must share one dimension")
-    if not _composed_dephasing_is_depolarizing(first, second):
+    _same_dim(first=first.dim, second=second.dim, state=rho.dim)
+    overlaps = np.linalg.norm(first.projectors[:, None] @ second.projectors[None], ord=2, axis=(2, 3))
+    if not np.max(overlaps) ** 2 <= 1.0 / rho.dim + MEASUREMENT_TOL:
         raise ValueError("composed dephasings of the pair do not yield the maximally mixed state")
     s_first = von_neumann_entropy(dephase(first, rho))
     s_second = von_neumann_entropy(dephase(second, rho))

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily
-from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _each, _readonly, binary_entropy
+from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _each, _readonly, binary_entropy
+
+CURVE_POINTS = 360  # evenly spaced phi values of each radius' equatorial boundary curve
 
 
 @dataclass(frozen=True)
@@ -135,24 +137,14 @@ def torque_irreality_pair(r_vec) -> TorquePair:
 def _irrealities(vectors: np.ndarray):
     """Columns (irr_spin, irr_torque) of :func:`torque_irreality_pair` for the rows of an (N, 3) array.
 
-    Each row rounds as one ``BlochVector`` does, and rows of norm above
-    1 + UNIT_NORM_TOL, or NaN, are rejected.
+    Each row rounds as one ``BlochVector`` does, and rows outside the ball are rejected as it rejects them.
     """
-    norms = _norms(vectors)
-    bad = ~(norms <= 1.0 + UNIT_NORM_TOL)
-    if bad.any():
-        raise ValueError(f"Bloch vector norm {norms[bad][0]:.15g} is not finite or exceeds 1")
+    norms = _bloch_norms(vectors)
     base = binary_entropy((1.0 + norms) / 2.0)
     return (
         binary_entropy((1.0 + np.abs(vectors[:, 0])) / 2.0) - base,
         binary_entropy((1.0 + np.abs(vectors[:, 1])) / 2.0) - base,
     )
-
-
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    # sqrt(v . v) through the BLAS dot that np.linalg.norm uses, so that every
-    # row's norm is bitwise np.linalg.norm(v); a row sum can differ in the last ulp.
-    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
 
 
 def bound_rhs(r: float) -> float:
@@ -273,7 +265,7 @@ def _scan_table(r, theta, phi) -> dict:
     return {"r": r, "theta": theta, "phi": phi, "irr_spin": irr_spin, "irr_torque": irr_torque}
 
 
-def figure1_scan(r_values, n: int, seed, curve_points: int = 360):
+def figure1_scan(r_values, n: int, seed):
     """Irreality trade-off scan: n random (theta, phi) samples per radius.
 
     Returns two column tables (scatter, curves), each a dict of equal-length
@@ -281,7 +273,7 @@ def figure1_scan(r_values, n: int, seed, curve_points: int = 360):
     holds the n sampled rows of each radius in turn, row i of band b drawn by
     :func:`row_angles` (uniform in theta and phi separately); the curve table
     the analytic equatorial boundary (theta = pi/2) of each radius at
-    ``curve_points`` evenly spaced phi values.
+    ``CURVE_POINTS`` evenly spaced phi values.
     """
     r_values = [float(r) for r in r_values]
     for r in r_values:
@@ -289,9 +281,9 @@ def figure1_scan(r_values, n: int, seed, curve_points: int = 360):
             raise ValueError(f"radius {r!r} outside [0, 1]")
     bands = len(r_values)
     theta, phi = row_angles(seed, np.repeat(np.arange(bands), n), np.tile(np.arange(n), bands))
-    curve_phi = 2.0 * math.pi * np.arange(curve_points) / curve_points
+    curve_phi = 2.0 * math.pi * np.arange(CURVE_POINTS) / CURVE_POINTS
     return (
         _scan_table(np.repeat(r_values, n), theta, phi),
-        _scan_table(np.repeat(r_values, curve_points), np.full(bands * curve_points, math.pi / 2.0),
+        _scan_table(np.repeat(r_values, CURVE_POINTS), np.full(bands * CURVE_POINTS, math.pi / 2.0),
                     np.tile(curve_phi, bands)),
     )

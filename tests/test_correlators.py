@@ -15,7 +15,7 @@ from twotime.correlators import (
     tpm_joint_distribution,
 )
 from twotime.correlators import _tpm_joints, _trace_forms
-from twotime.dynamics import ChannelFamily, KrausChannel
+from twotime.dynamics import ChannelFamily, KrausChannel, evolve_observable, evolve_state
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -24,8 +24,9 @@ from twotime.qcore import (
     Observable,
     bloch_to_state,
     random_density_matrix,
+    relative_entropy,
 )
-from twotime.realism import irreality
+from twotime.realism import complementarity_bound_check, dephase, irreality
 from twotime.spinlab import bloch_lambda_nu, precession_channel
 
 
@@ -390,3 +391,31 @@ class TestPrepareEigenstate:
         op = TwoTimeOperator("sum", Observable(SIGMA_X), Observable(SIGMA_X), 0.0, 1.0, channel)
         with pytest.raises(IndexError):
             prepare_eigenstate(op, 5)
+
+
+def _qubit_parts():
+    return Observable(SIGMA_X), Observable(SIGMA_Z), ChannelFamily(SIGMA_Z / 2.0), DensityMatrix.maximally_mixed(3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda x, z, ch, rho3: relative_entropy(DensityMatrix.maximally_mixed(2), rho3), "rho dim 2, eta dim 3"),
+        (lambda x, z, ch, rho3: evolve_state(ch, rho3, 1.0), "channel dim 2, state dim 3"),
+        (lambda x, z, ch, rho3: evolve_observable(ch, Observable(np.eye(3)), 1.0), "channel dim 2, observable dim 3"),
+        (lambda x, z, ch, rho3: TwoTimeOperator("sum", Observable(np.eye(3)), x, 0.0, 1.0, ch), "A dim 3, B dim 2, channel dim 2"),
+        (lambda x, z, ch, rho3: heisenberg_correlator(TwoTimeOperator("sum", x, z, 0.0, 1.0, ch), rho3),
+         "state dim 3, operator dim 2"),
+        (lambda x, z, ch, rho3: tpm_joint_distribution(x, z, 0.0, 1.0, ch, rho3), "A dim 2, B dim 2, channel dim 2, state dim 3"),
+        (lambda x, z, ch, rho3: lambda_operator(np.diag([1.0, 0.0]), rho3, 0.0, ChannelFamily(np.eye(3))),
+         "projector dim 2, state dim 3, channel dim 3"),
+        (lambda x, z, ch, rho3: dephase(z, rho3), "observable dim 2, state dim 3"),
+        (lambda x, z, ch, rho3: complementarity_bound_check(rho3, x, z), "first dim 2, second dim 2, state dim 3"),
+    ],
+    ids=["relative_entropy", "evolve_state", "evolve_observable", "TwoTimeOperator", "heisenberg_correlator",
+         "tpm_joint_distribution", "lambda_operator", "dephase", "complementarity_bound_check"],
+)
+def test_every_dimension_check_raises_one_message_naming_every_part(call, message):
+    with pytest.raises(ValueError) as info:
+        call(*_qubit_parts())
+    assert str(info.value) == f"dimension mismatch: {message}"

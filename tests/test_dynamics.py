@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twotime.dynamics import ChannelFamily, KrausChannel, _unitaries, evolve_observable, evolve_state
+from twotime.dynamics import ChannelFamily, KrausChannel, _hamiltonians, _unitaries, evolve_observable, evolve_state
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -152,17 +152,43 @@ def test_dimension_mismatch_errors():
         evolve_observable(family, Observable(np.eye(3)), 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize(
+each_constructor = pytest.mark.parametrize(
     "build",
     [DensityMatrix, Observable, ChannelFamily, lambda m: KrausChannel([m])],
     ids=["DensityMatrix", "Observable", "ChannelFamily", "KrausChannel"],
 )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@each_constructor
 def test_rejects_non_finite_entry(build, bad):
     matrix = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         build(matrix)
+
+
+@each_constructor
+def test_rejects_empty_matrix(build):
+    with pytest.raises(ValueError, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
+        build(np.zeros((0, 0)))
+
+
+def test_channel_family_is_the_one_matrix_hamiltonian_kernel():
+    rng = np.random.default_rng(13)
+    stack = np.array([oracles.random_hermitian_matrix(4, rng) for _ in range(3)])
+    stack[1, 0, 1] += 1e-12  # symmetrized within OPERATOR_HERMITICITY_TOL
+    h, energies, modes = _hamiltonians(stack)
+    for n, matrix in enumerate(stack):
+        family = ChannelFamily(matrix)
+        symmetrized = (matrix + matrix.conj().T) / 2.0
+        expected = np.linalg.eigh(symmetrized)
+        assert np.array_equal(family.hamiltonian, symmetrized) and np.array_equal(h[n], symmetrized)
+        assert np.array_equal(family._energies, expected[0]) and np.array_equal(energies[n], expected[0])
+        assert np.array_equal(family._modes, expected[1]) and np.array_equal(modes[n], expected[1])
+    stack[2, 1, 0] += 1e-6
+    with pytest.raises(ValueError, match=r"^hamiltonian is not Hermitian: max \|H - H\^dag\| = 1\.000e-06$"):
+        _hamiltonians(stack)
 
 
 @pytest.mark.parametrize(

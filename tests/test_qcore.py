@@ -18,7 +18,7 @@ from twotime.qcore import (
     state_to_bloch,
     von_neumann_entropy,
 )
-from twotime.qcore import _entropies, _ginibre_states, _relative_entropies, _spectra, _states
+from twotime.qcore import _bloch_norms, _entropies, _ginibre_states, _relative_entropies, _spectra, _states
 
 LN2 = math.log(2.0)
 # -0.9 ln 0.9 - 0.1 ln 0.1, evaluated directly
@@ -385,6 +385,20 @@ class TestBloch:
     def test_rejects_long_vector(self):
         with pytest.raises(ValueError, match="norm"):
             BlochVector((1.0, 1.0, 0.0))
+
+    def test_radius_is_bitwise_np_linalg_norm(self):
+        rng = np.random.default_rng(89)
+        vectors = rng.uniform(-1.0, 1.0, (5000, 3)) * rng.uniform(0.0, 1.0, (5000, 1)) / math.sqrt(3.0)
+        assert [BlochVector(v).r for v in vectors] == [float(np.linalg.norm(v)) for v in vectors]
+
+    @pytest.mark.parametrize("bad", [(1.0, 1e-5, 0.0), (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)])
+    def test_ball_check_is_shared_by_the_vector_and_the_row_kernel(self, bad):
+        message = "Bloch vector norm .* is not finite or exceeds 1"
+        with pytest.raises(ValueError, match=message):
+            _bloch_norms(np.array([(0.1, 0.2, 0.3), bad]))
+        with pytest.raises(ValueError, match=message):
+            BlochVector(bad)
+        assert _bloch_norms(np.array([(0.6, 0.0, 0.8)])).tolist() == [1.0]
 
     def test_rejects_non_qubit_state(self):
         with pytest.raises(ValueError, match="qubit"):

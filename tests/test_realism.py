@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from twotime.qcore import (
@@ -34,6 +35,16 @@ def bloch_vectors(r, n, seed):
     thetas = rng.uniform(0.0, math.pi, n)
     phis = rng.uniform(0.0, 2.0 * math.pi, n)
     return [BlochVector.from_angles(r, t, p) for t, p in zip(thetas, phis)]
+
+
+def composed_dephasing_depolarizes(first, second):
+    # Phi_second(Phi_first(E_ij)) = delta_ij * identity / d for every matrix unit E_ij, within 1e-10.
+    d = first.dim
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    targets = np.eye(d).reshape(d * d, 1, 1) * np.eye(d) / d
+    once = sum(p @ units @ p for p in first.projectors)
+    twice = sum(p @ once @ p for p in second.projectors)
+    return bool(np.max(np.abs(twice - targets)) <= 1e-10)
 
 
 class TestDephase:
@@ -277,6 +288,38 @@ class TestComplementarityBound:
         rho = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError, match="maximally mixed"):
             complementarity_bound_check(rho, Observable(SIGMA_X), Observable(SIGMA_X))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_overlap_admission_matches_the_composed_dephasing(self, dim):
+        # Pairs in Fourier-conjugate bases (mutually unbiased), the same tilted by a 1e-6 rotation or with a degenerate
+        # partner, and random pairs: admitted exactly when Phi_B Phi_A depolarizes, with c = max_ab ||alpha_a beta_b||^2
+        # in [1/d, 1].
+        rng = np.random.default_rng(280 + dim)
+        fourier = np.exp(2j * np.pi * np.outer(np.arange(dim), np.arange(dim)) / dim) / np.sqrt(dim)
+        rho = DensityMatrix.maximally_mixed(dim)
+        admitted = []
+        for kind in ["unbiased"] * 10 + ["tilted", "degenerate", "random"] * 10:
+            frame = np.linalg.qr(oracles.random_hermitian_matrix(dim, rng))[0]
+            partner = np.linalg.qr(oracles.random_hermitian_matrix(dim, rng))[0] if kind == "random" else frame @ fourier
+            if kind == "tilted":
+                partner = partner @ scipy.linalg.expm(-1e-6j * oracles.random_hermitian_matrix(dim, rng))
+            spectrum = np.arange(dim) + rng.uniform(0.0, 0.5, dim)
+            if kind == "degenerate":
+                spectrum[1] = spectrum[0]
+            first = Observable(frame @ np.diag(np.arange(dim) + rng.uniform(0.0, 0.5, dim)) @ frame.conj().T)
+            second = Observable(partner @ np.diag(spectrum) @ partner.conj().T)
+            c = max(np.linalg.eigvalsh(a @ b @ a)[-1] for a in first.projectors for b in second.projectors)
+            assert 1.0 / dim - 1e-12 <= c <= 1.0 + 1e-12
+            depolarizes = composed_dephasing_depolarizes(first, second)
+            assert depolarizes == (kind == "unbiased") == (c <= 1.0 / dim + 1e-10)
+            try:
+                complementarity_bound_check(rho, first, second)
+                admitted.append(True)
+            except ValueError as exc:
+                assert str(exc) == "composed dephasings of the pair do not yield the maximally mixed state"
+                admitted.append(False)
+            assert admitted[-1] == depolarizes
+        assert admitted == [True] * 10 + [False] * 30
 
     def test_general_pair_accepts_conjugate_bases(self):
         report = complementarity_bound_check(

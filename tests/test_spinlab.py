@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twotime import spinlab
+from twotime import qcore, spinlab
 from twotime.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochVector, Observable, bloch_to_state
 from twotime.realism import irreality
 from twotime.spinlab import (
@@ -327,12 +327,12 @@ class TestRowAngles:
 
 class TestIrrealityKernel:
     def test_norm_is_bitwise_np_linalg_norm(self):
-        # BlochVector's radius comes from np.linalg.norm; the column kernel
-        # must see the same float in every row.
+        # The column kernel and BlochVector share qcore._bloch_norms, which must
+        # give np.linalg.norm's float in every row.
         rng = np.random.default_rng(89)
         vectors = rng.uniform(-1.0, 1.0, (5000, 3)) * rng.uniform(0.0, 1.0, (5000, 1)) / math.sqrt(3.0)
         expected = [float(np.linalg.norm(v)) for v in vectors]
-        assert spinlab._norms(vectors).tolist() == expected
+        assert qcore._bloch_norms(vectors).tolist() == expected
 
     def test_columns_match_the_scalar_formula(self):
         # Bitwise, so the kernel must round like math.log on each float
