@@ -129,56 +129,65 @@ def cmd_lambda(args) -> int:
     return 0
 
 
-def _draw_instance(dim, rng):
-    """Raw A, B and H, times t1 < t2 and a Ginibre state of one random instance, unchecked."""
-    a, b, h = (qcore.random_hermitian(dim, rng) for _ in range(3))
-    t1 = rng.uniform(0.0, 1.0)
-    return a, b, h, t1, t1 + rng.uniform(0.1, 1.0), qcore._ginibre_states(dim, 1, rng)[0]
+def _draw_raw(lanes, n, rng):
+    # n instances per lane of (head, tail) shapes, in turn across the lanes and in the order the per-instance calls took
+    # them: head normals, t1 and t2 - t1, tail normals. numpy's uniform(low, high) is low + (high - low) * random().
+    buffers = [(np.empty((n, *head)), np.empty((n, 2)), np.empty((n, *tail))) for head, tail in lanes]
+    for row in range(n):
+        for head, times, tail in buffers:
+            rng.standard_normal(out=head[row])
+            rng.random(out=times[row])
+            rng.standard_normal(out=tail[row])
+    return [(head, times[:, 0], times[:, 0] + (0.1 + (1.0 - 0.1) * times[:, 1]), tail) for head, times, tail in buffers]
 
 
-def _draw_pm1_instance(rng):
-    # A qubit instance whose A and B are n . sigma along random unit axes n: spectrum {+1, -1}.
-    h = qcore.random_hermitian(2, rng)
-    t1 = rng.uniform(0.0, 1.0)
-    t2 = t1 + rng.uniform(0.1, 1.0)
-    axes = [n / np.linalg.norm(n) for n in (rng.standard_normal(3), rng.standard_normal(3))]
-    a, b = (n[0] * qcore.SIGMA_X + n[1] * qcore.SIGMA_Y + n[2] * qcore.SIGMA_Z for n in axes)
-    return a, b, h, t1, t2, qcore._ginibre_states(2, 1, rng)[0]
+def _draw_instances(dims, n, rng):
+    # n instances per dimension in dims, drawn in turn: unchecked stacks of A, B, H, t1 < t2 and Ginibre states.
+    lanes = _draw_raw([((3, 2, d, d), (2, d, d)) for d in dims], n, rng)
+    return [(*qcore._hermitians(normals).swapaxes(0, 1), t1, t2, qcore._ginibres(state)) for normals, t1, t2, state in lanes]
 
 
-def _draw_dephased_instance(dim, rng):
-    # The drawn state is replaced by an unchecked preparation (_tpm_gaps checks the whole block) whose evolved state
+def _draw_pm1_instances(n, rng):
+    # Qubits whose A and B are v . sigma along random unit axes v, spectrum {+1, -1}; |v| computed as in _bloch_norms.
+    ((normals, t1, t2, tail),) = _draw_raw([((2, 2, 2), (14,))], n, rng)
+    axes = tail[:, :6].reshape(n, 2, 3, 1)
+    v = np.moveaxis(axes / np.sqrt(axes.swapaxes(-1, -2) @ axes), 2, 0)[..., None]
+    a, b = (v[0] * qcore.SIGMA_X + v[1] * qcore.SIGMA_Y + v[2] * qcore.SIGMA_Z).swapaxes(0, 1)
+    return a, b, qcore._hermitians(normals), t1, t2, qcore._ginibres(tail[:, 6:].reshape(n, 2, 2, 2))
+
+
+def _draw_dephased_instances(dim, n, rng):
+    # Each drawn state is replaced by an unchecked preparation (_tpm_gaps checks the whole block) whose evolved state
     # at t1 is diagonal in A's eigenbasis, so the two correlator routes coincide. One weight per distinct eigenvalue of A.
-    a, b, h, t1, t2, _ = _draw_instance(dim, rng)
-    projectors = qcore.Observable(a).projectors
-    weights = rng.uniform(0.1, 1.0, len(projectors))
-    weights /= weights.sum()
-    rho_t1 = sum(w * p / p.trace().real for w, p in zip(weights, projectors))
-    return a, b, h, t1, t2, dynamics.ChannelFamily(h).propagate_state(rho_t1, -t1)
+    draws = []
+    for _ in range(n):
+        a, b, h, t1, t2, _ = _draw_instances((dim,), 1, rng)[0]
+        projectors = qcore.Observable(a[0]).projectors
+        weights = rng.uniform(0.1, 1.0, len(projectors))
+        rho_t1 = sum(w * p / p.trace().real for w, p in zip(weights / weights.sum(), projectors))
+        draws.append((a, b, h, t1, t2, dynamics.ChannelFamily(h[0]).propagate_state(rho_t1, -t1[0])[None]))
+    return [np.concatenate(column) for column in zip(*draws)]
 
 
 def _max_gap(draw, trials: int) -> float:
-    # Largest gap over ``trials`` instances of draw(): each block is drawn in rng order, then scored as stacks.
-    worst = 0.0
-    for start in range(0, trials, qcore.STACK_BLOCK):
-        block = [draw() for _ in range(min(qcore.STACK_BLOCK, trials - start))]
-        worst = max(worst, float(correlators._tpm_gaps(*map(np.array, zip(*block))).max()))
-    return worst
+    # Largest gap over ``trials`` instances: draw(n) gives the next n as stacks, in rng order, scored a block at a time.
+    blocks = range(0, trials, qcore.STACK_BLOCK)
+    return max(float(correlators._tpm_gaps(*draw(min(qcore.STACK_BLOCK, trials - start))).max()) for start in blocks)
 
 
 def cmd_tpm_gap(args) -> int:
     """Compare the protocol and Heisenberg correlators over random instances."""
     rng = np.random.default_rng(args.seed)
     ok = True
-    eq4_gap = _max_gap(lambda: _draw_dephased_instance(args.dim, rng), 10)
+    eq4_gap = _max_gap(lambda n: _draw_dephased_instances(args.dim, n, rng), 10)
     print(f"d={args.dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
     ok &= eq4_gap <= IDENTITY_TOL
     if args.dim == 2:
-        max_gap = _max_gap(lambda: _draw_pm1_instance(rng), args.trials)
+        max_gap = _max_gap(lambda n: _draw_pm1_instances(n, rng), args.trials)
         print(f"d=2: max gap over {args.trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
         ok &= max_gap <= IDENTITY_TOL
     else:
-        max_gap = _max_gap(lambda: _draw_instance(3, rng), args.trials)
+        max_gap = _max_gap(lambda n: _draw_instances((3,), n, rng)[0], args.trials)
         print(f"d=3: max gap over {args.trials} random instances: {max_gap:.3e}")
         fx = correlators.qutrit_gap_fixture()
         tpm = correlators.tpm_correlator(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
@@ -209,11 +218,10 @@ def _report_torque_bound(args) -> bool:
 
 def _report_eigenprep(args) -> bool:
     # Operator i has d = 2 + i % 2 and kind "product" for i % 4 < 2, else "sum": four stacks of 25, drawn in rng order.
-    rng = np.random.default_rng(args.seed)
-    instances = [_draw_instance(2 + index % 2, rng)[:5] for index in range(100)]
+    groups = _draw_instances((2, 3, 2, 3), 25, np.random.default_rng(args.seed))
     worst = 0.0
-    for group, kind in enumerate(("product", "product", "sum", "sum")):
-        (a, _, _), (b, _, _), units = correlators._checked_instances(*map(np.array, zip(*instances[group::4])))
+    for instances, kind in zip(groups, ("product", "product", "sum", "sum")):
+        (a, _, _), (b, _, _), units = correlators._checked_instances(*instances[:5])
         _, _, projectors = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
         worst = max(worst, float(np.abs(realism._eigenstate_irrealities(projectors)).max()))
     return _check(

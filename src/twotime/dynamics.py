@@ -90,11 +90,9 @@ class KrausChannel:
         ops = [_as_square_complex(k) for k in kraus_ops]
         if not ops:
             raise ValueError("at least one Kraus operator is required")
-        d = ops[0].shape[0]
-        if any(k.shape != (d, d) for k in ops):
-            raise ValueError("Kraus operators must share one square shape")
+        _same_dim(**{f"K{i}": k.shape[0] for i, k in enumerate(ops)})
         total = sum(k.conj().T @ k for k in ops)
-        defect = np.max(np.abs(total - np.eye(d)))
+        defect = np.max(np.abs(total - np.eye(len(total))))
         if not defect <= MEASUREMENT_TOL:
             raise ValueError(f"Kraus operators are not trace preserving: |sum K^dag K - 1| = {defect:.3e}")
         self._ops = [_readonly(k.copy()) for k in ops]

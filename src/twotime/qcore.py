@@ -350,13 +350,22 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
 
 def _ginibre_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     # n unchecked states as an (n, d, d) stack, bitwise those of n successive random_density_matrix calls.
-    g = rng.standard_normal((n, 2, dim, dim))
-    g = g[:, 0] + 1j * g[:, 1]
-    m = g @ g.conj().swapaxes(1, 2)
-    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return _ginibres(rng.standard_normal((n, 2, dim, dim)))
+
+
+def _ginibres(normals: np.ndarray) -> np.ndarray:
+    # Unchecked states G G^dag / Tr from (..., 2, d, d) standard normals: real parts of each G, then imaginary parts.
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
+    return _hermitians(rng.standard_normal((2, dim, dim)))
+
+
+def _hermitians(normals: np.ndarray) -> np.ndarray:
+    # (G + G^dag) / 2 from (..., 2, d, d) standard normals: real parts of each G, then imaginary parts.
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0

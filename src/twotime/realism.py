@@ -14,6 +14,7 @@ minimum characterization by random sampling.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -138,6 +139,9 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     )
 
 
+_qubit_pair = cache(lambda: (Observable(SIGMA_X), Observable(SIGMA_Y)))  # the default pair, built on first use
+
+
 def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, second: Observable = None) -> ComplementarityReport:
     """Check S(Phi_first(rho)) + S(Phi_second(rho)) >= ln d + S(rho).
 
@@ -152,8 +156,7 @@ def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, se
     if first is None:
         if rho.dim != 2:
             raise ValueError(f"default observables are the qubit pair; got state dim {rho.dim}")
-        first = Observable(SIGMA_X)
-        second = Observable(SIGMA_Y)
+        first, second = _qubit_pair()
     _same_dim(first=first.dim, second=second.dim, state=rho.dim)
     overlaps = np.linalg.norm(first.projectors[:, None] @ second.projectors[None], ord=2, axis=(2, 3))
     if not np.max(overlaps) ** 2 <= 1.0 / rho.dim + MEASUREMENT_TOL:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -106,6 +107,14 @@ def per_instance_gap(a, b, h, t1, t2, rho0):
     return abs(protocol - correlators.heisenberg_correlator(correlators.TwoTimeOperator("product", A, B, t1, t2, channel), rho))
 
 
+def assert_same_bytes(block, instances):
+    # The stacks of a drawn block hold the per-instance draws, byte for byte and with the same dtypes.
+    for stack, column in zip(block, zip(*instances), strict=True):
+        expected = np.array(column)
+        assert stack.dtype == expected.dtype and stack.shape == expected.shape
+        assert np.ascontiguousarray(stack).tobytes() == expected.tobytes()
+
+
 def degenerate_matrix(dim, rng):
     # Eigenvalues from {-1, 0, 1}, so most draws repeat one, in a random basis.
     q, _ = np.linalg.qr(oracles.random_hermitian_matrix(dim, rng))
@@ -162,37 +171,68 @@ class TestStackedGaps:
 
     def test_draws_keep_the_per_instance_rng_order(self):
         # Each random instance takes A, B, H, t1, t2 - t1 and its state; a +-1 instance takes H, t1, t2 - t1,
-        # the two axes and its state.
+        # the two axes and its state. The blocks match those draws byte for byte (so -0.0 and 0.0 differ), also
+        # across the interleaved lanes report eigenprep draws.
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        a, b, h, t1, t2, rho0 = cli._draw_instance(3, rng)
-        assert all(np.array_equal(m, qcore.random_hermitian(3, ref)) for m in (a, b, h))
-        assert t1 == ref.uniform(0.0, 1.0) and t2 == t1 + ref.uniform(0.1, 1.0)
-        assert np.array_equal(rho0, qcore._ginibre_states(3, 1, ref)[0])
-        a, b, h, t1, t2, rho0 = cli._draw_pm1_instance(rng)
-        assert np.array_equal(h, qcore.random_hermitian(2, ref))
-        assert t1 == ref.uniform(0.0, 1.0) and t2 == t1 + ref.uniform(0.1, 1.0)
-        for m in (a, b):
-            n = ref.standard_normal(3)
-            n /= np.linalg.norm(n)
-            assert np.array_equal(m, n[0] * qcore.SIGMA_X + n[1] * qcore.SIGMA_Y + n[2] * qcore.SIGMA_Z)
-        assert np.array_equal(rho0, qcore._ginibre_states(2, 1, ref)[0])
+        for n in (1, 63, 64, 65):
+            expected = []
+            for _ in range(n):
+                a, b, h = (qcore.random_hermitian(3, ref) for _ in range(3))
+                t1 = ref.uniform(0.0, 1.0)
+                expected.append((a, b, h, t1, t1 + ref.uniform(0.1, 1.0), qcore._ginibre_states(3, 1, ref)[0]))
+            assert_same_bytes(cli._draw_instances((3,), n, rng)[0], expected)
+            expected = []
+            for _ in range(n):
+                h = qcore.random_hermitian(2, ref)
+                t1 = ref.uniform(0.0, 1.0)
+                t2 = t1 + ref.uniform(0.1, 1.0)
+                axes = [v / np.linalg.norm(v) for v in (ref.standard_normal(3), ref.standard_normal(3))]
+                a, b = (v[0] * qcore.SIGMA_X + v[1] * qcore.SIGMA_Y + v[2] * qcore.SIGMA_Z for v in axes)
+                expected.append((a, b, h, t1, t2, qcore._ginibre_states(2, 1, ref)[0]))
+            assert_same_bytes(cli._draw_pm1_instances(n, rng), expected)
+            expected = [[] for _ in range(4)]
+            for index in range(4 * n):
+                dim = 2 + index % 2
+                a, b, h = (qcore.random_hermitian(dim, ref) for _ in range(3))
+                t1 = ref.uniform(0.0, 1.0)
+                expected[index % 4].append((a, b, h, t1, t1 + ref.uniform(0.1, 1.0), qcore._ginibre_states(dim, 1, ref)[0]))
+            for block, lane in zip(cli._draw_instances((2, 3, 2, 3), n, rng), expected):
+                assert_same_bytes(block, lane)
+            assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random() == ref.random()
+
+    def test_default_seed_instances_are_pinned(self, monkeypatch):
+        # SHA-256 of the 1,000 random instances each tpm-gap run draws after its 10 dephased starts, at the default
+        # seed, as drawn when every instance was drawn on its own: a change to a drawer's order fails here.
+        blocks = []
+        stacked = correlators._tpm_gaps
+        monkeypatch.setattr(correlators, "_tpm_gaps", lambda *block: blocks.append(block) or stacked(*block))
+        for dim, expected in (
+            (3, "a88762a516a18129bda8ded0e6d7c56bc4e1594d02e0ea50c531188ab671fdd9"),
+            (2, "af802bb77cd4f4a63435ff59dc79460a5191be9e55d6ba75e680f0c2c18c73cf"),
+        ):
+            blocks.clear()
+            assert cli.main(["tpm-gap", "--dim", str(dim)]) == 0
+            digest = hashlib.sha256()
+            for column in zip(*blocks[1:]):
+                digest.update(np.concatenate(column).tobytes())
+            assert digest.hexdigest() == expected
 
     def test_dephased_draw_takes_one_weight_per_distinct_eigenvalue(self, monkeypatch):
         # With every drawn Hermitian replaced by diag(1, 1, -1), A has two distinct eigenvalues, so two weights.
         degenerate = np.diag([1.0, 1.0, -1.0]).astype(complex)
-        draw = qcore.random_hermitian
-        monkeypatch.setattr(qcore, "random_hermitian", lambda dim, rng: draw(dim, rng) * 0.0 + degenerate)
+        hermitians = qcore._hermitians
+        monkeypatch.setattr(qcore, "_hermitians", lambda normals: hermitians(normals) * 0.0 + degenerate)
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-        _, _, _, _, _, rho0 = cli._draw_dephased_instance(3, rng)
+        _, _, _, _, _, rho0 = cli._draw_dephased_instances(3, 1, rng)
         for _ in range(3):
-            draw(3, ref)
+            qcore.random_hermitian(3, ref)
         ref.uniform(0.0, 1.0)
         ref.uniform(0.1, 1.0)
         qcore._ginibre_states(3, 1, ref)  # the state the dephased start replaces
         weights = ref.uniform(0.1, 1.0, 2)
         weights /= weights.sum()
-        assert np.allclose(rho0, np.diag([weights[1] / 2.0, weights[1] / 2.0, weights[0]]), atol=1e-14)
+        assert np.allclose(rho0[0], np.diag([weights[1] / 2.0, weights[1] / 2.0, weights[0]]), atol=1e-14)
         assert rng.random() == ref.random()
 
     def test_every_drawn_matrix_is_checked(self, monkeypatch):
@@ -259,7 +299,7 @@ class TestStackedEigenprep:
         rng = np.random.default_rng(dim * 10 + len(kind))
         instances = []
         for n in range(30):
-            a, b, h, t1, t2, _ = cli._draw_instance(dim, rng)
+            a, b, h, t1, t2, _ = (column[0] for column in cli._draw_instances((dim,), 1, rng)[0])
             if n % 3 == 0:
                 a, b = (qcore.SIGMA_X / 2.0, qcore.SIGMA_Y / 2.0) if dim == 2 else (degenerate_matrix(3, rng), degenerate_matrix(3, rng))
             instances.append((a.astype(complex), b.astype(complex), h, t1, t2))
@@ -286,7 +326,9 @@ class TestStackedEigenprep:
     def test_every_solver_call_takes_at_most_a_block(self, monkeypatch):
         rng = np.random.default_rng(cli.DEFAULT_SEED)
         kinds = ("product", "product", "sum", "sum")
-        eigenstates = sum(len(per_operator_irrealities(kinds[i % 4], *cli._draw_instance(2 + i % 2, rng)[:5])) for i in range(100))
+        groups = cli._draw_instances((2, 3, 2, 3), 25, rng)
+        eigenstates = sum(len(per_operator_irrealities(kind, *(column[row] for column in group[:5])))
+                          for group, kind in zip(groups, kinds) for row in range(25))
         shapes = {"eigh": [], "eigvalsh": []}
         for name, calls in shapes.items():
             solver = getattr(np.linalg, name)

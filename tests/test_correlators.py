@@ -411,9 +411,10 @@ def _qubit_parts():
          "projector dim 2, state dim 3, channel dim 3"),
         (lambda x, z, ch, rho3: dephase(z, rho3), "observable dim 2, state dim 3"),
         (lambda x, z, ch, rho3: complementarity_bound_check(rho3, x, z), "first dim 2, second dim 2, state dim 3"),
+        (lambda x, z, ch, rho3: KrausChannel([np.eye(2), z.matrix, np.eye(3)]), "K0 dim 2, K1 dim 2, K2 dim 3"),
     ],
     ids=["relative_entropy", "evolve_state", "evolve_observable", "TwoTimeOperator", "heisenberg_correlator",
-         "tpm_joint_distribution", "lambda_operator", "dephase", "complementarity_bound_check"],
+         "tpm_joint_distribution", "lambda_operator", "dephase", "complementarity_bound_check", "KrausChannel"],
 )
 def test_every_dimension_check_raises_one_message_naming_every_part(call, message):
     with pytest.raises(ValueError) as info:

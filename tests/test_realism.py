@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from twotime import qcore
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -283,6 +284,17 @@ class TestComplementarityBound:
         for vec in [(0.5, 0.5, 0.0), (0.0, 0.4, 0.4), (0.4, 0.0, 0.4), (0.46, 0.46, 0.46)]:
             report = complementarity_bound_check(bloch_to_state(vec))
             assert report.slack > 1e-4
+
+    def test_default_pair_is_built_once(self, monkeypatch):
+        # 1,000 default calls decompose sigma_x and sigma_y at most once each, and score as with the pair passed in.
+        decomposed = []
+        spectra = qcore._spectra
+        monkeypatch.setattr(qcore, "_spectra", lambda stack: decomposed.append(len(stack)) or spectra(stack))
+        states = [bloch_to_state(vec) for vec in bloch_vectors(0.7, 1000, seed=2026)]
+        reports = [complementarity_bound_check(rho) for rho in states]
+        assert len(decomposed) <= 2
+        pair = Observable(SIGMA_X), Observable(SIGMA_Y)
+        assert reports == [complementarity_bound_check(rho, *pair) for rho in states]
 
     def test_general_pair_requires_depolarizing_composition(self):
         rho = DensityMatrix.maximally_mixed(2)
