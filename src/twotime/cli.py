@@ -99,30 +99,23 @@ def cmd_figure1(args) -> int:
 
 def cmd_lambda(args) -> int:
     """Tabulate the conditional operator's Bloch norm over a theta grid, once it checks out."""
-    alpha = (np.eye(2, dtype=complex) - qcore.SIGMA_Z) / 2.0
-    channel = dynamics.ChannelFamily(np.zeros((2, 2), dtype=complex))
-    rows = []
-    max_norm_defect = 0.0
-    physical_thetas = []
-    for i in range(1, args.theta_steps + 1):
-        theta = i * math.pi / args.theta_steps
-        direction = (math.sin(theta), 0.0, math.cos(theta))
-        _, nu_norm = spinlab.bloch_lambda_nu(direction)
-        report = correlators.lambda_operator(alpha, qcore.bloch_to_state(direction), 0.0, channel)
-        rows.append((theta, nu_norm, report.min_eigenvalue, report.physical))
-        max_norm_defect = max(max_norm_defect, abs(nu_norm - 1.0 / abs(math.sin(theta / 2.0))))
-        if report.physical:
-            physical_thetas.append(theta)
-    ok = max_norm_defect <= IDENTITY_TOL and physical_thetas == [rows[-1][0]]
-    if not ok:
-        print(
-            f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {physical_thetas}",
-            file=sys.stderr,
-        )
+    alpha = (np.eye(2, dtype=complex) - qcore.SIGMA_Z) / 2.0  # diag(0, 1), a projector exactly
+    theta = np.arange(1, args.theta_steps + 1) * math.pi / args.theta_steps
+    directions = np.stack([qcore._each(math.sin, theta), np.zeros_like(theta), qcore._each(math.cos, theta)], axis=1)
+    _, nu_norm = spinlab._lambda_nus(directions)
+    # Each state passes the DensityMatrix checks and each conditional operator one eigvalsh, a block at a time.
+    min_eigenvalue = np.concatenate([
+        correlators._lambdas(alpha, qcore._states(qcore._bloch_states(directions[block]))[0])[1][:, 0]
+        for block in qcore._blocks(args.theta_steps)
+    ])
+    physical = min_eigenvalue >= qcore.PSD_FLOOR
+    physical_thetas = theta[physical].tolist()
+    max_norm_defect = float(np.max(np.abs(nu_norm - 1.0 / np.abs(qcore._each(math.sin, theta / 2.0)))))
+    if not (max_norm_defect <= IDENTITY_TOL and physical_thetas == [theta[-1]]):
+        print(f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {physical_thetas}", file=sys.stderr)
         return 1
-    theta, nu_norm, min_eigenvalue, physical = zip(*rows)
-    physical = ["true" if p else "false" for p in physical]
-    (path,) = _write_tables(args, [("lambda", LAMBDA_HEADER, [theta, nu_norm, min_eigenvalue, physical])])
+    cells = [theta.tolist(), nu_norm.tolist(), min_eigenvalue.tolist(), ["true" if p else "false" for p in physical]]
+    (path,) = _write_tables(args, [("lambda", LAMBDA_HEADER, cells)])
     fraction = len(physical_thetas) / args.theta_steps
     print(f"wrote {args.theta_steps} rows to {path}")
     print(f"fraction of physical points: {fraction:.6g} (expected {1 / args.theta_steps:.6g}, theta = pi only)")
@@ -231,30 +224,25 @@ def _report_eigenprep(args) -> bool:
     )
 
 
-def _random_gaussian_prep(rng) -> gaussian.GaussianPrep:
-    dx = math.exp(rng.uniform(-1.0, 1.0))
-    dp = (0.5 / dx) * math.exp(rng.uniform(0.0, 1.5))
-    c_max = math.sqrt(dx**2 * dp**2 - 0.25)
-    corr = rng.uniform(-1.0, 1.0) * 0.999 * c_max
-    return gaussian.GaussianPrep(
-        x0=rng.uniform(-2.0, 2.0), p0=rng.uniform(-2.0, 2.0), dx=dx, dp=dp, xp_corr=corr
-    )
+def _draw_displacements(n, rng):
+    """Columns (p0, dx, dp, xp_corr, mass, t1, t2) of n checked preparations, masses and intervals. Row i takes the
+    i-th eight uniforms, in the order the per-row uniform(low, high) = low + (high - low) * random() calls took them."""
+    u = rng.random((n, 8)).T
+    dx = qcore._each(math.exp, -1.0 + 2.0 * u[0])
+    dp = (0.5 / dx) * qcore._each(math.exp, 1.5 * u[1])
+    c_max = np.sqrt(qcore._each(gaussian._squared, dx) * qcore._each(gaussian._squared, dp) - 0.25)
+    xp_corr = (-1.0 + 2.0 * u[2]) * 0.999 * c_max
+    p0, mass, t1 = -2.0 + 4.0 * u[4], qcore._each(math.exp, -1.0 + 2.0 * u[5]), 2.0 * u[6]
+    gaussian._preps(-2.0 + 4.0 * u[3], p0, dx, dp, xp_corr)
+    gaussian._masses(mass)
+    return p0, dx, dp, xp_corr, mass, t1, t1 + (0.01 + (3.0 - 0.01) * u[7])
 
 
 def _report_displacement(args) -> bool:
-    rng = np.random.default_rng(args.seed)
-    min_product = math.inf
-    min_weighted = math.inf
-    spread_defect = 0.0
-    for _ in range(1000):
-        prep = _random_gaussian_prep(rng)
-        particle = gaussian.FreeParticle(math.exp(rng.uniform(-1.0, 1.0)))
-        t1 = rng.uniform(0.0, 2.0)
-        t2 = t1 + rng.uniform(0.01, 3.0)
-        report = gaussian.uncertainty_report(prep, particle, t1, t2)
-        min_product = min(min_product, report.product_slack)
-        min_weighted = min(min_weighted, report.weighted_slack)
-        spread_defect = max(spread_defect, abs(report.displacement_spread - prep.dp * (t2 - t1) / particle.mass))
+    p0, dx, dp, xp_corr, mass, t1, t2 = columns = _draw_displacements(1000, np.random.default_rng(args.seed))
+    _, _, spread, _, _, product_slack, _, _, weighted_slack = gaussian._uncertainties(*columns)
+    min_product, min_weighted = float(product_slack.min()), float(weighted_slack.min())
+    spread_defect = float(np.max(np.abs(spread - dp * (t2 - t1) / mass)))
     ok = min_product >= -UNCERTAINTY_TOL and min_weighted >= -UNCERTAINTY_TOL and spread_defect == 0.0
     return _check(
         "displacement",
@@ -264,26 +252,29 @@ def _report_displacement(args) -> bool:
     )
 
 
+def _precessions(n, rng):
+    """Draw n field directions h (n, 3), each divided by its norm as np.linalg.norm computes it, and phases tau (n,):
+    two generator calls per draw, as each draw took them. Returns h, tau, then sigma(tau), sigma(tau +- step), the torque
+    and the Paulis propagated by precession_channel(h) as (n, 3, 2, 2) stacks, one Hamiltonian eigh per block."""
+    normals, uniforms = np.empty((n, 3)), np.empty((n, 1))
+    for row in range(n):
+        rng.standard_normal(out=normals[row])
+        rng.random(out=uniforms[row])
+    h, tau = normals / qcore._norms(normals)[:, None], -4.0 * math.pi + 8.0 * math.pi * uniforms[:, 0]
+    taus = np.concatenate([tau, tau + FINITE_DIFF_STEP, tau - FINITE_DIFF_STEP])
+    (evolved, plus, minus), (torque, _, _) = (np.split(stack, 3) for stack in spinlab._precession(np.tile(h, (3, 1)), taus))
+    _, _, fields = spinlab._field_algebra(h)
+    u = np.concatenate([dynamics._unitaries(*dynamics._hamiltonians(fields[block])[1:], tau[block])
+                        for block in qcore._blocks(n)])
+    return h, tau, evolved, plus, minus, torque, u.conj().swapaxes(1, 2)[:, None] @ np.array(qcore.SIGMA) @ u[:, None]
+
+
 def _report_precession(args) -> bool:
-    rng = np.random.default_rng(args.seed)
-    closed_vs_channel = 0.0
-    field_component = 0.0
-    derivative_defect = 0.0
-    paulis = np.array(qcore.SIGMA)  # propagated as one stack: one unitary per draw
-    for _ in range(100):
-        h = rng.standard_normal(3)
-        h /= np.linalg.norm(h)
-        tau = rng.uniform(-4.0 * math.pi, 4.0 * math.pi)
-        channel = spinlab.precession_channel(h)
-        evolved = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau))
-        torque = spinlab.instantaneous_torque(h, tau)
-        plus = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau + FINITE_DIFF_STEP))
-        minus = spinlab.pauli_heisenberg(spinlab.PrecessionConfig(h, tau - FINITE_DIFF_STEP))
-        field_dot_torque = sum(h[i] * torque[i] for i in range(3))
-        field_component = max(field_component, np.max(np.abs(field_dot_torque)))
-        closed_vs_channel = max(closed_vs_channel, np.max(np.abs(np.array(evolved) - channel.propagate_observable(paulis, tau))))
-        finite_diff = (np.array(plus) - np.array(minus)) / (2.0 * FINITE_DIFF_STEP)
-        derivative_defect = max(derivative_defect, np.max(np.abs(finite_diff - np.array(torque))))
+    h, _, evolved, plus, minus, torque, propagated = _precessions(100, np.random.default_rng(args.seed))
+    h0, h1, h2 = h.T[..., None, None]
+    field_component = float(np.max(np.abs(h0 * torque[:, 0] + h1 * torque[:, 1] + h2 * torque[:, 2])))
+    closed_vs_channel = float(np.max(np.abs(evolved - propagated)))
+    derivative_defect = float(np.max(np.abs((plus - minus) / (2.0 * FINITE_DIFF_STEP) - torque)))
     tol = PRECESSION_TOL
     ok = closed_vs_channel <= tol and field_component <= tol and derivative_defect <= FINITE_DIFF_TOL
     return _check(

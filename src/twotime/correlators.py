@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily, _hamiltonians, _require_unitary, _unitaries
-from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR
+from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, _require
 from .qcore import DensityMatrix, Observable, _as_square_complex, _readonly, _same_dim, _spectra, _states, _symmetrized
 
 _KINDS = ("product", "sum")
@@ -104,9 +104,8 @@ def heisenberg_correlator(op: TwoTimeOperator, rho0: DensityMatrix) -> float:
 def _trace_forms(c12: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     # Tr(C12 rho0) for (n, d, d) stacks, each C12 passing the Hermitian check first.
     values = np.trace(_symmetrized(c12, "two-time operator", OPERATOR_HERMITICITY_TOL) @ rho0, axis1=1, axis2=2)
-    spurious = np.flatnonzero(np.abs(values.imag) > IMAGINARY_TOL)
-    if spurious.size:
-        raise ArithmeticError(f"correlator has spurious imaginary part {values.imag[spurious[0]]:.3e}")
+    _require(~(np.abs(values.imag) > IMAGINARY_TOL), "correlator has spurious imaginary part {imag:.3e}", ArithmeticError,
+             imag=values.imag)
     return values.real
 
 
@@ -138,9 +137,7 @@ def _tpm_joints(a_projectors: np.ndarray, b_projectors: np.ndarray, rho_t1: np.n
     evolved = evolve(branches / np.where(kept, marginals, 1.0)[..., None, None])
     conditional = np.einsum("nbij,nkji->nkb", b_projectors, evolved).real
     sums = conditional.sum(axis=2)[kept]
-    off = np.flatnonzero(~(np.abs(sums - 1.0) <= MEASUREMENT_TOL))
-    if off.size:
-        raise ArithmeticError(f"conditional distribution sums to {sums[off[0]]:.15g}")
+    _require(np.abs(sums - 1.0) <= MEASUREMENT_TOL, "conditional distribution sums to {s:.15g}", ArithmeticError, s=sums)
     return np.where(kept[..., None], marginals[..., None] * np.clip(conditional, 0.0, 1.0), 0.0)
 
 
@@ -180,23 +177,21 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
     enough. When they commute and alpha is rank one, it equals alpha itself.
     """
     alpha = _symmetrized(_as_square_complex(projector), "projector", OPERATOR_HERMITICITY_TOL)
-    if not np.max(np.abs(alpha @ alpha - alpha)) <= MEASUREMENT_TOL:
-        raise ValueError("projector must be idempotent")
+    _require(np.max(np.abs(alpha @ alpha - alpha)) <= MEASUREMENT_TOL, "projector must be idempotent")
     _same_dim(projector=alpha.shape[0], state=rho0.dim, channel=channel.dim)
-    rho_t1 = channel.propagate_state(rho0.matrix, t1)
-    denom = np.trace(alpha @ rho_t1).real
-    if denom <= MARGINAL_TOL:
-        raise ValueError(f"unconditioned outcome: Tr(alpha rho_t1) = {denom:.3e}")
-    lam = (alpha @ rho_t1 + rho_t1 @ alpha) / (2.0 * denom)
-    lam = (lam + lam.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(lam)
-    min_eig = float(eigs[0])
-    return LambdaReport(
-        matrix=_readonly(lam),
-        min_eigenvalue=min_eig,
-        trace=float(lam.trace().real),
-        physical=min_eig >= PSD_FLOOR,
-    )
+    lam, eigs = _lambdas(alpha, channel.propagate_state(rho0.matrix, t1)[None])
+    return LambdaReport(matrix=_readonly(lam[0]), min_eigenvalue=float(eigs[0, 0]), trace=float(lam[0].trace().real),
+                        physical=bool(eigs[0, 0] >= PSD_FLOOR))
+
+
+def _lambdas(alpha: np.ndarray, rho_t1: np.ndarray):
+    """The conditional operators of a checked projector and an (n, d, d) stack of states at t1, symmetrized, with
+    their ascending eigenvalues from one eigvalsh over the stack."""
+    denom = np.trace(alpha @ rho_t1, axis1=1, axis2=2).real
+    _require(~(denom <= MARGINAL_TOL), "unconditioned outcome: Tr(alpha rho_t1) = {denom:.3e}", denom=denom)
+    lam = (alpha @ rho_t1 + rho_t1 @ alpha) / (2.0 * denom)[:, None, None]
+    lam = (lam + lam.conj().swapaxes(1, 2)) / 2.0
+    return lam, np.linalg.eigvalsh(lam)
 
 
 def prepare_eigenstate(op: TwoTimeOperator, k: int) -> DensityMatrix:

@@ -12,12 +12,10 @@ sequential-measurement simulator: a fixed Kraus map applied once per
 propagation segment, with no time parameterization.
 """
 
-import math
-
 import numpy as np
 
 from .qcore import MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, DensityMatrix, Observable
-from .qcore import _as_square_complex, _readonly, _same_dim, _symmetrized
+from .qcore import _as_square_complex, _readonly, _require, _same_dim, _symmetrized
 
 
 class ChannelFamily:
@@ -67,10 +65,9 @@ def _hamiltonians(stack: np.ndarray):
 
 def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i H t) for an (n, d) stack of H's eigenvalues, (n, d, d) of its eigenvectors and (n,) times."""
-    for t, row in zip(times.tolist(), energies.tolist()):
-        # Every phase E t must be finite; a float product, so an overflow gives inf without a warning.
-        if not math.isfinite(t * max(map(abs, row))):
-            raise ValueError(f"time must be finite and keep every phase E*t finite, got {t!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or 0 * inf gives inf or nan, which fails below
+        largest = times * np.abs(energies).max(axis=1)
+    _require(np.isfinite(largest), "time must be finite and keep every phase E*t finite, got {t!r}", t=times)
     phases = np.exp(energies * (-1j * times)[:, None])
     return (modes * phases[:, None, :]) @ modes.conj().swapaxes(1, 2)
 

@@ -19,13 +19,14 @@ zero for a near-momentum-eigenstate while the position spreads blow up.
 import math
 from dataclasses import dataclass
 
-from .qcore import UNCERTAINTY_TOL
+import numpy as np
+
+from .qcore import UNCERTAINTY_TOL, _each, _finite, _require
 
 
-def _finite(**values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _columns(*values):
+    # One-row columns: every check and formula here is the one-row view of a column kernel.
+    return tuple(np.array([value], dtype=float) for value in values)
 
 
 def _squared(x: float) -> float:
@@ -51,13 +52,16 @@ class GaussianPrep:
     xp_corr: float = 0.0
 
     def __post_init__(self):
-        _finite(x0=self.x0, p0=self.p0, dx=self.dx, dp=self.dp, xp_corr=self.xp_corr)
-        if self.dx <= 0.0 or self.dp <= 0.0:
-            raise ValueError(f"spreads must be positive, got dx={self.dx!r}, dp={self.dp!r}")
-        det = _squared(self.dx) * _squared(self.dp) - _squared(self.xp_corr)
-        _finite(covariance_determinant=det)
-        if det < 0.25 - UNCERTAINTY_TOL:
-            raise ValueError(f"covariance determinant {det:.15g} violates the uncertainty floor 1/4")
+        _preps(*_columns(self.x0, self.p0, self.dx, self.dp, self.xp_corr))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow to inf and inf - inf to nan pass silently, as with floats
+def _preps(x0, p0, dx, dp, xp_corr) -> None:
+    _finite(x0=x0, p0=p0, dx=dx, dp=dp, xp_corr=xp_corr)
+    _require((dx > 0.0) & (dp > 0.0), "spreads must be positive, got dx={dx!r}, dp={dp!r}", dx=dx, dp=dp)
+    det = _each(_squared, dx) * _each(_squared, dp) - _each(_squared, xp_corr)
+    _finite(covariance_determinant=det)
+    _require(det >= 0.25 - UNCERTAINTY_TOL, "covariance determinant {det:.15g} violates the uncertainty floor 1/4", det=det)
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,12 @@ class FreeParticle:
     mass: float
 
     def __post_init__(self):
-        _finite(mass=self.mass)
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass!r}")
+        _masses(*_columns(self.mass))
+
+
+def _masses(mass) -> None:
+    _finite(mass=mass)
+    _require(mass > 0.0, "mass must be positive, got {mass!r}", mass=mass)
 
 
 @dataclass(frozen=True)
@@ -91,48 +98,48 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
     mean = p0 (t2 - t1) / m, spread = dp (t2 - t1) / m. The dp -> 0 limit
     makes the displacement definite for any bounded interval.
     """
+    return tuple(float(column[0]) for column in _displacements(*_columns(g.p0, g.dp, fp.mass, t1, t2)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _displacements(p0, dp, mass, t1, t2):
     _finite(t1=t1, t2=t2)
-    if t2 < t1:
-        raise ValueError(f"interval must be ordered, got t1={t1!r}, t2={t2!r}")
+    _require(t2 >= t1, "interval must be ordered, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     dt = t2 - t1
-    mean, spread = g.p0 * dt / fp.mass, g.dp * dt / fp.mass
+    mean, spread = p0 * dt / mass, dp * dt / mass
     _finite(displacement_mean=mean, displacement_spread=spread)
     return mean, spread
 
 
 def position_spread(g: GaussianPrep, fp: FreeParticle, t: float) -> float:
     """Spread of X_t = X + P t / m: sqrt(dx^2 + (dp t / m)^2 + 2 xp_corr t / m)."""
+    return float(_position_spreads(*_columns(g.dx, g.dp, g.xp_corr, fp.mass, t))[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _position_spreads(dx, dp, xp_corr, mass, t):
     _finite(t=t)
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t!r}")
-    variance = _squared(g.dx) + _squared(g.dp * t / fp.mass) + 2.0 * g.xp_corr * t / fp.mass
+    _require(t >= 0.0, "time must be non-negative, got {t!r}", t=t)
+    variance = _each(_squared, dx) + _each(_squared, dp * t / mass) + 2.0 * xp_corr * t / mass
     _finite(position_variance=variance)
-    if variance < 0.0:
-        raise ValueError(f"position variance {variance:.15g} is negative: inconsistent covariance")
-    return math.sqrt(variance)
+    _require(variance >= 0.0, "position variance {variance:.15g} is negative: inconsistent covariance", variance=variance)
+    return np.sqrt(variance)
 
 
 def uncertainty_report(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float) -> UncertaintyReport:
     """Evaluate both displacement/position trade-offs for one preparation."""
+    return UncertaintyReport(*(float(c[0]) for c in _uncertainties(*_columns(g.p0, g.dx, g.dp, g.xp_corr, fp.mass, t1, t2))))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _uncertainties(p0, dx, dp, xp_corr, mass, t1, t2):
+    # The UncertaintyReport fields, in order, as columns, for columns of checked preparations and masses.
     _finite(t1=t1, t2=t2)
-    if not t2 > t1:
-        raise ValueError(f"interval must satisfy t2 > t1, got t1={t1!r}, t2={t2!r}")
+    _require(t2 > t1, "interval must satisfy t2 > t1, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     dt = t2 - t1
-    dx1 = position_spread(g, fp, t1)
-    dx2 = position_spread(g, fp, t2)
-    _, d_disp = displacement_stats(g, fp, t1, t2)
-    product_value = dx1 * dx2
-    product_bound = dt / (2.0 * fp.mass)
-    weighted_value = d_disp * (dx1 + dx2)
-    weighted_bound = dt / fp.mass
-    return UncertaintyReport(
-        spread_t1=dx1,
-        spread_t2=dx2,
-        displacement_spread=d_disp,
-        product_value=product_value,
-        product_bound=product_bound,
-        product_slack=product_value - product_bound,
-        weighted_value=weighted_value,
-        weighted_bound=weighted_bound,
-        weighted_slack=weighted_value - weighted_bound,
-    )
+    dx1, dx2 = (_position_spreads(dx, dp, xp_corr, mass, t) for t in (t1, t2))
+    _, d_disp = _displacements(p0, dp, mass, t1, t2)
+    product_value, product_bound = dx1 * dx2, dt / (2.0 * mass)
+    weighted_value, weighted_bound = d_disp * (dx1 + dx2), dt / mass
+    return (dx1, dx2, d_disp, product_value, product_bound, product_value - product_bound,
+            weighted_value, weighted_bound, weighted_value - weighted_bound)

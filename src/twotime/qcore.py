@@ -53,6 +53,18 @@ def _as_square_complex(matrix) -> np.ndarray:
     return m
 
 
+def _require(ok, message: str, error=ValueError, **columns) -> None:
+    """Raise error(message), filled with the named columns' entries as Python floats, at the first row where ok fails."""
+    ok = np.ravel(ok)
+    if not ok.all():  # argmin of a boolean array is its first False
+        raise error(message.format(**{name: float(np.ravel(column)[np.argmin(ok)]) for name, column in columns.items()}))
+
+
+def _finite(**columns) -> None:
+    for name, column in columns.items():
+        _require(np.isfinite(column), name + " must be finite, got {value!r}", value=column)
+
+
 def _same_dim(**dims) -> None:
     """Raise one message naming every part's dimension unless all of ``dims`` (name=dim) agree."""
     if len(set(dims.values())) > 1:
@@ -79,9 +91,8 @@ def _states(stack: np.ndarray, vectors: bool = False):
         raise ValueError(f"density matrix trace is {traces[off[0]]:.15g}, expected 1")
     spectrum = np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
     eigs = spectrum[0] if vectors else spectrum
-    low = np.flatnonzero(eigs[:, 0] < PSD_FLOOR)
-    if low.size:
-        raise ValueError(f"density matrix is not positive semidefinite: min eigenvalue = {eigs[low[0], 0]:.3e}")
+    low = eigs[:, 0]
+    _require(~(low < PSD_FLOOR), "density matrix is not positive semidefinite: min eigenvalue = {low:.3e}", low=low)
     return m, spectrum
 
 
@@ -253,13 +264,20 @@ class BlochVector:
         return f"BlochVector(({x:.6g}, {y:.6g}, {z:.6g}))"
 
 
+def _blocks(n: int) -> list:
+    # Slices of at most STACK_BLOCK rows covering range(n): the most one stacked LAPACK call takes.
+    return [slice(start, start + STACK_BLOCK) for start in range(0, n, STACK_BLOCK)]
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    # Each row's norm of an (n, 3) array, bitwise np.linalg.norm's (sqrt of its BLAS dot; a row sum can differ by an ulp).
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+
+
 def _bloch_norms(vectors: np.ndarray) -> np.ndarray:
-    """Norms of the rows of an (n, 3) array, each bitwise np.linalg.norm of its row (sqrt of the BLAS dot
-    it uses; a row sum can differ in the last ulp); a row of norm above 1 + UNIT_NORM_TOL, or NaN, is rejected."""
-    norms = np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
-    bad = np.flatnonzero(~(norms <= 1.0 + UNIT_NORM_TOL))
-    if bad.size:
-        raise ValueError(f"Bloch vector norm {norms[bad[0]]:.15g} is not finite or exceeds 1")
+    """``_norms`` of an (n, 3) array; a row of norm above 1 + UNIT_NORM_TOL, or NaN, is rejected."""
+    norms = _norms(vectors)
+    _require(norms <= 1.0 + UNIT_NORM_TOL, "Bloch vector norm {norm:.15g} is not finite or exceeds 1", norm=norms)
     return norms
 
 
@@ -296,9 +314,7 @@ def _relative_entropies(rho: np.ndarray, entropy: float, q: np.ndarray, basis: n
     infinite = np.any(null & (weights > SUPPORT_WEIGHT_TOL), axis=1)
     cross = (weights * np.log(np.where(null, 1.0, q))).sum(axis=1)  # log 1 = 0 on the null space
     values = np.where(infinite, math.inf, -entropy - cross)
-    negative = np.flatnonzero(values < -NEGATIVE_ENTROPY_TOL)
-    if negative.size:
-        raise ArithmeticError(f"relative entropy evaluated to {values[negative[0]]:.3e} < 0")
+    _require(~(values < -NEGATIVE_ENTROPY_TOL), "relative entropy evaluated to {v:.3e} < 0", ArithmeticError, v=values)
     return np.where(values < 0.0, 0.0, values)
 
 
@@ -310,9 +326,8 @@ def binary_entropy(u):
     formula does on that float alone.
     """
     values = np.asarray(u, dtype=float)
-    outside = ~((values >= -PROBABILITY_TOL) & (values <= 1.0 + PROBABILITY_TOL))
-    if outside.any():
-        raise ValueError(f"binary entropy argument {float(values[outside][0])!r} outside [0, 1]")
+    inside = (values >= -PROBABILITY_TOL) & (values <= 1.0 + PROBABILITY_TOL)
+    _require(inside, "binary entropy argument {u!r} outside [0, 1]", u=values)
     p = np.clip(values, 0.0, 1.0).reshape(-1)
     inner = np.flatnonzero((p > 0.0) & (p < 1.0))
     q = p[inner]
@@ -330,9 +345,13 @@ def _each(fn, values: np.ndarray) -> np.ndarray:
 def bloch_to_state(r) -> DensityMatrix:
     """Qubit state (1 + r . sigma) / 2 from a Bloch vector (or 3-sequence)."""
     vec = r if isinstance(r, BlochVector) else BlochVector(r)
-    x, y, z = vec.components
-    m = 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
-    return DensityMatrix(m)
+    return DensityMatrix(_bloch_states(vec.components[None])[0])
+
+
+def _bloch_states(vectors: np.ndarray) -> np.ndarray:
+    # Unchecked (n, 2, 2) states (1 + r . sigma) / 2 of the rows of an (n, 3) array of Bloch vectors.
+    x, y, z = (vectors[:, i, None, None] for i in range(3))
+    return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def state_to_bloch(rho: DensityMatrix) -> BlochVector:

@@ -22,9 +22,9 @@ from .qcore import (
     MEASUREMENT_TOL,
     SIGMA_X,
     SIGMA_Y,
-    STACK_BLOCK,
     DensityMatrix,
     Observable,
+    _blocks,
     _entropies,
     _ginibre_states,
     _relative_entropies,
@@ -86,7 +86,7 @@ def _eigenstate_irrealities(projectors: np.ndarray) -> np.ndarray:
     _spectra pads them, 0 in the zero slots; STACK_BLOCK eigenstates at a time."""
     values = np.zeros(projectors.shape[:2])
     rows = np.argwhere(projectors.any(axis=(2, 3)))
-    for n, k in (rows[start:start + STACK_BLOCK].T for start in range(0, len(rows), STACK_BLOCK)):
+    for n, k in (rows[block].T for block in _blocks(len(rows))):
         slots = projectors[n, k]
         states, eigs = _states(slots / np.rint(np.trace(slots, axis1=1, axis2=2).real)[:, None, None])
         _, dephased_eigs = _states(_dephase(projectors[n].swapaxes(0, 1), states))
@@ -123,12 +123,11 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     rho_in_frame, s_rho = frame.conj().T @ rho.matrix @ frame, von_neumann_entropy(rho)
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
-    for start in range(0, n_samples, STACK_BLOCK):
-        block = values[start:start + STACK_BLOCK]
-        sigmas, _ = _states(_ginibre_states(rho.dim, len(block), rng))
+    for block in _blocks(n_samples):
+        sigmas, _ = _states(_ginibre_states(rho.dim, len(values[block]), rng))
         # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
         _, spectrum = _states(mask * (frame.conj().T @ sigmas @ frame), vectors=True)
-        block[:] = _relative_entropies(rho_in_frame, s_rho, *spectrum)
+        values[block] = _relative_entropies(rho_in_frame, s_rho, *spectrum)
     finite = values[np.isfinite(values)]
     return MinFormReport(
         irreality=j,

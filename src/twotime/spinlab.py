@@ -26,14 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily
-from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _each, _readonly, binary_entropy
+from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _each, _finite, _norms, _readonly
+from .qcore import _require, binary_entropy
 
 CURVE_POINTS = 360  # evenly spaced phi values of each radius' equatorial boundary curve
 
 
 @dataclass(frozen=True)
 class PrecessionConfig:
-    """Field direction (unit 3-vector) and dimensionless phase tau = omega*t."""
+    """Field direction (unit 3-vector) and dimensionless phase tau = omega*t, which must be finite."""
 
     h_hat: np.ndarray
     tau: float
@@ -41,6 +42,7 @@ class PrecessionConfig:
     def __post_init__(self):
         object.__setattr__(self, "h_hat", _unit_vector(self.h_hat))
         object.__setattr__(self, "tau", float(self.tau))
+        _finite(tau=self.tau)
 
 
 @dataclass(frozen=True)
@@ -58,42 +60,50 @@ def _unit_vector(vector) -> np.ndarray:
     v = np.asarray(vector, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-        raise ValueError(f"expected a unit vector, got norm {norm:.15g}")
+    _unit_vectors(v[None])
     return _readonly(v.copy())
 
 
+def _unit_vectors(vectors: np.ndarray) -> None:
+    # Each row of an (n, 3) array must have norm 1 within UNIT_NORM_TOL.
+    norms = _norms(vectors)
+    _require(np.abs(norms - 1.0) <= UNIT_NORM_TOL, "expected a unit vector, got norm {norm:.15g}", norm=norms)
+
+
 def _field_algebra(h):
+    # (n, 2, 2) stacks of h . sigma, h x sigma by component and the Hamiltonian (h . sigma) / 2, for (n, 3) unit h.
     sx, sy, sz = SIGMA
-    h_dot_sigma = h[0] * sx + h[1] * sy + h[2] * sz
-    cross = (
-        h[1] * sz - h[2] * sy,
-        h[2] * sx - h[0] * sz,
-        h[0] * sy - h[1] * sx,
-    )
-    return h_dot_sigma, cross
+    h0, h1, h2 = h.T[..., None, None]
+    h_dot_sigma = h0 * sx + h1 * sy + h2 * sz
+    return h_dot_sigma, (h1 * sz - h2 * sy, h2 * sx - h0 * sz, h0 * sy - h1 * sx), h_dot_sigma / 2.0
+
+
+def _precession(h, tau):
+    """sigma(tau) and the torque d sigma / d tau as (n, 3, 2, 2) stacks, for (n, 3) unit field directions and (n,)
+    phases, each phase checked finite; every entry rounds as it does for one draw (cos and sin through math)."""
+    _finite(tau=tau)
+    c, s = (_each(fn, tau)[:, None, None] for fn in (math.cos, math.sin))
+    h_dot_sigma, cross, _ = _field_algebra(h)
+    along = [h_i * h_dot_sigma for h_i in h.T[..., None, None]]
+    evolved = [sigma_i * c + cross_i * s + along_i * (1.0 - c) for sigma_i, cross_i, along_i in zip(SIGMA, cross, along)]
+    torque = [cross_i * c + (along_i - sigma_i) * s for sigma_i, cross_i, along_i in zip(SIGMA, cross, along)]
+    return np.stack(evolved, axis=1), np.stack(torque, axis=1)
 
 
 def pauli_heisenberg(cfg: PrecessionConfig):
     """Heisenberg-evolved Pauli vector sigma(tau) as three 2x2 matrices."""
-    h, tau = cfg.h_hat, cfg.tau
-    c, s = math.cos(tau), math.sin(tau)
-    h_dot_sigma, cross = _field_algebra(h)
-    return tuple(
-        sigma_i * c + cross_i * s + h[i] * h_dot_sigma * (1.0 - c)
-        for i, (sigma_i, cross_i) in enumerate(zip(SIGMA, cross))
-    )
+    return tuple(_precession(cfg.h_hat[None], np.array([cfg.tau]))[0][0])
 
 
 def finite_torque(h_hat, tau1: float, tau2: float):
     """Mean dimensionless torque over [tau1, tau2]: (sigma(tau2) - sigma(tau1)) / (tau2 - tau1)."""
     if tau2 == tau1:
         raise ValueError("tau2 == tau1: use instantaneous_torque for the zero-interval limit")
-    before = pauli_heisenberg(PrecessionConfig(h_hat, tau1))
-    after = pauli_heisenberg(PrecessionConfig(h_hat, tau2))
-    dtau = tau2 - tau1
-    return tuple((a - b) / dtau for a, b in zip(after, before))
+    before, after = _precession(np.tile(_unit_vector(h_hat), (2, 1)), np.array([tau1, tau2], dtype=float))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (after - before) / (tau2 - tau1)
+    _require(np.isfinite(mean).all(), "mean torque over [{tau1!r}, {tau2!r}] is not finite", tau1=tau1, tau2=tau2)
+    return tuple(mean)
 
 
 def instantaneous_torque(h_hat, tau: float):
@@ -101,20 +111,12 @@ def instantaneous_torque(h_hat, tau: float):
 
     Orthogonal to the field as an operator identity: h . T = 0.
     """
-    h = _unit_vector(h_hat)
-    c, s = math.cos(tau), math.sin(tau)
-    h_dot_sigma, cross = _field_algebra(h)
-    return tuple(
-        cross_i * c + (h[i] * h_dot_sigma - sigma_i) * s
-        for i, (sigma_i, cross_i) in enumerate(zip(SIGMA, cross))
-    )
+    return tuple(_precession(_unit_vector(h_hat)[None], np.array([tau], dtype=float))[1][0])
 
 
 def precession_channel(h_hat) -> ChannelFamily:
     """Unitary family for precession about h with omega = 1, so t = tau."""
-    h = _unit_vector(h_hat)
-    h_dot_sigma, _ = _field_algebra(h)
-    return ChannelFamily(h_dot_sigma / 2.0)
+    return ChannelFamily(_field_algebra(_unit_vector(h_hat)[None])[2][0])
 
 
 def torque_irreality_pair(r_vec) -> TorquePair:
@@ -162,12 +164,17 @@ def bloch_lambda_nu(r_hat1):
     Its norm is 1 / |sin(theta / 2)| >= 1, so the operator lies outside the
     Bloch ball except at theta = pi.
     """
-    r1 = _unit_vector(r_hat1)
-    denom = 1.0 - r1[2]
-    if denom <= POLE_TOL:
-        raise ValueError("pole: the conditional Bloch vector diverges as r1 -> z")
-    nu = (r1 - np.array([0.0, 0.0, 1.0])) / denom
-    return nu, float(np.linalg.norm(nu))
+    nu, norm = _lambda_nus(_unit_vector(r_hat1)[None])
+    return nu[0], float(norm[0])
+
+
+def _lambda_nus(r1: np.ndarray):
+    # bloch_lambda_nu of every row of an (n, 3) array: nu as (n, 3) and its norms, each unit direction checked.
+    _unit_vectors(r1)
+    denom = 1.0 - r1[:, 2]
+    _require(~(denom <= POLE_TOL), "pole: the conditional Bloch vector diverges as r1 -> z")
+    nu = (r1 - np.array([0.0, 0.0, 1.0])) / denom[:, None]
+    return nu, _norms(nu)
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 (pcg64.h) constants.

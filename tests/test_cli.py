@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from twotime import cli, correlators, qcore, realism
+from twotime import cli, correlators, dynamics, gaussian, qcore, realism, spinlab
 from twotime.dynamics import ChannelFamily
+from twotime.gaussian import FreeParticle, GaussianPrep, uncertainty_report
 from twotime.qcore import DensityMatrix, Observable
-from twotime.spinlab import bound_rhs
+from twotime.spinlab import PrecessionConfig, bound_rhs
 
 
 def read_table(path, delimiter=","):
@@ -268,11 +269,12 @@ class TestReportCommand:
         assert checked == [25] * 12
 
     def test_precession_computes_one_unitary_per_draw(self, monkeypatch):
-        times = []
-        unitary_at = ChannelFamily.unitary_at
-        monkeypatch.setattr(ChannelFamily, "unitary_at", lambda self, t: times.append(t) or unitary_at(self, t))
+        # The unitaries come a block of draws at a time: 100 rows in all, none of the calls larger than STACK_BLOCK.
+        rows = []
+        unitaries = dynamics._unitaries
+        monkeypatch.setattr(dynamics, "_unitaries", lambda energies, modes, times: rows.append(len(times)) or unitaries(energies, modes, times))
         assert cli.main(["report", "precession"]) == 0
-        assert len(times) == 100
+        assert sum(rows) == 100 and max(rows) <= qcore.STACK_BLOCK
 
     def test_torque_bound_report(self, capsys):
         assert cli.main(["--samples", "500", "report", "torque-bound"]) == 0
@@ -337,6 +339,105 @@ class TestStackedEigenprep:
         # 4 stacks of A, B, H and the realized operators; every eigenstate and its dephased image checked.
         assert len(shapes["eigh"]) == 4 * 4 and sum(shapes["eigh"]) == 4 * 100
         assert sum(shapes["eigvalsh"]) == 2 * eigenstates
+        assert max(shapes["eigh"] + shapes["eigvalsh"]) <= qcore.STACK_BLOCK
+
+
+def per_row_displacements(rng, n):
+    # Each preparation drawn and scored on its own through the public API, as report displacement did: its columns
+    # (p0, dx, dp, xp_corr, mass, t1, t2) and (product, weighted) slacks, both slacks checked against the closed forms
+    # in Python floats (x**2, math.sqrt).
+    rows = []
+    for _ in range(n):
+        dx = math.exp(rng.uniform(-1.0, 1.0))
+        dp = (0.5 / dx) * math.exp(rng.uniform(0.0, 1.5))
+        corr = rng.uniform(-1.0, 1.0) * 0.999 * math.sqrt(dx**2 * dp**2 - 0.25)
+        prep = GaussianPrep(x0=rng.uniform(-2.0, 2.0), p0=rng.uniform(-2.0, 2.0), dx=dx, dp=dp, xp_corr=corr)
+        m = math.exp(rng.uniform(-1.0, 1.0))
+        t1 = rng.uniform(0.0, 2.0)
+        t2 = t1 + rng.uniform(0.01, 3.0)
+        report = uncertainty_report(prep, FreeParticle(m), t1, t2)
+        dx1, dx2 = (math.sqrt(dx**2 + (dp * t / m) ** 2 + 2.0 * corr * t / m) for t in (t1, t2))
+        dt = t2 - t1
+        closed = (dx1 * dx2 - dt / (2.0 * m), dp * dt / m * (dx1 + dx2) - dt / m)
+        assert (report.product_slack, report.weighted_slack) == closed
+        rows.append((prep.p0, dx, dp, corr, m, t1, t2, *closed))
+    return [list(column) for column in zip(*rows)]
+
+
+def per_draw_precession(rng):
+    # One draw of report precession, and its five arrays, through the public API as report precession computed them.
+    h = rng.standard_normal(3)
+    h /= np.linalg.norm(h)
+    tau = rng.uniform(-4.0 * math.pi, 4.0 * math.pi)
+    step = qcore.FINITE_DIFF_STEP
+    closed = [spinlab.pauli_heisenberg(PrecessionConfig(h, t)) for t in (tau, tau + step, tau - step)]
+    channel = spinlab.precession_channel(h).propagate_observable(np.array(qcore.SIGMA), tau)
+    return h, tau, [*map(np.array, closed), np.array(spinlab.instantaneous_torque(h, tau)), channel]
+
+
+class TestColumnReports:
+    @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 1, 777])
+    def test_displacement_columns_match_the_per_row_path(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        columns = cli._draw_displacements(1000, rng)
+        _, _, _, _, _, product, _, _, weighted = gaussian._uncertainties(*columns)
+        assert [column.tolist() for column in (*columns, product, weighted)] == per_row_displacements(ref, 1000)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 100])
+    def test_precession_stacks_match_the_per_draw_path(self, n):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        h, tau, *stacks = cli._precessions(n, rng)
+        for row in range(n):
+            h_row, tau_row, arrays = per_draw_precession(ref)
+            assert h[row].tobytes() == h_row.tobytes() and tau[row] == tau_row
+            for stack, expected in zip(stacks, arrays, strict=True):
+                assert np.array_equal(stack[row], expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("steps", [2, 3, 180, 181])
+    def test_lambda_columns_match_the_per_row_path(self, tmp_path, monkeypatch, steps):
+        tables = []
+        write = cli._write_tables
+        monkeypatch.setattr(cli, "_write_tables", lambda args, written: tables.extend(written) or write(args, written))
+        assert cli.main(["--out", str(tmp_path), "lambda", "--theta-steps", str(steps)]) == 0
+        ((_, _, (theta, nu_norm, min_eigenvalue, physical)),) = tables
+        alpha, channel = (np.eye(2) - qcore.SIGMA_Z) / 2.0, ChannelFamily(np.zeros((2, 2)))
+        for i in range(1, steps + 1):
+            direction = (math.sin(i * math.pi / steps), 0.0, math.cos(i * math.pi / steps))
+            nu, norm = spinlab.bloch_lambda_nu(direction)
+            report = correlators.lambda_operator(alpha, qcore.bloch_to_state(direction), 0.0, channel)
+            assert theta[i - 1] == i * math.pi / steps
+            assert nu_norm[i - 1] == norm == float(np.linalg.norm(nu))
+            assert min_eigenvalue[i - 1] == report.min_eigenvalue
+            assert physical[i - 1] == ("true" if report.physical else "false")
+
+    def test_default_seed_output_is_pinned(self, tmp_path, capsys):
+        assert cli.main(["report", "displacement"]) == 0
+        assert cli.main(["report", "precession"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS displacement: min product slack 6.556512e-02, min weighted slack 1.522195e-03, spread formula defect "
+            "0.0e+00 over 1000 preparations (tolerance -1e-12)\n"
+            "PASS precession: closed form vs channel 3.274e-15 (<= 1e-12), field component of torque 2.222e-16 "
+            "(<= 1e-12), finite-difference defect 6.070e-11 (<= 1e-8) over 100 draws\n"
+        )
+        assert cli.main(["--out", str(tmp_path), "lambda"]) == 0
+        digest = hashlib.sha256((tmp_path / "lambda.csv").read_bytes()).hexdigest()
+        assert digest == "ccc0c183260f19abf95bfc9d2a1eda48265f08f768112ba81c1e46f87f922d3b"
+
+    @pytest.mark.parametrize("argv, eigh, eigvalsh", [
+        (["lambda", "--theta-steps", "181"], 0, 2 * 181),
+        (["report", "precession"], 100, 0),
+    ])
+    def test_every_matrix_is_checked(self, tmp_path, monkeypatch, argv, eigh, eigvalsh):
+        # lambda: each state (DensityMatrix checks) and each conditional operator pass an eigvalsh; precession: each
+        # Hamiltonian passes the checked eigh. No call takes more than STACK_BLOCK matrices.
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name, calls in shapes.items():
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
+        assert cli.main(["--out", str(tmp_path)] + argv) == 0
+        assert (sum(shapes["eigh"]), sum(shapes["eigvalsh"])) == (eigh, eigvalsh)
         assert max(shapes["eigh"] + shapes["eigvalsh"]) <= qcore.STACK_BLOCK
 
 

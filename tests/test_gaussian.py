@@ -186,3 +186,11 @@ def test_rejects_non_finite_input(build):
 def test_rejects_finite_input_whose_result_overflows(build, quantity):
     with pytest.raises(ValueError, match=f"{quantity} must be finite"):
         build()
+
+
+def test_messages_quote_python_floats():
+    # A numpy scalar input is quoted as the float it holds, as a Python float input is.
+    with pytest.raises(ValueError, match=r"^spreads must be positive, got dx=-1.0, dp=1.0$"):
+        GaussianPrep(0.0, 0.0, dx=np.float64(-1.0), dp=1.0)
+    with pytest.raises(ValueError, match=r"^t must be finite, got nan$"):
+        position_spread(_G, _FP, np.float64(math.nan))

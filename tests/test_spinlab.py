@@ -132,6 +132,22 @@ class TestTorque:
                 assert np.max(np.abs(finite_diff - instant[i])) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PrecessionConfig(Z_HAT, math.nan), "tau must be finite, got nan"),
+        (lambda: instantaneous_torque(Z_HAT, math.nan), "tau must be finite, got nan"),
+        (lambda: instantaneous_torque(Z_HAT, math.inf), "tau must be finite, got inf"),
+        (lambda: finite_torque(Z_HAT, 0.0, math.nan), "tau must be finite, got nan"),
+        (lambda: finite_torque(Z_HAT, 0.0, 5e-324), r"mean torque over \[0.0, 5e-324\] is not finite"),
+    ],
+    ids=["config-nan", "torque-nan", "torque-inf", "finite-nan", "finite-subnormal-interval"],
+)
+def test_rejects_non_finite_phases(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestTorqueIrrealityPair:
     def test_maximally_mixed_vanishes(self):
         pair = torque_irreality_pair((0.0, 0.0, 0.0))
