@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import correlators, dynamics, gaussian, qcore, realism, spinlab
-from .qcore import BOUND_TOL, FINITE_DIFF_STEP, FINITE_DIFF_TOL, FIXTURE_GAP_MIN, IDENTITY_TOL
+from .qcore import BOUND_TOL, CELL_TIE_MARGIN, FINITE_DIFF_STEP, FINITE_DIFF_TOL, FIXTURE_GAP_MIN, IDENTITY_TOL
 from .qcore import PRECESSION_TOL, UNCERTAINTY_TOL
 
 DEFAULT_SEED = 20240001
@@ -27,6 +27,50 @@ OUT_ENV_VAR = "TWOTIME_OUT"
 SCATTER_HEADER = ("r", "theta", "phi", "irr_spin", "irr_torque")
 CURVE_HEADER = ("r", "phi", "irr_spin", "irr_torque")
 LAMBDA_HEADER = ("theta", "nu_norm", "min_eigenvalue", "physical")
+WRITE_BLOCK = 4096  # table rows formatted and written per step
+
+
+# Tables of _cells. A cell is four 8-byte words of ASCII and NUL: the sign, with "0." and z - 1 zeros for a fixed cell
+# of exponent -z < 0 (_PREFIX[5 * negative + z]); twelve digits, three per 4 bytes; and a scientific cell's exponent
+# (_EXP_TEXT[k + 297], as Python writes it; _POW10 is 10**k parsed from it). Digits v (< 1000) of chunk k in a cell of
+# `length` digits with the point after digit `point` are _CHUNKS[4 * v + _VARIANTS[k, 16 * length + point + 4]].
+_EXPONENTS, _v, _k, _point = np.arange(-297, 309), np.arange(1000), np.arange(4)[:, None, None], np.arange(-4, 12)
+_TRIPLES = (_v[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+_EXP_TEXT = np.c_[np.full(606, ord("e")), np.where(_EXPONENTS < 0, ord("-"), ord("+")), _TRIPLES[abs(_EXPONENTS)],
+                  np.zeros((606, 3))].astype(np.uint8)
+_EXP_TEXT[abs(_EXPONENTS) < 100, 2:5] = _EXP_TEXT[abs(_EXPONENTS) < 100, 3:6]
+_POW10 = np.c_[np.full(606, ord("1"), np.uint8), _EXP_TEXT[:, :6]].view("S7").ravel().astype(float)
+_EXP_TEXT = np.where(((_EXPONENTS < -4) | (_EXPONENTS >= 12))[:, None], _EXP_TEXT, 0).view(np.uint64).ravel()
+_PREFIX = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000", b"-", b"-0.", b"-0.0", b"-0.00", b"-0.000"], "S8").view(np.uint64)
+_SLOTS = np.array([[0, 1, 2, 3], [0, 4, 1, 2], [0, 1, 4, 2], [0, 1, 2, 4]])  # a chunk's bytes: digits, 3 NUL, 4 "."
+_CHUNKS = np.c_[_TRIPLES, np.zeros(1000, np.uint8), np.full(1000, ord("."), np.uint8)][:, _SLOTS]
+_CHUNKS = np.ascontiguousarray(_CHUNKS * ((_SLOTS < _k) | (_SLOTS == 4))[:, None]).view(np.uint32).ravel()
+_VARIANTS = (4000 * np.clip(np.arange(13)[:, None] - 3 * _k, 0, 3) + (_point // 3 == _k) * (_point % 3 + 1)).reshape(4, -1)
+_SIGNIFICANT = np.where(_v == 0, -12, 3 - (_v % 10 == 0) - (_v % 100 == 0))  # v's digits up to its last nonzero one
+_python_cell = b"%.12g".__mod__  # a cell the kernel leaves to Python
+
+
+def _cells(column) -> np.ndarray:
+    """(n, w) uint8 rows: strings as they are, numbers x as "%.12g" % x, ASCII with NUL bytes that the writer drops.
+    scaled = |x| * 10**(11 - floor(log10 |x|)) is two roundings from exact, so rint(scaled) is %.12g's digits if it
+    lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN from a tie; Python formats the rest (0, inf, nan, ties, carries)."""
+    if isinstance(column[0], str):
+        return np.asarray(column, "S").view(np.uint8).reshape(len(column), -1)
+    fast = np.isfinite(column) & (column != 0)
+    a = np.abs(np.where(fast, column, 1.0))
+    e = np.floor(np.log10(a)).astype(np.int64)
+    scaled = a * _POW10[np.minimum(11 - e, 308) + 297]
+    fast &= (scaled >= 10**11) & (scaled < 10**12 - 1) & (np.abs(scaled - np.rint(scaled)) < 0.5 - CELL_TIE_MARGIN)
+    hi, lo = np.divmod(np.where(fast, np.rint(scaled), 10**11).astype(np.int64), 10**6)
+    chunks = np.stack(np.divmod(hi, 1000) + np.divmod(lo, 1000))
+    place = np.where((e < -4) | (e >= 12), 0, e)  # where the point goes: fixed notation for -4 <= e < 12
+    length = np.maximum((_SIGNIFICANT.take(chunks) + 3 * _k[:, 0]).max(axis=0), place + 1)
+    variants = _VARIANTS.take(16 * length + np.where(length > place + 1, place, -4) + 4, axis=1)
+    digits = np.ascontiguousarray(_CHUNKS.take(4 * chunks + variants).T).view(np.uint64)
+    cells = np.c_[_PREFIX[5 * np.signbit(column) + np.maximum(-place, 0)], digits, _EXP_TEXT[e + 297]].view(np.uint8)
+    for row in np.flatnonzero(~fast):
+        cells[row] = np.frombuffer(_python_cell(column[row]).ljust(32, b"\0"), np.uint8)
+    return cells
 
 
 def _write_tables(args, tables) -> list:
@@ -34,9 +78,10 @@ def _write_tables(args, tables) -> list:
 
     Each table goes to a temporary file in the output directory, and all of
     them are renamed into place only once every one is written. Cells are
-    strings or numbers, numbers with 12 significant digits. If the directory
-    cannot be written, no table is published: the temporary files are
-    removed and the run exits 2.
+    ASCII strings or numbers, numbers exactly as "%.12g" writes them, made
+    bytes by :func:`_cells` a column and WRITE_BLOCK rows at a time. If the
+    directory cannot be written, no table is published: the temporary files
+    are removed and the run exits 2.
     """
     sep = "," if args.format == "csv" else "\t"
     paths = [args.out / f"{stem}.{args.format}" for stem, _, _ in tables]
@@ -44,12 +89,15 @@ def _write_tables(args, tables) -> list:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         for path, (_, header, columns) in zip(paths, tables):
-            row = sep.join("%s" if isinstance(column[0], str) else "%.12g" for column in columns) + "\n"
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with open(temp, "w", newline="") as fh:
+            with open(temp, "wb") as fh:
                 temps.append(temp)
-                fh.write(sep.join(header) + "\n")
-                fh.writelines(row % cells for cells in zip(*columns))
+                fh.write((sep.join(header) + "\n").encode())
+                for start in range(0, len(columns[0]), WRITE_BLOCK):
+                    ends = np.full((min(WRITE_BLOCK, len(columns[0]) - start), 1), ord(sep), np.uint8)
+                    rows = np.concatenate([p for c in columns for p in (_cells(c[start:start + WRITE_BLOCK]), ends)], axis=1)
+                    rows[:, -1] = ord("\n")
+                    fh.write(rows.tobytes().translate(None, b"\0"))
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     except OSError as exc:
@@ -87,8 +135,8 @@ def cmd_figure1(args) -> int:
         print(f"FAIL: bound violated by {min_slack:.6e} at {cells}", file=sys.stderr)
         return 1
     scatter_path, curves_path = _write_tables(args, [
-        ("figure1_scatter", SCATTER_HEADER, [scatter[name].tolist() for name in SCATTER_HEADER]),
-        ("figure1_curves", CURVE_HEADER, [curves[name].tolist() for name in CURVE_HEADER]),
+        ("figure1_scatter", SCATTER_HEADER, [scatter[name] for name in SCATTER_HEADER]),
+        ("figure1_curves", CURVE_HEADER, [curves[name] for name in CURVE_HEADER]),
     ])
     n_scatter, n_curves = len(scatter["r"]), len(curves["r"])
     print(f"wrote {n_scatter} scatter rows to {scatter_path}")
@@ -114,8 +162,7 @@ def cmd_lambda(args) -> int:
     if not (max_norm_defect <= IDENTITY_TOL and physical_thetas == [theta[-1]]):
         print(f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {physical_thetas}", file=sys.stderr)
         return 1
-    cells = [theta.tolist(), nu_norm.tolist(), min_eigenvalue.tolist(), ["true" if p else "false" for p in physical]]
-    (path,) = _write_tables(args, [("lambda", LAMBDA_HEADER, cells)])
+    (path,) = _write_tables(args, [("lambda", LAMBDA_HEADER, [theta, nu_norm, min_eigenvalue, np.where(physical, "true", "false")])])
     fraction = len(physical_thetas) / args.theta_steps
     print(f"wrote {args.theta_steps} rows to {path}")
     print(f"fraction of physical points: {fraction:.6g} (expected {1 / args.theta_steps:.6g}, theta = pi only)")

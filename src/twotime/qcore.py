@@ -32,6 +32,7 @@ PRECESSION_TOL = 1e-12  # closed-form precession vs channel; field component of 
 FINITE_DIFF_TOL = 1e-8  # central difference vs analytic torque
 FINITE_DIFF_STEP = 1e-5  # step of that central difference
 STACK_BLOCK = 64  # matrices drawn, checked and scored per stacked LAPACK call
+CELL_TIE_MARGIN = 1e-3  # distance of a table cell's scaled digits from a rounding tie below which Python formats it
 
 LN2 = math.log(2.0)
 
@@ -50,6 +51,8 @@ def _as_square_complex(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():  # checked before any arithmetic, which would warn on inf - inf
+        raise ValueError(f"expected finite matrix entries, got {m[~np.isfinite(m)][0]}")
     return m
 
 

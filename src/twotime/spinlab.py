@@ -139,10 +139,10 @@ def torque_irreality_pair(r_vec) -> TorquePair:
 def _irrealities(vectors: np.ndarray):
     """Columns (irr_spin, irr_torque) of :func:`torque_irreality_pair` for the rows of an (N, 3) array.
 
-    Each row rounds as one ``BlochVector`` does, and rows outside the ball are rejected as it rejects them.
+    Rows round as ``BlochVector`` does, or are rejected as it rejects them; H((1 + |r|) / 2) is taken once per distinct |r|.
     """
-    norms = _bloch_norms(vectors)
-    base = binary_entropy((1.0 + norms) / 2.0)
+    halves, row = np.unique((1.0 + _bloch_norms(vectors)) / 2.0, return_inverse=True)
+    base = binary_entropy(halves)[row]
     return (
         binary_entropy((1.0 + np.abs(vectors[:, 0])) / 2.0) - base,
         binary_entropy((1.0 + np.abs(vectors[:, 1])) / 2.0) - base,

@@ -87,3 +87,9 @@ def random_state_matrix(dim, rng):
 def random_hermitian_matrix(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
+
+
+def table_text(header, columns, sep):
+    """A table as the per-row writer formatted it: a header line, then "%s" for string cells and "%.12g" for numbers."""
+    row = sep.join("%s" if isinstance(column[0], str) else "%.12g" for column in columns) + "\n"
+    return (sep.join(header) + "\n" + "".join(row % cells for cells in zip(*columns))).encode()

@@ -520,3 +520,88 @@ def test_write_failure_leaves_no_table(tmp_path, monkeypatch):
         cli.main(["--out", str(tmp_path), "--samples", "10", "figure1"])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def kernel_lines(values):
+    # Each value through the column kernel, one line per value, as the writer joins cells.
+    cells = cli._cells(np.asarray(values, dtype=float))
+    return np.c_[cells, np.full(len(values), ord("\n"), np.uint8)].tobytes().translate(None, b"\0")
+
+
+def tie_neighbours(rng, n, offsets):
+    # Decimal strings of 12-digit integers plus a half plus each offset, scaled to random exponents: values whose
+    # 12-digit rounding sits within the offset of a tie, and (offset 0) the ties themselves.
+    digits = rng.integers(10**11, 10**12, n)
+    exponents = rng.integers(-30, 30, n)
+    return [float(f"{d}.{5 * 10**4 + offset:05d}e{k - 11}") for d, k in zip(digits.tolist(), exponents.tolist())
+            for offset in offsets]
+
+
+class TestCellKernel:
+    def test_matches_python_on_a_million_doubles(self):
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64 - 1, 150_000, dtype=np.uint64, endpoint=True).view(np.float64)
+        with np.errstate(over="ignore"):  # mantissas near 10 at exponent 308 overflow to inf, which is kept
+            decimal = rng.uniform(1.0, 10.0, 150_000) * np.array([float(f"1e{k}") for k in range(-320, 309)])[
+                rng.integers(0, 629, 150_000)]
+        fixed = rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(-6, 14, 100_000)
+        short = rng.integers(1, 10 ** rng.integers(1, 13, 100_000))  # 1 to 12 digits, as in 1200, 0.5 or 12.25
+        short = [float(f"{m}e{k}") for m, k in zip(short.tolist(), rng.integers(-16, 12, 100_000).tolist())]
+        powers = [float(f"1e{k}") for k in range(-5, 17)]
+        special = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1e-297, 9.99e-298, 1.7976931348623157e308]
+        halves = np.r_[np.arange(0, 2_000_000, 97) + 0.5, (10.0 ** np.arange(17)) + 0.5]
+        ties = tie_neighbours(rng, 20_000, (-100, -10, -1, 0, 1, 10, 100))  # a tie, and 1e-5 to 1e-3 either side
+        carries = [float(f"999999999999.{fraction}e{k}") for k in range(-25, 25) for fraction in ("4999", "5", "5001")]
+        values = np.concatenate([bits, decimal, fixed, short, powers, np.nextafter(powers, 0), np.nextafter(powers, 2),
+                                 special, halves, ties, carries])
+        values = np.concatenate([values, -values])
+        assert len(values) >= 10**6
+        for start in range(0, len(values), 1 << 16):
+            block = values[start:start + (1 << 16)]
+            got, expected = kernel_lines(block), b"".join(b"%.12g\n" % v for v in block.tolist())
+            if got != expected:
+                mismatches = [(v, g, e) for v, g, e in zip(block.tolist(), got.split(b"\n"), expected.split(b"\n")) if g != e]
+                pytest.fail(f"{len(mismatches)} cells differ from %.12g, first (value, kernel, python): {mismatches[0]!r}")
+
+    def test_powers_of_ten_are_correctly_rounded(self):
+        assert cli._POW10.tolist() == [float(f"1e{k}") for k in range(-297, 309)]
+
+    def test_default_figure1_formats_at_most_one_percent_through_python(self, tmp_path, monkeypatch):
+        # A kernel that sent every cell to Python would still write the right bytes; this counts the ones it does.
+        calls = []
+        monkeypatch.setattr(cli, "_python_cell", lambda value, cell=cli._python_cell: calls.append(value) or cell(value))
+        assert cli.main(["--out", str(tmp_path), "figure1"]) == 0
+        cells = 5 * 40_000 + 4 * 4 * 360
+        assert cells == 205_760
+        assert 0 < len(calls) <= cells // 100
+
+
+class TestTableWriter:
+    @staticmethod
+    def written_and_oracle(tmp_path, monkeypatch, argv, fmt):
+        tables = []
+        write = cli._write_tables
+        monkeypatch.setattr(cli, "_write_tables", lambda args, written: tables.extend(written) or write(args, written))
+        assert cli.main(["--out", str(tmp_path), "--format", fmt] + argv) == 0
+        sep = "," if fmt == "csv" else "\t"
+        return [((tmp_path / f"{stem}.{fmt}").read_bytes(), oracles.table_text(header, columns, sep))
+                for stem, header, columns in tables]
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "1", "figure1"],
+        ["--seed", "777", "figure1"],
+        ["--samples", "37", "figure1", "--r-list", "0,0.3,1"],
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_figure1_matches_the_per_row_writer(self, tmp_path, monkeypatch, argv, fmt):
+        pairs = self.written_and_oracle(tmp_path, monkeypatch, argv, fmt)
+        assert len(pairs) == 2
+        for written, expected in pairs:
+            assert written == expected
+
+    @pytest.mark.parametrize("steps", ["180", "181"])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_lambda_matches_the_per_row_writer(self, tmp_path, monkeypatch, steps, fmt):
+        ((written, expected),) = self.written_and_oracle(tmp_path, monkeypatch, ["lambda", "--theta-steps", steps], fmt)
+        assert written == expected
+        assert written.count(b"true") == 1
