@@ -19,7 +19,7 @@ from .correlators import (
     tpm_correlator,
     tpm_joint_distribution,
 )
-from .dynamics import ChannelFamily, KrausChannel, evolve_observable, evolve_state
+from .dynamics import ChannelFamily
 from .gaussian import (
     FreeParticle,
     GaussianPrep,
@@ -41,7 +41,6 @@ from .qcore import (
     random_density_matrix,
     random_hermitian,
     relative_entropy,
-    state_to_bloch,
     von_neumann_entropy,
 )
 from .realism import (

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelFamily, _hamiltonians, _require_unitary, _unitaries
+from .dynamics import ChannelFamily, _hamiltonians, _unitaries
 from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, _require
 from .qcore import DensityMatrix, Observable, _as_square_complex, _readonly, _same_dim, _spectra, _states, _symmetrized
 
@@ -37,9 +37,8 @@ _KINDS = ("product", "sum")
 class TwoTimeOperator:
     """Specification of a Hermitian operator built from A at t1 and B at t2.
 
-    kind "product" realizes {A1, B2}/2; kind "sum" realizes A1 + B2. The
-    channel must be a unitary family (the realization uses the Heisenberg
-    direction).
+    kind "product" realizes {A1, B2}/2; kind "sum" realizes A1 + B2, each
+    constituent in the Heisenberg picture of the unitary channel.
     """
 
     kind: str
@@ -80,7 +79,6 @@ def _two_time_matrices(kind: str, a: np.ndarray, b: np.ndarray, u1: np.ndarray, 
 
 
 def _two_time_matrix(op: TwoTimeOperator) -> np.ndarray:
-    _require_unitary(op.channel)
     u1, u2 = (op.channel.unitary_at(t)[None] for t in (op.t1, op.t2))
     return _two_time_matrices(op.kind, op.A.matrix[None], op.B.matrix[None], u1, u2)[0]
 
@@ -109,7 +107,7 @@ def _trace_forms(c12: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, channel, rho0: DensityMatrix):
+def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, channel: ChannelFamily, rho0: DensityMatrix):
     """Joint outcome distribution of the two-point-measurement protocol.
 
     Returns (a_values, b_values, joint) where joint[i, j] is the probability
@@ -123,18 +121,20 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
     _same_dim(A=A.dim, B=B.dim, channel=channel.dim, state=rho0.dim)
     if not t2 > t1:
         raise ValueError(f"the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}")
-    rho_t1 = channel.propagate_state(rho0.matrix, t1)[None]
-    joint = _tpm_joints(A.projectors[None], B.projectors[None], rho_t1, lambda s: channel.propagate_state(s, t2 - t1))
+    u1, u21 = (channel.unitary_at(t)[None] for t in (t1, t2 - t1))
+    joint = _tpm_joints(A.projectors[None], B.projectors[None], u1, u21, rho0.matrix[None])
     return A.eigenvalues, B.eigenvalues, joint[0]
 
 
-def _tpm_joints(a_projectors: np.ndarray, b_projectors: np.ndarray, rho_t1: np.ndarray, evolve) -> np.ndarray:
+def _tpm_joints(a_projectors, b_projectors, u1, u21, rho0) -> np.ndarray:
     # joint[n, i, j] for (n, k, d, d) stacks of A's and B's projectors (zero ones give zero rows and
-    # columns) and the (n, d, d) states at t1; evolve carries an (n, k, d, d) stack of states to t2.
+    # columns), the (n, d, d) unitaries at t1 and over t2 - t1 and the (n, d, d) initial states.
+    rho_t1 = u1 @ rho0 @ u1.conj().swapaxes(1, 2)
     branches = a_projectors @ rho_t1[:, None] @ a_projectors
     marginals = np.trace(branches, axis1=2, axis2=3).real
     kept = ~(marginals <= MARGINAL_TOL)  # a NaN branch is kept, so the sum check below rejects it
-    evolved = evolve(branches / np.where(kept, marginals, 1.0)[..., None, None])
+    states = branches / np.where(kept, marginals, 1.0)[..., None, None]
+    evolved = u21[:, None] @ states @ u21.conj().swapaxes(1, 2)[:, None]
     conditional = np.einsum("nbij,nkji->nkb", b_projectors, evolved).real
     sums = conditional.sum(axis=2)[kept]
     _require(np.abs(sums - 1.0) <= MEASUREMENT_TOL, "conditional distribution sums to {s:.15g}", ArithmeticError, s=sums)
@@ -152,18 +152,13 @@ def _tpm_gaps(a, b, h, t1, t2, rho0) -> np.ndarray:
     states (n, d, d), each matrix checked as Observable, ChannelFamily and DensityMatrix check it."""
     (a, a_values, a_projectors), (b, b_values, b_projectors), (u1, u2, u21) = _checked_instances(a, b, h, t1, t2, t2 - t1)
     rho0, _ = _states(rho0)
-    rho_t1 = u1 @ rho0 @ u1.conj().swapaxes(1, 2)
-    joint = _tpm_joints(a_projectors, b_projectors, rho_t1, lambda s: u21[:, None] @ s @ u21.conj().swapaxes(1, 2)[:, None])
+    joint = _tpm_joints(a_projectors, b_projectors, u1, u21, rho0)
     protocol = (a_values[:, None] @ joint @ b_values[:, :, None])[:, 0, 0]
     return np.abs(protocol - _trace_forms(_two_time_matrices("product", a, b, u1, u2), rho0))
 
 
-def tpm_correlator(A: Observable, B: Observable, t1: float, t2: float, channel, rho0: DensityMatrix) -> float:
-    """Correlator of the two-point-measurement protocol: E[a * b].
-
-    Accepts either a unitary family or the fixed-Kraus hook as the channel;
-    t2 must be strictly later than t1.
-    """
+def tpm_correlator(A: Observable, B: Observable, t1: float, t2: float, channel: ChannelFamily, rho0: DensityMatrix) -> float:
+    """Correlator of the two-point-measurement protocol: E[a * b]; t2 must be strictly later than t1."""
     a_values, b_values, joint = tpm_joint_distribution(A, B, t1, t2, channel, rho0)
     return float(a_values @ joint @ b_values)
 

@@ -1,21 +1,14 @@
-"""One-parameter evolution families generated by time-independent Hamiltonians.
+"""One-parameter unitary families generated by time-independent Hamiltonians.
 
-A :class:`ChannelFamily` provides both directions of a unitary family
-U_t = exp(-i H t) (hbar = 1): the state map rho -> U_t rho U_t^dag and the
-observable map A -> U_t^dag A U_t. For unitary families the adjoint of the
-state map at time t equals the observable map at -t, which is what the
-two-time correlator machinery in :mod:`twotime.correlators` relies on; those
-operations therefore accept unitary families only.
-
-:class:`KrausChannel` is a deliberately minimal non-unitary hook for the
-sequential-measurement simulator: a fixed Kraus map applied once per
-propagation segment, with no time parameterization.
+A :class:`ChannelFamily` gives U_t = exp(-i H t) (hbar = 1) and the state map
+rho -> U_t rho U_t^dag. Evolution in this package is unitary only: the
+two-time operators of :mod:`twotime.correlators` are built in the Heisenberg
+picture, A -> U_t^dag A U_t, which a non-unitary map does not have.
 """
 
 import numpy as np
 
-from .qcore import MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, DensityMatrix, Observable
-from .qcore import _as_square_complex, _readonly, _require, _same_dim, _symmetrized
+from .qcore import OPERATOR_HERMITICITY_TOL, _as_square_complex, _readonly, _require, _symmetrized
 
 
 class ChannelFamily:
@@ -27,8 +20,6 @@ class ChannelFamily:
     dimensionless phase tau = omega * t; build the family with H = S_h
     (omega = 1) and pass tau as the time.
     """
-
-    unitary = True
 
     def __init__(self, hamiltonian):
         h, energies, modes = _hamiltonians(_as_square_complex(hamiltonian)[None])
@@ -51,11 +42,6 @@ class ChannelFamily:
         u = self.unitary_at(t)
         return u @ matrix @ u.conj().T
 
-    def propagate_observable(self, matrix: np.ndarray, t: float) -> np.ndarray:
-        """Heisenberg direction: U_t^dag M U_t."""
-        u = self.unitary_at(t)
-        return u.conj().T @ matrix @ u
-
 
 def _hamiltonians(stack: np.ndarray):
     """Check an (n, d, d) stack of Hamiltonians as Hermitian; returns it symmetrized, with its eigh (energies, modes)."""
@@ -70,62 +56,3 @@ def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np
     _require(np.isfinite(largest), "time must be finite and keep every phase E*t finite, got {t!r}", t=times)
     phases = np.exp(energies * (-1j * times)[:, None])
     return (modes * phases[:, None, :]) @ modes.conj().swapaxes(1, 2)
-
-
-class KrausChannel:
-    """Fixed single-step Kraus map sum_k K_k M K_k^dag.
-
-    The map is applied once per propagation segment regardless of the
-    duration argument; it exists only so the sequential-measurement protocol
-    can be driven with non-unitary noise. It carries no Heisenberg direction
-    and is rejected by the two-time operator machinery.
-    """
-
-    unitary = False
-
-    def __init__(self, kraus_ops):
-        ops = [_as_square_complex(k) for k in kraus_ops]
-        if not ops:
-            raise ValueError("at least one Kraus operator is required")
-        _same_dim(**{f"K{i}": k.shape[0] for i, k in enumerate(ops)})
-        total = sum(k.conj().T @ k for k in ops)
-        defect = np.max(np.abs(total - np.eye(len(total))))
-        if not defect <= MEASUREMENT_TOL:
-            raise ValueError(f"Kraus operators are not trace preserving: |sum K^dag K - 1| = {defect:.3e}")
-        self._ops = [_readonly(k.copy()) for k in ops]
-
-    @property
-    def kraus_ops(self):
-        return list(self._ops)
-
-    @property
-    def dim(self) -> int:
-        return self._ops[0].shape[0]
-
-    def propagate_state(self, matrix: np.ndarray, t: float) -> np.ndarray:
-        # t is ignored: one application per segment.
-        out = np.zeros_like(np.asarray(matrix, dtype=complex))
-        for k in self._ops:
-            out += k @ matrix @ k.conj().T
-        return out
-
-
-def _require_unitary(channel):
-    if not getattr(channel, "unitary", False):
-        raise TypeError("Heisenberg evolution requires a unitary channel family")
-
-
-def evolve_state(channel, rho: DensityMatrix, t: float) -> DensityMatrix:
-    """Evolve a state forward: the Schrodinger-picture map of the channel."""
-    _same_dim(channel=channel.dim, state=rho.dim)
-    return DensityMatrix(channel.propagate_state(rho.matrix, t))
-
-
-def evolve_observable(channel, obs: Observable, t: float) -> Observable:
-    """Heisenberg-picture evolution U_t^dag A U_t; preserves the spectrum.
-
-    Requires a unitary family; the Kraus hook has no observable direction.
-    """
-    _require_unitary(channel)
-    _same_dim(channel=channel.dim, observable=obs.dim)
-    return Observable(channel.propagate_observable(obs.matrix, t))

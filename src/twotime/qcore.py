@@ -113,11 +113,18 @@ class DensityMatrix:
 
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
-        """Pure state |psi><psi| from a (not necessarily normalized) state vector."""
+        """Pure state |psi><psi| from a (not necessarily normalized) finite state vector."""
         v = np.asarray(ket, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("cannot build a state from the zero vector")
+        if not np.isfinite(v).all():  # checked before any arithmetic, which would warn on inf
+            raise ValueError(f"expected finite ket entries, got {v[~np.isfinite(v)][0]}")
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, which is rescaled below
+            norm = np.linalg.norm(v)
+        if not 0.0 < norm < math.inf:  # the squares left the float range: divide by the largest |v_i| first
+            largest = np.abs(v).max(initial=0.0)
+            if largest == 0.0:
+                raise ValueError("cannot build a state from the zero vector")
+            v = v / largest
+            norm = np.linalg.norm(v)
         v = v / norm
         return cls(np.outer(v, v.conj()))
 
@@ -355,14 +362,6 @@ def _bloch_states(vectors: np.ndarray) -> np.ndarray:
     # Unchecked (n, 2, 2) states (1 + r . sigma) / 2 of the rows of an (n, 3) array of Bloch vectors.
     x, y, z = (vectors[:, i, None, None] for i in range(3))
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
-
-
-def state_to_bloch(rho: DensityMatrix) -> BlochVector:
-    """Bloch vector of a qubit state via r_i = Tr(rho sigma_i)."""
-    if rho.dim != 2:
-        raise ValueError(f"Bloch extraction requires a qubit state, got dim {rho.dim}")
-    comps = [float(np.trace(rho.matrix @ s).real) for s in SIGMA]
-    return BlochVector(comps)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -371,7 +371,8 @@ def per_draw_precession(rng):
     tau = rng.uniform(-4.0 * math.pi, 4.0 * math.pi)
     step = qcore.FINITE_DIFF_STEP
     closed = [spinlab.pauli_heisenberg(PrecessionConfig(h, t)) for t in (tau, tau + step, tau - step)]
-    channel = spinlab.precession_channel(h).propagate_observable(np.array(qcore.SIGMA), tau)
+    u = spinlab.precession_channel(h).unitary_at(tau)
+    channel = u.conj().T @ np.array(qcore.SIGMA) @ u
     return h, tau, [*map(np.array, closed), np.array(spinlab.instantaneous_torque(h, tau)), channel]
 
 

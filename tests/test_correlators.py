@@ -15,7 +15,7 @@ from twotime.correlators import (
     tpm_joint_distribution,
 )
 from twotime.correlators import _tpm_joints, _trace_forms
-from twotime.dynamics import ChannelFamily, KrausChannel, evolve_observable, evolve_state
+from twotime.dynamics import ChannelFamily, _hamiltonians, _unitaries
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -26,6 +26,7 @@ from twotime.qcore import (
     random_density_matrix,
     relative_entropy,
 )
+from twotime.qcore import _spectra
 from twotime.realism import complementarity_bound_check, dephase, irreality
 from twotime.spinlab import bloch_lambda_nu, precession_channel
 
@@ -91,13 +92,6 @@ class TestHeisenbergCorrelator:
         op = TwoTimeOperator("sum", a, b, t1, t2, ChannelFamily(h))
         direct = np.trace(realize(op).matrix @ rho0.matrix).real
         assert heisenberg_correlator(op, rho0) == pytest.approx(direct, abs=1e-12)
-
-    def test_rejects_kraus_channel(self):
-        obs = Observable(SIGMA_X)
-        kraus = KrausChannel([np.eye(2, dtype=complex)])
-        op = TwoTimeOperator("product", obs, obs, 0.0, 1.0, kraus)
-        with pytest.raises(TypeError, match="unitary"):
-            heisenberg_correlator(op, DensityMatrix.maximally_mixed(2))
 
 
 class TestRealize:
@@ -243,21 +237,6 @@ class TestTpmCorrelator:
         assert joint.sum() == pytest.approx(1.0, abs=1e-12)
         assert tpm_correlator(a, b, 0.0, 1.0, channel, rho0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_kraus_hook_drives_the_protocol(self):
-        # First outcome is a = +1 with certainty; the dephasing step then
-        # shrinks the coherence, so E[ab] = sqrt(1 - p).
-        p = 0.25
-        kraus = KrausChannel([
-            np.diag([1.0, math.sqrt(1.0 - p)]).astype(complex),
-            np.diag([0.0, math.sqrt(p)]).astype(complex),
-        ])
-        a = Observable(SIGMA_X)
-        rho0 = DensityMatrix.from_ket([1.0, 1.0])
-        _, _, joint = tpm_joint_distribution(a, a, 0.0, 1.0, kraus, rho0)
-        assert joint.sum() == pytest.approx(1.0, abs=1e-10)
-        value = tpm_correlator(a, a, 0.0, 1.0, kraus, rho0)
-        assert value == pytest.approx(math.sqrt(1.0 - p), abs=1e-12)
-
 
 @pytest.mark.parametrize(
     "correlate",
@@ -286,11 +265,31 @@ class TestStackKernels:
             _trace_forms(np.array([SIGMA_X, SIGMA_X], dtype=complex), rho)
 
     def test_conditional_sums_are_checked_in_every_row(self):
-        # An evolution that doubles the second row's states breaks only that row's conditional sums.
+        # A second-row "unitary" scaled by sqrt(2) doubles that row's evolved states and breaks only its conditional sums.
         projectors = np.array([Observable(SIGMA_Z).projectors] * 2)
-        rho_t1 = np.array([np.eye(2) / 2.0] * 2, dtype=complex)
+        identities = np.array([np.eye(2)] * 2, dtype=complex)
+        u21 = identities * np.array([1.0, math.sqrt(2.0)])[:, None, None]
         with pytest.raises(ArithmeticError, match="conditional distribution sums to 2"):
-            _tpm_joints(projectors, projectors, rho_t1, lambda s: s * np.array([1.0, 2.0])[:, None, None, None])
+            _tpm_joints(projectors, projectors, identities, u21, identities / 2.0)
+
+    def test_one_row_protocol_is_a_row_of_the_stack(self):
+        # tpm_joint_distribution is the n = 1 view of _tpm_joints: its joint is bitwise the instance's row of a
+        # stacked run, less the zero projector slots that a degenerate A leaves in the stack.
+        rng = np.random.default_rng(52)
+        for dim, degenerate in ((2, [0.5, 0.5]), (3, [-1.0, 1.0, 1.0])):
+            instances = [random_instance(dim, rng) for _ in range(6)]
+            basis = np.linalg.eigh(oracles.random_hermitian_matrix(dim, rng))[1]
+            instances[2] = (Observable(basis @ np.diag(degenerate) @ basis.conj().T), *instances[2][1:])
+            a, b, h, t1, t2, rho0 = (np.array([getattr(x, "matrix", x) for x in column]) for column in zip(*instances))
+            (_, _, a_projectors), (_, _, b_projectors) = _spectra(a), _spectra(b)
+            _, energies, modes = _hamiltonians(h)
+            joints = _tpm_joints(a_projectors, b_projectors, _unitaries(energies, modes, t1),
+                                 _unitaries(energies, modes, t2 - t1), rho0)
+            assert not a_projectors[2].any(axis=(1, 2)).all()
+            for n, (a_n, b_n, h_n, t1_n, t2_n, rho0_n) in enumerate(instances):
+                _, _, joint = tpm_joint_distribution(a_n, b_n, t1_n, t2_n, ChannelFamily(h_n), rho0_n)
+                rows, cols = (np.flatnonzero(p[n].any(axis=(1, 2))) for p in (a_projectors, b_projectors))
+                assert np.array_equal(joint, joints[n][np.ix_(rows, cols)])
 
 
 class TestLambdaOperator:
@@ -401,8 +400,6 @@ def _qubit_parts():
     "call, message",
     [
         (lambda x, z, ch, rho3: relative_entropy(DensityMatrix.maximally_mixed(2), rho3), "rho dim 2, eta dim 3"),
-        (lambda x, z, ch, rho3: evolve_state(ch, rho3, 1.0), "channel dim 2, state dim 3"),
-        (lambda x, z, ch, rho3: evolve_observable(ch, Observable(np.eye(3)), 1.0), "channel dim 2, observable dim 3"),
         (lambda x, z, ch, rho3: TwoTimeOperator("sum", Observable(np.eye(3)), x, 0.0, 1.0, ch), "A dim 3, B dim 2, channel dim 2"),
         (lambda x, z, ch, rho3: heisenberg_correlator(TwoTimeOperator("sum", x, z, 0.0, 1.0, ch), rho3),
          "state dim 3, operator dim 2"),
@@ -411,10 +408,9 @@ def _qubit_parts():
          "projector dim 2, state dim 3, channel dim 3"),
         (lambda x, z, ch, rho3: dephase(z, rho3), "observable dim 2, state dim 3"),
         (lambda x, z, ch, rho3: complementarity_bound_check(rho3, x, z), "first dim 2, second dim 2, state dim 3"),
-        (lambda x, z, ch, rho3: KrausChannel([np.eye(2), z.matrix, np.eye(3)]), "K0 dim 2, K1 dim 2, K2 dim 3"),
     ],
-    ids=["relative_entropy", "evolve_state", "evolve_observable", "TwoTimeOperator", "heisenberg_correlator",
-         "tpm_joint_distribution", "lambda_operator", "dephase", "complementarity_bound_check", "KrausChannel"],
+    ids=["relative_entropy", "TwoTimeOperator", "heisenberg_correlator", "tpm_joint_distribution", "lambda_operator",
+         "dephase", "complementarity_bound_check"],
 )
 def test_every_dimension_check_raises_one_message_naming_every_part(call, message):
     with pytest.raises(ValueError) as info:

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import oracles
-from twotime.dynamics import ChannelFamily, KrausChannel, _hamiltonians, _unitaries, evolve_observable, evolve_state
+from twotime.correlators import TwoTimeOperator, tpm_joint_distribution
+from twotime.dynamics import ChannelFamily, _hamiltonians, _unitaries
 from twotime.qcore import (
+    SIGMA,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
     Observable,
     random_density_matrix,
-    state_to_bloch,
 )
 
 
@@ -20,6 +21,12 @@ from twotime.qcore import (
 def z_precession():
     # H = omega * S_z with omega = 1, so t is the precession phase.
     return ChannelFamily(SIGMA_Z / 2.0)
+
+
+def heisenberg(family, matrix, t):
+    # U_t^dag M U_t, the observable direction the two-time operators use.
+    u = family.unitary_at(t)
+    return u.conj().T @ matrix @ u
 
 
 def test_rejects_non_hermitian_hamiltonian():
@@ -35,7 +42,7 @@ def test_zero_time_is_identity_on_matrix_units():
             unit = np.zeros((3, 3), dtype=complex)
             unit[i, j] = 1.0
             assert np.max(np.abs(family.propagate_state(unit, 0.0) - unit)) <= 1e-12
-            assert np.max(np.abs(family.propagate_observable(unit, 0.0) - unit)) <= 1e-12
+            assert np.max(np.abs(heisenberg(family, unit, 0.0) - unit)) <= 1e-12
 
 
 def test_semigroup_on_random_matrices():
@@ -56,7 +63,7 @@ def test_unitary_adjoint_reverses_time():
     for _ in range(20):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         t = rng.uniform(-2.0, 2.0)
-        assert np.max(np.abs(family.propagate_state(m, t) - family.propagate_observable(m, -t))) <= 1e-10
+        assert np.max(np.abs(family.propagate_state(m, t) - heisenberg(family, m, -t))) <= 1e-10
 
 
 def test_evolve_state_matches_expm_oracle():
@@ -67,42 +74,41 @@ def test_evolve_state_matches_expm_oracle():
         rho = random_density_matrix(dim, rng)
         t = rng.uniform(0.0, 4.0)
         expected = oracles.schrodinger_conjugate(h, t, rho.matrix)
-        assert np.max(np.abs(evolve_state(family, rho, t).matrix - expected)) <= 1e-12
+        assert np.max(np.abs(family.propagate_state(rho.matrix, t) - expected)) <= 1e-12
 
 
 def test_plus_state_half_turn(z_precession):
     rho0 = DensityMatrix.from_ket([1.0, 1.0])
-    rho_pi = evolve_state(z_precession, rho0, math.pi)
-    assert np.max(np.abs(state_to_bloch(rho_pi).components - np.array([-1.0, 0.0, 0.0]))) <= 1e-12
+    rho_pi = z_precession.propagate_state(rho0.matrix, math.pi)
+    bloch = [np.trace(rho_pi @ s).real for s in SIGMA]
+    assert np.max(np.abs(np.array(bloch) - np.array([-1.0, 0.0, 0.0]))) <= 1e-12
 
 
 def test_unitary_evolution_preserves_spectrum_and_purity():
     rng = np.random.default_rng(4)
     family = ChannelFamily(oracles.random_hermitian_matrix(3, rng))
     rho = random_density_matrix(3, rng)
-    evolved = evolve_state(family, rho, 1.7)
+    evolved = DensityMatrix(family.propagate_state(rho.matrix, 1.7))
     assert np.max(np.abs(evolved.eigenvalues() - rho.eigenvalues())) <= 1e-10
     assert abs(evolved.purity() - rho.purity()) <= 1e-10
 
 
 def test_conserved_observable(z_precession):
-    obs = Observable(SIGMA_Z)
     for t in (0.0, 0.3, 2.0, 11.0):
-        assert np.max(np.abs(evolve_observable(z_precession, obs, t).matrix - SIGMA_Z)) <= 1e-12
+        assert np.max(np.abs(heisenberg(z_precession, SIGMA_Z, t) - SIGMA_Z)) <= 1e-12
 
 
 def test_rotating_observable_closed_form(z_precession):
-    obs = Observable(SIGMA_X)
     for tau in (0.2, 1.0, 2.9):
         expected = SIGMA_X * math.cos(tau) - SIGMA_Y * math.sin(tau)
-        assert np.max(np.abs(evolve_observable(z_precession, obs, tau).matrix - expected)) <= 1e-12
+        assert np.max(np.abs(heisenberg(z_precession, SIGMA_X, tau) - expected)) <= 1e-12
 
 
 def test_heisenberg_evolution_preserves_eigenvalues():
     rng = np.random.default_rng(14)
     family = ChannelFamily(oracles.random_hermitian_matrix(3, rng))
     obs = Observable(oracles.random_hermitian_matrix(3, rng))
-    evolved = evolve_observable(family, obs, 2.4)
+    evolved = Observable(heisenberg(family, obs.matrix, 2.4))
     assert evolved.eigenvalues == pytest.approx(obs.eigenvalues, abs=1e-10)
 
 
@@ -116,46 +122,24 @@ def test_duality_identity():
         a = Observable(oracles.random_hermitian_matrix(dim, rng))
         rho = random_density_matrix(dim, rng)
         t = rng.uniform(-3.0, 3.0)
-        lhs = np.trace(evolve_observable(family, a, t).matrix @ rho.matrix).real
+        lhs = np.trace(heisenberg(family, a.matrix, t) @ rho.matrix).real
         rhs = np.trace(a.matrix @ oracles.schrodinger_conjugate(h, t, rho.matrix)).real
         assert abs(lhs - rhs) <= 1e-10
 
 
-class TestKrausChannel:
-    def test_requires_trace_preservation(self):
-        with pytest.raises(ValueError, match="trace preserving"):
-            KrausChannel([np.eye(2) * 0.5])
-
-    def test_dephasing_step(self):
-        p = 0.3
-        ops = [
-            np.diag([1.0, math.sqrt(1.0 - p)]).astype(complex),
-            np.diag([0.0, math.sqrt(p)]).astype(complex),
-        ]
-        channel = KrausChannel(ops)
-        rho = DensityMatrix.from_ket([1.0, 1.0])
-        out = evolve_state(channel, rho, 0.7)  # duration is ignored: one step
-        assert out.matrix[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert abs(out.matrix[0, 1]) == pytest.approx(0.5 * math.sqrt(1.0 - p), abs=1e-12)
-
-    def test_no_heisenberg_direction(self):
-        channel = KrausChannel([np.eye(2, dtype=complex)])
-        with pytest.raises(TypeError, match="unitary"):
-            evolve_observable(channel, Observable(SIGMA_X), 1.0)
-
-
 def test_dimension_mismatch_errors():
-    family = ChannelFamily(SIGMA_Z)
+    # The family's dimension is checked against the states and observables it evolves.
+    family, qubit = ChannelFamily(SIGMA_Z), Observable(SIGMA_X)
     with pytest.raises(ValueError, match="dimension"):
-        evolve_state(family, DensityMatrix.maximally_mixed(3), 1.0)
+        tpm_joint_distribution(qubit, qubit, 0.0, 1.0, family, DensityMatrix.maximally_mixed(3))
     with pytest.raises(ValueError, match="dimension"):
-        evolve_observable(family, Observable(np.eye(3)), 1.0)
+        TwoTimeOperator("sum", Observable(np.eye(3)), Observable(np.eye(3)), 0.0, 1.0, family)
 
 
 each_constructor = pytest.mark.parametrize(
     "build",
-    [DensityMatrix, Observable, ChannelFamily, lambda m: KrausChannel([m])],
-    ids=["DensityMatrix", "Observable", "ChannelFamily", "KrausChannel"],
+    [DensityMatrix, Observable, ChannelFamily],
+    ids=["DensityMatrix", "Observable", "ChannelFamily"],
 )
 
 

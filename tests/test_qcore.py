@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from twotime.qcore import (
+    SIGMA,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -15,7 +16,6 @@ from twotime.qcore import (
     bloch_to_state,
     random_density_matrix,
     relative_entropy,
-    state_to_bloch,
     von_neumann_entropy,
 )
 from twotime.qcore import _bloch_norms, _entropies, _ginibre_states, _relative_entropies, _spectra, _states
@@ -42,6 +42,21 @@ class TestDensityMatrix:
         rho = DensityMatrix.from_ket([3.0, 4.0])
         assert rho.purity() == pytest.approx(1.0, abs=1e-14)
         assert np.isclose(rho.matrix[0, 0], 9.0 / 25.0)
+
+    @pytest.mark.parametrize("ket, scaled", [([1e300, 1e300], [1.0, 1.0]), ([1e-200, 0.0], [1.0, 0.0]),
+                                             ([1e-170, 1e-170], [1.0, 1.0])])
+    def test_from_ket_accepts_kets_whose_squares_leave_the_float_range(self, ket, scaled):
+        # Divided by the largest |v_i| first, only when the direct norm is 0 or inf.
+        assert np.array_equal(DensityMatrix.from_ket(ket).matrix, DensityMatrix.from_ket(scaled).matrix)
+
+    def test_from_ket_keeps_the_direct_normalization_of_other_kets(self):
+        v = np.array([0.3, 4.0j, 1e-160]) / np.linalg.norm([0.3, 4.0j, 1e-160])
+        assert np.array_equal(DensityMatrix.from_ket([0.3, 4.0j, 1e-160]).matrix, DensityMatrix(np.outer(v, v.conj())).matrix)
+
+    def test_from_ket_rejects_a_non_finite_entry(self):
+        # Rejected before any arithmetic, so no RuntimeWarning (an error under pyproject.toml) comes first.
+        with pytest.raises(ValueError, match=r"^expected finite ket entries, got \(inf\+0j\)$"):
+            DensityMatrix.from_ket([math.inf, 0.0])
 
     def test_invariants_on_random_states(self):
         rng = np.random.default_rng(11)
@@ -379,8 +394,8 @@ class TestBloch:
         for _ in range(100):
             vec = rng.uniform(-1.0, 1.0, 3)
             vec *= rng.uniform(0.0, 1.0) / max(np.linalg.norm(vec), 1e-12)
-            back = state_to_bloch(bloch_to_state(vec))
-            assert np.max(np.abs(back.components - vec)) <= 1e-12
+            back = [np.trace(bloch_to_state(vec).matrix @ s).real for s in SIGMA]
+            assert np.max(np.abs(np.array(back) - vec)) <= 1e-12
 
     def test_rejects_long_vector(self):
         with pytest.raises(ValueError, match="norm"):
@@ -399,10 +414,6 @@ class TestBloch:
         with pytest.raises(ValueError, match=message):
             BlochVector(bad)
         assert _bloch_norms(np.array([(0.6, 0.0, 0.8)])).tolist() == [1.0]
-
-    def test_rejects_non_qubit_state(self):
-        with pytest.raises(ValueError, match="qubit"):
-            state_to_bloch(DensityMatrix.maximally_mixed(3))
 
     def test_angles(self):
         vec = BlochVector.from_angles(0.7, 1.1, 2.3)
