@@ -151,9 +151,9 @@ def cmd_lambda(args) -> int:
     theta = np.arange(1, args.theta_steps + 1) * math.pi / args.theta_steps
     directions = np.stack([qcore._each(math.sin, theta), np.zeros_like(theta), qcore._each(math.cos, theta)], axis=1)
     _, nu_norm = spinlab._lambda_nus(directions)
-    # Each state passes the DensityMatrix checks and each conditional operator one eigvalsh, a block at a time.
+    # Each state passes the DensityMatrix checks (Cholesky gate), each conditional operator one eigvalsh, by blocks.
     min_eigenvalue = np.concatenate([
-        correlators._lambdas(alpha, qcore._states(qcore._bloch_states(directions[block]))[0])[1][:, 0]
+        correlators._lambdas(alpha, qcore._states(qcore._bloch_states(directions[block]), solver=None)[0])[1][:, 0]
         for block in qcore._blocks(args.theta_steps)
     ])
     physical = min_eigenvalue >= qcore.PSD_FLOOR

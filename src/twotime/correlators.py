@@ -151,7 +151,7 @@ def _tpm_gaps(a, b, h, t1, t2, rho0) -> np.ndarray:
     """|protocol - Heisenberg| of every instance in stacks of A, B, H (n, d, d), times (n,) and
     states (n, d, d), each matrix checked as Observable, ChannelFamily and DensityMatrix check it."""
     (a, a_values, a_projectors), (b, b_values, b_projectors), (u1, u2, u21) = _checked_instances(a, b, h, t1, t2, t2 - t1)
-    rho0, _ = _states(rho0)
+    rho0, _ = _states(rho0, solver=None)
     joint = _tpm_joints(a_projectors, b_projectors, u1, u21, rho0)
     protocol = (a_values[:, None] @ joint @ b_values[:, :, None])[:, 0, 0]
     return np.abs(protocol - _trace_forms(_two_time_matrices("product", a, b, u1, u2), rho0))

@@ -15,7 +15,7 @@ OPERATOR_HERMITICITY_TOL = 1e-10  # max |H - H^dag| of observables, Hamiltonians
 PSD_FLOOR = -1e-10  # lowest eigenvalue of a state, and of a physical conditional operator
 GROUP_TOL_DEFAULT = 1e-9  # eigenvalues closer than this share one projector
 MEASUREMENT_TOL = 1e-10  # projector algebra; sum P_a = sum K^dag K = sum_b p(b|a) = 1; overlap constant c vs 1/d
-RECONSTRUCTION_TOL = 1e-9  # max |sum a P_a - A| of a spectral decomposition
+RECONSTRUCTION_TOL = 1e-9  # max |sum a P_a - A| of a spectral decomposition, per unit of max(1, max |A|)
 UNIT_NORM_TOL = 1e-12  # ||v| - 1| of a unit vector; excess of a Bloch norm over 1
 SUPPORT_TOL = 1e-12  # eta-eigenvalue treated as zero in a relative entropy
 SUPPORT_WEIGHT_TOL = 1e-10  # rho-weight on that null space that makes it infinite
@@ -83,20 +83,27 @@ def _symmetrized(m: np.ndarray, what: str, tol: float) -> np.ndarray:
     return (m + adjoint) / 2.0
 
 
-def _states(stack: np.ndarray, vectors: bool = False):
+def _states(stack: np.ndarray, solver="eigvalsh"):
     """Check an (n, d, d) stack of density matrices: each one Hermitian and of unit trace within
-    ``STATE_TOL``, with no eigenvalue below ``PSD_FLOOR``. Returns (symmetrized stack, eigenvalues), the
-    eigenvalues as (eigenvalues, eigenvectors) of one eigh with ``vectors``."""
+    ``STATE_TOL``, with no eigenvalue below ``PSD_FLOOR``. Returns (symmetrized stack, spectrum): the
+    spectrum is what ``np.linalg.<solver>`` gives (``"eigvalsh"`` or ``"eigh"``). With ``solver=None`` it
+    is None, and the floor is checked by one Cholesky factorization of M - PSD_FLOOR * 1 over the stack;
+    only when that fails does eigvalsh decide, and name the first state below the floor."""
     m = _symmetrized(stack, "density matrix", STATE_TOL)
     traces = np.trace(m, axis1=1, axis2=2)
     off = np.flatnonzero(np.abs(traces - 1.0) > STATE_TOL)
     if off.size:
         raise ValueError(f"density matrix trace is {traces[off[0]]:.15g}, expected 1")
-    spectrum = np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
-    eigs = spectrum[0] if vectors else spectrum
-    low = eigs[:, 0]
+    if solver is None:
+        try:
+            np.linalg.cholesky(m - PSD_FLOOR * np.eye(m.shape[1]))
+            return m, None
+        except np.linalg.LinAlgError:  # some state may be below the floor: eigvalsh decides, as without the gate
+            pass
+    spectrum = getattr(np.linalg, solver or "eigvalsh")(m)
+    low = (spectrum[0] if solver == "eigh" else spectrum)[:, 0]
     _require(~(low < PSD_FLOOR), "density matrix is not positive semidefinite: min eigenvalue = {low:.3e}", low=low)
-    return m, spectrum
+    return m, spectrum if solver else None
 
 
 class DensityMatrix:
@@ -114,7 +121,9 @@ class DensityMatrix:
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
         """Pure state |psi><psi| from a (not necessarily normalized) finite state vector."""
-        v = np.asarray(ket, dtype=complex).reshape(-1)
+        v = np.asarray(ket, dtype=complex)
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-D ket, got shape {v.shape}")
         if not np.isfinite(v).all():  # checked before any arithmetic, which would warn on inf
             raise ValueError(f"expected finite ket entries, got {v[~np.isfinite(v)][0]}")
         with np.errstate(over="ignore"):  # an overflowed norm is inf, which is rescaled below
@@ -174,7 +183,8 @@ def _spectra(stack: np.ndarray):
     for message, residual, tol in (
         ("projectors are not orthogonal/idempotent", pairs, MEASUREMENT_TOL),
         ("projectors do not resolve the identity", projs.sum(axis=1) - eye, MEASUREMENT_TOL),
-        ("spectral decomposition does not reconstruct the matrix", np.einsum("nk,nkij->nij", values, projs) - m, RECONSTRUCTION_TOL),
+        ("spectral decomposition does not reconstruct the matrix", np.einsum("nk,nkij->nij", values, projs) - m,
+         RECONSTRUCTION_TOL * np.maximum(1.0, np.abs(m).reshape(len(m), -1).max(axis=1))),
     ):
         failed = np.flatnonzero(~(np.abs(residual).reshape(len(m), -1).max(axis=1) <= tol))
         if failed.size:
@@ -281,7 +291,8 @@ def _blocks(n: int) -> list:
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
     # Each row's norm of an (n, 3) array, bitwise np.linalg.norm's (sqrt of its BLAS dot; a row sum can differ by an ulp).
-    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, which every caller rejects
+        return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
 
 
 def _bloch_norms(vectors: np.ndarray) -> np.ndarray:

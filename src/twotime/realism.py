@@ -120,13 +120,14 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     # between A's eigenspaces zeroed, and relative entropy is unitarily invariant.
     labels, frame = np.linalg.eigh(sum(k * proj for k, proj in enumerate(A.projectors)))
     mask = np.rint(labels)[:, None] == np.rint(labels)[None, :]
-    rho_in_frame, s_rho = frame.conj().T @ rho.matrix @ frame, von_neumann_entropy(rho)
+    frame_dag = frame.conj().T
+    rho_in_frame, s_rho = frame_dag @ rho.matrix @ frame, von_neumann_entropy(rho)
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
     for block in _blocks(n_samples):
-        sigmas, _ = _states(_ginibre_states(rho.dim, len(values[block]), rng))
+        sigmas, _ = _states(_ginibre_states(rho.dim, len(values[block]), rng), solver=None)
         # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
-        _, spectrum = _states(mask * (frame.conj().T @ sigmas @ frame), vectors=True)
+        _, spectrum = _states(mask * (frame_dag @ sigmas @ frame), solver="eigh")
         values[block] = _relative_entropies(rho_in_frame, s_rho, *spectrum)
     finite = values[np.isfinite(values)]
     return MinFormReport(

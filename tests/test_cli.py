@@ -237,16 +237,16 @@ class TestStackedGaps:
         assert rng.random() == ref.random()
 
     def test_every_drawn_matrix_is_checked(self, monkeypatch):
-        # Each A, B and H passes an eigh and each state an eigvalsh, at most STACK_BLOCK per call.
-        shapes = {"eigh": [], "eigvalsh": []}
+        # Each A, B and H passes an eigh and each state the Cholesky gate, at most STACK_BLOCK per call.
+        shapes = {"eigh": [], "cholesky": []}
         for name, calls in shapes.items():
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(np.shape(a)[:-2]) or s(a))
         assert cli.main(["tpm-gap", "--dim", "3", "--trials", "65"]) == 0
         instances = 10 + 65
         matrices = {name: [math.prod(shape) for shape in calls] for name, calls in shapes.items()}
-        assert sum(matrices["eigh"]) >= 3 * instances and sum(matrices["eigvalsh"]) >= instances
-        assert max(matrices["eigh"]) == max(matrices["eigvalsh"]) == qcore.STACK_BLOCK
+        assert sum(matrices["eigh"]) >= 3 * instances and sum(matrices["cholesky"]) >= instances
+        assert max(matrices["eigh"]) == max(matrices["cholesky"]) == qcore.STACK_BLOCK
         assert len(matrices["eigh"]) < 3 * instances
 
 
@@ -426,20 +426,20 @@ class TestColumnReports:
         digest = hashlib.sha256((tmp_path / "lambda.csv").read_bytes()).hexdigest()
         assert digest == "ccc0c183260f19abf95bfc9d2a1eda48265f08f768112ba81c1e46f87f922d3b"
 
-    @pytest.mark.parametrize("argv, eigh, eigvalsh", [
-        (["lambda", "--theta-steps", "181"], 0, 2 * 181),
-        (["report", "precession"], 100, 0),
+    @pytest.mark.parametrize("argv, eigh, eigvalsh, cholesky", [
+        (["lambda", "--theta-steps", "181"], 0, 181, 181),
+        (["report", "precession"], 100, 0, 0),
     ])
-    def test_every_matrix_is_checked(self, tmp_path, monkeypatch, argv, eigh, eigvalsh):
-        # lambda: each state (DensityMatrix checks) and each conditional operator pass an eigvalsh; precession: each
-        # Hamiltonian passes the checked eigh. No call takes more than STACK_BLOCK matrices.
-        shapes = {"eigh": [], "eigvalsh": []}
+    def test_every_matrix_is_checked(self, tmp_path, monkeypatch, argv, eigh, eigvalsh, cholesky):
+        # lambda: each state passes the DensityMatrix checks (the Cholesky gate) and each conditional operator an
+        # eigvalsh; precession: each Hamiltonian passes the checked eigh. No call takes more than STACK_BLOCK matrices.
+        shapes = {"eigh": [], "eigvalsh": [], "cholesky": []}
         for name, calls in shapes.items():
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
         assert cli.main(["--out", str(tmp_path)] + argv) == 0
-        assert (sum(shapes["eigh"]), sum(shapes["eigvalsh"])) == (eigh, eigvalsh)
-        assert max(shapes["eigh"] + shapes["eigvalsh"]) <= qcore.STACK_BLOCK
+        assert tuple(sum(calls) for calls in shapes.values()) == (eigh, eigvalsh, cholesky)
+        assert max(sum(shapes.values(), [])) <= qcore.STACK_BLOCK
 
 
 def test_seed_changes_output(tmp_path):

@@ -1,4 +1,4 @@
-"""Hypothesis property tests of the irreality, the protocol and the realized two-time operator.
+"""Hypothesis property tests of the irreality, the protocol, the realized two-time operator and the state check.
 
 Matrices come from a drawn seed; observables get a drawn integer spectrum in a random
 basis, so repeated entries give degenerate observables.
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from twotime.correlators import TwoTimeOperator, realize, tpm_joint_distribution
 from twotime.dynamics import ChannelFamily
-from twotime.qcore import DensityMatrix, Observable, random_hermitian
+from twotime.qcore import PSD_FLOOR, DensityMatrix, Observable, _states, random_hermitian
 from twotime.realism import complementarity_bound_check, dephase, irreality
 
 
@@ -102,3 +102,35 @@ def test_complementarity_bound_for_mutually_unbiased_bases(system):
     first = Observable(conjugated(u, distinct))
     second = Observable(conjugated(u @ fourier, distinct))
     assert complementarity_bound_check(state(dim, rank, rng), first, second).slack >= -1e-10
+
+
+@st.composite
+def floor_stacks(draw):
+    """(n, d, d) unit-trace Hermitian stacks, d = 2..8, each matrix in its own random basis with its least
+    eigenvalue drawn from [-1e-9, 1e-3], half the time within 1% of PSD_FLOOR."""
+    dim = draw(st.integers(2, 8))
+    near_floor = st.floats(PSD_FLOOR * 1.01, PSD_FLOOR * 0.99)
+    lows = draw(st.lists(st.one_of(st.floats(-1e-9, 1e-3), near_floor), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for low in lows:
+        rest = rng.uniform(0.1, 1.0, dim - 1)
+        spectrum = np.concatenate([[low], low + (1.0 - dim * low) * rest / rest.sum()])
+        stack.append(conjugated(unitary(dim, rng), np.diag(spectrum).astype(complex)))
+    return np.array(stack)
+
+
+def accepts(stack, solver):
+    try:
+        _states(stack, solver=solver)
+    except ValueError:
+        return False
+    return True
+
+
+@given(floor_stacks())
+def test_cholesky_gate_agrees_with_eigvalsh_away_from_the_floor(stack):
+    # Within 1e-14 of the floor the two may differ: that is the factorization's backward error.
+    least = np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2.0)[:, 0]
+    assume(np.all(np.abs(least - PSD_FLOOR) > 1e-14))
+    assert accepts(stack, None) == accepts(stack, "eigvalsh") == bool(np.all(least >= PSD_FLOOR))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from twotime import cli
+from twotime.correlators import _tpm_gaps, qutrit_gap_fixture, tpm_joint_distribution
 from twotime.qcore import (
+    PSD_FLOOR,
     SIGMA,
     SIGMA_X,
     SIGMA_Y,
@@ -57,6 +60,10 @@ class TestDensityMatrix:
         # Rejected before any arithmetic, so no RuntimeWarning (an error under pyproject.toml) comes first.
         with pytest.raises(ValueError, match=r"^expected finite ket entries, got \(inf\+0j\)$"):
             DensityMatrix.from_ket([math.inf, 0.0])
+
+    def test_from_ket_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match=r"^expected a 1-D ket, got shape \(2, 2\)$"):
+            DensityMatrix.from_ket([[1, 0], [0, 1]])
 
     def test_invariants_on_random_states(self):
         rng = np.random.default_rng(11)
@@ -113,6 +120,14 @@ class TestSpectralDecompose:
                 assert np.max(np.abs(rebuilt - h)) <= 1e-9
                 total = sum(proj for _, proj in spectrum)
                 assert np.max(np.abs(total - np.eye(dim))) <= 1e-10
+
+    def test_reconstruction_bound_scales_with_the_largest_entry(self):
+        # max |sum a P_a - A| is checked against RECONSTRUCTION_TOL * max(1, max |A|), so matrices of large norm pass.
+        rng = np.random.default_rng(7)
+        for h in [1e7 * oracles.random_hermitian_matrix(4, rng) for _ in range(50)] + [np.diag([1e300, -1e300])]:
+            obs = Observable(h)
+            rebuilt = np.einsum("k,kij->ij", obs.eigenvalues, obs.projectors)
+            assert np.max(np.abs(rebuilt - h)) <= 1e-9 * np.max(np.abs(h))
 
     def test_rejects_non_hermitian_with_defect(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -316,7 +331,7 @@ class TestStateStacks:
         kets = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0].T
         rho = DensityMatrix(0.7 * np.outer(kets[0], kets[0].conj()) + 0.3 * np.outer(kets[1], kets[1].conj()))
         etas = [random_density_matrix(3, rng).matrix, rho.matrix, np.outer(kets[2], kets[2].conj())]
-        _, spectrum = _states(np.array(etas), vectors=True)
+        _, spectrum = _states(np.array(etas), solver="eigh")
         values = _relative_entropies(rho.matrix, von_neumann_entropy(rho), *spectrum)
         expected = [oracles.relative_entropy_logm(rho.matrix, eta) for eta in etas]
         assert abs(values[0] - expected[0]) <= 1e-10
@@ -326,18 +341,70 @@ class TestStateStacks:
             assert value == relative_entropy(rho, DensityMatrix(eta))
         # The kernel scores rho and the etas in any one common basis alike, as min_form_check uses it.
         u = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0]
-        _, rotated = _states(u.conj().T @ np.array(etas) @ u, vectors=True)
+        _, rotated = _states(u.conj().T @ np.array(etas) @ u, solver="eigh")
         in_frame = _relative_entropies(u.conj().T @ rho.matrix @ u, von_neumann_entropy(rho), *rotated)
         assert np.all(np.abs(in_frame[:2] - values[:2]) <= 1e-12) and in_frame[2] == math.inf
 
     def test_state_check_with_vectors_is_one_eigh(self):
         stack = _ginibre_states(4, 5, np.random.default_rng(8))
         m, eigs = _states(stack)
-        m_v, (eigs_v, vectors) = _states(stack, vectors=True)
+        m_v, (eigs_v, vectors) = _states(stack, solver="eigh")
         assert np.array_equal(m, m_v) and np.max(np.abs(eigs - eigs_v)) <= 1e-15
         assert np.max(np.abs(vectors @ (eigs_v[..., None] * vectors.conj().swapaxes(1, 2)) - m)) <= 1e-14
         with pytest.raises(ValueError, match="positive semidefinite"):
-            _states(np.array([np.eye(2) / 2.0, np.diag([1.5, -0.5])], dtype=complex), vectors=True)
+            _states(np.array([np.eye(2) / 2.0, np.diag([1.5, -0.5])], dtype=complex), solver="eigh")
+
+    @staticmethod
+    def floor_stack(least):
+        # Three d = 3 states in one random basis; the middle one has least eigenvalue ``least``.
+        u = np.linalg.qr(oracles.random_hermitian_matrix(3, np.random.default_rng(41)))[0]
+        spectra = [[0.2, 0.3, 0.5], [least, 0.4, 0.6 - least], [0.1, 0.1, 0.8]]
+        return np.array([u @ np.diag(spectrum) @ u.conj().T for spectrum in spectra])
+
+    @staticmethod
+    def forbid_eigvalsh(monkeypatch):
+        def eigvalsh(m):
+            raise AssertionError("the Cholesky gate alone should decide")
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+    def test_cholesky_gate_names_a_state_below_the_floor_as_eigvalsh_does(self):
+        stack = self.floor_stack(PSD_FLOOR * (1 + 1e-3))
+        messages = []
+        for solver in ("eigvalsh", None):
+            with pytest.raises(ValueError) as raised:
+                _states(stack, solver=solver)
+            messages.append(str(raised.value))
+        assert messages == ["density matrix is not positive semidefinite: min eigenvalue = -1.001e-10"] * 2
+
+    def test_cholesky_gate_passes_states_just_above_the_floor_and_pure_states(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        stacks = [self.floor_stack(PSD_FLOOR * (1 - 1e-3))]
+        for dim in range(2, 9):
+            kets = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+            kets /= np.linalg.norm(kets, axis=1)[:, None]
+            stacks.append(kets[:, :, None] * kets.conj()[:, None, :])
+        checked = [_states(stack)[0] for stack in stacks]
+        self.forbid_eigvalsh(monkeypatch)
+        for stack, m in zip(stacks, checked):
+            gated, spectrum = _states(stack, solver=None)
+            assert spectrum is None and np.array_equal(gated, m)
+
+    def test_pure_starts_pass_the_gate_in_the_protocol_and_in_lambda(self, tmp_path, monkeypatch):
+        # The qutrit fixture starts from the pure state from_ket([1, 1, 0]); every lambda state is pure (a unit Bloch
+        # vector), here at theta = pi / 2 and pi.
+        fx = qutrit_gap_fixture()
+        a_values, b_values, joint = tpm_joint_distribution(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
+        stacks = [m[None] for m in (fx.A.matrix, fx.B.matrix, fx.channel.hamiltonian, fx.rho0.matrix)]
+        self.forbid_eigvalsh(monkeypatch)
+        gap = _tpm_gaps(*stacks[:3], np.array([fx.t1]), np.array([fx.t2]), stacks[3])
+        assert abs(gap[0] - 1.0 / (2.0 * math.sqrt(2.0))) <= 1e-14 and abs(a_values @ joint @ b_values) <= 1e-15
+        monkeypatch.undo()
+        counted = {"eigvalsh": [], "cholesky": []}
+        for name, calls in counted.items():
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, s=solver, c=calls: c.append(len(m)) or s(m))
+        assert cli.main(["--out", str(tmp_path), "lambda", "--theta-steps", "2"]) == 0
+        assert counted == {"eigvalsh": [2], "cholesky": [2]}  # eigvalsh for the conditional operators only
 
     def test_stacked_entropies_are_von_neumann_entropy_of_each_row(self):
         # Full-rank, rank-deficient (zero and roundoff-negative eigenvalues) and pure rows, d < 8.
@@ -414,6 +481,14 @@ class TestBloch:
         with pytest.raises(ValueError, match=message):
             BlochVector(bad)
         assert _bloch_norms(np.array([(0.6, 0.0, 0.8)])).tolist() == [1.0]
+
+    @pytest.mark.parametrize("make", [lambda: BlochVector((1e200, 0.0, 0.0)), lambda: bloch_to_state((1e200, 0.0, 0.0)),
+                                      lambda: BlochVector.from_angles(1e200, 0.3, 0.2)],
+                             ids=["BlochVector", "bloch_to_state", "from_angles"])
+    def test_overflowed_norm_is_rejected_without_a_warning(self, make):
+        # RuntimeWarnings are errors under pyproject.toml, so an overflow warning would surface first.
+        with pytest.raises(ValueError, match=r"^Bloch vector norm inf is not finite or exceeds 1$"):
+            make()
 
     def test_angles(self):
         vec = BlochVector.from_angles(0.7, 1.1, 2.3)

@@ -178,11 +178,12 @@ class TestMinForm:
         assert_matches_per_sample_min_form(obs, random_density_matrix(dim, rng), n_samples, n_samples)
 
     def test_every_sample_is_checked_twice(self, monkeypatch):
-        # Each sampled state goes through eigvalsh, and its dephased image through one eigh that serves
-        # both its state check and its relative entropy; no call takes more than STACK_BLOCK matrices.
+        # Each sampled state passes the Cholesky gate, and its dephased image one eigh that serves both its
+        # state check and its relative entropy; no call takes more than STACK_BLOCK matrices, and no sample
+        # goes through eigvalsh.
         obs = Observable(SIGMA_X)
         rho = DensityMatrix.from_ket([1.0, 0.0])
-        counted = {"eigvalsh": [], "eigh": []}
+        counted = {"cholesky": [], "eigh": [], "eigvalsh": []}
         for name, calls in counted.items():
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
@@ -191,6 +192,7 @@ class TestMinForm:
         for calls in counted.values():
             calls.clear()
         min_form_check(obs, rho, n_samples=STACK_BLOCK + 1)
+        assert sum(counted.pop("eigvalsh")) == without_samples["eigvalsh"]
         for name, calls in counted.items():
             assert sum(calls) - without_samples[name] == STACK_BLOCK + 1
             assert max(calls) == STACK_BLOCK

@@ -244,6 +244,9 @@ class TestBlochLambdaNu:
     def test_rejects_non_unit_vector(self):
         with pytest.raises(ValueError, match="unit"):
             bloch_lambda_nu((0.5, 0.0, 0.0))
+        # An overflowed norm is inf, rejected without numpy's overflow warning (an error under pyproject.toml).
+        with pytest.raises(ValueError, match=r"^expected a unit vector, got norm inf$"):
+            bloch_lambda_nu((1e200, 0.0, 0.0))
 
 
 def rows(table):
