@@ -46,7 +46,9 @@ class ChannelFamily:
 def _hamiltonians(stack: np.ndarray):
     """Check an (n, d, d) stack of Hamiltonians as Hermitian; returns it symmetrized, with its eigh (energies, modes)."""
     h = _symmetrized(stack, "hamiltonian", OPERATOR_HERMITICITY_TOL)
-    return (h, *np.linalg.eigh(h))
+    energies, modes = np.linalg.eigh(h)
+    _require(np.isfinite(energies), "hamiltonian eigenvalue {e!r} is not finite", e=energies)
+    return h, energies, modes
 
 
 def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np.ndarray:

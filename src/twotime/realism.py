@@ -30,8 +30,6 @@ from .qcore import (
     _relative_entropies,
     _same_dim,
     _states,
-    relative_entropy,
-    von_neumann_entropy,
 )
 
 
@@ -81,6 +79,15 @@ def _dephase(projectors, m: np.ndarray) -> np.ndarray:
     return sum(proj @ m @ proj for proj in projectors)
 
 
+def _irrealities(projectors: np.ndarray, states: np.ndarray, eigs: np.ndarray):
+    """Columns (J, S(Phi_A(rho)), S(rho)) of (n, k, d, d) projector stacks (zero _spectra slots allowed), checked
+    (n, d, d) states and their (n, d) eigenvalues, or one (1, d, d) state and its (1, d) eigenvalues for every row:
+    each dephased image passes the state check, then its entropy."""
+    _, dephased_eigs = _states(_dephase(projectors.swapaxes(0, 1), states))
+    s_dephased, s_state = _entropies(dephased_eigs), _entropies(eigs)
+    return s_dephased - s_state, s_dephased, s_state
+
+
 def _eigenstate_irrealities(projectors: np.ndarray) -> np.ndarray:
     """irreality(A, A.eigenstate(k)).irreality of each nonzero slot k of (n, k, d, d) projector stacks as
     _spectra pads them, 0 in the zero slots; STACK_BLOCK eigenstates at a time."""
@@ -88,21 +95,16 @@ def _eigenstate_irrealities(projectors: np.ndarray) -> np.ndarray:
     rows = np.argwhere(projectors.any(axis=(2, 3)))
     for n, k in (rows[block].T for block in _blocks(len(rows))):
         slots = projectors[n, k]
-        states, eigs = _states(slots / np.rint(np.trace(slots, axis1=1, axis2=2).real)[:, None, None])
-        _, dephased_eigs = _states(_dephase(projectors[n].swapaxes(0, 1), states))
-        values[n, k] = _entropies(dephased_eigs) - _entropies(eigs)
+        states = slots / np.rint(np.trace(slots, axis1=1, axis2=2).real)[:, None, None]
+        values[n, k] = _irrealities(projectors[n], *_states(states))[0]
     return values
 
 
 def irreality(A: Observable, rho: DensityMatrix) -> IrrealityReport:
     """Entropic distance of rho from being an A-reality state (nats)."""
-    s_state = von_neumann_entropy(rho)
-    s_dephased = von_neumann_entropy(dephase(A, rho))
-    return IrrealityReport(
-        irreality=s_dephased - s_state,
-        entropy_dephased=s_dephased,
-        entropy_state=s_state,
-    )
+    _same_dim(observable=A.dim, state=rho.dim)
+    columns = _irrealities(A.projectors[None], rho.matrix[None], rho.eigenvalues()[None])
+    return IrrealityReport(*(float(column[0]) for column in columns))
 
 
 def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed=0) -> MinFormReport:
@@ -114,26 +116,27 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-    j = irreality(A, rho).irreality
-    identity_gap = abs(relative_entropy(rho, dephase(A, rho)) - j)
+    report = irreality(A, rho)
     # In a basis V that block-diagonalizes A's projectors, V^dag Phi_A(sigma) V is V^dag sigma V with the entries
     # between A's eigenspaces zeroed, and relative entropy is unitarily invariant.
     labels, frame = np.linalg.eigh(sum(k * proj for k, proj in enumerate(A.projectors)))
     mask = np.rint(labels)[:, None] == np.rint(labels)[None, :]
     frame_dag = frame.conj().T
-    rho_in_frame, s_rho = frame_dag @ rho.matrix @ frame, von_neumann_entropy(rho)
+    rho_in_frame = frame_dag @ rho.matrix @ frame
+    _, spectrum = _states((mask * rho_in_frame)[None], solver="eigh")  # Phi_A(rho) in the frame, as each sample below
+    identity_gap = abs(float(_relative_entropies(rho_in_frame, report.entropy_state, *spectrum)[0]) - report.irreality)
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
     for block in _blocks(n_samples):
         sigmas, _ = _states(_ginibre_states(rho.dim, len(values[block]), rng), solver=None)
         # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
         _, spectrum = _states(mask * (frame_dag @ sigmas @ frame), solver="eigh")
-        values[block] = _relative_entropies(rho_in_frame, s_rho, *spectrum)
+        values[block] = _relative_entropies(rho_in_frame, report.entropy_state, *spectrum)
     finite = values[np.isfinite(values)]
     return MinFormReport(
-        irreality=j,
+        irreality=report.irreality,
         identity_gap=identity_gap,
-        min_margin=float(finite.min() - j) if finite.size else math.inf,
+        min_margin=float(finite.min() - report.irreality) if finite.size else math.inf,
         infinite_samples=len(values) - finite.size,
         n_samples=n_samples,
     )
@@ -161,16 +164,10 @@ def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, se
     overlaps = np.linalg.norm(first.projectors[:, None] @ second.projectors[None], ord=2, axis=(2, 3))
     if not np.max(overlaps) ** 2 <= 1.0 / rho.dim + MEASUREMENT_TOL:
         raise ValueError("composed dephasings of the pair do not yield the maximally mixed state")
-    s_first = von_neumann_entropy(dephase(first, rho))
-    s_second = von_neumann_entropy(dephase(second, rho))
-    s_state = von_neumann_entropy(rho)
+    # An admitted pair is nondegenerate (c >= 1/k for k distinct outcomes), so both stack as (d, d, d).
+    _, dephased, state = _irrealities(np.stack([first.projectors, second.projectors]), rho.matrix[None], rho.eigenvalues()[None])
+    (s_first, s_second), (s_state,) = dephased.tolist(), state.tolist()
     lhs = s_first + s_second
     rhs = math.log(rho.dim) + s_state
-    return ComplementarityReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        entropy_first=s_first,
-        entropy_second=s_second,
-        entropy_state=s_state,
-    )
+    return ComplementarityReport(lhs=lhs, rhs=rhs, slack=lhs - rhs,
+                                 entropy_first=s_first, entropy_second=s_second, entropy_state=s_state)

@@ -170,6 +170,11 @@ class TestStackedGaps:
         assert "d=3: max gap over 1000 random instances: 2.237e+00\n" in out
         assert "Heisenberg 0.353553390593, gap 0.353553 (expected > 1e-6)" in out
 
+    @pytest.mark.parametrize("dim, gap", [(2, "1.221e-15"), (3, "3.553e-15")])
+    def test_default_seed_dephased_starts_are_pinned(self, capsys, dim, gap):
+        assert cli.main(["tpm-gap", "--dim", str(dim)]) == 0
+        assert f"d={dim}: max gap over 10 dephased-start instances: {gap} (expected <= 1e-10)\n" in capsys.readouterr().out
+
     def test_draws_keep_the_per_instance_rng_order(self):
         # Each random instance takes A, B, H, t1, t2 - t1 and its state; a +-1 instance takes H, t1, t2 - t1,
         # the two axes and its state. The blocks match those draws byte for byte (so -0.0 and 0.0 differ), also
@@ -255,6 +260,11 @@ class TestReportCommand:
     def test_reports_pass(self, name, capsys):
         assert cli.main(["report", name]) == 0
         assert capsys.readouterr().out.startswith("PASS")
+
+    def test_default_seed_eigenprep_is_pinned(self, capsys):
+        # The digits of roundoff-sized irrealities: a change in the irreality kernel's arithmetic shows here.
+        assert cli.main(["report", "eigenprep"]) == 0
+        assert "max irreality in eigenstate preparations 1.188e-14 over 100 operators (tolerance 1e-10)\n" in capsys.readouterr().out
 
     def test_eigenprep_realizes_each_operator_once(self, monkeypatch):
         # Four stacks of 25 are realized, and A and B (in correlators) and the realized operator (in cli)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ def test_rejects_non_finite_entry(build, bad):
 def test_rejects_empty_matrix(build):
     with pytest.raises(ValueError, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
         build(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("matrix", [np.diag([1e308, -1e308]), np.array([[0.0, 1e308], [1e308, 0.0]])], ids=["diagonal", "off-diagonal"])
+def test_entries_near_the_float_max_build_without_a_warning(matrix):
+    # Symmetrized as M / 2 + M^dag / 2, so M + M^dag does not overflow; the eigenvalue gap 2e308 is not merged.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obs, family = Observable(matrix), ChannelFamily(matrix)
+        assert np.max(np.abs(family.unitary_at(0.0) - np.eye(2))) <= 1e-12
+    assert np.array_equal(obs.matrix, matrix) and np.array_equal(family.hamiltonian, matrix)
+    assert np.array_equal(obs.eigenvalues, [-1e308, 1e308])
+
+
+def test_rejects_a_hamiltonian_whose_spectrum_is_not_finite():
+    # Every entry is finite, but the eigenvalue 2e308 is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^hamiltonian eigenvalue inf is not finite$"):
+            ChannelFamily(np.full((2, 2), 1e308))
 
 
 def test_channel_family_is_the_one_matrix_hamiltonian_kernel():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from twotime.correlators import TwoTimeOperator, realize, tpm_joint_distribution
 from twotime.dynamics import ChannelFamily
-from twotime.qcore import PSD_FLOOR, DensityMatrix, Observable, _states, random_hermitian
+from twotime.qcore import PSD_FLOOR, DensityMatrix, Observable, _states, random_hermitian, von_neumann_entropy
 from twotime.realism import complementarity_bound_check, dephase, irreality
 
 
@@ -51,6 +51,17 @@ def test_irreality_is_non_negative_and_vanishes_on_dephased_states(system):
     rho = state(dim, rank, rng)
     assert irreality(a, rho).irreality >= -1e-12
     assert abs(irreality(a, dephase(a, rho)).irreality) <= 1e-12
+
+
+@given(systems())
+def test_irreality_is_the_entropy_difference_of_the_dephased_state_bitwise(system):
+    # The path through two DensityMatrix objects as reference.
+    dim, rng, (spectrum, _), rank = system
+    a = Observable(observable(spectrum, rng))
+    rho = state(dim, rank, rng)
+    s_dephased, s_state = von_neumann_entropy(dephase(a, rho)), von_neumann_entropy(rho)
+    report = irreality(a, rho)
+    assert (report.irreality, report.entropy_dephased, report.entropy_state) == (s_dephased - s_state, s_dephased, s_state)
 
 
 @given(systems())
@@ -93,15 +104,30 @@ def test_realize_is_hermitian_and_commutes_with_a_change_of_basis(system, kind, 
     assert np.max(np.abs(c_v.projectors - conjugated(v, c.projectors))) <= 1e-8
 
 
-@given(systems())
-def test_complementarity_bound_for_mutually_unbiased_bases(system):
-    dim, rng, _, rank = system
+def unbiased_pair(dim, rng):
+    # Observables with distinct eigenvalues in a random basis and in its Fourier-conjugate basis.
     u = unitary(dim, rng)
     fourier = np.exp(2j * math.pi * np.outer(range(dim), range(dim)) / dim) / math.sqrt(dim)
     distinct = np.diag(np.arange(dim, dtype=float)).astype(complex)
-    first = Observable(conjugated(u, distinct))
-    second = Observable(conjugated(u @ fourier, distinct))
+    return Observable(conjugated(u, distinct)), Observable(conjugated(u @ fourier, distinct))
+
+
+@given(systems())
+def test_complementarity_bound_for_mutually_unbiased_bases(system):
+    dim, rng, _, rank = system
+    first, second = unbiased_pair(dim, rng)
     assert complementarity_bound_check(state(dim, rank, rng), first, second).slack >= -1e-10
+
+
+@given(systems())
+def test_complementarity_entropies_are_the_irreality_reports_bitwise(system):
+    dim, rng, _, rank = system
+    first, second = unbiased_pair(dim, rng)
+    rho = state(dim, rank, rng)
+    report = complementarity_bound_check(rho, first, second)
+    one, other = irreality(first, rho), irreality(second, rho)
+    assert (report.entropy_first, report.entropy_second) == (one.entropy_dephased, other.entropy_dephased)
+    assert report.entropy_state == one.entropy_state == other.entropy_state
 
 
 @st.composite

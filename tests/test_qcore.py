@@ -47,9 +47,12 @@ class TestDensityMatrix:
         assert np.isclose(rho.matrix[0, 0], 9.0 / 25.0)
 
     @pytest.mark.parametrize("ket, scaled", [([1e300, 1e300], [1.0, 1.0]), ([1e-200, 0.0], [1.0, 0.0]),
-                                             ([1e-170, 1e-170], [1.0, 1.0])])
+                                             ([1e-170, 1e-170], [1.0, 1.0]), ([5e-324, 0.0], [1.0, 0.0]),
+                                             ([1e-310, 1e-310j], [1.0, 1j])])
     def test_from_ket_accepts_kets_whose_squares_leave_the_float_range(self, ket, scaled):
-        # Divided by the largest |v_i| first, only when the direct norm is 0 or inf.
+        # Divided by the largest |v_i| first, only when the direct norm is 0 or inf. The division is done on the real
+        # and imaginary parts as reals: a complex division computes 1 / largest, which overflows for a subnormal one.
+        # Any RuntimeWarning fails the test (pyproject.toml).
         assert np.array_equal(DensityMatrix.from_ket(ket).matrix, DensityMatrix.from_ket(scaled).matrix)
 
     def test_from_ket_keeps_the_direct_normalization_of_other_kets(self):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from twotime import qcore
+from twotime import qcore, realism
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -256,6 +257,36 @@ class TestMinForm:
         rho = DensityMatrix.from_ket([1, 0])
         sigma = DensityMatrix.from_ket([0, 1])
         assert relative_entropy(rho, dephase(obs, sigma)) == math.inf
+
+
+class TestOneIrrealityKernel:
+    def test_each_irreality_is_one_kernel_call_that_builds_no_state(self, monkeypatch):
+        # irreality, the complementarity entropies, min_form_check's J and report eigenprep's eigenstates all come from
+        # one _irrealities call; none builds a DensityMatrix, and rho's own eigenvalues are reused, not recomputed.
+        rng = np.random.default_rng(79)
+        obs = Observable(oracles.random_hermitian_matrix(2, rng))
+        rho = random_density_matrix(2, rng)
+        complementarity_bound_check(rho)  # builds the default pair on first use
+        counts = collections.Counter()
+
+        def counted(name, fn, size=lambda *args: 1):
+            return lambda *args: counts.update({name: size(*args)}) or fn(*args)
+
+        for solver in ("eigvalsh", "eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, solver, counted(solver, getattr(np.linalg, solver), lambda a: math.prod(np.shape(a)[:-2])))
+        monkeypatch.setattr(realism, "_irrealities", counted("_irrealities", realism._irrealities))
+        monkeypatch.setattr(DensityMatrix, "__init__", counted("DensityMatrix", DensityMatrix.__init__))
+        for call, expected in (
+            (lambda: irreality(obs, rho), {"_irrealities": 1, "eigvalsh": 1}),
+            (lambda: complementarity_bound_check(rho), {"_irrealities": 1, "eigvalsh": 2}),
+            # The frame's eigh, and one checked eigh of Phi_A(rho) in the frame for the identity.
+            (lambda: min_form_check(obs, rho, n_samples=0), {"_irrealities": 1, "eigvalsh": 1, "eigh": 2}),
+            # Both eigenstates and both dephased images.
+            (lambda: realism._eigenstate_irrealities(obs.projectors[None]), {"_irrealities": 1, "eigvalsh": 4}),
+        ):
+            counts.clear()
+            call()
+            assert counts == collections.Counter(expected)
 
 
 class TestComplementarityBound:
