@@ -202,11 +202,13 @@ def _draw_dephased_instances(dim, n, rng):
     draws = []
     for _ in range(n):
         a, b, h, t1, t2, _ = _draw_instances((dim,), 1, rng)[0]
-        projectors = qcore.Observable(a[0]).projectors
+        projectors = [p for p in qcore._spectra(a)[2][0] if p.any()]  # A's nonzero slots: one per distinct eigenvalue
         weights = rng.uniform(0.1, 1.0, len(projectors))
         rho_t1 = sum(w * p / p.trace().real for w, p in zip(weights / weights.sum(), projectors))
-        draws.append((a, b, h, t1, t2, dynamics.ChannelFamily(h[0]).propagate_state(rho_t1, -t1[0])[None]))
-    return [np.concatenate(column) for column in zip(*draws)]
+        draws.append((a, b, h, t1, t2, rho_t1[None]))
+    a, b, h, t1, t2, rho_t1 = (np.concatenate(column) for column in zip(*draws))
+    u = dynamics._unitaries(*qcore._eighs(h, "hamiltonian")[1:], -t1)  # every rho_t1 evolved back to 0 as one block
+    return a, b, h, t1, t2, u @ rho_t1 @ u.conj().swapaxes(1, 2)
 
 
 def _max_gap(draw, trials: int) -> float:
@@ -311,7 +313,7 @@ def _precessions(n, rng):
     taus = np.concatenate([tau, tau + FINITE_DIFF_STEP, tau - FINITE_DIFF_STEP])
     (evolved, plus, minus), (torque, _, _) = (np.split(stack, 3) for stack in spinlab._precession(np.tile(h, (3, 1)), taus))
     _, _, fields = spinlab._field_algebra(h)
-    u = np.concatenate([dynamics._unitaries(*dynamics._hamiltonians(fields[block])[1:], tau[block])
+    u = np.concatenate([dynamics._unitaries(*qcore._eighs(fields[block], "hamiltonian")[1:], tau[block])
                         for block in qcore._blocks(n)])
     return h, tau, evolved, plus, minus, torque, u.conj().swapaxes(1, 2)[:, None] @ np.array(qcore.SIGMA) @ u[:, None]
 

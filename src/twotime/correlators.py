@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelFamily, _hamiltonians, _unitaries
-from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, _require
+from .dynamics import ChannelFamily, _unitaries
+from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, _eighs, _require
 from .qcore import DensityMatrix, Observable, _as_square_complex, _readonly, _same_dim, _spectra, _states, _symmetrized
 
 _KINDS = ("product", "sum")
@@ -143,7 +143,7 @@ def _tpm_joints(a_projectors, b_projectors, u1, u21, rho0) -> np.ndarray:
 
 def _checked_instances(a, b, h, *times):
     """_spectra of (n, d, d) stacks of A and B, and the unitaries of an H stack at each (n,) array of times."""
-    _, energies, modes = _hamiltonians(h)
+    _, energies, modes = _eighs(h, "hamiltonian")
     return _spectra(a), _spectra(b), [_unitaries(energies, modes, t) for t in times]
 
 

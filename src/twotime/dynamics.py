@@ -8,7 +8,7 @@ picture, A -> U_t^dag A U_t, which a non-unitary map does not have.
 
 import numpy as np
 
-from .qcore import OPERATOR_HERMITICITY_TOL, _as_square_complex, _readonly, _require, _symmetrized
+from .qcore import _as_square_complex, _eighs, _readonly, _require
 
 
 class ChannelFamily:
@@ -22,7 +22,7 @@ class ChannelFamily:
     """
 
     def __init__(self, hamiltonian):
-        h, energies, modes = _hamiltonians(_as_square_complex(hamiltonian)[None])
+        h, energies, modes = _eighs(_as_square_complex(hamiltonian)[None], "hamiltonian")
         self._hamiltonian = _readonly(h[0])
         self._energies, self._modes = energies[0], modes[0]
 
@@ -41,14 +41,6 @@ class ChannelFamily:
         """Schrodinger direction: U_t M U_t^dag."""
         u = self.unitary_at(t)
         return u @ matrix @ u.conj().T
-
-
-def _hamiltonians(stack: np.ndarray):
-    """Check an (n, d, d) stack of Hamiltonians as Hermitian; returns it symmetrized, with its eigh (energies, modes)."""
-    h = _symmetrized(stack, "hamiltonian", OPERATOR_HERMITICITY_TOL)
-    energies, modes = np.linalg.eigh(h)
-    _require(np.isfinite(energies), "hamiltonian eigenvalue {e!r} is not finite", e=energies)
-    return h, energies, modes
 
 
 def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np.ndarray:

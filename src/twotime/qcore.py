@@ -75,13 +75,20 @@ def _same_dim(**dims) -> None:
 
 
 def _symmetrized(m: np.ndarray, what: str, tol: float) -> np.ndarray:
-    # M/2 + M^dag/2 of a matrix or an (n, d, d) stack, halved first (by * 0.5, cheaper than a complex division) so that
-    # entries near the float max do not overflow; once max |M - M^dag| over it is within tol (NaN or inf fails).
-    adjoint = m.conj().swapaxes(-1, -2)
-    defect = float(np.max(np.abs(m - adjoint)))
+    # M/2 + M^dag/2 of a matrix or an (n, d, d) stack once max |M - M^dag| <= tol (NaN fails); halved first: no overflow.
+    half, adjoint = m * 0.5, m.conj().swapaxes(-1, -2) * 0.5
+    defect = 2.0 * float(np.max(np.abs(half - adjoint)))
     if not defect <= tol:
         raise ValueError(f"{what} is not Hermitian: max |H - H^dag| = {defect:.3e}")
-    return m * 0.5 + adjoint * 0.5
+    return half + adjoint
+
+
+def _eighs(stack: np.ndarray, what: str):
+    """Check an (n, d, d) stack of ``what`` as Hermitian with a finite spectrum; returns it symmetrized, with its eigh."""
+    m = _symmetrized(stack, what, OPERATOR_HERMITICITY_TOL)
+    values, vectors = np.linalg.eigh(m)
+    _require(np.isfinite(values), what + " eigenvalue {e!r} is not finite", e=values)
+    return m, values, vectors
 
 
 def _states(stack: np.ndarray, solver="eigvalsh"):
@@ -166,8 +173,7 @@ def _spectra(stack: np.ndarray):
     symmetrized stack, (n, d) eigenvalues and (n, d, d, d) projectors: slot k holds its eigenvector's
     group mean, and a merged group's projector sits in its first slot, with zero projectors in the
     rest (they keep sum P = 1 and P_i P_j = delta_ij P_i)."""
-    m = _symmetrized(stack, "observable", OPERATOR_HERMITICITY_TOL)
-    values, vectors = np.linalg.eigh(m)
+    m, values, vectors = _eighs(stack, "observable")
     cols = vectors.swapaxes(1, 2)
     projs = cols[..., :, None] @ cols.conj()[..., None, :]
     with np.errstate(over="ignore"):  # a gap between eigenvalues near +-float max is inf, which is not merged

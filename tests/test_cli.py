@@ -175,6 +175,16 @@ class TestStackedGaps:
         assert cli.main(["tpm-gap", "--dim", str(dim)]) == 0
         assert f"d={dim}: max gap over 10 dephased-start instances: {gap} (expected <= 1e-10)\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dim, expected", [(2, (0, 0)), (3, (2, 1))])
+    def test_builds_no_observable_or_channel_per_instance(self, monkeypatch, dim, expected):
+        # Every instance, the dephased starts included, is checked and propagated in stacks; only the d = 3 qutrit
+        # fixture builds objects: its A and B, and its channel.
+        built = {Observable: [], ChannelFamily: []}
+        for cls, calls in built.items():
+            monkeypatch.setattr(cls, "__init__", lambda self, m, init=cls.__init__, c=calls: c.append(m) or init(self, m))
+        assert cli.main(["tpm-gap", "--dim", str(dim), "--trials", "65"]) == 0
+        assert (len(built[Observable]), len(built[ChannelFamily])) == expected
+
     def test_draws_keep_the_per_instance_rng_order(self):
         # Each random instance takes A, B, H, t1, t2 - t1 and its state; a +-1 instance takes H, t1, t2 - t1,
         # the two axes and its state. The blocks match those draws byte for byte (so -0.0 and 0.0 differ), also

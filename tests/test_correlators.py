@@ -15,7 +15,7 @@ from twotime.correlators import (
     tpm_joint_distribution,
 )
 from twotime.correlators import _tpm_joints, _trace_forms
-from twotime.dynamics import ChannelFamily, _hamiltonians, _unitaries
+from twotime.dynamics import ChannelFamily, _unitaries
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
@@ -26,7 +26,7 @@ from twotime.qcore import (
     random_density_matrix,
     relative_entropy,
 )
-from twotime.qcore import _spectra
+from twotime.qcore import _eighs, _spectra
 from twotime.realism import complementarity_bound_check, dephase, irreality
 from twotime.spinlab import bloch_lambda_nu, precession_channel
 
@@ -282,7 +282,7 @@ class TestStackKernels:
             instances[2] = (Observable(basis @ np.diag(degenerate) @ basis.conj().T), *instances[2][1:])
             a, b, h, t1, t2, rho0 = (np.array([getattr(x, "matrix", x) for x in column]) for column in zip(*instances))
             (_, _, a_projectors), (_, _, b_projectors) = _spectra(a), _spectra(b)
-            _, energies, modes = _hamiltonians(h)
+            _, energies, modes = _eighs(h, "hamiltonian")
             joints = _tpm_joints(a_projectors, b_projectors, _unitaries(energies, modes, t1),
                                  _unitaries(energies, modes, t2 - t1), rho0)
             assert not a_projectors[2].any(axis=(1, 2)).all()

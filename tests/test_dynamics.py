@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from twotime.correlators import TwoTimeOperator, tpm_joint_distribution
-from twotime.dynamics import ChannelFamily, _hamiltonians, _unitaries
+from twotime.dynamics import ChannelFamily, _unitaries
 from twotime.qcore import (
     SIGMA,
     SIGMA_X,
@@ -16,6 +16,7 @@ from twotime.qcore import (
     Observable,
     random_density_matrix,
 )
+from twotime.qcore import _eighs
 
 
 @pytest.fixture
@@ -178,11 +179,28 @@ def test_rejects_a_hamiltonian_whose_spectrum_is_not_finite():
             ChannelFamily(np.full((2, 2), 1e308))
 
 
+def test_rejects_an_observable_whose_spectrum_is_not_finite():
+    # The same check as a Hamiltonian's, before any projector is built from the infinite eigenvalue.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^observable eigenvalue inf is not finite$"):
+            Observable(np.full((2, 2), 1e308))
+
+
+@pytest.mark.parametrize("build, what", [(Observable, "observable"), (ChannelFamily, "hamiltonian")])
+def test_non_hermitian_entries_near_the_float_max_report_an_infinite_defect(build, what):
+    # max |H - H^dag| = 2e308 is past the float max: the defect is taken from M/2 - M^dag/2, so no numpy step overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{what} is not Hermitian: max \|H - H\^dag\| = inf$"):
+            build(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
 def test_channel_family_is_the_one_matrix_hamiltonian_kernel():
     rng = np.random.default_rng(13)
     stack = np.array([oracles.random_hermitian_matrix(4, rng) for _ in range(3)])
     stack[1, 0, 1] += 1e-12  # symmetrized within OPERATOR_HERMITICITY_TOL
-    h, energies, modes = _hamiltonians(stack)
+    h, energies, modes = _eighs(stack, "hamiltonian")
     for n, matrix in enumerate(stack):
         family = ChannelFamily(matrix)
         symmetrized = (matrix + matrix.conj().T) / 2.0
@@ -192,7 +210,7 @@ def test_channel_family_is_the_one_matrix_hamiltonian_kernel():
         assert np.array_equal(family._modes, expected[1]) and np.array_equal(modes[n], expected[1])
     stack[2, 1, 0] += 1e-6
     with pytest.raises(ValueError, match=r"^hamiltonian is not Hermitian: max \|H - H\^dag\| = 1\.000e-06$"):
-        _hamiltonians(stack)
+        _eighs(stack, "hamiltonian")
 
 
 @pytest.mark.parametrize(

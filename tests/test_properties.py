@@ -5,9 +5,11 @@ basis, so repeated entries give degenerate observables.
 """
 
 import math
+import re
 
 import numpy as np
-from hypothesis import assume, given
+import pytest
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from twotime.correlators import TwoTimeOperator, realize, tpm_joint_distribution
@@ -160,3 +162,34 @@ def test_cholesky_gate_agrees_with_eigvalsh_away_from_the_floor(stack):
     least = np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2.0)[:, 0]
     assume(np.all(np.abs(least - PSD_FLOOR) > 1e-14))
     assert accepts(stack, None) == accepts(stack, "eigvalsh") == bool(np.all(least >= PSD_FLOOR))
+
+
+@st.composite
+def scaled_matrices(draw):
+    """d = 1..4 complex matrices: a Hermitian part with entries of real and imaginary parts in [-1, 1], plus an
+    anti-Hermitian part scaled to entries up to 1e-8 (or none), the sum scaled by 10**k, k in [-300, 307]."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, s = rng.uniform(-1.0, 1.0, (2, dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (2, dim, dim))
+    skew = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-8)))
+    hermitian, anti = (g + g.conj().T) / 2.0, skew * (s - s.conj().T) / 2.0
+    return (hermitian + anti) * 10.0 ** draw(st.integers(-300, 307))
+
+
+@given(scaled_matrices())
+@example(np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex))  # max |H - H^dag| past the float max
+@example(np.full((2, 2), 1e308, dtype=complex))  # finite entries, eigenvalue 2e308
+def test_observables_and_hamiltonians_share_one_checked_decomposition(matrix):
+    # A Hamiltonian that fails the check fails it as an observable with the same message; one that passes is
+    # symmetrized bitwise as the observable's matrix (an Observable may still fail its own projector checks).
+    try:
+        hamiltonian = ChannelFamily(matrix).hamiltonian
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="^" + re.escape(str(exc).replace("hamiltonian", "observable")) + "$"):
+            Observable(matrix)
+        return
+    try:
+        observable = Observable(matrix).matrix
+    except ValueError:
+        return
+    assert observable.tobytes() == hamiltonian.tobytes()
