@@ -154,7 +154,7 @@ def cmd_lambda(args) -> int:
     # Each state passes the DensityMatrix checks (Cholesky gate), each conditional operator one eigvalsh, by blocks.
     min_eigenvalue = np.concatenate([
         correlators._lambdas(alpha, qcore._states(qcore._bloch_states(directions[block]), solver=None)[0])[1][:, 0]
-        for block in qcore._blocks(args.theta_steps)
+        for block in qcore._blocks(args.theta_steps, 2)
     ])
     physical = min_eigenvalue >= qcore.PSD_FLOOR
     physical_thetas = theta[physical].tolist()
@@ -211,25 +211,24 @@ def _draw_dephased_instances(dim, n, rng):
     return a, b, h, t1, t2, u @ rho_t1 @ u.conj().swapaxes(1, 2)
 
 
-def _max_gap(draw, trials: int) -> float:
-    # Largest gap over ``trials`` instances: draw(n) gives the next n as stacks, in rng order, scored a block at a time.
-    blocks = range(0, trials, qcore.STACK_BLOCK)
-    return max(float(correlators._tpm_gaps(*draw(min(qcore.STACK_BLOCK, trials - start))).max()) for start in blocks)
+def _max_gap(draw, trials: int, dim: int) -> float:
+    # Largest gap over ``trials`` dim x dim instances: draw(n) gives the next n as stacks, in rng order, scored by blocks.
+    return max(float(correlators._tpm_gaps(*draw(len(range(trials)[block]))).max()) for block in qcore._blocks(trials, dim))
 
 
 def cmd_tpm_gap(args) -> int:
     """Compare the protocol and Heisenberg correlators over random instances."""
     rng = np.random.default_rng(args.seed)
     ok = True
-    eq4_gap = _max_gap(lambda n: _draw_dephased_instances(args.dim, n, rng), 10)
+    eq4_gap = _max_gap(lambda n: _draw_dephased_instances(args.dim, n, rng), 10, args.dim)
     print(f"d={args.dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
     ok &= eq4_gap <= IDENTITY_TOL
     if args.dim == 2:
-        max_gap = _max_gap(lambda n: _draw_pm1_instances(n, rng), args.trials)
+        max_gap = _max_gap(lambda n: _draw_pm1_instances(n, rng), args.trials, 2)
         print(f"d=2: max gap over {args.trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
         ok &= max_gap <= IDENTITY_TOL
     else:
-        max_gap = _max_gap(lambda n: _draw_instances((3,), n, rng)[0], args.trials)
+        max_gap = _max_gap(lambda n: _draw_instances((3,), n, rng)[0], args.trials, 3)
         print(f"d=3: max gap over {args.trials} random instances: {max_gap:.3e}")
         fx = correlators.qutrit_gap_fixture()
         tpm = correlators.tpm_correlator(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
@@ -314,7 +313,7 @@ def _precessions(n, rng):
     (evolved, plus, minus), (torque, _, _) = (np.split(stack, 3) for stack in spinlab._precession(np.tile(h, (3, 1)), taus))
     _, _, fields = spinlab._field_algebra(h)
     u = np.concatenate([dynamics._unitaries(*qcore._eighs(fields[block], "hamiltonian")[1:], tau[block])
-                        for block in qcore._blocks(n)])
+                        for block in qcore._blocks(n, 2)])
     return h, tau, evolved, plus, minus, torque, u.conj().swapaxes(1, 2)[:, None] @ np.array(qcore.SIGMA) @ u[:, None]
 
 

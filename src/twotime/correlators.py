@@ -172,7 +172,8 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
     enough. When they commute and alpha is rank one, it equals alpha itself.
     """
     alpha = _symmetrized(_as_square_complex(projector), "projector", OPERATOR_HERMITICITY_TOL)
-    _require(np.max(np.abs(alpha @ alpha - alpha)) <= MEASUREMENT_TOL, "projector must be idempotent")
+    defect = np.max(np.abs(alpha @ alpha - alpha))
+    _require(defect <= MEASUREMENT_TOL, "projector is not idempotent: max |P^2 - P| = {defect:.3e}", defect=defect)
     _same_dim(projector=alpha.shape[0], state=rho0.dim, channel=channel.dim)
     lam, eigs = _lambdas(alpha, channel.propagate_state(rho0.matrix, t1)[None])
     return LambdaReport(matrix=_readonly(lam[0]), min_eigenvalue=float(eigs[0, 0]), trace=float(lam[0].trace().real),

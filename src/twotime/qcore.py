@@ -31,7 +31,7 @@ FIXTURE_GAP_MIN = 1e-6  # gap the qutrit fixture must exceed
 PRECESSION_TOL = 1e-12  # closed-form precession vs channel; field component of torque
 FINITE_DIFF_TOL = 1e-8  # central difference vs analytic torque
 FINITE_DIFF_STEP = 1e-5  # step of that central difference
-STACK_BLOCK = 64  # matrices drawn, checked and scored per stacked LAPACK call
+STACK_BYTES = 36 * 1024  # bytes of d x d complex matrices (16 d^2 each) drawn, checked and scored per stacked call
 CELL_TIE_MARGIN = 1e-3  # distance of a table cell's scaled digits from a rounding tie below which Python formats it
 
 LN2 = math.log(2.0)
@@ -169,10 +169,12 @@ class DensityMatrix:
 
 
 def _spectra(stack: np.ndarray):
-    """Check and decompose an (n, d, d) stack of observables as ``Observable`` does. Returns the
-    symmetrized stack, (n, d) eigenvalues and (n, d, d, d) projectors: slot k holds its eigenvector's
-    group mean, and a merged group's projector sits in its first slot, with zero projectors in the
-    rest (they keep sum P = 1 and P_i P_j = delta_ij P_i)."""
+    """Check and decompose an (n, d, d) stack of observables as ``Observable`` does. Returns the symmetrized stack,
+    (n, d) eigenvalues and (n, d, d, d) projectors: slot k holds its eigenvector's group mean, and a merged group's
+    projector sits in its first slot, with zero projectors in the rest (they keep sum P = 1 and P_i P_j = delta_ij P_i).
+    The projector algebra is one check of eigh's eigenvectors V: e = max |G - 1| <= MEASUREMENT_TOL / (d + 1) for
+    G = V^dag V. Every projector, merged ones too, comes from V, so no entry of P_g P_h - delta_gh P_g =
+    V_g (G_gh - delta_gh) V_h^dag, nor of sum P - 1 = V V^dag - 1, exceeds (1 + d e) d e < MEASUREMENT_TOL."""
     m, values, vectors = _eighs(stack, "observable")
     cols = vectors.swapaxes(1, 2)
     projs = cols[..., :, None] @ cols.conj()[..., None, :]
@@ -185,18 +187,12 @@ def _spectra(stack: np.ndarray):
             projs[n, a] = vectors[n, :, a:b] @ vectors[n, :, a:b].conj().T
             values[n, a:b] = values[n, a:b].sum() / (b - a)
     projs = (projs + projs.conj().swapaxes(-1, -2)) / 2.0
-    eye = np.eye(m.shape[1])
-    # P_i P_j - delta_ij P_i for every pair, as one (n, d, d, d, d) stack.
-    pairs = projs[:, :, None] @ projs[:, None] - eye[..., None, None] * projs[:, :, None]
-    for message, residual, tol in (
-        ("projectors are not orthogonal/idempotent", pairs, MEASUREMENT_TOL),
-        ("projectors do not resolve the identity", projs.sum(axis=1) - eye, MEASUREMENT_TOL),
-        ("spectral decomposition does not reconstruct the matrix", np.einsum("nk,nkij->nij", values, projs) - m,
-         RECONSTRUCTION_TOL * np.maximum(1.0, np.abs(m).reshape(len(m), -1).max(axis=1))),
-    ):
-        failed = np.flatnonzero(~(np.abs(residual).reshape(len(m), -1).max(axis=1) <= tol))
-        if failed.size:
-            raise ValueError(f"{message}: matrix {failed[0]} of {len(m)}")
+    row, where = np.arange(len(m)), f": matrix {{row:.0f}} of {len(m)}"  # _require names the first failing row
+    gram = np.abs(cols.conj() @ vectors - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1)
+    _require(gram <= MEASUREMENT_TOL / (m.shape[1] + 1), "projectors are not orthogonal/idempotent" + where, row=row)
+    fit = np.abs(np.einsum("nk,nkij->nij", values, projs) - m).reshape(len(m), -1).max(axis=1)
+    scale = np.maximum(1.0, np.abs(m).reshape(len(m), -1).max(axis=1))
+    _require(fit <= RECONSTRUCTION_TOL * scale, "spectral decomposition does not reconstruct the matrix" + where, row=row)
     return m, values, projs
 
 
@@ -292,9 +288,13 @@ class BlochVector:
         return f"BlochVector(({x:.6g}, {y:.6g}, {z:.6g}))"
 
 
-def _blocks(n: int) -> list:
-    # Slices of at most STACK_BLOCK rows covering range(n): the most one stacked LAPACK call takes.
-    return [slice(start, start + STACK_BLOCK) for start in range(0, n, STACK_BLOCK)]
+def _rows(d: int) -> int:
+    # Rows of d x d complex matrices (16 d^2 bytes each) in STACK_BYTES: the most one stacked LAPACK call takes.
+    return max(1, STACK_BYTES // (16 * d * d))
+
+
+def _blocks(n: int, d: int) -> list:
+    return [slice(start, start + _rows(d)) for start in range(0, n, _rows(d))]  # range(n) in slices of _rows(d)
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:

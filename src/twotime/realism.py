@@ -90,10 +90,10 @@ def _irrealities(projectors: np.ndarray, states: np.ndarray, eigs: np.ndarray):
 
 def _eigenstate_irrealities(projectors: np.ndarray) -> np.ndarray:
     """irreality(A, A.eigenstate(k)).irreality of each nonzero slot k of (n, k, d, d) projector stacks as
-    _spectra pads them, 0 in the zero slots; STACK_BLOCK eigenstates at a time."""
+    _spectra pads them, 0 in the zero slots; _rows(d) eigenstates at a time."""
     values = np.zeros(projectors.shape[:2])
     rows = np.argwhere(projectors.any(axis=(2, 3)))
-    for n, k in (rows[block].T for block in _blocks(len(rows))):
+    for n, k in (rows[block].T for block in _blocks(len(rows), projectors.shape[-1])):
         slots = projectors[n, k]
         states = slots / np.rint(np.trace(slots, axis1=1, axis2=2).real)[:, None, None]
         values[n, k] = _irrealities(projectors[n], *_states(states))[0]
@@ -127,7 +127,7 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     identity_gap = abs(float(_relative_entropies(rho_in_frame, report.entropy_state, *spectrum)[0]) - report.irreality)
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
-    for block in _blocks(n_samples):
+    for block in _blocks(n_samples, rho.dim):
         sigmas, _ = _states(_ginibre_states(rho.dim, len(values[block]), rng), solver=None)
         # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
         _, spectrum = _states(mask * (frame_dag @ sigmas @ frame), solver="eigh")

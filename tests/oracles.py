@@ -36,6 +36,13 @@ def grouped_projectors(matrix, tol=1e-8):
     return outcomes
 
 
+def projector_residuals(projectors):
+    """(max |P_i P_j - delta_ij P_i| over every pair, max |sum_i P_i - 1|) of a (k, d, d) projector stack."""
+    p = np.asarray(projectors)
+    pairs = max(np.max(np.abs(pi @ pj - (i == j) * pi)) for i, pi in enumerate(p) for j, pj in enumerate(p))
+    return float(pairs), float(np.max(np.abs(p.sum(axis=0) - np.eye(p.shape[-1]))))
+
+
 def tpm_bruteforce(a_mat, b_mat, hamiltonian, t1, t2, rho0):
     """Sequential-measurement correlator by explicit outcome enumeration."""
     rho_t1 = schrodinger_conjugate(hamiltonian, t1, rho0)

@@ -145,10 +145,10 @@ class TestStackedGaps:
         for instance, gap in zip(instances, gaps):
             assert abs(gap - per_instance_gap(*instance)) <= 1e-12
 
-    @pytest.mark.parametrize("trials", [1, 63, 64, 65])
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim, trials", [(dim, trials) for dim in (2, 3) for trials in
+                                             (1, 63, 64, 65, qcore._rows(dim) - 1, qcore._rows(dim), qcore._rows(dim) + 1)])
     def test_every_block_matches_the_per_instance_path(self, monkeypatch, dim, trials):
-        # The 10 dephased starts form one block, then the random instances STACK_BLOCK at a time.
+        # The 10 dephased starts form one block, then the random instances _rows(dim) at a time.
         blocks = []
         stacked = correlators._tpm_gaps
 
@@ -158,8 +158,8 @@ class TestStackedGaps:
 
         monkeypatch.setattr(correlators, "_tpm_gaps", recorded)
         assert cli.main(["tpm-gap", "--dim", str(dim), "--trials", str(trials)]) == 0
-        full, rest = divmod(trials, qcore.STACK_BLOCK)
-        assert [len(gaps) for _, gaps in blocks] == [10] + [qcore.STACK_BLOCK] * full + [rest] * (rest > 0)
+        full, rest = divmod(trials, qcore._rows(dim))
+        assert [len(gaps) for _, gaps in blocks] == [10] + [qcore._rows(dim)] * full + [rest] * (rest > 0)
         for block, gaps in blocks:
             for instance, gap in zip(zip(*block), gaps):
                 assert abs(gap - per_instance_gap(*instance)) <= 1e-12
@@ -252,16 +252,17 @@ class TestStackedGaps:
         assert rng.random() == ref.random()
 
     def test_every_drawn_matrix_is_checked(self, monkeypatch):
-        # Each A, B and H passes an eigh and each state the Cholesky gate, at most STACK_BLOCK per call.
+        # Each A, B and H passes an eigh and each state the Cholesky gate, at most _rows(3) per call.
         shapes = {"eigh": [], "cholesky": []}
         for name, calls in shapes.items():
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(np.shape(a)[:-2]) or s(a))
-        assert cli.main(["tpm-gap", "--dim", "3", "--trials", "65"]) == 0
-        instances = 10 + 65
+        trials = qcore._rows(3) + 1
+        assert cli.main(["tpm-gap", "--dim", "3", "--trials", str(trials)]) == 0
+        instances = 10 + trials
         matrices = {name: [math.prod(shape) for shape in calls] for name, calls in shapes.items()}
         assert sum(matrices["eigh"]) >= 3 * instances and sum(matrices["cholesky"]) >= instances
-        assert max(matrices["eigh"]) == max(matrices["cholesky"]) == qcore.STACK_BLOCK
+        assert max(matrices["eigh"]) == max(matrices["cholesky"]) == qcore._rows(3)
         assert len(matrices["eigh"]) < 3 * instances
 
 
@@ -289,12 +290,12 @@ class TestReportCommand:
         assert checked == [25] * 12
 
     def test_precession_computes_one_unitary_per_draw(self, monkeypatch):
-        # The unitaries come a block of draws at a time: 100 rows in all, none of the calls larger than STACK_BLOCK.
+        # The unitaries come a block of draws at a time: 100 rows in all, none of the calls larger than _rows(2).
         rows = []
         unitaries = dynamics._unitaries
         monkeypatch.setattr(dynamics, "_unitaries", lambda energies, modes, times: rows.append(len(times)) or unitaries(energies, modes, times))
         assert cli.main(["report", "precession"]) == 0
-        assert sum(rows) == 100 and max(rows) <= qcore.STACK_BLOCK
+        assert sum(rows) == 100 and max(rows) <= qcore._rows(2)
 
     def test_torque_bound_report(self, capsys):
         assert cli.main(["--samples", "500", "report", "torque-bound"]) == 0
@@ -316,8 +317,9 @@ class TestStackedEigenprep:
     @pytest.mark.parametrize("kind", ["product", "sum"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_matches_the_per_operator_path(self, monkeypatch, dim, kind):
-        # 30 operators, so d = 3 scores its eigenstates in two blocks. At d = 2 every third one is the spin
-        # product {Sx(t1), Sy(t2)}/2, a multiple of the identity; at d = 3 every third A and B are degenerate.
+        # 30 operators, and a budget of 64 rows at d = 3, so d = 3 scores its eigenstates in two blocks. At d = 2 every
+        # third one is the spin product {Sx(t1), Sy(t2)}/2, a multiple of the identity; at d = 3 every third A and B are
+        # degenerate.
         rng = np.random.default_rng(dim * 10 + len(kind))
         instances = []
         for n in range(30):
@@ -330,6 +332,8 @@ class TestStackedEigenprep:
         checked = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: checked.append(len(m)) or eigvalsh(m))
+        monkeypatch.setattr(qcore, "STACK_BYTES", 16 * 3 * 3 * 64)
+        rows = qcore._rows(dim)
         values = realism._eigenstate_irrealities(projectors)
         monkeypatch.undo()
         eigenstates = 0
@@ -341,7 +345,7 @@ class TestStackedEigenprep:
             eigenstates += len(expected)
         # Every eigenstate and its dephased image pass the state check (J of an eigenstate is 0 up to roundoff,
         # so an eigenstate left unscored would not show in the values).
-        assert sum(checked) == 2 * eigenstates and max(checked) <= qcore.STACK_BLOCK
+        assert sum(checked) == 2 * eigenstates and max(checked) <= rows
         if dim == 2 and kind == "product":
             assert np.max(np.abs(projectors[::3, 0] - np.eye(2))) <= 1e-12 and not projectors[::3, 1].any()
 
@@ -354,12 +358,13 @@ class TestStackedEigenprep:
         shapes = {"eigh": [], "eigvalsh": []}
         for name, calls in shapes.items():
             solver = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
+            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(np.shape(a)) or s(a))
         assert cli.main(["report", "eigenprep"]) == 0
+        matrices = {name: [math.prod(shape[:-2]) for shape in calls] for name, calls in shapes.items()}
         # 4 stacks of A, B, H and the realized operators; every eigenstate and its dephased image checked.
-        assert len(shapes["eigh"]) == 4 * 4 and sum(shapes["eigh"]) == 4 * 100
-        assert sum(shapes["eigvalsh"]) == 2 * eigenstates
-        assert max(shapes["eigh"] + shapes["eigvalsh"]) <= qcore.STACK_BLOCK
+        assert len(matrices["eigh"]) == 4 * 4 and sum(matrices["eigh"]) == 4 * 100
+        assert sum(matrices["eigvalsh"]) == 2 * eigenstates
+        assert all(math.prod(shape[:-2]) <= qcore._rows(shape[-1]) for shape in shapes["eigh"] + shapes["eigvalsh"])
 
 
 def per_row_displacements(rng, n):
@@ -452,14 +457,14 @@ class TestColumnReports:
     ])
     def test_every_matrix_is_checked(self, tmp_path, monkeypatch, argv, eigh, eigvalsh, cholesky):
         # lambda: each state passes the DensityMatrix checks (the Cholesky gate) and each conditional operator an
-        # eigvalsh; precession: each Hamiltonian passes the checked eigh. No call takes more than STACK_BLOCK matrices.
+        # eigvalsh; precession: each Hamiltonian passes the checked eigh. No call takes more than _rows(2) matrices.
         shapes = {"eigh": [], "eigvalsh": [], "cholesky": []}
         for name, calls in shapes.items():
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
         assert cli.main(["--out", str(tmp_path)] + argv) == 0
         assert tuple(sum(calls) for calls in shapes.values()) == (eigh, eigvalsh, cholesky)
-        assert max(sum(shapes.values(), [])) <= qcore.STACK_BLOCK
+        assert max(sum(shapes.values(), [])) <= qcore._rows(2)
 
 
 def test_seed_changes_output(tmp_path):

@@ -340,6 +340,11 @@ class TestLambdaOperator:
         with pytest.raises(ValueError, match="idempotent"):
             lambda_operator(SIGMA_X * 0.5, DensityMatrix.maximally_mixed(2), 0.0, self.channel)
 
+    @pytest.mark.parametrize("projector, defect", [(SIGMA_X * 0.5, "5.000e-01"), (np.diag([0.0, 1.0 + 2e-10]), "2.000e-10")])
+    def test_non_projector_message_gives_the_defect(self, projector, defect):
+        with pytest.raises(ValueError, match=rf"^projector is not idempotent: max \|P\^2 - P\| = {defect}$"):
+            lambda_operator(projector, DensityMatrix.maximally_mixed(2), 0.0, self.channel)
+
     def test_evolution_enters_through_t1(self):
         channel = precession_channel((0, 0, 1))
         rho0 = bloch_to_state((1.0, 0.0, 0.0))

@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
-from twotime import cli
+from twotime import cli, qcore
 from twotime.correlators import _tpm_gaps, qutrit_gap_fixture, tpm_joint_distribution
 from twotime.qcore import (
+    MEASUREMENT_TOL,
     PSD_FLOOR,
     SIGMA,
     SIGMA_X,
@@ -260,6 +264,59 @@ class TestSpectraStack:
         monkeypatch.setattr(np.linalg, "eigh", stretched)
         with pytest.raises(ValueError, match="projectors are not orthogonal/idempotent: matrix 1 of 3"):
             _spectra(np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+
+    def test_gram_check_is_divided_by_d_plus_one(self, monkeypatch):
+        # Eigenvectors of the second qubit scaled by 1 + 3e-11: max |V^dag V - 1| is about 6e-11, above
+        # MEASUREMENT_TOL / 3 but below MEASUREMENT_TOL, while the reconstruction (off by about 6e-11) still passes.
+        eigh = np.linalg.eigh
+
+        def scaled(a):
+            values, vectors = eigh(a)
+            vectors[1] *= 1.0 + 3e-11
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled)
+        with pytest.raises(ValueError, match="projectors are not orthogonal/idempotent: matrix 1 of 3"):
+            _spectra(np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.floats(-15.0, -9.0))
+    def test_every_accepted_stack_passes_the_pair_and_completeness_residuals(self, dim, seed, log_scale):
+        # eigh's eigenvectors are perturbed by 10**log_scale times complex normals. Whenever the Gram check accepts
+        # a forced spectrum (degenerate and merged groups included), every pair P_i P_j - delta_ij P_i and
+        # sum P - 1 stays within (1 + d e) d e of the Gram defect e, so within MEASUREMENT_TOL.
+        rng = np.random.default_rng(seed)
+        eigh, returned = np.linalg.eigh, []
+
+        def perturbed(a):
+            values, vectors = eigh(a)
+            vectors = vectors + 10.0**log_scale * (rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape))
+            returned.append(vectors)
+            return values, vectors
+
+        for values in forced_spectra(dim, rng):
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            for matrix in (np.diag(values).astype(complex), q @ np.diag(values) @ q.conj().T):
+                returned.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(np.linalg, "eigh", perturbed)
+                    try:
+                        _, _, projectors = _spectra(matrix[None])
+                    except ValueError as error:  # rejected: by the Gram check, or at the larger scales by the fit
+                        assert re.search("orthogonal/idempotent|does not reconstruct", str(error))
+                        continue
+                (vectors,) = returned
+                e = float(np.max(np.abs(vectors[0].conj().T @ vectors[0] - np.eye(dim))))
+                assert e <= MEASUREMENT_TOL / (dim + 1)
+                for residual in oracles.projector_residuals(projectors[0]):
+                    assert residual <= min((1.0 + dim * e) * dim * e + 1e-14, MEASUREMENT_TOL)
+
+
+@pytest.mark.parametrize("dim, rows", [(2, 576), (3, 256), (4, 144), (8, 36), (48, 1), (64, 1)])
+def test_a_block_holds_the_matrices_that_fit_the_byte_budget(dim, rows):
+    # STACK_BYTES // (16 d^2) rows of complex d x d matrices, and at least one, so a large d still advances.
+    assert qcore._rows(dim) == rows
+    blocks = qcore._blocks(2 * rows + 1, dim)
+    assert [(block.start, block.stop) for block in blocks] == [(0, rows), (rows, 2 * rows), (2 * rows, 3 * rows)]
 
 
 class TestEntropies:

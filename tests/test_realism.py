@@ -11,7 +11,6 @@ from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    STACK_BLOCK,
     BlochVector,
     DensityMatrix,
     Observable,
@@ -171,8 +170,8 @@ def assert_matches_per_sample_min_form(A, rho, n_samples, seed):
 
 
 class TestMinForm:
-    @pytest.mark.parametrize("n_samples", [1, STACK_BLOCK - 1, STACK_BLOCK, STACK_BLOCK + 1, 500])
-    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("dim, n_samples", [(dim, n) for dim in (2, 3, 8) for n in
+                                                (1, 63, 64, 65, 500, qcore._rows(dim) - 1, qcore._rows(dim), qcore._rows(dim) + 1)])
     def test_blocks_match_the_per_sample_loop(self, dim, n_samples):
         rng = np.random.default_rng(dim * 1000 + n_samples)
         obs = Observable(oracles.random_hermitian_matrix(dim, rng))
@@ -180,7 +179,7 @@ class TestMinForm:
 
     def test_every_sample_is_checked_twice(self, monkeypatch):
         # Each sampled state passes the Cholesky gate, and its dephased image one eigh that serves both its
-        # state check and its relative entropy; no call takes more than STACK_BLOCK matrices, and no sample
+        # state check and its relative entropy; no call takes more than _rows(2) matrices, and no sample
         # goes through eigvalsh.
         obs = Observable(SIGMA_X)
         rho = DensityMatrix.from_ket([1.0, 0.0])
@@ -192,11 +191,11 @@ class TestMinForm:
         without_samples = {name: sum(calls) for name, calls in counted.items()}
         for calls in counted.values():
             calls.clear()
-        min_form_check(obs, rho, n_samples=STACK_BLOCK + 1)
+        min_form_check(obs, rho, n_samples=qcore._rows(2) + 1)
         assert sum(counted.pop("eigvalsh")) == without_samples["eigvalsh"]
         for name, calls in counted.items():
-            assert sum(calls) - without_samples[name] == STACK_BLOCK + 1
-            assert max(calls) == STACK_BLOCK
+            assert sum(calls) - without_samples[name] == qcore._rows(2) + 1
+            assert max(calls) == qcore._rows(2)
 
     def test_dephased_images_pass_the_psd_check(self, monkeypatch):
         # Shifting the eigenvalues of the sample blocks' eigh below PSD_FLOOR must fail the state check.
@@ -223,7 +222,7 @@ class TestMinForm:
             rho = DensityMatrix.from_ket(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         else:
             rho = random_density_matrix(len(spectrum), rng)
-        assert_matches_per_sample_min_form(obs, rho, STACK_BLOCK + 1, 3)
+        assert_matches_per_sample_min_form(obs, rho, qcore._rows(len(spectrum)) + 1, 3)
 
     def test_rejects_negative_sample_count(self):
         with pytest.raises(ValueError, match="n_samples"):
