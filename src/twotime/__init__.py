@@ -25,7 +25,6 @@ from .gaussian import (
     GaussianPrep,
     UncertaintyReport,
     displacement_stats,
-    position_spread,
     uncertainty_report,
 )
 from .qcore import (
@@ -58,7 +57,6 @@ from .spinlab import (
     bloch_lambda_nu,
     bound_rhs,
     figure1_scan,
-    finite_torque,
     instantaneous_torque,
     pauli_heisenberg,
     precession_channel,

@@ -30,17 +30,14 @@ LAMBDA_HEADER = ("theta", "nu_norm", "min_eigenvalue", "physical")
 WRITE_BLOCK = 4096  # table rows formatted and written per step
 
 
-# Tables of _cells. A cell is four 8-byte words of ASCII and NUL: the sign, with "0." and z - 1 zeros for a fixed cell
-# of exponent -z < 0 (_PREFIX[5 * negative + z]); twelve digits, three per 4 bytes; and a scientific cell's exponent
-# (_EXP_TEXT[k + 297], as Python writes it; _POW10 is 10**k parsed from it). Digits v (< 1000) of chunk k in a cell of
-# `length` digits with the point after digit `point` are _CHUNKS[4 * v + _VARIANTS[k, 16 * length + point + 4]].
-_EXPONENTS, _v, _k, _point = np.arange(-297, 309), np.arange(1000), np.arange(4)[:, None, None], np.arange(-4, 12)
-_TRIPLES = (_v[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-_EXP_TEXT = np.c_[np.full(606, ord("e")), np.where(_EXPONENTS < 0, ord("-"), ord("+")), _TRIPLES[abs(_EXPONENTS)],
-                  np.zeros((606, 3))].astype(np.uint8)
-_EXP_TEXT[abs(_EXPONENTS) < 100, 2:5] = _EXP_TEXT[abs(_EXPONENTS) < 100, 3:6]
-_POW10 = np.c_[np.full(606, ord("1"), np.uint8), _EXP_TEXT[:, :6]].view("S7").ravel().astype(float)
-_EXP_TEXT = np.where(((_EXPONENTS < -4) | (_EXPONENTS >= 12))[:, None], _EXP_TEXT, 0).view(np.uint64).ravel()
+# Tables of _cells, from Python's own formatting. A cell is four 8-byte words of ASCII and NUL: the sign, with "0." and
+# z - 1 zeros for a fixed cell of exponent -z < 0 (_PREFIX[5 * negative + z]); twelve digits, three per 4 bytes; and
+# _EXP_TEXT[k + 297]: NUL, or a scientific cell's exponent k. _POW10[k + 297] is 10**k. Digits v (< 1000) of chunk k in
+# a cell of `length` digits with the point after digit `point` are _CHUNKS[4 * v + _VARIANTS[k, 16 * length + point + 4]].
+_v, _k, _point = np.arange(1000), np.arange(4)[:, None, None], np.arange(-4, 12)
+_TRIPLES = np.frombuffer(b"".join(b"%03d" % v for v in range(1000)), np.uint8).reshape(1000, 3)
+_EXP_TEXT = np.array([b"" if -4 <= k < 12 else b"e%+03d" % k for k in range(-297, 309)], "S8").view(np.uint64)
+_POW10 = np.array([float("1e%d" % k) for k in range(-297, 309)])
 _PREFIX = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000", b"-", b"-0.", b"-0.0", b"-0.00", b"-0.000"], "S8").view(np.uint64)
 _SLOTS = np.array([[0, 1, 2, 3], [0, 4, 1, 2], [0, 1, 4, 2], [0, 1, 2, 4]])  # a chunk's bytes: digits, 3 NUL, 4 "."
 _CHUNKS = np.c_[_TRIPLES, np.zeros(1000, np.uint8), np.full(1000, ord("."), np.uint8)][:, _SLOTS]
@@ -288,7 +285,7 @@ def _draw_displacements(n, rng):
 
 def _report_displacement(args) -> bool:
     p0, dx, dp, xp_corr, mass, t1, t2 = columns = _draw_displacements(1000, np.random.default_rng(args.seed))
-    _, _, spread, _, _, product_slack, _, _, weighted_slack = gaussian._uncertainties(*columns)
+    _, _, spread, _, _, product_slack, _, _, weighted_slack = gaussian._uncertainties(*columns[1:])
     min_product, min_weighted = float(product_slack.min()), float(weighted_slack.min())
     spread_defect = float(np.max(np.abs(spread - dp * (t2 - t1) / mass)))
     ok = min_product >= -UNCERTAINTY_TOL and min_weighted >= -UNCERTAINTY_TOL and spread_defect == 0.0

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily, _unitaries
-from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, _eighs, _require
-from .qcore import DensityMatrix, Observable, _as_square_complex, _readonly, _same_dim, _spectra, _states, _symmetrized
+from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, DensityMatrix, _eighs
+from .qcore import Observable, _as_square_complex, _readonly, _require, _same_dim, _scales, _spectra, _states, _symmetrized
 
 _KINDS = ("product", "sum")
 
@@ -100,10 +100,11 @@ def heisenberg_correlator(op: TwoTimeOperator, rho0: DensityMatrix) -> float:
 
 
 def _trace_forms(c12: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-    # Tr(C12 rho0) for (n, d, d) stacks, each C12 passing the Hermitian check first.
-    values = np.trace(_symmetrized(c12, "two-time operator", OPERATOR_HERMITICITY_TOL) @ rho0, axis1=1, axis2=2)
-    _require(~(np.abs(values.imag) > IMAGINARY_TOL), "correlator has spurious imaginary part {imag:.3e}", ArithmeticError,
-             imag=values.imag)
+    # Tr(C12 rho0) for (n, d, d) stacks, each C12 passing the Hermitian check first; both checks per unit of _scales(C12).
+    scale = _scales(c12)
+    values = np.trace(_symmetrized(c12, "two-time operator", OPERATOR_HERMITICITY_TOL * scale) @ rho0, axis1=1, axis2=2)
+    _require(~(np.abs(values.imag) > IMAGINARY_TOL * scale), "correlator has spurious imaginary part {imag:.3e}",
+             ArithmeticError, imag=values.imag)
     return values.real
 
 
@@ -171,7 +172,7 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
     with negative eigenvalues whenever alpha and rho_t1 fail to commute badly
     enough. When they commute and alpha is rank one, it equals alpha itself.
     """
-    alpha = _symmetrized(_as_square_complex(projector), "projector", OPERATOR_HERMITICITY_TOL)
+    alpha = _symmetrized(_as_square_complex(projector)[None], "projector", OPERATOR_HERMITICITY_TOL)[0]
     defect = np.max(np.abs(alpha @ alpha - alpha))
     _require(defect <= MEASUREMENT_TOL, "projector is not idempotent: max |P^2 - P| = {defect:.3e}", defect=defect)
     _same_dim(projector=alpha.shape[0], state=rho0.dim, channel=channel.dim)

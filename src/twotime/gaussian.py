@@ -106,14 +106,15 @@ def _displacements(p0, dp, mass, t1, t2):
     _finite(t1=t1, t2=t2)
     _require(t2 >= t1, "interval must be ordered, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     dt = t2 - t1
-    mean, spread = p0 * dt / mass, dp * dt / mass
-    _finite(displacement_mean=mean, displacement_spread=spread)
-    return mean, spread
+    mean = p0 * dt / mass
+    _finite(displacement_mean=mean)
+    return mean, _displacement_spreads(dp, mass, dt)
 
 
-def position_spread(g: GaussianPrep, fp: FreeParticle, t: float) -> float:
-    """Spread of X_t = X + P t / m: sqrt(dx^2 + (dp t / m)^2 + 2 xp_corr t / m)."""
-    return float(_position_spreads(*_columns(g.dx, g.dp, g.xp_corr, fp.mass, t))[0])
+def _displacement_spreads(dp, mass, dt):
+    spread = dp * dt / mass  # inf on overflow, under each caller's errstate
+    _finite(displacement_spread=spread)
+    return spread
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -128,17 +129,17 @@ def _position_spreads(dx, dp, xp_corr, mass, t):
 
 def uncertainty_report(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float) -> UncertaintyReport:
     """Evaluate both displacement/position trade-offs for one preparation."""
-    return UncertaintyReport(*(float(c[0]) for c in _uncertainties(*_columns(g.p0, g.dx, g.dp, g.xp_corr, fp.mass, t1, t2))))
+    return UncertaintyReport(*(float(c[0]) for c in _uncertainties(*_columns(g.dx, g.dp, g.xp_corr, fp.mass, t1, t2))))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _uncertainties(p0, dx, dp, xp_corr, mass, t1, t2):
+def _uncertainties(dx, dp, xp_corr, mass, t1, t2):
     # The UncertaintyReport fields, in order, as columns, for columns of checked preparations and masses.
     _finite(t1=t1, t2=t2)
     _require(t2 > t1, "interval must satisfy t2 > t1, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     dt = t2 - t1
     dx1, dx2 = (_position_spreads(dx, dp, xp_corr, mass, t) for t in (t1, t2))
-    _, d_disp = _displacements(p0, dp, mass, t1, t2)
+    d_disp = _displacement_spreads(dp, mass, dt)
     product_value, product_bound = dx1 * dx2, dt / (2.0 * mass)
     weighted_value, weighted_bound = d_disp * (dx1 + dx2), dt / mass
     return (dx1, dx2, d_disp, product_value, product_bound, product_value - product_bound,

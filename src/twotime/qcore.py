@@ -6,33 +6,35 @@ observables carry an explicit factor 1/2 relative to the Pauli matrices.
 """
 
 import math
+import numbers
 
 import numpy as np
 
-# Tolerances, each named for what it guards. A check written ``not defect <= TOL`` also rejects NaN.
-STATE_TOL = 1e-12  # max |rho - rho^dag| and |Tr rho - 1| of a density matrix
-OPERATOR_HERMITICITY_TOL = 1e-10  # max |H - H^dag| of observables, Hamiltonians, projectors
-PSD_FLOOR = -1e-10  # lowest eigenvalue of a state, and of a physical conditional operator
-GROUP_TOL_DEFAULT = 1e-9  # eigenvalues closer than this share one projector
-MEASUREMENT_TOL = 1e-10  # projector algebra; sum P_a = sum K^dag K = sum_b p(b|a) = 1; overlap constant c vs 1/d
-RECONSTRUCTION_TOL = 1e-9  # max |sum a P_a - A| of a spectral decomposition, per unit of max(1, max |A|)
-UNIT_NORM_TOL = 1e-12  # ||v| - 1| of a unit vector; excess of a Bloch norm over 1
-SUPPORT_TOL = 1e-12  # eta-eigenvalue treated as zero in a relative entropy
-SUPPORT_WEIGHT_TOL = 1e-10  # rho-weight on that null space that makes it infinite
-NEGATIVE_ENTROPY_TOL = 1e-9  # roundoff below zero clamped in a relative entropy
-PROBABILITY_TOL = 1e-12  # binary-entropy argument outside [0, 1] that is clamped
-MARGINAL_TOL = 1e-12  # first-outcome probability treated as zero
-IMAGINARY_TOL = 1e-12  # imaginary part of a correlator of Hermitian operators
-POLE_TOL = 1e-12  # distance of 1 - z.r1 from the conditional Bloch pole
-UNCERTAINTY_TOL = 1e-12  # roundoff allowed below a Gaussian uncertainty bound
-BOUND_TOL = 1e-9  # irreality-sum slack allowed below the purity bound
-IDENTITY_TOL = 1e-10  # residual of an exact identity: correlator gap, lambda Bloch norm, eigenstate irreality
-FIXTURE_GAP_MIN = 1e-6  # gap the qutrit fixture must exceed
-PRECESSION_TOL = 1e-12  # closed-form precession vs channel; field component of torque
-FINITE_DIFF_TOL = 1e-8  # central difference vs analytic torque
-FINITE_DIFF_STEP = 1e-5  # step of that central difference
+# Tolerances, each named for what it guards; a check written ``not defect <= TOL`` also rejects NaN. An "absolute" one
+# guards a quantity of fixed size; one "per unit of _scales(M)" grows with max(1, max |M|), as M's roundoff does.
+STATE_TOL = 1e-12  # max |rho - rho^dag| and |Tr rho - 1| of a density matrix; absolute: unit trace bounds its entries
+OPERATOR_HERMITICITY_TOL = 1e-10  # max |H - H^dag|, per unit of _scales(H); absolute for a projector (entries <= 1)
+PSD_FLOOR = -1e-10  # lowest eigenvalue of a state, and of a physical conditional operator; absolute: both have unit trace
+GROUP_TOL_DEFAULT = 1e-9  # eigenvalues closer than this share one projector; absolute: Observable's documented grouping
+MEASUREMENT_TOL = 1e-10  # projector algebra; sum_b p(b|a) = 1; overlap constant c vs 1/d; absolute: all of unit size
+RECONSTRUCTION_TOL = 1e-9  # max |sum a P_a - A| of a spectral decomposition, per unit of _scales(A)
+UNIT_NORM_TOL = 1e-12  # ||v| - 1| of a unit vector; excess of a Bloch norm over 1; absolute: unit length
+SUPPORT_TOL = 1e-12  # eta-eigenvalue treated as zero in a relative entropy; absolute: eta has unit trace
+SUPPORT_WEIGHT_TOL = 1e-10  # rho-weight on that null space that makes it infinite; absolute: a probability
+NEGATIVE_ENTROPY_TOL = 1e-9  # roundoff below zero clamped in a relative entropy; absolute: nats of unit-trace states
+PROBABILITY_TOL = 1e-12  # binary-entropy argument outside [0, 1] that is clamped; absolute: a probability
+MARGINAL_TOL = 1e-12  # first-outcome probability treated as zero; absolute: a probability
+IMAGINARY_TOL = 1e-12  # imaginary part of Tr(C12 rho) for a Hermitian C12, per unit of _scales(C12)
+POLE_TOL = 1e-12  # distance of 1 - z.r1 from the conditional Bloch pole; absolute: unit vectors
+UNCERTAINTY_TOL = 1e-12  # roundoff allowed below a Gaussian uncertainty bound; absolute: hbar = 1 fixes the bounds' scale
+BOUND_TOL = 1e-9  # irreality-sum slack allowed below the purity bound; absolute: nats, at most 2 ln 2
+IDENTITY_TOL = 1e-10  # residual of an identity (correlator gap, lambda norm, eigenstate J); absolute: unit-scale draws
+FIXTURE_GAP_MIN = 1e-6  # gap the qutrit fixture must exceed; absolute: the gap is 1 / (2 sqrt 2)
+PRECESSION_TOL = 1e-12  # closed-form precession vs channel; field component of torque; absolute: Pauli entries are unit
+FINITE_DIFF_TOL = 1e-8  # central difference vs analytic torque; absolute: Pauli entries are unit
+FINITE_DIFF_STEP = 1e-5  # step of that central difference; absolute: a phase in radians
 STACK_BYTES = 36 * 1024  # bytes of d x d complex matrices (16 d^2 each) drawn, checked and scored per stacked call
-CELL_TIE_MARGIN = 1e-3  # distance of a table cell's scaled digits from a rounding tie below which Python formats it
+CELL_TIE_MARGIN = 1e-3  # distance from a rounding tie, per unit of a cell's twelfth digit, below which Python formats it
 
 LN2 = math.log(2.0)
 
@@ -68,24 +70,38 @@ def _finite(**columns) -> None:
         _require(np.isfinite(column), name + " must be finite, got {value!r}", value=column)
 
 
+def _count(value, name: str) -> int:
+    # value as a Python int; a ValueError naming it unless it is a non-negative integer (2.0 is not).
+    count = int(value) if isinstance(value, numbers.Integral) else -1
+    if count < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return count
+
+
 def _same_dim(**dims) -> None:
     """Raise one message naming every part's dimension unless all of ``dims`` (name=dim) agree."""
     if len(set(dims.values())) > 1:
         raise ValueError("dimension mismatch: " + ", ".join(f"{name} dim {dim}" for name, dim in dims.items()))
 
 
-def _symmetrized(m: np.ndarray, what: str, tol: float) -> np.ndarray:
-    # M/2 + M^dag/2 of a matrix or an (n, d, d) stack once max |M - M^dag| <= tol (NaN fails); halved first: no overflow.
+def _symmetrized(m: np.ndarray, what: str, tol) -> np.ndarray:
+    # M/2 + M^dag/2 of an (n, d, d) stack once each max |M - M^dag| <= tol, a float or one per matrix; NaN or inf fails.
     half, adjoint = m * 0.5, m.conj().swapaxes(-1, -2) * 0.5
-    defect = 2.0 * float(np.max(np.abs(half - adjoint)))
-    if not defect <= tol:
-        raise ValueError(f"{what} is not Hermitian: max |H - H^dag| = {defect:.3e}")
+    with np.errstate(over="ignore"):  # halved first, so only a defect past the float max overflows (to inf)
+        defect = 2.0 * np.abs(half - adjoint).max(axis=(1, 2))
+    _require((defect <= tol) & (defect < math.inf), what + " is not Hermitian: max |H - H^dag| = {defect:.3e}", defect=defect)
     return half + adjoint
+
+
+def _scales(stack: np.ndarray) -> np.ndarray:
+    # max(1, max |M|) of each matrix of an (n, d, d) stack: the unit of the checks that are relative to a matrix's size.
+    with np.errstate(over="ignore"):  # an |M_ij| past the float max makes the scale inf
+        return np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
 
 
 def _eighs(stack: np.ndarray, what: str):
     """Check an (n, d, d) stack of ``what`` as Hermitian with a finite spectrum; returns it symmetrized, with its eigh."""
-    m = _symmetrized(stack, what, OPERATOR_HERMITICITY_TOL)
+    m = _symmetrized(stack, what, OPERATOR_HERMITICITY_TOL * _scales(stack))
     values, vectors = np.linalg.eigh(m)
     _require(np.isfinite(values), what + " eigenvalue {e!r} is not finite", e=values)
     return m, values, vectors
@@ -191,8 +207,7 @@ def _spectra(stack: np.ndarray):
     gram = np.abs(cols.conj() @ vectors - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1)
     _require(gram <= MEASUREMENT_TOL / (m.shape[1] + 1), "projectors are not orthogonal/idempotent" + where, row=row)
     fit = np.abs(np.einsum("nk,nkij->nij", values, projs) - m).reshape(len(m), -1).max(axis=1)
-    scale = np.maximum(1.0, np.abs(m).reshape(len(m), -1).max(axis=1))
-    _require(fit <= RECONSTRUCTION_TOL * scale, "spectral decomposition does not reconstruct the matrix" + where, row=row)
+    _require(fit <= RECONSTRUCTION_TOL * _scales(m), "spectral decomposition does not reconstruct the matrix" + where, row=row)
     return m, values, projs
 
 

@@ -25,6 +25,7 @@ from .qcore import (
     DensityMatrix,
     Observable,
     _blocks,
+    _count,
     _entropies,
     _ginibre_states,
     _relative_entropies,
@@ -114,8 +115,7 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     smaller relative entropy; +inf samples count as satisfying the bound. The samples
     are the first ``n_samples`` states ``random_density_matrix(d, default_rng(seed))`` gives.
     """
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    n_samples = _count(n_samples, "n_samples")
     report = irreality(A, rho)
     # In a basis V that block-diagonalizes A's projectors, V^dag Phi_A(sigma) V is V^dag sigma V with the entries
     # between A's eigenspaces zeroed, and relative entropy is unitarily invariant.

@@ -20,14 +20,13 @@ boundary curves.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ChannelFamily
 from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _each, _finite, _norms, _readonly
-from .qcore import _require, binary_entropy
+from .qcore import _count, _require, binary_entropy
 
 CURVE_POINTS = 360  # evenly spaced phi values of each radius' equatorial boundary curve
 
@@ -93,17 +92,6 @@ def _precession(h, tau):
 def pauli_heisenberg(cfg: PrecessionConfig):
     """Heisenberg-evolved Pauli vector sigma(tau) as three 2x2 matrices."""
     return tuple(_precession(cfg.h_hat[None], np.array([cfg.tau]))[0][0])
-
-
-def finite_torque(h_hat, tau1: float, tau2: float):
-    """Mean dimensionless torque over [tau1, tau2]: (sigma(tau2) - sigma(tau1)) / (tau2 - tau1)."""
-    if tau2 == tau1:
-        raise ValueError("tau2 == tau1: use instantaneous_torque for the zero-interval limit")
-    before, after = _precession(np.tile(_unit_vector(h_hat), (2, 1)), np.array([tau1, tau2], dtype=float))[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = (after - before) / (tau2 - tau1)
-    _require(np.isfinite(mean).all(), "mean torque over [{tau1!r}, {tau2!r}] is not finite", tau1=tau1, tau2=tau2)
-    return tuple(mean)
 
 
 def instantaneous_torque(h_hat, tau: float):
@@ -205,9 +193,7 @@ def _mix(x, y):
 
 def _seed_state(seed, band, index):
     """``SeedSequence(seed, spawn_key=(band, i)).generate_state(4, np.uint64)`` per row, as four uint64 columns."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = _count(seed, "seed")
     words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     # With a spawn key, the run entropy is zero-padded to the pool size.
     words += [0] * (_POOL_SIZE - len(words))
@@ -282,7 +268,7 @@ def figure1_scan(r_values, n: int, seed):
     the analytic equatorial boundary (theta = pi/2) of each radius at
     ``CURVE_POINTS`` evenly spaced phi values.
     """
-    r_values = [float(r) for r in r_values]
+    n, r_values = _count(n, "n"), [float(r) for r in r_values]
     for r in r_values:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"radius {r!r} outside [0, 1]")

@@ -264,6 +264,15 @@ class TestStackKernels:
         with pytest.raises(ArithmeticError, match="spurious imaginary part 2.500e-01"):
             _trace_forms(np.array([SIGMA_X, SIGMA_X], dtype=complex), rho)
 
+    def test_imaginary_part_is_checked_per_unit_of_each_operator(self):
+        # Tr(s sigma_x rho) of a "state" with off-diagonal entries i d has imaginary part 2 s d. The 1e6 sigma_x row's
+        # 1e-7 is 1e-13 per unit of max |C12| and passes; beside it, the unit row's 1e-11 still fails.
+        rho = np.array([[[0.5, 5e-14j], [5e-14j, 0.5]], [[0.5, 5e-12j], [5e-12j, 0.5]]])
+        c12 = np.array([1e6 * SIGMA_X, SIGMA_X])
+        assert _trace_forms(c12[:1], rho[:1]).tolist() == [0.0]
+        with pytest.raises(ArithmeticError, match=r"^correlator has spurious imaginary part 1.000e-11$"):
+            _trace_forms(c12, rho)
+
     def test_conditional_sums_are_checked_in_every_row(self):
         # A second-row "unitary" scaled by sqrt(2) doubles that row's evolved states and breaks only its conditional sums.
         projectors = np.array([Observable(SIGMA_Z).projectors] * 2)

@@ -196,6 +196,15 @@ def test_non_hermitian_entries_near_the_float_max_report_an_infinite_defect(buil
             build(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
+@pytest.mark.parametrize("build, what", [(Observable, "observable"), (ChannelFamily, "hamiltonian")])
+def test_a_scale_past_the_float_max_does_not_waive_the_hermiticity_check(build, what):
+    # |1.5e308 (1 + i)| overflows, so the matrix's scale max(1, max |M|) is inf; its inf defect still fails.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{what} is not Hermitian: max \|H - H\^dag\| = inf$"):
+            build(np.array([[0.0, 1.5e308 + 1.5e308j], [-1.5e308 - 1.5e308j, 0.0]]))
+
+
 def test_channel_family_is_the_one_matrix_hamiltonian_kernel():
     rng = np.random.default_rng(13)
     stack = np.array([oracles.random_hermitian_matrix(4, rng) for _ in range(3)])
@@ -211,6 +220,15 @@ def test_channel_family_is_the_one_matrix_hamiltonian_kernel():
     stack[2, 1, 0] += 1e-6
     with pytest.raises(ValueError, match=r"^hamiltonian is not Hermitian: max \|H - H\^dag\| = 1\.000e-06$"):
         _eighs(stack, "hamiltonian")
+
+
+def test_hermiticity_is_checked_per_unit_of_each_matrix():
+    # 1e6 sigma_x with a 1e-5 defect is 1e-11 per unit of max |H| and passes; a unit matrix beside it is held to 1e-10.
+    big = 1e6 * SIGMA_X + np.array([[0.0, 1e-5], [0.0, 0.0]])
+    small = SIGMA_Z + np.array([[0.0, 0.0], [1e-6, 0.0]])
+    assert np.array_equal(_eighs(big[None], "observable")[0][0], (big + big.T) / 2.0)
+    with pytest.raises(ValueError, match=r"^observable is not Hermitian: max \|H - H\^dag\| = 1\.000e-06$"):
+        _eighs(np.array([big, small]), "observable")
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from twotime.gaussian import (
     FreeParticle,
     GaussianPrep,
     displacement_stats,
-    position_spread,
     uncertainty_report,
 )
 
@@ -84,22 +83,24 @@ class TestDisplacementStats:
             mean, spread = displacement_stats(g, fp, 0.0, 3.0)
             assert mean == 6.0
             assert spread == 3.0 * dp
-            assert position_spread(g, fp, 0.0) == 0.5 / dp
+            assert uncertainty_report(g, fp, 0.0, 3.0).spread_t1 == 0.5 / dp
 
 
 class TestPositionSpread:
+    # The spreads of X_t1 and X_t2 are uncertainty_report's spread_t1 and spread_t2, one kernel for both.
     def test_initial_time(self):
         g = GaussianPrep(x0=0.0, p0=0.0, dx=1.3, dp=0.5)
-        assert position_spread(g, FreeParticle(1.0), 0.0) == 1.3
+        assert uncertainty_report(g, FreeParticle(1.0), 0.0, 1.0).spread_t1 == 1.3
 
     def test_ballistic_spreading(self):
         g = GaussianPrep(x0=0.0, p0=0.0, dx=1.0, dp=0.5)
-        assert position_spread(g, FreeParticle(1.0), 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        report = uncertainty_report(g, FreeParticle(1.0), 0.0, 2.0)
+        assert (report.spread_t1, report.spread_t2) == (1.0, pytest.approx(math.sqrt(2.0), abs=1e-15))
 
     def test_rejects_negative_time(self):
         g = GaussianPrep(x0=0.0, p0=0.0, dx=1.0, dp=0.5)
-        with pytest.raises(ValueError, match="non-negative"):
-            position_spread(g, FreeParticle(1.0), -0.5)
+        with pytest.raises(ValueError, match=r"^time must be non-negative, got -0.5$"):
+            uncertainty_report(g, FreeParticle(1.0), -0.5, 1.0)
 
     def test_variance_of_displacement_consistency(self):
         # Var(X2 - X1) from the joint second moments must equal the
@@ -110,11 +111,12 @@ class TestPositionSpread:
             m = math.exp(rng.uniform(-1.0, 1.0))
             t1 = rng.uniform(0.0, 2.0)
             t2 = t1 + rng.uniform(0.01, 3.0)
-            var1 = position_spread(g, FreeParticle(m), t1) ** 2
-            var2 = position_spread(g, FreeParticle(m), t2) ** 2
+            report = uncertainty_report(g, FreeParticle(m), t1, t2)
+            var1, var2 = report.spread_t1**2, report.spread_t2**2
             cov12 = g.dx**2 + (t1 + t2) * g.xp_corr / m + t1 * t2 * g.dp**2 / m**2
             _, spread = displacement_stats(g, FreeParticle(m), t1, t2)
             assert var1 + var2 - 2.0 * cov12 == pytest.approx(spread**2, rel=1e-10, abs=1e-12)
+            assert report.displacement_spread == spread
 
 
 class TestUncertaintyReport:
@@ -141,6 +143,13 @@ class TestUncertaintyReport:
         with pytest.raises(ValueError, match="t2 > t1"):
             uncertainty_report(g, FreeParticle(1.0), 1.0, 1.0)
 
+    def test_reports_no_mean_so_checks_none(self):
+        # p0 (t2 - t1) / m overflows here, but the report holds no mean: only displacement_stats rejects it.
+        g, fp = GaussianPrep(0.0, 1e300, 1.0, 1.0), FreeParticle(1e-10)
+        assert uncertainty_report(g, fp, 0.0, 10.0).displacement_spread == 1e11
+        with pytest.raises(ValueError, match=r"^displacement_mean must be finite, got inf$"):
+            displacement_stats(g, fp, 0.0, 10.0)
+
 
 _G = GaussianPrep(x0=0.0, p0=0.0, dx=1.0, dp=0.5)
 _FP = FreeParticle(1.0)
@@ -156,8 +165,8 @@ _FP = FreeParticle(1.0)
         lambda: GaussianPrep(0.0, 0.0, dx=1.0, dp=1.0, xp_corr=math.nan),
         lambda: FreeParticle(math.nan),
         lambda: FreeParticle(math.inf),
-        lambda: position_spread(_G, _FP, math.nan),
-        lambda: position_spread(_G, _FP, math.inf),
+        lambda: uncertainty_report(_G, _FP, 0.0, math.nan),
+        lambda: uncertainty_report(_G, _FP, -math.inf, 1.0),
         lambda: displacement_stats(_G, _FP, 0.0, math.nan),
         lambda: displacement_stats(_G, _FP, math.nan, 1.0),
         lambda: displacement_stats(_G, _FP, 0.0, math.inf),
@@ -178,7 +187,7 @@ def test_rejects_non_finite_input(build):
     "build, quantity",
     [
         (lambda: GaussianPrep(0.0, 0.0, dx=1e200, dp=1.0), "covariance_determinant"),
-        (lambda: position_spread(_G, _FP, 1e200), "position_variance"),
+        (lambda: uncertainty_report(_G, _FP, 0.0, 1e200), "position_variance"),
         (lambda: displacement_stats(_G, FreeParticle(1e-300), 0.0, 1e300), "displacement_spread"),
     ],
     ids=["prep-determinant", "spread-variance", "stats-spread"],
@@ -192,5 +201,5 @@ def test_messages_quote_python_floats():
     # A numpy scalar input is quoted as the float it holds, as a Python float input is.
     with pytest.raises(ValueError, match=r"^spreads must be positive, got dx=-1.0, dp=1.0$"):
         GaussianPrep(0.0, 0.0, dx=np.float64(-1.0), dp=1.0)
-    with pytest.raises(ValueError, match=r"^t must be finite, got nan$"):
-        position_spread(_G, _FP, np.float64(math.nan))
+    with pytest.raises(ValueError, match=r"^t1 must be finite, got nan$"):
+        uncertainty_report(_G, _FP, np.float64(math.nan), 1.0)

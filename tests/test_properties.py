@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from twotime.correlators import TwoTimeOperator, realize, tpm_joint_distribution
+from twotime.correlators import TwoTimeOperator, heisenberg_correlator, realize, tpm_joint_distribution
 from twotime.dynamics import ChannelFamily
 from twotime.qcore import PSD_FLOOR, DensityMatrix, Observable, _states, random_hermitian, von_neumann_entropy
 from twotime.realism import complementarity_bound_check, dephase, irreality
@@ -104,6 +104,25 @@ def test_realize_is_hermitian_and_commutes_with_a_change_of_basis(system, kind, 
     assert c_v.eigenvalues.shape == c.eigenvalues.shape
     assert np.max(np.abs(c_v.eigenvalues - c.eigenvalues)) <= 1e-10
     assert np.max(np.abs(c_v.projectors - conjugated(v, c.projectors))) <= 1e-8
+
+
+@given(systems(), st.sampled_from(["product", "sum"]), st.integers(0, 150))
+def test_scaling_both_constituents_changes_no_operator_check(system, kind, k):
+    # The Hermiticity and imaginary-part checks are per unit of max(1, max |C12|), so (s A, s B) with s = 10**k is
+    # accepted exactly when (A, B) is, though C12's roundoff grows as s**2 (product) or s (sum).
+    dim, rng, (spec_a, spec_b), rank = system
+    a, b, h, rho = observable(spec_a, rng), observable(spec_b, rng), random_hermitian(dim, rng), state(dim, rank, rng)
+
+    def accepted(s):
+        op = TwoTimeOperator(kind, Observable(s * a), Observable(s * b), 0.3, 1.1, ChannelFamily(h))
+        try:
+            realize(op)
+            heisenberg_correlator(op, rho)
+        except (ValueError, ArithmeticError):
+            return False
+        return True
+
+    assert accepted(10.0**k) == accepted(1.0)
 
 
 def unbiased_pair(dim, rng):

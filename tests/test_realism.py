@@ -228,6 +228,12 @@ class TestMinForm:
         with pytest.raises(ValueError, match="n_samples"):
             min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=-3)
 
+    @pytest.mark.parametrize("n_samples", [2.0, "2"])
+    def test_rejects_a_sample_count_that_is_not_a_non_negative_integer(self, n_samples):
+        # 2.0 once reached numpy as "expected a sequence of integers".
+        with pytest.raises(ValueError, match=rf"^n_samples must be a non-negative integer, got {n_samples}$"):
+            min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=n_samples)
+
     def test_zero_samples(self):
         report = min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=0)
         assert (report.min_margin, report.infinite_samples, report.n_samples) == (math.inf, 0, 0)
