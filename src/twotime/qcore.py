@@ -15,7 +15,7 @@ import numpy as np
 STATE_TOL = 1e-12  # max |rho - rho^dag| and |Tr rho - 1| of a density matrix; absolute: unit trace bounds its entries
 OPERATOR_HERMITICITY_TOL = 1e-10  # max |H - H^dag|, per unit of _scales(H); absolute for a projector (entries <= 1)
 PSD_FLOOR = -1e-10  # lowest eigenvalue of a state, and of a physical conditional operator; absolute: both have unit trace
-GROUP_TOL_DEFAULT = 1e-9  # eigenvalues closer than this share one projector; absolute: Observable's documented grouping
+GROUP_TOL_DEFAULT = 1e-9  # eigenvalues closer than this share one projector, per unit of _scales(A)
 MEASUREMENT_TOL = 1e-10  # projector algebra; sum_b p(b|a) = 1; overlap constant c vs 1/d; absolute: all of unit size
 RECONSTRUCTION_TOL = 1e-9  # max |sum a P_a - A| of a spectral decomposition, per unit of _scales(A)
 UNIT_NORM_TOL = 1e-12  # ||v| - 1| of a unit vector; excess of a Bloch norm over 1; absolute: unit length
@@ -88,8 +88,11 @@ def _symmetrized(m: np.ndarray, what: str, tol) -> np.ndarray:
     # M/2 + M^dag/2 of an (n, d, d) stack once each max |M - M^dag| <= tol, a float or one per matrix; NaN or inf fails.
     half, adjoint = m * 0.5, m.conj().swapaxes(-1, -2) * 0.5
     with np.errstate(over="ignore"):  # halved first, so only a defect past the float max overflows (to inf)
-        defect = 2.0 * np.abs(half - adjoint).max(axis=(1, 2))
-    _require((defect <= tol) & (defect < math.inf), what + " is not Hermitian: max |H - H^dag| = {defect:.3e}", defect=defect)
+        gaps = np.abs(half - adjoint)
+        # A stack-wide max <= the least finite tol passes every matrix; otherwise (NaN too) each one's defect decides.
+        if not 2.0 * gaps.max(initial=0.0) <= np.min(tol, initial=math.inf) < math.inf:
+            defect = 2.0 * gaps.max(axis=(1, 2))
+            _require((defect <= tol) & (defect < math.inf), what + " is not Hermitian: max |H - H^dag| = {e:.3e}", e=defect)
     return half + adjoint
 
 
@@ -109,10 +112,10 @@ def _eighs(stack: np.ndarray, what: str):
 
 def _states(stack: np.ndarray, solver="eigvalsh"):
     """Check an (n, d, d) stack of density matrices: each one Hermitian and of unit trace within
-    ``STATE_TOL``, with no eigenvalue below ``PSD_FLOOR``. Returns (symmetrized stack, spectrum): the
-    spectrum is what ``np.linalg.<solver>`` gives (``"eigvalsh"`` or ``"eigh"``). With ``solver=None`` it
-    is None, and the floor is checked by one Cholesky factorization of M - PSD_FLOOR * 1 over the stack;
-    only when that fails does eigvalsh decide, and name the first state below the floor."""
+    ``STATE_TOL``, with no eigenvalue below ``PSD_FLOOR``. Returns (symmetrized stack, spectrum): the spectrum is
+    what ``np.linalg.<solver>`` gives (``"eigvalsh"`` or ``"eigh"``), or for ``"diagonal"`` matrices their real
+    diagonals, unsorted. With ``solver=None`` it is None, and the floor is checked by one Cholesky factorization
+    of M - PSD_FLOOR * 1 over the stack; only when that fails does eigvalsh decide, and name the first state below it."""
     m = _symmetrized(stack, "density matrix", STATE_TOL)
     traces = np.trace(m, axis1=1, axis2=2)
     off = np.flatnonzero(np.abs(traces - 1.0) > STATE_TOL)
@@ -124,8 +127,8 @@ def _states(stack: np.ndarray, solver="eigvalsh"):
             return m, None
         except np.linalg.LinAlgError:  # some state may be below the floor: eigvalsh decides, as without the gate
             pass
-    spectrum = getattr(np.linalg, solver or "eigvalsh")(m)
-    low = (spectrum[0] if solver == "eigh" else spectrum)[:, 0]
+    spectrum = np.diagonal(m, axis1=1, axis2=2).real if solver == "diagonal" else getattr(np.linalg, solver or "eigvalsh")(m)
+    low = spectrum.min(axis=1) if solver == "diagonal" else (spectrum[0] if solver == "eigh" else spectrum)[:, 0]
     _require(~(low < PSD_FLOOR), "density matrix is not positive semidefinite: min eigenvalue = {low:.3e}", low=low)
     return m, spectrum if solver else None
 
@@ -192,10 +195,10 @@ def _spectra(stack: np.ndarray):
     G = V^dag V. Every projector, merged ones too, comes from V, so no entry of P_g P_h - delta_gh P_g =
     V_g (G_gh - delta_gh) V_h^dag, nor of sum P - 1 = V V^dag - 1, exceeds (1 + d e) d e < MEASUREMENT_TOL."""
     m, values, vectors = _eighs(stack, "observable")
-    cols = vectors.swapaxes(1, 2)
+    scales, cols = _scales(m), vectors.swapaxes(1, 2)
     projs = cols[..., :, None] @ cols.conj()[..., None, :]
     with np.errstate(over="ignore"):  # a gap between eigenvalues near +-float max is inf, which is not merged
-        merged = np.diff(values, axis=1) <= GROUP_TOL_DEFAULT
+        merged = np.diff(values, axis=1) <= GROUP_TOL_DEFAULT * scales[:, None]
     for n in np.flatnonzero(merged.any(axis=1)):
         edges = [0, *(np.flatnonzero(~merged[n]) + 1).tolist(), m.shape[1]]
         for a, b in zip(edges[:-1], edges[1:]):
@@ -207,7 +210,7 @@ def _spectra(stack: np.ndarray):
     gram = np.abs(cols.conj() @ vectors - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1)
     _require(gram <= MEASUREMENT_TOL / (m.shape[1] + 1), "projectors are not orthogonal/idempotent" + where, row=row)
     fit = np.abs(np.einsum("nk,nkij->nij", values, projs) - m).reshape(len(m), -1).max(axis=1)
-    _require(fit <= RECONSTRUCTION_TOL * _scales(m), "spectral decomposition does not reconstruct the matrix" + where, row=row)
+    _require(fit <= RECONSTRUCTION_TOL * scales, "spectral decomposition does not reconstruct the matrix" + where, row=row)
     return m, values, projs
 
 
@@ -215,8 +218,9 @@ class Observable:
     """A Hermitian matrix with its grouped spectral decomposition cached.
 
     ``eigenvalues`` is a read-only (k,) array of the distinct eigenvalues in
-    ascending order, separated by more than ``GROUP_TOL_DEFAULT`` (closer
-    eigenvalues share one projector and are averaged); ``projectors`` is the
+    ascending order, separated by more than ``GROUP_TOL_DEFAULT`` per unit of
+    max(1, max |A|) (closer eigenvalues share one projector and are averaged,
+    so ``Observable(s * A)`` groups as ``Observable(A)``); ``projectors`` is the
     read-only (k, d, d) stack of their eigenprojectors.
     """
 
@@ -348,12 +352,14 @@ def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
     eta (an eta-eigenvalue below 1e-12 carrying rho-weight above 1e-10).
     """
     _same_dim(rho=rho.dim, eta=eta.dim)
-    return float(_relative_entropies(rho.matrix, von_neumann_entropy(rho), *np.linalg.eigh(eta.matrix[None]))[0])
+    q, basis = np.linalg.eigh(eta.matrix[None])
+    weights = np.einsum("nji,nji->ni", basis.conj(), rho.matrix @ basis).real  # <v|rho|v> on each eigenvector v of eta
+    return float(_relative_entropies(weights, von_neumann_entropy(rho), q)[0])
 
 
-def _relative_entropies(rho: np.ndarray, entropy: float, q: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # relative_entropy(rho, eta) for a state matrix rho of that entropy and each eta of a checked stack given by its eigh.
-    weights = np.einsum("nji,nji->ni", basis.conj(), rho @ basis).real
+def _relative_entropies(weights: np.ndarray, entropy: float, q: np.ndarray) -> np.ndarray:
+    # relative_entropy(rho, eta) for a state rho of that entropy and each eta of a checked stack given by its (n, d)
+    # eigenvalues q, from rho's weights on their eigenvectors: (n, d), or one (d,) row shared by every eta.
     null = q < SUPPORT_TOL
     infinite = np.any(null & (weights > SUPPORT_WEIGHT_TOL), axis=1)
     cross = (weights * np.log(np.where(null, 1.0, q))).sum(axis=1)  # log 1 = 0 on the null space

@@ -125,6 +125,14 @@ def test_scaling_both_constituents_changes_no_operator_check(system, kind, k):
     assert accepted(10.0**k) == accepted(1.0)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(0, 150))
+def test_grouping_is_scale_covariant(seed, k):
+    # Eigenvalues merge within GROUP_TOL_DEFAULT per unit of max(1, max |A|), so the degenerate pair of
+    # A = U diag(1, 1, -1) U^dag stays one group of s A for s = 10**k, though eigh's roundoff between them grows as s.
+    a = conjugated(unitary(3, np.random.default_rng(seed)), np.diag([1.0, 1.0, -1.0]).astype(complex))
+    assert len(Observable(10.0**k * a).eigenvalues) == 2
+
+
 def unbiased_pair(dim, rng):
     # Observables with distinct eigenvalues in a random basis and in its Fourier-conjugate basis.
     u = unitary(dim, rng)

@@ -385,14 +385,19 @@ class TestStateStacks:
         with pytest.raises(ValueError, match=message):
             _states(stack)
 
+    @staticmethod
+    def weights(rho, basis):
+        # <v|rho|v> on each column v of each eigenbasis of a stack, as relative_entropy takes them.
+        return np.einsum("nji,nji->ni", basis.conj(), rho @ basis).real
+
     def test_relative_entropy_kernel_matches_logm_oracle(self):
         # rho has rank 2 in d = 3; the stack holds a full-rank eta, eta = rho and an eta on rho's null space.
         rng = np.random.default_rng(31)
         kets = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0].T
         rho = DensityMatrix(0.7 * np.outer(kets[0], kets[0].conj()) + 0.3 * np.outer(kets[1], kets[1].conj()))
         etas = [random_density_matrix(3, rng).matrix, rho.matrix, np.outer(kets[2], kets[2].conj())]
-        _, spectrum = _states(np.array(etas), solver="eigh")
-        values = _relative_entropies(rho.matrix, von_neumann_entropy(rho), *spectrum)
+        _, (q, basis) = _states(np.array(etas), solver="eigh")
+        values = _relative_entropies(self.weights(rho.matrix, basis), von_neumann_entropy(rho), q)
         expected = [oracles.relative_entropy_logm(rho.matrix, eta) for eta in etas]
         assert abs(values[0] - expected[0]) <= 1e-10
         assert abs(values[1]) <= 1e-12 and abs(expected[1]) <= 1e-10
@@ -401,9 +406,15 @@ class TestStateStacks:
             assert value == relative_entropy(rho, DensityMatrix(eta))
         # The kernel scores rho and the etas in any one common basis alike, as min_form_check uses it.
         u = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0]
-        _, rotated = _states(u.conj().T @ np.array(etas) @ u, solver="eigh")
-        in_frame = _relative_entropies(u.conj().T @ rho.matrix @ u, von_neumann_entropy(rho), *rotated)
+        _, (q, basis) = _states(u.conj().T @ np.array(etas) @ u, solver="eigh")
+        in_frame = _relative_entropies(self.weights(u.conj().T @ rho.matrix @ u, basis), von_neumann_entropy(rho), q)
         assert np.all(np.abs(in_frame[:2] - values[:2]) <= 1e-12) and in_frame[2] == math.inf
+        # etas diagonal in u's basis take their diagonals as spectra and one row of rho's weights for all of them.
+        p = np.array([[0.5, 0.3, 0.2], [0.0, 0.4, 0.6], [0.7, 0.3, 0.0]])
+        diagonal = _relative_entropies(np.diagonal(u.conj().T @ rho.matrix @ u).real, von_neumann_entropy(rho), p)
+        for value, eta in zip(diagonal, u @ (p[:, :, None] * np.eye(3)) @ u.conj().T):
+            expected = relative_entropy(rho, DensityMatrix(eta))
+            assert value == expected or abs(value - expected) <= 1e-12
 
     def test_state_check_with_vectors_is_one_eigh(self):
         stack = _ginibre_states(4, 5, np.random.default_rng(8))
@@ -413,6 +424,20 @@ class TestStateStacks:
         assert np.max(np.abs(vectors @ (eigs_v[..., None] * vectors.conj().swapaxes(1, 2)) - m)) <= 1e-14
         with pytest.raises(ValueError, match="positive semidefinite"):
             _states(np.array([np.eye(2) / 2.0, np.diag([1.5, -0.5])], dtype=complex), solver="eigh")
+
+    @pytest.mark.parametrize("bad", [np.diag([0.5 + 1e-11j, 0.5]), np.eye(2) * 0.6, np.diag([1.5, -0.5]), np.diag([np.nan, 1.0])])
+    def test_diagonal_check_decides_as_eigvalsh_does(self, bad):
+        # On diagonal matrices the "diagonal" solver fails the same check, with the same message, as eigvalsh, and
+        # passes the good ones with their diagonals as spectra.
+        good = np.array([np.diag([0.7, 0.3]), np.diag([0.0, 1.0]), np.eye(2) / 2.0], dtype=complex)
+        m, spectrum = _states(good, solver="diagonal")
+        assert np.array_equal(m, good) and np.array_equal(spectrum, np.diagonal(good, axis1=1, axis2=2).real)
+        messages = []
+        for solver in ("eigvalsh", "diagonal"):
+            with pytest.raises(ValueError) as raised:
+                _states(np.insert(good, 1, bad, axis=0), solver=solver)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     @staticmethod
     def floor_stack(least):

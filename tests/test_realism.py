@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from twotime import qcore, realism
@@ -178,36 +180,57 @@ class TestMinForm:
         assert_matches_per_sample_min_form(obs, random_density_matrix(dim, rng), n_samples, n_samples)
 
     def test_every_sample_is_checked_twice(self, monkeypatch):
-        # Each sampled state passes the Cholesky gate, and its dephased image one eigh that serves both its
-        # state check and its relative entropy; no call takes more than _rows(2) matrices, and no sample
-        # goes through eigvalsh.
-        obs = Observable(SIGMA_X)
-        rho = DensityMatrix.from_ket([1.0, 0.0])
+        # Each sampled state passes the Cholesky gate, and its dephased image a state check; no call takes more than
+        # _rows(d) matrices, and no sample goes through eigvalsh. A nondegenerate A checks and scores each image from
+        # its diagonal, with no per-sample eigh; a degenerate A takes one eigh per image, which serves both its state
+        # check and its relative entropy.
         counted = {"cholesky": [], "eigh": [], "eigvalsh": []}
         for name, calls in counted.items():
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
-        min_form_check(obs, rho, n_samples=0)
-        without_samples = {name: sum(calls) for name, calls in counted.items()}
-        for calls in counted.values():
-            calls.clear()
-        min_form_check(obs, rho, n_samples=qcore._rows(2) + 1)
-        assert sum(counted.pop("eigvalsh")) == without_samples["eigvalsh"]
-        for name, calls in counted.items():
-            assert sum(calls) - without_samples[name] == qcore._rows(2) + 1
-            assert max(calls) == qcore._rows(2)
+
+        def matrices(obs, n_samples):  # matrices each solver takes in one call of min_form_check on a pure rho
+            for calls in counted.values():
+                calls.clear()
+            min_form_check(obs, DensityMatrix.from_ket(np.eye(obs.dim)[0]), n_samples=n_samples)
+            return {name: sum(calls) for name, calls in counted.items()}
+
+        for obs, eighs_per_sample in ((Observable(SIGMA_X), 0), (Observable(np.diag([1.0, 1.0, -1.0])), 1)):
+            rows = qcore._rows(obs.dim)
+            without_samples, with_samples = matrices(obs, 0), matrices(obs, rows + 1)
+            per_sample = {name: with_samples[name] - without_samples[name] for name in counted}
+            assert per_sample == {"cholesky": rows + 1, "eigh": eighs_per_sample * (rows + 1), "eigvalsh": 0}
+            assert max(counted["cholesky"]) == rows and max(counted["eigh"]) == (rows if eighs_per_sample else 1)
 
     def test_dephased_images_pass_the_psd_check(self, monkeypatch):
-        # Shifting the eigenvalues of the sample blocks' eigh below PSD_FLOOR must fail the state check.
-        eigh = np.linalg.eigh
+        # Moving weight 1 from the second diagonal entry of each sample block's dephased image to the first (it stays
+        # Hermitian, of unit trace) must fail the state check, on the diagonal path of a nondegenerate A and on the
+        # eigh path of a degenerate one.
+        states, solvers = qcore._states, []
 
-        def shifted(a):
-            values, vectors = eigh(a)
-            return (values - 1.0 if np.ndim(a) == 3 and len(a) > 1 else values), vectors
+        def shifted(stack, solver="eigvalsh"):
+            if solver is not None and len(stack) > 1:
+                solvers.append(solver)
+                stack = stack + np.diag([1.0, -1.0] + [0.0] * (len(stack[0]) - 2))
+            return states(stack, solver)
 
-        monkeypatch.setattr(np.linalg, "eigh", shifted)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=2)
+        monkeypatch.setattr(realism, "_states", shifted)
+        for obs, solver in ((Observable(SIGMA_X), "diagonal"), (Observable(np.diag([1.0, 1.0, -1.0])), "eigh")):
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                min_form_check(obs, DensityMatrix.maximally_mixed(obs.dim), n_samples=2)
+            assert solvers.pop() == solver
+
+    @settings(max_examples=30)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 40))
+    def test_nondegenerate_observables_match_the_per_sample_loop(self, dim, seed, n_samples):
+        # Random nondegenerate A, two of whose eigenvalues lie 10 GROUP_TOL_DEFAULT apart, take the diagonal path.
+        rng = np.random.default_rng(seed)
+        spectrum = rng.uniform(-1.0, 1.0, dim)
+        spectrum[1] = spectrum[0] + 10 * qcore.GROUP_TOL_DEFAULT
+        u = np.linalg.qr(oracles.random_hermitian_matrix(dim, rng))[0]
+        obs = Observable(u @ np.diag(spectrum) @ u.conj().T)
+        assume(len(obs.eigenvalues) == dim)
+        assert_matches_per_sample_min_form(obs, random_density_matrix(dim, rng), n_samples, seed)
 
     @pytest.mark.parametrize("case", ["multiple of identity", "two rank-2 groups", "degenerate d=8", "pure state"])
     def test_eigenframe_matches_the_per_sample_loop(self, case):
@@ -284,8 +307,8 @@ class TestOneIrrealityKernel:
         for call, expected in (
             (lambda: irreality(obs, rho), {"_irrealities": 1, "eigvalsh": 1}),
             (lambda: complementarity_bound_check(rho), {"_irrealities": 1, "eigvalsh": 2}),
-            # The frame's eigh, and one checked eigh of Phi_A(rho) in the frame for the identity.
-            (lambda: min_form_check(obs, rho, n_samples=0), {"_irrealities": 1, "eigvalsh": 1, "eigh": 2}),
+            # The frame's eigh only: Phi_A(rho) of a nondegenerate A is diagonal in the frame and scored from it.
+            (lambda: min_form_check(obs, rho, n_samples=0), {"_irrealities": 1, "eigvalsh": 1, "eigh": 1}),
             # Both eigenstates and both dephased images.
             (lambda: realism._eigenstate_irrealities(obs.projectors[None]), {"_irrealities": 1, "eigvalsh": 4}),
         ):

@@ -3,6 +3,7 @@ so that adding or dropping a name shows as an explicit diff of this file. The sy
 the acceptance criteria: a pinned name that neither uses stays only with a reason recorded here."""
 
 import ast
+import os
 import types
 from pathlib import Path
 
@@ -82,3 +83,11 @@ def test_every_public_name_is_used_by_the_system_or_has_a_recorded_reason():
         for node in ast.walk(ast.parse(path.read_text())):
             used.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
     assert sorted(UNUSED_BY_THE_SYSTEM) == [name for name in PUBLIC_NAMES if name not in used]
+
+
+def test_a_src_named_on_pythonpath_is_the_package_under_test():
+    # conftest puts this checkout's src after the PYTHONPATH entries, so one named there is the package tested.
+    named = [Path(entry) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+             if entry and (Path(entry) / "twotime" / "__init__.py").is_file()]
+    src = named[0] if named else ROOT / "src"
+    assert Path(twotime.__file__).resolve().is_relative_to(src.resolve())
