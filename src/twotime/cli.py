@@ -199,10 +199,10 @@ def _draw_dephased_instances(dim, n, rng):
     draws = []
     for _ in range(n):
         a, b, h, t1, t2, _ = _draw_instances((dim,), 1, rng)[0]
-        projectors = [p for p in qcore._spectra(a)[2][0] if p.any()]  # A's nonzero slots: one per distinct eigenvalue
-        weights = rng.uniform(0.1, 1.0, len(projectors))
-        rho_t1 = sum(w * p / p.trace().real for w, p in zip(weights / weights.sum(), projectors))
-        draws.append((a, b, h, t1, t2, rho_t1[None]))
+        _, _, vectors, (starts,) = qcore._spectra(a)
+        space = np.cumsum(starts) - 1  # each slot's eigenspace: one weight each, shared evenly by its slots
+        w = (rng.uniform(0.1, 1.0, space[-1] + 1) / np.bincount(space))[space]
+        draws.append((a, b, h, t1, t2, vectors * (w / w.sum()) @ vectors.conj().swapaxes(1, 2)))  # V diag(w) V^dag
     a, b, h, t1, t2, rho_t1 = (np.concatenate(column) for column in zip(*draws))
     u = dynamics._unitaries(*qcore._eighs(h, "hamiltonian")[1:], -t1)  # every rho_t1 evolved back to 0 as one block
     return a, b, h, t1, t2, u @ rho_t1 @ u.conj().swapaxes(1, 2)
@@ -259,9 +259,9 @@ def _report_eigenprep(args) -> bool:
     groups = _draw_instances((2, 3, 2, 3), 25, np.random.default_rng(args.seed))
     worst = 0.0
     for instances, kind in zip(groups, ("product", "product", "sum", "sum")):
-        (a, _, _), (b, _, _), units = correlators._checked_instances(*instances[:5])
-        _, _, projectors = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
-        worst = max(worst, float(np.abs(realism._eigenstate_irrealities(projectors)).max()))
+        (a, *_), (b, *_), units = correlators._checked_instances(*instances[:5])
+        _, *frame = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
+        worst = max(worst, float(np.abs(realism._eigenstate_irrealities(*frame)).max()))
     return _check(
         "eigenprep",
         worst <= IDENTITY_TOL,

@@ -29,6 +29,7 @@ import numpy as np
 from .dynamics import ChannelFamily, _unitaries
 from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, DensityMatrix, _eighs
 from .qcore import Observable, _as_square_complex, _readonly, _require, _same_dim, _scales, _spectra, _states, _symmetrized
+from .realism import _dephased_in_frame
 
 _KINDS = ("product", "sum")
 
@@ -123,20 +124,22 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
     if not t2 > t1:
         raise ValueError(f"the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}")
     u1, u21 = (channel.unitary_at(t)[None] for t in (t1, t2 - t1))
-    joint = _tpm_joints(A.projectors[None], B.projectors[None], u1, u21, rho0.matrix[None])
-    return A.eigenvalues, B.eigenvalues, joint[0]
+    joint = _tpm_joints(A._frame, B._frame, u1, u21, rho0.matrix[None])
+    return A.eigenvalues, B.eigenvalues, joint[0][np.ix_(A._frame[2][0], B._frame[2][0])]
 
 
-def _tpm_joints(a_projectors, b_projectors, u1, u21, rho0) -> np.ndarray:
-    # joint[n, i, j] for (n, k, d, d) stacks of A's and B's projectors (zero ones give zero rows and
-    # columns), the (n, d, d) unitaries at t1 and over t2 - t1 and the (n, d, d) initial states.
-    rho_t1 = u1 @ rho0 @ u1.conj().swapaxes(1, 2)
-    branches = a_projectors @ rho_t1[:, None] @ a_projectors
-    marginals = np.trace(branches, axis1=2, axis2=3).real
+def _tpm_joints(a_frame, b_frame, u1, u21, rho0) -> np.ndarray:
+    # joint[n, i, j] for _spectra's (eigenvalues, V, starts) stacks of A and B, the (n, d, d) unitaries at t1 and over
+    # t2 - t1 and the (n, d, d) initial states; outcome pairs sit at their eigenspaces' first slots, zeros elsewhere.
+    # With x = V_A^dag Phi_A(rho_t1) V_A and T = V_B^dag U21 V_A, p(a, b) sums Re[(T x)_ki conj(T_ki)] over the slots
+    # i of a and k of b: S[n, s, i] is True when slot i lies in the eigenspace whose first slot is s.
+    x = _dephased_in_frame(*a_frame[:2], u1 @ rho0 @ u1.conj().swapaxes(1, 2))
+    t = b_frame[1].conj().swapaxes(1, 2) @ u21 @ a_frame[1]
+    a_sums, b_sums = ((v[:, :, None] == v[:, None, :]) & starts[:, :, None] for v, _, starts in (a_frame, b_frame))
+    marginals = (a_sums @ np.diagonal(x, axis1=1, axis2=2).real[..., None])[..., 0]
     kept = ~(marginals <= MARGINAL_TOL)  # a NaN branch is kept, so the sum check below rejects it
-    states = branches / np.where(kept, marginals, 1.0)[..., None, None]
-    evolved = u21[:, None] @ states @ u21.conj().swapaxes(1, 2)[:, None]
-    conditional = np.einsum("nbij,nkji->nkb", b_projectors, evolved).real
+    conditional = a_sums @ ((t @ x) * t.conj()).real.swapaxes(1, 2) @ b_sums.swapaxes(1, 2)
+    conditional /= np.where(kept, marginals, 1.0)[..., None]
     sums = conditional.sum(axis=2)[kept]
     _require(np.abs(sums - 1.0) <= MEASUREMENT_TOL, "conditional distribution sums to {s:.15g}", ArithmeticError, s=sums)
     return np.where(kept[..., None], marginals[..., None] * np.clip(conditional, 0.0, 1.0), 0.0)
@@ -151,10 +154,10 @@ def _checked_instances(a, b, h, *times):
 def _tpm_gaps(a, b, h, t1, t2, rho0) -> np.ndarray:
     """|protocol - Heisenberg| of every instance in stacks of A, B, H (n, d, d), times (n,) and
     states (n, d, d), each matrix checked as Observable, ChannelFamily and DensityMatrix check it."""
-    (a, a_values, a_projectors), (b, b_values, b_projectors), (u1, u2, u21) = _checked_instances(a, b, h, t1, t2, t2 - t1)
+    (a, *a_frame), (b, *b_frame), (u1, u2, u21) = _checked_instances(a, b, h, t1, t2, t2 - t1)
     rho0, _ = _states(rho0, solver=None)
-    joint = _tpm_joints(a_projectors, b_projectors, u1, u21, rho0)
-    protocol = (a_values[:, None] @ joint @ b_values[:, :, None])[:, 0, 0]
+    joint = _tpm_joints(a_frame, b_frame, u1, u21, rho0)
+    protocol = (a_frame[0][:, None] @ joint @ b_frame[0][:, :, None])[:, 0, 0]
     return np.abs(protocol - _trace_forms(_two_time_matrices("product", a, b, u1, u2), rho0))
 
 

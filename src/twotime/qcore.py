@@ -5,6 +5,7 @@ about 8. All entropies are in nats. hbar = 1 throughout; spin-1/2 component
 observables carry an explicit factor 1/2 relative to the Pauli matrices.
 """
 
+import functools
 import math
 import numbers
 
@@ -188,30 +189,25 @@ class DensityMatrix:
 
 
 def _spectra(stack: np.ndarray):
-    """Check and decompose an (n, d, d) stack of observables as ``Observable`` does. Returns the symmetrized stack,
-    (n, d) eigenvalues and (n, d, d, d) projectors: slot k holds its eigenvector's group mean, and a merged group's
-    projector sits in its first slot, with zero projectors in the rest (they keep sum P = 1 and P_i P_j = delta_ij P_i).
-    The projector algebra is one check of eigh's eigenvectors V: e = max |G - 1| <= MEASUREMENT_TOL / (d + 1) for
-    G = V^dag V. Every projector, merged ones too, comes from V, so no entry of P_g P_h - delta_gh P_g =
-    V_g (G_gh - delta_gh) V_h^dag, nor of sum P - 1 = V V^dag - 1, exceeds (1 + d e) d e < MEASUREMENT_TOL."""
+    """Check and decompose an (n, d, d) stack of observables as ``Observable`` does: the symmetrized stack, (n, d)
+    eigenvalues (those within GROUP_TOL_DEFAULT per unit of _scales share an eigenspace, whose slots all hold their
+    mean), eigh's (n, d, d) eigenvectors V and (n, d) ``starts``, True in each eigenspace's first slot. With V's one
+    check e = max |V^dag V - 1| <= MEASUREMENT_TOL / (d + 1), the eigenprojectors P_g = V_g V_g^dag of slices V_g of V
+    keep every entry of P_g P_h - delta_gh P_g and of sum P - 1 = V V^dag - 1 within (1 + d e) d e < MEASUREMENT_TOL."""
     m, values, vectors = _eighs(stack, "observable")
-    scales, cols = _scales(m), vectors.swapaxes(1, 2)
-    projs = cols[..., :, None] @ cols.conj()[..., None, :]
+    scales, adjoints = _scales(m), vectors.conj().swapaxes(1, 2)
     with np.errstate(over="ignore"):  # a gap between eigenvalues near +-float max is inf, which is not merged
         merged = np.diff(values, axis=1) <= GROUP_TOL_DEFAULT * scales[:, None]
+    starts = np.concatenate([np.ones((len(m), 1), bool), ~merged], axis=1)
     for n in np.flatnonzero(merged.any(axis=1)):
-        edges = [0, *(np.flatnonzero(~merged[n]) + 1).tolist(), m.shape[1]]
-        for a, b in zip(edges[:-1], edges[1:]):
-            projs[n, a:b] = 0.0
-            projs[n, a] = vectors[n, :, a:b] @ vectors[n, :, a:b].conj().T
-            values[n, a:b] = values[n, a:b].sum() / (b - a)
-    projs = (projs + projs.conj().swapaxes(-1, -2)) / 2.0
+        for space in np.split(values[n], np.flatnonzero(starts[n])[1:]):  # views of each eigenspace's slots
+            space[:] = space.sum() / len(space)
     row, where = np.arange(len(m)), f": matrix {{row:.0f}} of {len(m)}"  # _require names the first failing row
-    gram = np.abs(cols.conj() @ vectors - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1)
+    gram = np.abs(adjoints @ vectors - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1)
     _require(gram <= MEASUREMENT_TOL / (m.shape[1] + 1), "projectors are not orthogonal/idempotent" + where, row=row)
-    fit = np.abs(np.einsum("nk,nkij->nij", values, projs) - m).reshape(len(m), -1).max(axis=1)
+    fit = np.abs((vectors * values[:, None, :]) @ adjoints - m).reshape(len(m), -1).max(axis=1)
     _require(fit <= RECONSTRUCTION_TOL * scales, "spectral decomposition does not reconstruct the matrix" + where, row=row)
-    return m, values, projs
+    return m, values, vectors, starts
 
 
 class Observable:
@@ -221,15 +217,14 @@ class Observable:
     ascending order, separated by more than ``GROUP_TOL_DEFAULT`` per unit of
     max(1, max |A|) (closer eigenvalues share one projector and are averaged,
     so ``Observable(s * A)`` groups as ``Observable(A)``); ``projectors`` is the
-    read-only (k, d, d) stack of their eigenprojectors.
+    read-only (k, d, d) stack of their eigenprojectors, formed on first use.
     """
 
     def __init__(self, matrix):
-        m, eigenvalues, projectors = _spectra(_as_square_complex(matrix)[None])
-        groups = np.flatnonzero(projectors[0].any(axis=(1, 2)))
+        m, values, vectors, starts = _spectra(_as_square_complex(matrix)[None])
         self._matrix = _readonly(m[0])
-        self._eigenvalues = _readonly(eigenvalues[0, groups])
-        self._projectors = _readonly(projectors[0, groups])
+        self._frame = tuple(map(_readonly, (values, vectors, starts)))  # _spectra's stacks of one: the kernels' input
+        self._eigenvalues = _readonly(values[0, starts[0]])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -243,20 +238,22 @@ class Observable:
     def eigenvalues(self) -> np.ndarray:
         return self._eigenvalues
 
-    @property
+    @functools.cached_property
     def projectors(self) -> np.ndarray:
-        return self._projectors
+        _, (vectors,), (starts,) = self._frame  # V_g V_g^dag of each eigenspace's columns V_g, as views of V
+        projectors = np.array([v @ v.conj().T for v in np.split(vectors, np.flatnonzero(starts)[1:], axis=1)])
+        return _readonly((projectors + projectors.conj().swapaxes(1, 2)) / 2.0)
 
     @property
     def spectrum(self):
         """(eigenvalue, projector) pairs in ascending eigenvalue order."""
-        return list(zip(self._eigenvalues.tolist(), self._projectors))
+        return list(zip(self._eigenvalues.tolist(), self.projectors))
 
     def eigenstate(self, k: int) -> DensityMatrix:
         """Maximally mixed state on the eigenspace of the k-th distinct eigenvalue (ascending)."""
         if not 0 <= k < len(self._eigenvalues):
             raise IndexError(f"eigenvalue index {k} out of range for {len(self._eigenvalues)} distinct eigenvalues")
-        proj = self._projectors[k]
+        proj = self.projectors[k]
         return DensityMatrix(proj / int(round(proj.trace().real)))
 
     def __repr__(self):

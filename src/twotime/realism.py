@@ -72,39 +72,41 @@ class ComplementarityReport:
 def dephase(A: Observable, rho: DensityMatrix) -> DensityMatrix:
     """Nonselective projective measurement of A: sum_a alpha_a rho alpha_a."""
     _same_dim(observable=A.dim, state=rho.dim)
-    return DensityMatrix(_dephase(A.projectors, rho.matrix))
+    _, v, _ = A._frame  # the image rotated back to the lab basis as _irrealities rotates it, so the floats agree
+    return DensityMatrix((v @ _dephased_in_frame(*A._frame[:2], rho.matrix[None]) @ v.conj().swapaxes(1, 2))[0])
 
 
-def _dephase(projectors, m: np.ndarray) -> np.ndarray:
-    # sum_a alpha_a M alpha_a for one matrix M of shape (d, d) or a stack (n, d, d).
-    return sum(proj @ m @ proj for proj in projectors)
+def _dephased_in_frame(values: np.ndarray, vectors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    # V^dag Phi_A(rho) V of (n, d, d) states for _spectra's (n, d) eigenvalues and (n, d, d) V of A (a stack of one
+    # broadcasts against the other): V^dag rho V with the entries between different eigenspaces of A zeroed.
+    return (values[:, :, None] == values[:, None, :]) * (vectors.conj().swapaxes(1, 2) @ states @ vectors)
 
 
-def _irrealities(projectors: np.ndarray, states: np.ndarray, eigs: np.ndarray):
-    """Columns (J, S(Phi_A(rho)), S(rho)) of (n, k, d, d) projector stacks (zero _spectra slots allowed), checked
-    (n, d, d) states and their (n, d) eigenvalues, or one (1, d, d) state and its (1, d) eigenvalues for every row:
-    each dephased image passes the state check, then its entropy."""
-    _, dephased_eigs = _states(_dephase(projectors.swapaxes(0, 1), states))
+def _irrealities(values: np.ndarray, vectors: np.ndarray, states: np.ndarray, eigs: np.ndarray):
+    """Columns (J, S(Phi_A(rho)), S(rho)) of _dephased_in_frame's A, checked (n, d, d) states and their (n, d)
+    eigenvalues (a stack of one broadcasts against the other): each dephased image, rotated back to the lab basis,
+    passes the state check, then its entropy."""
+    _, dephased_eigs = _states(vectors @ _dephased_in_frame(values, vectors, states) @ vectors.conj().swapaxes(1, 2))
     s_dephased, s_state = _entropies(dephased_eigs), _entropies(eigs)
     return s_dephased - s_state, s_dephased, s_state
 
 
-def _eigenstate_irrealities(projectors: np.ndarray) -> np.ndarray:
-    """irreality(A, A.eigenstate(k)).irreality of each nonzero slot k of (n, k, d, d) projector stacks as
-    _spectra pads them, 0 in the zero slots; _rows(d) eigenstates at a time."""
-    values = np.zeros(projectors.shape[:2])
-    rows = np.argwhere(projectors.any(axis=(2, 3)))
-    for n, k in (rows[block].T for block in _blocks(len(rows), projectors.shape[-1])):
-        slots = projectors[n, k]
-        states = slots / np.rint(np.trace(slots, axis1=1, axis2=2).real)[:, None, None]
-        values[n, k] = _irrealities(projectors[n], *_states(states))[0]
-    return values
+def _eigenstate_irrealities(values: np.ndarray, vectors: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """irreality(A, A.eigenstate(k)).irreality of each eigenspace of _spectra's (n, d) eigenvalues, (n, d, d) V and
+    (n, d) starts, in its first slot and 0 in the others; _rows(d) eigenstates at a time."""
+    irrealities = np.zeros(starts.shape)
+    rows = np.argwhere(starts)
+    for n, k in (rows[block].T for block in _blocks(len(rows), starts.shape[1])):
+        space = values[n] == values[n, k][:, None]  # the slots of each eigenstate's eigenspace
+        states = vectors[n] * (space / space.sum(axis=1, keepdims=True))[:, None, :] @ vectors[n].conj().swapaxes(1, 2)
+        irrealities[n, k] = _irrealities(values[n], vectors[n], *_states(states))[0]
+    return irrealities
 
 
 def irreality(A: Observable, rho: DensityMatrix) -> IrrealityReport:
     """Entropic distance of rho from being an A-reality state (nats)."""
     _same_dim(observable=A.dim, state=rho.dim)
-    columns = _irrealities(A.projectors[None], rho.matrix[None], rho.eigenvalues()[None])
+    columns = _irrealities(*A._frame[:2], rho.matrix[None], rho.eigenvalues()[None])
     return IrrealityReport(*(float(column[0]) for column in columns))
 
 
@@ -116,16 +118,14 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     are the first ``n_samples`` states ``random_density_matrix(d, default_rng(seed))`` gives.
     Each sample and its dephased image pass the density-matrix check (on its diagonal when A is nondegenerate).
     """
-    n_samples = _count(n_samples, "n_samples")
+    n_samples, seed = _count(n_samples, "n_samples"), _count(seed, "seed")
     report = irreality(A, rho)
-    # In a basis V that block-diagonalizes A's projectors, V^dag Phi_A(sigma) V is V^dag sigma V with the entries
-    # between A's eigenspaces zeroed, and relative entropy is unitarily invariant.
-    labels, frame = np.linalg.eigh(sum(k * proj for k, proj in enumerate(A.projectors)))
-    mask = np.rint(labels)[:, None] == np.rint(labels)[None, :]
+    # Scored in A's eigenbasis V (relative entropy is unitarily invariant), where Phi_A(sigma) is _dephased_in_frame's
+    # image. With every eigenspace one-dimensional (each slot starts one) it is diagonal: its spectrum and rho's
+    # weights are diagonals, and (V^dag sigma V)_ii = sum_jk sigma_jk conj(V_ji) V_ki is one product on one BLAS thread.
+    (frame,), (starts,) = A._frame[1:]
     rho_in_frame = frame.conj().T @ rho.matrix @ frame
-    # With every eigenspace of A one-dimensional (mask = 1) each image is diagonal: its spectrum, and rho's weights,
-    # are diagonals, and (V^dag sigma V)_ii = sum_jk sigma_jk conj(V_ji) V_ki is one product on one BLAS thread.
-    to_diagonal = (frame.conj()[:, None] * frame).reshape(-1, rho.dim) if np.count_nonzero(mask) == rho.dim else None
+    to_diagonal = (frame.conj()[:, None] * frame).reshape(-1, rho.dim) if starts.all() else None
     weights = np.diagonal(rho_in_frame).real
 
     def scores(sigmas):  # S(rho || Phi_A(sigma)) of a checked (n, d, d) stack, each image checked as a state first
@@ -133,7 +133,7 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
             _, q = _states((sigmas.reshape(len(sigmas), -1) @ to_diagonal)[:, :, None] * np.eye(rho.dim), solver="diagonal")
             return _relative_entropies(weights, report.entropy_state, q)
         # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
-        _, (q, basis) = _states(mask * (frame.conj().T @ sigmas @ frame), solver="eigh")
+        _, (q, basis) = _states(_dephased_in_frame(*A._frame[:2], sigmas), solver="eigh")
         return _relative_entropies(np.einsum("nji,nji->ni", basis.conj(), rho_in_frame @ basis).real, report.entropy_state, q)
 
     identity_gap = abs(float(scores(rho.matrix[None])[0]) - report.irreality)  # Phi_A(rho) scored as each sample
@@ -173,8 +173,8 @@ def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, se
     overlaps = np.linalg.norm(first.projectors[:, None] @ second.projectors[None], ord=2, axis=(2, 3))
     if not np.max(overlaps) ** 2 <= 1.0 / rho.dim + MEASUREMENT_TOL:
         raise ValueError("composed dephasings of the pair do not yield the maximally mixed state")
-    # An admitted pair is nondegenerate (c >= 1/k for k distinct outcomes), so both stack as (d, d, d).
-    _, dephased, state = _irrealities(np.stack([first.projectors, second.projectors]), rho.matrix[None], rho.eigenvalues()[None])
+    values, vectors, _ = (np.concatenate(pair) for pair in zip(first._frame, second._frame))
+    _, dephased, state = _irrealities(values, vectors, rho.matrix[None], rho.eigenvalues()[None])
     (s_first, s_second), (s_state,) = dephased.tolist(), state.tolist()
     lhs = s_first + s_second
     rhs = math.log(rho.dim) + s_state

@@ -230,9 +230,12 @@ def row_angles(seed, band, index):
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(band[j], index[j])))``,
     ``uniform(0, pi)`` then ``uniform(0, 2*pi)``, bit for bit, with the seeding
     and PCG64 arithmetic done on whole columns. Keying every row on its own
-    stream makes any partitioning of a scan produce the same rows.
+    stream makes any partitioning of a scan produce the same rows. Keys must be
+    integers (integer-valued floats pass) in [0, 2**32).
     """
-    band, index = (np.asarray(k, dtype=np.int64) for k in np.broadcast_arrays(band, index))
+    band, index = np.broadcast_arrays(band, index)
+    for name, keys in (("band", band), ("sample", index)):  # not truncated: 1.9 would take row 1's stream
+        _require(keys == np.round(keys), name + " key {key!r} is not an integer", key=keys)
     if np.any((band < 0) | (band > _MASK32) | (index < 0) | (index > _MASK32)):
         raise ValueError("band and sample indices must lie in [0, 2**32)")
     seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(seed, band.astype(np.uint32), index.astype(np.uint32))

@@ -59,6 +59,24 @@ def tpm_bruteforce(a_mat, b_mat, hamiltonian, t1, t2, rho0):
     return total
 
 
+def tpm_joint_bruteforce(a_mat, b_mat, hamiltonian, t1, t2, rho0):
+    """p(a, b) of the sequential-measurement protocol, rows and columns in grouped_projectors' outcome order: each
+    Lueders branch alpha rho_t1 alpha / p(a), evolved and measured explicitly; p(a) <= 1e-12 gives a zero row."""
+    rho_t1 = schrodinger_conjugate(hamiltonian, t1, rho0)
+    u_dt = expm_unitary(hamiltonian, t2 - t1)
+    a_outcomes, b_outcomes = grouped_projectors(a_mat), grouped_projectors(b_mat)
+    joint = np.zeros((len(a_outcomes), len(b_outcomes)))
+    for i, (_, alpha) in enumerate(a_outcomes):
+        branch = alpha @ rho_t1 @ alpha
+        pa = np.trace(branch).real
+        if pa <= 1e-12:
+            continue
+        evolved = u_dt @ (branch / pa) @ u_dt.conj().T
+        for j, (_, beta) in enumerate(b_outcomes):
+            joint[i, j] = pa * np.trace(beta @ evolved).real
+    return joint
+
+
 def heisenberg_bruteforce(a_mat, b_mat, hamiltonian, t1, t2, rho0, kind="product"):
     """Tr(C12 rho0) with C12 assembled from expm-conjugated constituents."""
     a1 = heisenberg_conjugate(hamiltonian, t1, a_mat)

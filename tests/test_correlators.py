@@ -275,30 +275,29 @@ class TestStackKernels:
 
     def test_conditional_sums_are_checked_in_every_row(self):
         # A second-row "unitary" scaled by sqrt(2) doubles that row's evolved states and breaks only its conditional sums.
-        projectors = np.array([Observable(SIGMA_Z).projectors] * 2)
+        frame = tuple(np.concatenate([part] * 2) for part in Observable(SIGMA_Z)._frame)
         identities = np.array([np.eye(2)] * 2, dtype=complex)
         u21 = identities * np.array([1.0, math.sqrt(2.0)])[:, None, None]
         with pytest.raises(ArithmeticError, match="conditional distribution sums to 2"):
-            _tpm_joints(projectors, projectors, identities, u21, identities / 2.0)
+            _tpm_joints(frame, frame, identities, u21, identities / 2.0)
 
     def test_one_row_protocol_is_a_row_of_the_stack(self):
         # tpm_joint_distribution is the n = 1 view of _tpm_joints: its joint is bitwise the instance's row of a
-        # stacked run, less the zero projector slots that a degenerate A leaves in the stack.
+        # stacked run, at the first slots of the eigenspaces (a degenerate A leaves zero rows at the others).
         rng = np.random.default_rng(52)
         for dim, degenerate in ((2, [0.5, 0.5]), (3, [-1.0, 1.0, 1.0])):
             instances = [random_instance(dim, rng) for _ in range(6)]
             basis = np.linalg.eigh(oracles.random_hermitian_matrix(dim, rng))[1]
             instances[2] = (Observable(basis @ np.diag(degenerate) @ basis.conj().T), *instances[2][1:])
             a, b, h, t1, t2, rho0 = (np.array([getattr(x, "matrix", x) for x in column]) for column in zip(*instances))
-            (_, _, a_projectors), (_, _, b_projectors) = _spectra(a), _spectra(b)
+            (_, *a_frame), (_, *b_frame) = _spectra(a), _spectra(b)
             _, energies, modes = _eighs(h, "hamiltonian")
-            joints = _tpm_joints(a_projectors, b_projectors, _unitaries(energies, modes, t1),
-                                 _unitaries(energies, modes, t2 - t1), rho0)
-            assert not a_projectors[2].any(axis=(1, 2)).all()
+            joints = _tpm_joints(a_frame, b_frame, _unitaries(energies, modes, t1), _unitaries(energies, modes, t2 - t1), rho0)
+            assert not a_frame[2][2].all()
             for n, (a_n, b_n, h_n, t1_n, t2_n, rho0_n) in enumerate(instances):
                 _, _, joint = tpm_joint_distribution(a_n, b_n, t1_n, t2_n, ChannelFamily(h_n), rho0_n)
-                rows, cols = (np.flatnonzero(p[n].any(axis=(1, 2))) for p in (a_projectors, b_projectors))
-                assert np.array_equal(joint, joints[n][np.ix_(rows, cols)])
+                assert np.array_equal(joint, joints[n][np.ix_(a_frame[2][n], b_frame[2][n])])
+                assert not joints[n][~a_frame[2][n]].any() and not joints[n][:, ~b_frame[2][n]].any()
 
 
 class TestLambdaOperator:

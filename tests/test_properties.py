@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import oracles
 from twotime.correlators import TwoTimeOperator, heisenberg_correlator, realize, tpm_joint_distribution
 from twotime.dynamics import ChannelFamily
 from twotime.qcore import PSD_FLOOR, DensityMatrix, Observable, _states, random_hermitian, von_neumann_entropy
@@ -86,6 +87,27 @@ def test_tpm_joint_distribution_is_normalized(system, t1, dt):
     assert joint.shape == (len(a_values), len(b_values))
     assert np.all(joint >= 0.0)
     assert abs(joint.sum() - 1.0) <= 1e-10
+
+
+@given(systems(), st.sampled_from(["A degenerate", "B degenerate", "both degenerate", "dephased start"]),
+       st.floats(-2.0, 2.0), st.floats(0.01, 3.0))
+def test_tpm_joint_distribution_matches_the_lueders_oracle(system, case, t1, dt):
+    # Cell by cell against explicit Lueders branches. A dephased start has rho_t1 = Phi_A(sigma), so every branch
+    # is one block of rho_t1.
+    dim, rng, spectra, rank = system
+    spec_a, spec_b = (list(spectrum) for spectrum in spectra)
+    if case in ("A degenerate", "both degenerate"):
+        spec_a[1] = spec_a[0]
+    if case in ("B degenerate", "both degenerate"):
+        spec_b[1] = spec_b[0]
+    a, b, h, rho0 = observable(spec_a, rng), observable(spec_b, rng), random_hermitian(dim, rng), state(dim, rank, rng).matrix
+    if case == "dephased start":
+        dephased = sum(alpha @ rho0 @ alpha for _, alpha in oracles.grouped_projectors(a))
+        rho0 = oracles.schrodinger_conjugate(h, -t1, dephased)
+    _, _, joint = tpm_joint_distribution(Observable(a), Observable(b), t1, t1 + dt, ChannelFamily(h), DensityMatrix(rho0))
+    expected = oracles.tpm_joint_bruteforce(a, b, h, t1, t1 + dt, rho0)
+    assert joint.shape == expected.shape
+    assert np.max(np.abs(joint - expected)) <= 1e-12
 
 
 @given(systems(), st.sampled_from(["product", "sum"]), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))

@@ -201,6 +201,20 @@ def observable_matrices(dim):
     return matrices
 
 
+def scaled_forced_observables(dim, rng, s):
+    # (spectrum, s A) for A each forced spectrum as given and in a random basis.
+    for values in forced_spectra(dim, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        for matrix in (np.diag(values).astype(complex), q @ np.diag(values) @ q.conj().T):
+            yield values, s * matrix
+
+
+def frame_projectors(vectors, starts):
+    # The (k, d, d) eigenprojectors V_g V_g^dag of the column slices of V that starts marks off.
+    edges = [*np.flatnonzero(starts), len(starts)]
+    return np.array([vectors[:, a:b] @ vectors[:, a:b].conj().T for a, b in zip(edges[:-1], edges[1:])])
+
+
 class TestObservableArrays:
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_bitwise_equal_to_the_grouping_loop(self, dim):
@@ -227,21 +241,18 @@ class TestSpectraStack:
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_stack_is_bitwise_each_observable(self, dim):
         matrices = observable_matrices(dim)
-        m, values, projectors = _spectra(np.array(matrices))
-        assert values.shape == (len(matrices), dim) and projectors.shape == (len(matrices), dim, dim, dim)
-        padded_slots = 0
+        m, values, vectors, starts = _spectra(np.array(matrices))
+        assert values.shape == starts.shape == (len(matrices), dim) and vectors.shape == (len(matrices), dim, dim)
+        merged_slots = 0
         for k, matrix in enumerate(matrices):
             obs = Observable(matrix)
-            groups = np.flatnonzero(projectors[k].any(axis=(1, 2)))
             assert m[k].tobytes() == obs.matrix.tobytes()
-            assert values[k, groups].tobytes() == obs.eigenvalues.tobytes()
-            assert projectors[k, groups].tobytes() == obs.projectors.tobytes()
-            # The freed slots of merged eigenvalues hold zero projectors, and the stack still resolves 1.
-            padded = np.setdiff1d(np.arange(dim), groups)
-            assert np.all(projectors[k, padded] == 0.0)
-            assert np.max(np.abs(projectors[k].sum(axis=0) - np.eye(dim))) <= 1e-10
-            padded_slots += len(padded)
-        assert padded_slots > 0
+            assert values[k, starts[k]].tobytes() == obs.eigenvalues.tobytes()
+            assert [part[k].tobytes() for part in (values, vectors, starts)] == [part[0].tobytes() for part in obs._frame]
+            # V resolves 1, and each merged eigenvalue leaves a slot that starts no eigenspace.
+            assert np.max(np.abs(vectors[k] @ vectors[k].conj().T - np.eye(dim))) <= 1e-10
+            merged_slots += np.count_nonzero(~starts[k])
+        assert merged_slots > 0
 
     @pytest.mark.parametrize(
         "bad",
@@ -279,36 +290,48 @@ class TestSpectraStack:
         with pytest.raises(ValueError, match="projectors are not orthogonal/idempotent: matrix 1 of 3"):
             _spectra(np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
-    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.floats(-15.0, -9.0))
-    def test_every_accepted_stack_passes_the_pair_and_completeness_residuals(self, dim, seed, log_scale):
-        # eigh's eigenvectors are perturbed by 10**log_scale times complex normals. Whenever the Gram check accepts
-        # a forced spectrum (degenerate and merged groups included), every pair P_i P_j - delta_ij P_i and
-        # sum P - 1 stays within (1 + d e) d e of the Gram defect e, so within MEASUREMENT_TOL.
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(0, 150))
+    def test_frame_invariants_hold_at_every_scale(self, dim, seed, k):
+        # For s A with s = 10**k and A a forced spectrum (degenerate and merged eigenspaces included): the values are
+        # equal within an eigenspace and increase strictly across them, starts marks the first slot of each intended
+        # eigenspace (the 1e-12 split merged) and the slots Observable.eigenvalues takes, and the projectors built
+        # from (V, starts) pass the pair and completeness residuals within (1 + d e) d e of V's Gram defect e.
         rng = np.random.default_rng(seed)
-        eigh, returned = np.linalg.eigh, []
+        for spectrum, matrix in scaled_forced_observables(dim, rng, 10.0**k):
+            _, (values,), (vectors,), (starts,) = _spectra(matrix[None])
+            assert np.all(values[1:][~starts[1:]] == values[:-1][~starts[1:]])
+            assert np.all(values[1:][starts[1:]] > values[:-1][starts[1:]])
+            assert starts.tolist() == [True, *(np.diff(np.sort(spectrum)) > 1e-10).tolist()]
+            assert Observable(matrix).eigenvalues.tobytes() == values[starts].tobytes()
+            e = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))))
+            for residual in oracles.projector_residuals(frame_projectors(vectors, starts)):
+                assert residual <= (1.0 + dim * e) * dim * e + 1e-14
+
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(0, 150), st.floats(-15.0, -9.0))
+    def test_every_accepted_stack_passes_the_pair_and_completeness_residuals(self, dim, seed, k, log_scale):
+        # eigh's eigenvectors are perturbed by 10**log_scale times complex normals. Whenever the Gram check accepts
+        # a forced spectrum scaled by 10**k (degenerate and merged groups included), every pair P_i P_j - delta_ij P_i
+        # and sum P - 1 of the projectors built from (V, starts) stays within (1 + d e) d e of the Gram defect e, so
+        # within MEASUREMENT_TOL.
+        rng = np.random.default_rng(seed)
+        eigh = np.linalg.eigh
 
         def perturbed(a):
             values, vectors = eigh(a)
-            vectors = vectors + 10.0**log_scale * (rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape))
-            returned.append(vectors)
-            return values, vectors
+            return values, vectors + 10.0**log_scale * (rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape))
 
-        for values in forced_spectra(dim, rng):
-            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-            for matrix in (np.diag(values).astype(complex), q @ np.diag(values) @ q.conj().T):
-                returned.clear()
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(np.linalg, "eigh", perturbed)
-                    try:
-                        _, _, projectors = _spectra(matrix[None])
-                    except ValueError as error:  # rejected: by the Gram check, or at the larger scales by the fit
-                        assert re.search("orthogonal/idempotent|does not reconstruct", str(error))
-                        continue
-                (vectors,) = returned
-                e = float(np.max(np.abs(vectors[0].conj().T @ vectors[0] - np.eye(dim))))
-                assert e <= MEASUREMENT_TOL / (dim + 1)
-                for residual in oracles.projector_residuals(projectors[0]):
-                    assert residual <= min((1.0 + dim * e) * dim * e + 1e-14, MEASUREMENT_TOL)
+        for _, matrix in scaled_forced_observables(dim, rng, 10.0**k):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", perturbed)
+                try:
+                    _, _, (vectors,), (starts,) = _spectra(matrix[None])
+                except ValueError as error:  # rejected: by the Gram check, or at the larger scales by the fit
+                    assert re.search("orthogonal/idempotent|does not reconstruct", str(error))
+                    continue
+            e = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))))
+            assert e <= MEASUREMENT_TOL / (dim + 1)
+            for residual in oracles.projector_residuals(frame_projectors(vectors, starts)):
+                assert residual <= min((1.0 + dim * e) * dim * e + 1e-14, MEASUREMENT_TOL)
 
 
 @pytest.mark.parametrize("dim, rows", [(2, 576), (3, 256), (4, 144), (8, 36), (48, 1), (64, 1)])

@@ -182,7 +182,7 @@ class TestMinForm:
     def test_every_sample_is_checked_twice(self, monkeypatch):
         # Each sampled state passes the Cholesky gate, and its dephased image a state check; no call takes more than
         # _rows(d) matrices, and no sample goes through eigvalsh. A nondegenerate A checks and scores each image from
-        # its diagonal, with no per-sample eigh; a degenerate A takes one eigh per image, which serves both its state
+        # its diagonal, with no eigh at all; a degenerate A takes one eigh per image, which serves both its state
         # check and its relative entropy.
         counted = {"cholesky": [], "eigh": [], "eigvalsh": []}
         for name, calls in counted.items():
@@ -200,7 +200,7 @@ class TestMinForm:
             without_samples, with_samples = matrices(obs, 0), matrices(obs, rows + 1)
             per_sample = {name: with_samples[name] - without_samples[name] for name in counted}
             assert per_sample == {"cholesky": rows + 1, "eigh": eighs_per_sample * (rows + 1), "eigvalsh": 0}
-            assert max(counted["cholesky"]) == rows and max(counted["eigh"]) == (rows if eighs_per_sample else 1)
+            assert max(counted["cholesky"]) == rows and max(counted["eigh"], default=0) == eighs_per_sample * rows
 
     def test_dephased_images_pass_the_psd_check(self, monkeypatch):
         # Moving weight 1 from the second diagonal entry of each sample block's dephased image to the first (it stays
@@ -257,6 +257,12 @@ class TestMinForm:
         with pytest.raises(ValueError, match=rf"^n_samples must be a non-negative integer, got {n_samples}$"):
             min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=n_samples)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, "1"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # 1.5 once reached numpy as "SeedSequence expects int", and -1 as numpy's "expected non-negative integer".
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"):
+            min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=1, seed=seed)
+
     def test_zero_samples(self):
         report = min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=0)
         assert (report.min_margin, report.infinite_samples, report.n_samples) == (math.inf, 0, 0)
@@ -307,10 +313,10 @@ class TestOneIrrealityKernel:
         for call, expected in (
             (lambda: irreality(obs, rho), {"_irrealities": 1, "eigvalsh": 1}),
             (lambda: complementarity_bound_check(rho), {"_irrealities": 1, "eigvalsh": 2}),
-            # The frame's eigh only: Phi_A(rho) of a nondegenerate A is diagonal in the frame and scored from it.
-            (lambda: min_form_check(obs, rho, n_samples=0), {"_irrealities": 1, "eigvalsh": 1, "eigh": 1}),
+            # No eigh: A's frame is the one built with it, and Phi_A(rho) of a nondegenerate A is diagonal there.
+            (lambda: min_form_check(obs, rho, n_samples=0), {"_irrealities": 1, "eigvalsh": 1}),
             # Both eigenstates and both dephased images.
-            (lambda: realism._eigenstate_irrealities(obs.projectors[None]), {"_irrealities": 1, "eigvalsh": 4}),
+            (lambda: realism._eigenstate_irrealities(*obs._frame), {"_irrealities": 1, "eigvalsh": 4}),
         ):
             counts.clear()
             call()

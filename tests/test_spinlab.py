@@ -337,10 +337,13 @@ class TestRowAngles:
             assert theta[j] == rng.uniform(0.0, math.pi)
             assert phi[j] == rng.uniform(0.0, 2.0 * math.pi)
 
-    @pytest.mark.parametrize("seed, band, index", [(-1, 0, 0), (7, -1, 0), (7, 0, 2**32)])
+    @pytest.mark.parametrize("seed, band, index", [(-1, 0, 0), (7, -1, 0), (7, 0, 2**32), (7, 0.5, 0), (7, 0, 1.5)])
     def test_rejects_negative_or_wide_keys(self, seed, band, index):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as error:
             row_angles(seed, [band], [index])
+        for name, key in (("band", band), ("sample", index)):
+            if key % 1:  # a fractional key is named, not truncated to the stream of another row
+                assert str(error.value) == f"{name} key {key} is not an integer"
 
     def test_rejects_a_seed_that_is_not_an_integer(self):
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got 1.5$"):

@@ -85,6 +85,14 @@ def test_every_public_name_is_used_by_the_system_or_has_a_recorded_reason():
     assert sorted(UNUSED_BY_THE_SYSTEM) == [name for name in PUBLIC_NAMES if name not in used]
 
 
+def test_oracles_import_nothing_from_the_library():
+    # The brute-force oracles the kernels are checked against must not share the kernels' code.
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [name for name in modules if name.split(".")[0] == "twotime"]
+
+
 def test_a_src_named_on_pythonpath_is_the_package_under_test():
     # conftest puts this checkout's src after the PYTHONPATH entries, so one named there is the package tested.
     named = [Path(entry) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
