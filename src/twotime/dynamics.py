@@ -8,7 +8,7 @@ picture, A -> U_t^dag A U_t, which a non-unitary map does not have.
 
 import numpy as np
 
-from .qcore import _as_square_complex, _eighs, _readonly, _require
+from .qcore import _as_square_complex, _eighs, _readonly, _require, _same_dim
 
 
 class ChannelFamily:
@@ -38,9 +38,11 @@ class ChannelFamily:
         return _unitaries(self._energies[None], self._modes[None], np.array([t], dtype=float))[0]
 
     def propagate_state(self, matrix: np.ndarray, t: float) -> np.ndarray:
-        """Schrodinger direction: U_t M U_t^dag."""
+        """Schrodinger direction: U_t M U_t^dag of a finite square matrix M of the channel's dimension."""
+        m = _as_square_complex(matrix)
+        _same_dim(matrix=m.shape[0], channel=self.dim)
         u = self.unitary_at(t)
-        return u @ matrix @ u.conj().T
+        return u @ m @ u.conj().T
 
 
 def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ observables carry an explicit factor 1/2 relative to the Pauli matrices.
 import functools
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -86,13 +87,14 @@ def _same_dim(**dims) -> None:
 
 
 def _symmetrized(m: np.ndarray, what: str, tol) -> np.ndarray:
-    # M/2 + M^dag/2 of an (n, d, d) stack once each max |M - M^dag| <= tol, a float or one per matrix; NaN or inf fails.
-    half, adjoint = m * 0.5, m.conj().swapaxes(-1, -2) * 0.5
+    # M/2 + M^dag/2 of an (n, d, d) stack, or of an (n, d) stack of diagonals (a diagonal's adjoint is its conjugate),
+    # once each max |M - M^dag| <= tol, a float or one per matrix; NaN or inf fails.
+    half, adjoint = m * 0.5, (m.conj() if m.ndim == 2 else m.conj().swapaxes(1, 2)) * 0.5
     with np.errstate(over="ignore"):  # halved first, so only a defect past the float max overflows (to inf)
         gaps = np.abs(half - adjoint)
         # A stack-wide max <= the least finite tol passes every matrix; otherwise (NaN too) each one's defect decides.
         if not 2.0 * gaps.max(initial=0.0) <= np.min(tol, initial=math.inf) < math.inf:
-            defect = 2.0 * gaps.max(axis=(1, 2))
+            defect = 2.0 * gaps.reshape(len(m), -1).max(axis=1)
             _require((defect <= tol) & (defect < math.inf), what + " is not Hermitian: max |H - H^dag| = {e:.3e}", e=defect)
     return half + adjoint
 
@@ -112,24 +114,25 @@ def _eighs(stack: np.ndarray, what: str):
 
 
 def _states(stack: np.ndarray, solver="eigvalsh"):
-    """Check an (n, d, d) stack of density matrices: each one Hermitian and of unit trace within
-    ``STATE_TOL``, with no eigenvalue below ``PSD_FLOOR``. Returns (symmetrized stack, spectrum): the spectrum is
-    what ``np.linalg.<solver>`` gives (``"eigvalsh"`` or ``"eigh"``), or for ``"diagonal"`` matrices their real
-    diagonals, unsorted. With ``solver=None`` it is None, and the floor is checked by one Cholesky factorization
-    of M - PSD_FLOOR * 1 over the stack; only when that fails does eigvalsh decide, and name the first state below it."""
+    """Check a stack of density matrices: each Hermitian and of unit trace within ``STATE_TOL``, with no eigenvalue
+    below ``PSD_FLOOR``. Returns (symmetrized stack, spectrum), the spectrum None with ``solver=None``. An (n, d, d)
+    stack's spectrum is eigvalsh's; with ``solver=None`` one Cholesky factorization of M - PSD_FLOOR * 1 checks the
+    floor, and only when that fails does eigvalsh decide, and name the first state below it. An (n, d) stack holds the
+    diagonals of diagonal matrices, checked with the messages those matrices get; its spectrum is the real diagonals."""
     m = _symmetrized(stack, "density matrix", STATE_TOL)
-    traces = np.trace(m, axis1=1, axis2=2)
+    diagonals = m if m.ndim == 2 else np.diagonal(m, axis1=1, axis2=2)
+    traces = diagonals.sum(axis=1)  # as np.trace sums a diagonal
     off = np.flatnonzero(np.abs(traces - 1.0) > STATE_TOL)
     if off.size:
         raise ValueError(f"density matrix trace is {traces[off[0]]:.15g}, expected 1")
-    if solver is None:
+    if solver is None and m.ndim == 3:
         try:
             np.linalg.cholesky(m - PSD_FLOOR * np.eye(m.shape[1]))
             return m, None
         except np.linalg.LinAlgError:  # some state may be below the floor: eigvalsh decides, as without the gate
             pass
-    spectrum = np.diagonal(m, axis1=1, axis2=2).real if solver == "diagonal" else getattr(np.linalg, solver or "eigvalsh")(m)
-    low = spectrum.min(axis=1) if solver == "diagonal" else (spectrum[0] if solver == "eigh" else spectrum)[:, 0]
+    spectrum = diagonals.real if m.ndim == 2 else np.linalg.eigvalsh(m)
+    low = spectrum.min(axis=1)  # eigvalsh's first column
     _require(~(low < PSD_FLOOR), "density matrix is not positive semidefinite: min eigenvalue = {low:.3e}", low=low)
     return m, spectrum if solver else None
 
@@ -250,7 +253,8 @@ class Observable:
         return list(zip(self._eigenvalues.tolist(), self.projectors))
 
     def eigenstate(self, k: int) -> DensityMatrix:
-        """Maximally mixed state on the eigenspace of the k-th distinct eigenvalue (ascending)."""
+        """Maximally mixed state on the eigenspace of the k-th distinct eigenvalue (ascending); k is an index."""
+        k = operator.index(k)  # a float or numpy bool raises TypeError; a bool would index projectors as a mask
         if not 0 <= k < len(self._eigenvalues):
             raise IndexError(f"eigenvalue index {k} out of range for {len(self._eigenvalues)} distinct eigenvalues")
         proj = self.projectors[k]

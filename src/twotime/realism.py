@@ -129,11 +129,10 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     weights = np.diagonal(rho_in_frame).real
 
     def scores(sigmas):  # S(rho || Phi_A(sigma)) of a checked (n, d, d) stack, each image checked as a state first
-        if to_diagonal is not None:
-            _, q = _states((sigmas.reshape(len(sigmas), -1) @ to_diagonal)[:, :, None] * np.eye(rho.dim), solver="diagonal")
-            return _relative_entropies(weights, report.entropy_state, q)
+        if to_diagonal is not None:  # the (n, d) image diagonals
+            return _relative_entropies(weights, report.entropy_state, _states(sigmas.reshape(len(sigmas), -1) @ to_diagonal)[1])
         # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
-        _, (q, basis) = _states(_dephased_in_frame(*A._frame[:2], sigmas), solver="eigh")
+        q, basis = np.linalg.eigh(_states(_dephased_in_frame(*A._frame[:2], sigmas), solver=None)[0])
         return _relative_entropies(np.einsum("nji,nji->ni", basis.conj(), rho_in_frame @ basis).real, report.entropy_state, q)
 
     identity_gap = abs(float(scores(rho.matrix[None])[0]) - report.irreality)  # Phi_A(rho) scored as each sample
@@ -158,10 +157,10 @@ def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, se
     """Check S(Phi_first(rho)) + S(Phi_second(rho)) >= ln d + S(rho).
 
     Takes both observables or neither; with neither, uses the qubit pair
-    (sigma_x, sigma_y). The bound holds for any pair whose overlap constant
-    c = max_ab ||alpha_a beta_b||^2 takes its least value 1/d (Maassen and
-    Uffink; the composed dephasings then fully depolarize); a pair with c above
-    1/d + MEASUREMENT_TOL is rejected before use.
+    (sigma_x, sigma_y). The bound holds for any pair whose overlap constant c = max_ab ||alpha_a beta_b||^2 takes
+    its least value 1/d (Maassen and Uffink; the composed dephasings then fully depolarize). A degenerate pair has
+    c >= 2/d, so c is read from the frames of a nondegenerate one, as max_ij |(V_A^dag V_B)_ij|^2; a pair with c
+    above 1/d + MEASUREMENT_TOL is rejected before use.
     """
     if (first is None) != (second is None):
         raise ValueError("give both observables of the pair or neither")
@@ -170,10 +169,9 @@ def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, se
             raise ValueError(f"default observables are the qubit pair; got state dim {rho.dim}")
         first, second = _qubit_pair()
     _same_dim(first=first.dim, second=second.dim, state=rho.dim)
-    overlaps = np.linalg.norm(first.projectors[:, None] @ second.projectors[None], ord=2, axis=(2, 3))
-    if not np.max(overlaps) ** 2 <= 1.0 / rho.dim + MEASUREMENT_TOL:
+    values, vectors, starts = (np.concatenate(pair) for pair in zip(first._frame, second._frame))
+    if not (starts.all() and np.abs(vectors[0].conj().T @ vectors[1]).max() ** 2 <= 1.0 / rho.dim + MEASUREMENT_TOL):
         raise ValueError("composed dephasings of the pair do not yield the maximally mixed state")
-    values, vectors, _ = (np.concatenate(pair) for pair in zip(first._frame, second._frame))
     _, dephased, state = _irrealities(values, vectors, rho.matrix[None], rho.eigenvalues()[None])
     (s_first, s_second), (s_state,) = dephased.tolist(), state.tolist()
     lhs = s_first + s_second

@@ -36,6 +36,13 @@ def grouped_projectors(matrix, tol=1e-8):
     return outcomes
 
 
+def overlap_constant(a_mat, b_mat):
+    """Maassen and Uffink's c = max_ab ||alpha_a beta_b||^2 over the grouped eigenprojectors of two Hermitian
+    matrices, each operator norm the largest singular value of the product."""
+    return max(np.linalg.svd(alpha @ beta, compute_uv=False)[0] ** 2
+               for _, alpha in grouped_projectors(a_mat) for _, beta in grouped_projectors(b_mat))
+
+
 def projector_residuals(projectors):
     """(max |P_i P_j - delta_ij P_i| over every pair, max |sum_i P_i - 1|) of a (k, d, d) projector stack."""
     p = np.asarray(projectors)

@@ -398,11 +398,27 @@ class TestPrepareEigenstate:
         value = heisenberg_correlator(op, rho)
         assert value == pytest.approx(2.0 * abs(math.cos((t2 - t1) / 2.0)), abs=1e-10)
 
-    def test_index_out_of_range(self):
-        channel = precession_channel((0, 0, 1))
-        op = TwoTimeOperator("sum", Observable(SIGMA_X), Observable(SIGMA_X), 0.0, 1.0, channel)
-        with pytest.raises(IndexError):
-            prepare_eigenstate(op, 5)
+    @staticmethod
+    def sum_operator():
+        return TwoTimeOperator("sum", Observable(SIGMA_X), Observable(SIGMA_X), 0.0, 1.0, precession_channel((0, 0, 1)))
+
+    @pytest.mark.parametrize(
+        "k, error, message",
+        [(5, IndexError, "eigenvalue index 5 out of range"), (-1, IndexError, "eigenvalue index -1 out of range"),
+         (1.0, TypeError, "'float' object cannot be interpreted as an integer"),
+         (np.False_, TypeError, "object cannot be interpreted as an integer"),
+         (np.True_, TypeError, "object cannot be interpreted as an integer")],
+        ids=["past-the-end", "negative", "float", "numpy-false", "numpy-true"],
+    )
+    def test_index_out_of_range(self, k, error, message):
+        # k is taken as an index: a float or a numpy bool is none (a numpy bool once indexed projectors as a mask).
+        with pytest.raises(error, match=message):
+            prepare_eigenstate(self.sum_operator(), k)
+
+    def test_a_bool_selects_as_a_list_index_does(self):
+        op = self.sum_operator()
+        for k in (False, True):
+            assert np.array_equal(prepare_eigenstate(op, k).matrix, prepare_eigenstate(op, int(k)).matrix)
 
 
 def _qubit_parts():
@@ -421,9 +437,10 @@ def _qubit_parts():
          "projector dim 2, state dim 3, channel dim 3"),
         (lambda x, z, ch, rho3: dephase(z, rho3), "observable dim 2, state dim 3"),
         (lambda x, z, ch, rho3: complementarity_bound_check(rho3, x, z), "first dim 2, second dim 2, state dim 3"),
+        (lambda x, z, ch, rho3: ch.propagate_state(rho3.matrix, 0.0), "matrix dim 3, channel dim 2"),
     ],
     ids=["relative_entropy", "TwoTimeOperator", "heisenberg_correlator", "tpm_joint_distribution", "lambda_operator",
-         "dephase", "complementarity_bound_check"],
+         "dephase", "complementarity_bound_check", "propagate_state"],
 )
 def test_every_dimension_check_raises_one_message_naming_every_part(call, message):
     with pytest.raises(ValueError) as info:

@@ -160,6 +160,20 @@ def test_rejects_empty_matrix(build):
         build(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [(np.array([[math.nan, 0.0], [0.0, 1.0]]), r"expected finite matrix entries, got \(nan\+0j\)"),
+     (np.ones(2), r"expected a non-empty square matrix, got shape \(2,\)"),
+     (np.ones((2, 3)), r"expected a non-empty square matrix, got shape \(2, 3\)"),
+     (np.eye(3), "dimension mismatch: matrix dim 3, channel dim 2")],
+    ids=["nan", "vector", "2x3", "3-on-2"],
+)
+def test_propagate_state_checks_its_matrix(matrix, message):
+    # Checked as the constructors check theirs, so neither a NaN result nor numpy's matmul error comes first.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ChannelFamily(SIGMA_Z).propagate_state(matrix, 0.5)
+
+
 @pytest.mark.parametrize("matrix", [np.diag([1e308, -1e308]), np.array([[0.0, 1e308], [1e308, 0.0]])], ids=["diagonal", "off-diagonal"])
 def test_entries_near_the_float_max_build_without_a_warning(matrix):
     # Symmetrized as M / 2 + M^dag / 2, so M + M^dag does not overflow; the eigenvalue gap 2e308 is not merged.

@@ -1,4 +1,5 @@
-"""Hypothesis property tests of the irreality, the protocol, the realized two-time operator and the state check.
+"""Hypothesis property tests of the irreality, the protocol, the realized two-time operator, the state check and
+the admission of a complementary pair.
 
 Matrices come from a drawn seed; observables get a drawn integer spectrum in a random
 basis, so repeated entries give degenerate observables.
@@ -9,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -170,6 +171,39 @@ def test_complementarity_bound_for_mutually_unbiased_bases(system):
     assert complementarity_bound_check(state(dim, rank, rng), first, second).slack >= -1e-10
 
 
+@st.composite
+def pairs(draw):
+    """(A, B, rng), d = 2..4: a random pair; a degenerate A (in the standard basis, where eigh returns the identity
+    frame, or in a random one) with B nondegenerate in its Fourier-conjugate basis; a mutually unbiased pair; or two
+    nondegenerate observables in one basis."""
+    dim, rng = draw(st.integers(2, 4)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "degenerate", "unbiased", "conjugate"]))
+    if kind == "random":
+        return random_hermitian(dim, rng), random_hermitian(dim, rng), rng
+    u = unitary(dim, rng) if kind != "degenerate" or draw(st.booleans()) else np.eye(dim)
+    fourier = np.exp(2j * math.pi * np.outer(range(dim), range(dim)) / dim) / math.sqrt(dim)
+    spectrum = np.arange(dim, dtype=float)
+    if kind == "degenerate":
+        spectrum[draw(st.integers(1, dim - 1))] = spectrum[0]
+    second = u if kind == "conjugate" else u @ fourier
+    return conjugated(u, np.diag(spectrum)), conjugated(second, np.diag(rng.permutation(dim) - 0.5)), rng
+
+
+@given(pairs())
+def test_complementarity_admits_a_pair_exactly_when_its_overlap_constant_is_least(pair):
+    # The frame admission (both nondegenerate, max |(V_A^dag V_B)_ij|^2 <= 1/d + MEASUREMENT_TOL) decides as the
+    # brute-force constant c = max_ab ||alpha_a beta_b||^2 does against 1/d + 1e-10.
+    a, b, rng = pair
+    dim = len(a)
+    try:
+        complementarity_bound_check(state(dim, dim, rng), Observable(a), Observable(b))
+        admitted = True
+    except ValueError as exc:
+        assert str(exc) == "composed dephasings of the pair do not yield the maximally mixed state"
+        admitted = False
+    assert admitted == (oracles.overlap_constant(a, b) <= 1.0 / dim + 1e-10)
+
+
 @given(systems())
 def test_complementarity_entropies_are_the_irreality_reports_bitwise(system):
     dim, rng, _, rank = system
@@ -211,6 +245,47 @@ def test_cholesky_gate_agrees_with_eigvalsh_away_from_the_floor(stack):
     least = np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2.0)[:, 0]
     assume(np.all(np.abs(least - PSD_FLOOR) > 1e-14))
     assert accepts(stack, None) == accepts(stack, "eigvalsh") == bool(np.all(least >= PSD_FLOOR))
+
+
+@st.composite
+def diagonal_stacks(draw):
+    """(n, d) complex diagonals, d = 2..8: each row a probability vector whose first entry may be 0, PSD_FLOOR or just
+    below it, with possibly an imaginary part or a trace offset on either side of its 1e-12 bound, or a NaN."""
+    dim, rng = draw(st.integers(2, 8)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = st.sampled_from([None] * 4 + [0.0, PSD_FLOOR, np.nextafter(PSD_FLOOR, -1.0), PSD_FLOOR * 1.001])
+    imaginary = st.sampled_from([0.0] * 8 + [0.49e-12, -0.49e-12, 0.51e-12, -0.51e-12])  # Hermiticity defect 2 |Im|
+    offset = st.sampled_from([0.0] * 8 + [0.99e-12, -0.99e-12, 1.01e-12, -1.01e-12])
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = rng.uniform(0.1, 1.0, dim).astype(complex)
+        first = draw(low)
+        row[0] = row[0] if first is None else first
+        row[1:] *= (1.0 - row[0].real) / row[1:].sum()
+        row[draw(st.integers(0, dim - 1))] += 1j * draw(imaginary)
+        row[draw(st.integers(0, dim - 1))] += draw(offset)
+        if draw(st.integers(0, 19)) == 0:
+            row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([complex(math.nan, 0.0), complex(0.5, math.nan)]))
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=300)
+@given(diagonal_stacks())
+def test_diagonal_stacks_are_checked_as_their_diagonal_matrices(diagonals):
+    # _states of (n, d) diagonals accepts exactly when it accepts the diagonal matrices, with the same message, and
+    # returns their symmetrized diagonals, whose real parts are the spectrum.
+    outcomes = []
+    for stack in (diagonals, diagonals[:, :, None] * np.eye(diagonals.shape[1])):
+        try:
+            outcomes.append(_states(stack))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    if isinstance(outcomes[1], str):
+        assert outcomes[0] == outcomes[1]
+    else:
+        (m, spectrum), (matrices, eigs) = outcomes
+        assert np.array_equal(m, np.diagonal(matrices, axis1=1, axis2=2)) and np.array_equal(spectrum, m.real)
+        assert np.array_equal(np.sort(spectrum, axis=1), eigs)
 
 
 @st.composite

@@ -419,7 +419,7 @@ class TestStateStacks:
         kets = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0].T
         rho = DensityMatrix(0.7 * np.outer(kets[0], kets[0].conj()) + 0.3 * np.outer(kets[1], kets[1].conj()))
         etas = [random_density_matrix(3, rng).matrix, rho.matrix, np.outer(kets[2], kets[2].conj())]
-        _, (q, basis) = _states(np.array(etas), solver="eigh")
+        q, basis = np.linalg.eigh(_states(np.array(etas))[0])
         values = _relative_entropies(self.weights(rho.matrix, basis), von_neumann_entropy(rho), q)
         expected = [oracles.relative_entropy_logm(rho.matrix, eta) for eta in etas]
         assert abs(values[0] - expected[0]) <= 1e-10
@@ -429,7 +429,7 @@ class TestStateStacks:
             assert value == relative_entropy(rho, DensityMatrix(eta))
         # The kernel scores rho and the etas in any one common basis alike, as min_form_check uses it.
         u = np.linalg.qr(oracles.random_hermitian_matrix(3, rng))[0]
-        _, (q, basis) = _states(u.conj().T @ np.array(etas) @ u, solver="eigh")
+        q, basis = np.linalg.eigh(_states(u.conj().T @ np.array(etas) @ u)[0])
         in_frame = _relative_entropies(self.weights(u.conj().T @ rho.matrix @ u, basis), von_neumann_entropy(rho), q)
         assert np.all(np.abs(in_frame[:2] - values[:2]) <= 1e-12) and in_frame[2] == math.inf
         # etas diagonal in u's basis take their diagonals as spectra and one row of rho's weights for all of them.
@@ -440,25 +440,27 @@ class TestStateStacks:
             assert value == expected or abs(value - expected) <= 1e-12
 
     def test_state_check_with_vectors_is_one_eigh(self):
+        # A stack whose eigenvectors are needed passes the Cholesky gate, then one eigh of the checked stack.
         stack = _ginibre_states(4, 5, np.random.default_rng(8))
         m, eigs = _states(stack)
-        m_v, (eigs_v, vectors) = _states(stack, solver="eigh")
-        assert np.array_equal(m, m_v) and np.max(np.abs(eigs - eigs_v)) <= 1e-15
+        m_v, none = _states(stack, solver=None)
+        eigs_v, vectors = np.linalg.eigh(m_v)
+        assert none is None and np.array_equal(m, m_v) and np.max(np.abs(eigs - eigs_v)) <= 1e-15
         assert np.max(np.abs(vectors @ (eigs_v[..., None] * vectors.conj().swapaxes(1, 2)) - m)) <= 1e-14
         with pytest.raises(ValueError, match="positive semidefinite"):
-            _states(np.array([np.eye(2) / 2.0, np.diag([1.5, -0.5])], dtype=complex), solver="eigh")
+            _states(np.array([np.eye(2) / 2.0, np.diag([1.5, -0.5])], dtype=complex), solver=None)
 
     @pytest.mark.parametrize("bad", [np.diag([0.5 + 1e-11j, 0.5]), np.eye(2) * 0.6, np.diag([1.5, -0.5]), np.diag([np.nan, 1.0])])
     def test_diagonal_check_decides_as_eigvalsh_does(self, bad):
-        # On diagonal matrices the "diagonal" solver fails the same check, with the same message, as eigvalsh, and
-        # passes the good ones with their diagonals as spectra.
+        # An (n, d) stack of diagonals fails the same check, with the same message, as eigvalsh on the diagonal
+        # matrices, and passes the good ones with their real diagonals as spectra.
         good = np.array([np.diag([0.7, 0.3]), np.diag([0.0, 1.0]), np.eye(2) / 2.0], dtype=complex)
-        m, spectrum = _states(good, solver="diagonal")
-        assert np.array_equal(m, good) and np.array_equal(spectrum, np.diagonal(good, axis1=1, axis2=2).real)
+        m, spectrum = _states(np.diagonal(good, axis1=1, axis2=2))
+        assert np.array_equal(m, np.diagonal(good, axis1=1, axis2=2)) and np.array_equal(spectrum, m.real)
         messages = []
-        for solver in ("eigvalsh", "diagonal"):
+        for stack in (np.insert(good, 1, bad, axis=0), np.insert(np.diagonal(good, axis1=1, axis2=2), 1, np.diagonal(bad), axis=0)):
             with pytest.raises(ValueError) as raised:
-                _states(np.insert(good, 1, bad, axis=0), solver=solver)
+                _states(stack)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 

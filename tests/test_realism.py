@@ -182,8 +182,8 @@ class TestMinForm:
     def test_every_sample_is_checked_twice(self, monkeypatch):
         # Each sampled state passes the Cholesky gate, and its dephased image a state check; no call takes more than
         # _rows(d) matrices, and no sample goes through eigvalsh. A nondegenerate A checks and scores each image from
-        # its diagonal, with no eigh at all; a degenerate A takes one eigh per image, which serves both its state
-        # check and its relative entropy.
+        # its (n, d) diagonal, with no factorization at all; a degenerate A's image passes the Cholesky gate too, and
+        # then one eigh of the checked image scores it.
         counted = {"cholesky": [], "eigh": [], "eigvalsh": []}
         for name, calls in counted.items():
             solver = getattr(np.linalg, name)
@@ -195,30 +195,33 @@ class TestMinForm:
             min_form_check(obs, DensityMatrix.from_ket(np.eye(obs.dim)[0]), n_samples=n_samples)
             return {name: sum(calls) for name, calls in counted.items()}
 
-        for obs, eighs_per_sample in ((Observable(SIGMA_X), 0), (Observable(np.diag([1.0, 1.0, -1.0])), 1)):
+        for obs, choleskys, eighs in ((Observable(SIGMA_X), 1, 0), (Observable(np.diag([1.0, 1.0, -1.0])), 2, 1)):
             rows = qcore._rows(obs.dim)
             without_samples, with_samples = matrices(obs, 0), matrices(obs, rows + 1)
             per_sample = {name: with_samples[name] - without_samples[name] for name in counted}
-            assert per_sample == {"cholesky": rows + 1, "eigh": eighs_per_sample * (rows + 1), "eigvalsh": 0}
-            assert max(counted["cholesky"]) == rows and max(counted["eigh"], default=0) == eighs_per_sample * rows
+            assert per_sample == {"cholesky": choleskys * (rows + 1), "eigh": eighs * (rows + 1), "eigvalsh": 0}
+            assert max(counted["cholesky"]) == rows and max(counted["eigh"], default=0) == eighs * rows
 
     def test_dephased_images_pass_the_psd_check(self, monkeypatch):
         # Moving weight 1 from the second diagonal entry of each sample block's dephased image to the first (it stays
-        # Hermitian, of unit trace) must fail the state check, on the diagonal path of a nondegenerate A and on the
-        # eigh path of a degenerate one.
-        states, solvers = qcore._states, []
+        # Hermitian, of unit trace) must fail the state check: on the (n, d) diagonals of a nondegenerate A's images,
+        # and on the (n, d, d) images of a degenerate A, which pass the Cholesky gate before their eigh.
+        states, blocks = qcore._states, []
 
         def shifted(stack, solver="eigvalsh"):
-            if solver is not None and len(stack) > 1:
-                solvers.append(solver)
-                stack = stack + np.diag([1.0, -1.0] + [0.0] * (len(stack[0]) - 2))
+            if len(stack) > 1:
+                blocks.append(stack.shape)
+                if len(blocks) % 2 == 0:  # a block's dephased images are checked after its samples
+                    shift = np.array([1.0, -1.0] + [0.0] * (stack.shape[1] - 2))
+                    stack = stack + (shift if stack.ndim == 2 else np.diag(shift))
             return states(stack, solver)
 
         monkeypatch.setattr(realism, "_states", shifted)
-        for obs, solver in ((Observable(SIGMA_X), "diagonal"), (Observable(np.diag([1.0, 1.0, -1.0])), "eigh")):
+        for obs, images in ((Observable(SIGMA_X), (2, 2)), (Observable(np.diag([1.0, 1.0, -1.0])), (2, 3, 3))):
+            blocks.clear()
             with pytest.raises(ValueError, match="positive semidefinite"):
                 min_form_check(obs, DensityMatrix.maximally_mixed(obs.dim), n_samples=2)
-            assert solvers.pop() == solver
+            assert blocks == [(2, obs.dim, obs.dim), images]
 
     @settings(max_examples=30)
     @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 40))

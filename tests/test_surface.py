@@ -3,7 +3,9 @@ so that adding or dropping a name shows as an explicit diff of this file. The sy
 the acceptance criteria: a pinned name that neither uses stays only with a reason recorded here."""
 
 import ast
+import importlib
 import os
+import re
 import types
 from pathlib import Path
 
@@ -99,3 +101,27 @@ def test_a_src_named_on_pythonpath_is_the_package_under_test():
              if entry and (Path(entry) / "twotime" / "__init__.py").is_file()]
     src = named[0] if named else ROOT / "src"
     assert Path(twotime.__file__).resolve().is_relative_to(src.resolve())
+
+
+def test_no_module_but_qcore_reads_projectors():
+    # Observable's projectors are formed on first use and nowhere else; the kernels work from its frame.
+    readers = [path.name for path in sorted((ROOT / "src" / "twotime").glob("*.py")) if path.name != "qcore.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "projectors"]
+    assert readers == []
+
+
+def test_every_code_name_the_readme_quotes_resolves():
+    # Dotted paths such as twotime.qcore._states, and the short module._name form such as qcore.CELL_TIE_MARGIN:
+    # a renamed or deleted name fails here rather than leaving the README stale.
+    modules = "|".join(path.stem for path in (ROOT / "src" / "twotime").glob("*.py") if path.stem != "__init__")
+    pattern = rf"(?<![\w./])(twotime\.(?:{modules})(?:\.\w+)*|(?:{modules})(?:\.\w+)+)"
+    quoted = set(re.findall(pattern, (ROOT / "README.md").read_text()))
+    unresolved = []
+    for name in sorted(quoted):
+        module, *attributes = name.removeprefix("twotime.").split(".")
+        value = importlib.import_module(f"twotime.{module}")
+        for attribute in attributes:
+            value = getattr(value, attribute, None)
+        unresolved += [name] if value is None else []
+    assert len(quoted) >= 18 and unresolved == []
