@@ -193,21 +193,6 @@ def _draw_pm1_instances(n, rng):
     return a, b, qcore._hermitians(normals), t1, t2, qcore._ginibres(tail[:, 6:].reshape(n, 2, 2, 2))
 
 
-def _draw_dephased_instances(dim, n, rng):
-    # Each drawn state is replaced by an unchecked preparation (_tpm_gaps checks the whole block) whose evolved state
-    # at t1 is diagonal in A's eigenbasis, so the two correlator routes coincide. One weight per distinct eigenvalue of A.
-    draws = []
-    for _ in range(n):
-        a, b, h, t1, t2, _ = _draw_instances((dim,), 1, rng)[0]
-        _, _, vectors, (starts,) = qcore._spectra(a)
-        space = np.cumsum(starts) - 1  # each slot's eigenspace: one weight each, shared evenly by its slots
-        w = (rng.uniform(0.1, 1.0, space[-1] + 1) / np.bincount(space))[space]
-        draws.append((a, b, h, t1, t2, vectors * (w / w.sum()) @ vectors.conj().swapaxes(1, 2)))  # V diag(w) V^dag
-    a, b, h, t1, t2, rho_t1 = (np.concatenate(column) for column in zip(*draws))
-    u = dynamics._unitaries(*qcore._eighs(h, "hamiltonian")[1:], -t1)  # every rho_t1 evolved back to 0 as one block
-    return a, b, h, t1, t2, u @ rho_t1 @ u.conj().swapaxes(1, 2)
-
-
 def _max_gap(draw, trials: int, dim: int) -> float:
     # Largest gap over ``trials`` dim x dim instances: draw(n) gives the next n as stacks, in rng order, scored by blocks.
     return max(float(correlators._tpm_gaps(*draw(len(range(trials)[block]))).max()) for block in qcore._blocks(trials, dim))
@@ -217,7 +202,19 @@ def cmd_tpm_gap(args) -> int:
     """Compare the protocol and Heisenberg correlators over random instances."""
     rng = np.random.default_rng(args.seed)
     ok = True
-    eq4_gap = _max_gap(lambda n: _draw_dephased_instances(args.dim, n, rng), 10, args.dim)
+    # Ten dephased starts, one block at d <= 3: each drawn state is replaced by an unchecked preparation (_tpm_gaps
+    # checks the whole block) whose evolved state at t1 is diagonal in A's eigenbasis, so the two correlator routes
+    # coincide. One weight per distinct eigenvalue of A.
+    draws = []
+    for _ in range(10):
+        a, b, h, t1, t2, _ = _draw_instances((args.dim,), 1, rng)[0]
+        _, _, vectors, (starts,) = qcore._spectra(a)
+        space = np.cumsum(starts) - 1  # each slot's eigenspace: one weight each, shared evenly by its slots
+        w = (rng.uniform(0.1, 1.0, space[-1] + 1) / np.bincount(space))[space]
+        draws.append((a, b, h, t1, t2, vectors * (w / w.sum()) @ vectors.conj().swapaxes(1, 2)))  # V diag(w) V^dag
+    a, b, h, t1, t2, rho_t1 = (np.concatenate(column) for column in zip(*draws))
+    u = dynamics._unitaries(*qcore._eighs(h, "hamiltonian")[1:], -t1)  # every rho_t1 evolved back to 0
+    eq4_gap = float(correlators._tpm_gaps(a, b, h, t1, t2, u @ rho_t1 @ u.conj().swapaxes(1, 2)).max())
     print(f"d={args.dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
     ok &= eq4_gap <= IDENTITY_TOL
     if args.dim == 2:
@@ -238,23 +235,14 @@ def cmd_tpm_gap(args) -> int:
     return 0 if ok else 1
 
 
-def _check(name: str, ok: bool, detail: str) -> bool:
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return ok
-
-
-def _report_torque_bound(args) -> bool:
+def _report_torque_bound(args):
     tables = spinlab.figure1_scan(DEFAULT_R_LIST, args.samples, args.seed)
     min_slack, _, _ = _least_slack(tables)
     n_rows = sum(len(table["r"]) for table in tables)
-    return _check(
-        "torque-bound",
-        min_slack >= -BOUND_TOL,
-        f"min bound slack {min_slack:.6e} over {n_rows} rows (tolerance {-BOUND_TOL:g})",
-    )
+    return min_slack >= -BOUND_TOL, f"min bound slack {min_slack:.6e} over {n_rows} rows (tolerance {-BOUND_TOL:g})"
 
 
-def _report_eigenprep(args) -> bool:
+def _report_eigenprep(args):
     # Operator i has d = 2 + i % 2 and kind "product" for i % 4 < 2, else "sum": four stacks of 25, drawn in rng order.
     groups = _draw_instances((2, 3, 2, 3), 25, np.random.default_rng(args.seed))
     worst = 0.0
@@ -262,73 +250,51 @@ def _report_eigenprep(args) -> bool:
         (a, *_), (b, *_), units = correlators._checked_instances(*instances[:5])
         _, *frame = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
         worst = max(worst, float(np.abs(realism._eigenstate_irrealities(*frame)).max()))
-    return _check(
-        "eigenprep",
-        worst <= IDENTITY_TOL,
-        f"max irreality in eigenstate preparations {worst:.3e} over 100 operators (tolerance {IDENTITY_TOL:g})",
-    )
+    return worst <= IDENTITY_TOL, (
+        f"max irreality in eigenstate preparations {worst:.3e} over 100 operators (tolerance {IDENTITY_TOL:g})")
 
 
-def _draw_displacements(n, rng):
-    """Columns (p0, dx, dp, xp_corr, mass, t1, t2) of n checked preparations, masses and intervals. Row i takes the
-    i-th eight uniforms, in the order the per-row uniform(low, high) = low + (high - low) * random() calls took them."""
-    u = rng.random((n, 8)).T
+def _report_displacement(args):
+    # Row i takes the i-th eight uniforms, as the per-row uniform(low, high) = low + (high - low) * random() calls did.
+    u = np.random.default_rng(args.seed).random((1000, 8)).T
     dx = qcore._each(math.exp, -1.0 + 2.0 * u[0])
     dp = (0.5 / dx) * qcore._each(math.exp, 1.5 * u[1])
     c_max = np.sqrt(qcore._each(gaussian._squared, dx) * qcore._each(gaussian._squared, dp) - 0.25)
     xp_corr = (-1.0 + 2.0 * u[2]) * 0.999 * c_max
-    p0, mass, t1 = -2.0 + 4.0 * u[4], qcore._each(math.exp, -1.0 + 2.0 * u[5]), 2.0 * u[6]
-    gaussian._preps(-2.0 + 4.0 * u[3], p0, dx, dp, xp_corr)
+    mass, t1 = qcore._each(math.exp, -1.0 + 2.0 * u[5]), 2.0 * u[6]
+    t2 = t1 + (0.01 + (3.0 - 0.01) * u[7])
+    gaussian._preps(-2.0 + 4.0 * u[3], -2.0 + 4.0 * u[4], dx, dp, xp_corr)
     gaussian._masses(mass)
-    return p0, dx, dp, xp_corr, mass, t1, t1 + (0.01 + (3.0 - 0.01) * u[7])
-
-
-def _report_displacement(args) -> bool:
-    p0, dx, dp, xp_corr, mass, t1, t2 = columns = _draw_displacements(1000, np.random.default_rng(args.seed))
-    _, _, spread, _, _, product_slack, _, _, weighted_slack = gaussian._uncertainties(*columns[1:])
+    _, _, spread, _, _, product_slack, _, _, weighted_slack = gaussian._uncertainties(dx, dp, xp_corr, mass, t1, t2)
     min_product, min_weighted = float(product_slack.min()), float(weighted_slack.min())
     spread_defect = float(np.max(np.abs(spread - dp * (t2 - t1) / mass)))
     ok = min_product >= -UNCERTAINTY_TOL and min_weighted >= -UNCERTAINTY_TOL and spread_defect == 0.0
-    return _check(
-        "displacement",
-        ok,
-        f"min product slack {min_product:.6e}, min weighted slack {min_weighted:.6e}, "
-        f"spread formula defect {spread_defect:.1e} over 1000 preparations (tolerance {-UNCERTAINTY_TOL:g})",
-    )
+    return ok, (f"min product slack {min_product:.6e}, min weighted slack {min_weighted:.6e}, "
+                f"spread formula defect {spread_defect:.1e} over 1000 preparations (tolerance {-UNCERTAINTY_TOL:g})")
 
 
-def _precessions(n, rng):
-    """Draw n field directions h (n, 3), each divided by its norm as np.linalg.norm computes it, and phases tau (n,):
-    two generator calls per draw, as each draw took them. Returns h, tau, then sigma(tau), sigma(tau +- step), the torque
-    and the Paulis propagated by precession_channel(h) as (n, 3, 2, 2) stacks, one Hamiltonian eigh per block."""
-    normals, uniforms = np.empty((n, 3)), np.empty((n, 1))
-    for row in range(n):
+def _report_precession(args):
+    # Two generator calls per draw, as each draw took them, and h divided by its norm as np.linalg.norm computes it.
+    rng = np.random.default_rng(args.seed)
+    normals, uniforms = np.empty((100, 3)), np.empty((100, 1))
+    for row in range(100):
         rng.standard_normal(out=normals[row])
         rng.random(out=uniforms[row])
     h, tau = normals / qcore._norms(normals)[:, None], -4.0 * math.pi + 8.0 * math.pi * uniforms[:, 0]
     taus = np.concatenate([tau, tau + FINITE_DIFF_STEP, tau - FINITE_DIFF_STEP])
     (evolved, plus, minus), (torque, _, _) = (np.split(stack, 3) for stack in spinlab._precession(np.tile(h, (3, 1)), taus))
-    _, _, fields = spinlab._field_algebra(h)
-    u = np.concatenate([dynamics._unitaries(*qcore._eighs(fields[block], "hamiltonian")[1:], tau[block])
-                        for block in qcore._blocks(n, 2)])
-    return h, tau, evolved, plus, minus, torque, u.conj().swapaxes(1, 2)[:, None] @ np.array(qcore.SIGMA) @ u[:, None]
-
-
-def _report_precession(args) -> bool:
-    h, _, evolved, plus, minus, torque, propagated = _precessions(100, np.random.default_rng(args.seed))
+    # The Paulis propagated by precession_channel(h): the 100 Hamiltonians are one block of _rows(2).
+    u = dynamics._unitaries(*qcore._eighs(spinlab._field_algebra(h)[2], "hamiltonian")[1:], tau)
+    propagated = u.conj().swapaxes(1, 2)[:, None] @ np.array(qcore.SIGMA) @ u[:, None]
     h0, h1, h2 = h.T[..., None, None]
     field_component = float(np.max(np.abs(h0 * torque[:, 0] + h1 * torque[:, 1] + h2 * torque[:, 2])))
     closed_vs_channel = float(np.max(np.abs(evolved - propagated)))
     derivative_defect = float(np.max(np.abs((plus - minus) / (2.0 * FINITE_DIFF_STEP) - torque)))
     tol = PRECESSION_TOL
     ok = closed_vs_channel <= tol and field_component <= tol and derivative_defect <= FINITE_DIFF_TOL
-    return _check(
-        "precession",
-        ok,
-        f"closed form vs channel {closed_vs_channel:.3e} (<= {tol:g}), "
-        f"field component of torque {field_component:.3e} (<= {tol:g}), "
-        f"finite-difference defect {derivative_defect:.3e} (<= {_sci(FINITE_DIFF_TOL)}) over 100 draws",
-    )
+    return ok, (f"closed form vs channel {closed_vs_channel:.3e} (<= {tol:g}), "
+                f"field component of torque {field_component:.3e} (<= {tol:g}), "
+                f"finite-difference defect {derivative_defect:.3e} (<= {_sci(FINITE_DIFF_TOL)}) over 100 draws")
 
 
 _REPORTS = {
@@ -340,7 +306,10 @@ _REPORTS = {
 
 
 def cmd_report(args) -> int:
-    return 0 if _REPORTS[args.name](args) else 1
+    """Run one invariant suite and print its line, PASS or FAIL with the suite's detail; exit 0 only on PASS."""
+    ok, detail = _REPORTS[args.name](args)
+    print(f"{'PASS' if ok else 'FAIL'} {args.name}: {detail}")
+    return 0 if ok else 1
 
 
 def _parse_r_list(text: str):

@@ -92,39 +92,19 @@ class UncertaintyReport:
     weighted_slack: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
     """Mean and spread of the displacement over [t1, t2].
 
     mean = p0 (t2 - t1) / m, spread = dp (t2 - t1) / m. The dp -> 0 limit
     makes the displacement definite for any bounded interval.
     """
-    return tuple(float(column[0]) for column in _displacements(*_columns(g.p0, g.dp, fp.mass, t1, t2)))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _displacements(p0, dp, mass, t1, t2):
+    p0, dp, mass, t1, t2 = _columns(g.p0, g.dp, fp.mass, t1, t2)
     _finite(t1=t1, t2=t2)
     _require(t2 >= t1, "interval must be ordered, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
-    dt = t2 - t1
-    mean = p0 * dt / mass
-    _finite(displacement_mean=mean)
-    return mean, _displacement_spreads(dp, mass, dt)
-
-
-def _displacement_spreads(dp, mass, dt):
-    spread = dp * dt / mass  # inf on overflow, under each caller's errstate
-    _finite(displacement_spread=spread)
-    return spread
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _position_spreads(dx, dp, xp_corr, mass, t):
-    _finite(t=t)
-    _require(t >= 0.0, "time must be non-negative, got {t!r}", t=t)
-    variance = _each(_squared, dx) + _each(_squared, dp * t / mass) + 2.0 * xp_corr * t / mass
-    _finite(position_variance=variance)
-    _require(variance >= 0.0, "position variance {variance:.15g} is negative: inconsistent covariance", variance=variance)
-    return np.sqrt(variance)
+    mean, spread = p0 * (t2 - t1) / mass, dp * (t2 - t1) / mass  # inf on overflow, rejected here
+    _finite(displacement_mean=mean, displacement_spread=spread)
+    return float(mean[0]), float(spread[0])
 
 
 def uncertainty_report(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float) -> UncertaintyReport:
@@ -137,9 +117,17 @@ def _uncertainties(dx, dp, xp_corr, mass, t1, t2):
     # The UncertaintyReport fields, in order, as columns, for columns of checked preparations and masses.
     _finite(t1=t1, t2=t2)
     _require(t2 > t1, "interval must satisfy t2 > t1, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
+    spreads = []
+    for t in (t1, t2):
+        _require(t >= 0.0, "time must be non-negative, got {t!r}", t=t)
+        variance = _each(_squared, dx) + _each(_squared, dp * t / mass) + 2.0 * xp_corr * t / mass
+        _finite(position_variance=variance)
+        _require(variance >= 0.0, "position variance {variance:.15g} is negative: inconsistent covariance", variance=variance)
+        spreads.append(np.sqrt(variance))
+    dx1, dx2 = spreads
     dt = t2 - t1
-    dx1, dx2 = (_position_spreads(dx, dp, xp_corr, mass, t) for t in (t1, t2))
-    d_disp = _displacement_spreads(dp, mass, dt)
+    d_disp = dp * dt / mass
+    _finite(displacement_spread=d_disp)
     product_value, product_bound = dx1 * dx2, dt / (2.0 * mass)
     weighted_value, weighted_bound = d_disp * (dx1 + dx2), dt / mass
     return (dx1, dx2, d_disp, product_value, product_bound, product_value - product_bound,

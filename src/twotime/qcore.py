@@ -73,8 +73,8 @@ def _finite(**columns) -> None:
 
 
 def _count(value, name: str) -> int:
-    # value as a Python int; a ValueError naming it unless it is a non-negative integer (2.0 is not).
-    count = int(value) if isinstance(value, numbers.Integral) else -1
+    # value as a Python int; a ValueError naming it unless it is a non-negative integer (2.0 and True are not).
+    count = int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else -1
     if count < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value}")
     return count
@@ -204,7 +204,9 @@ def _spectra(stack: np.ndarray):
     starts = np.concatenate([np.ones((len(m), 1), bool), ~merged], axis=1)
     for n in np.flatnonzero(merged.any(axis=1)):
         for space in np.split(values[n], np.flatnonzero(starts[n])[1:]):  # views of each eigenspace's slots
-            space[:] = space.sum() / len(space)
+            with np.errstate(over="ignore"):  # a sum past the float max: the mean is then the sum of the shares
+                total = space.sum()
+            space[:] = total / len(space) if np.isfinite(total) else (space / len(space)).sum()
     row, where = np.arange(len(m)), f": matrix {{row:.0f}} of {len(m)}"  # _require names the first failing row
     gram = np.abs(adjoints @ vectors - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1)
     _require(gram <= MEASUREMENT_TOL / (m.shape[1] + 1), "projectors are not orthogonal/idempotent" + where, row=row)

@@ -231,9 +231,11 @@ def row_angles(seed, band, index):
     ``uniform(0, pi)`` then ``uniform(0, 2*pi)``, bit for bit, with the seeding
     and PCG64 arithmetic done on whole columns. Keying every row on its own
     stream makes any partitioning of a scan produce the same rows. Keys must be
-    integers (integer-valued floats pass) in [0, 2**32).
+    integers (integer-valued floats pass) in [0, 2**32), in 1-D columns once broadcast.
     """
     band, index = np.broadcast_arrays(band, index)
+    if band.ndim != 1:
+        raise ValueError(f"band and sample keys must be 1-D, got shape {band.shape}")
     for name, keys in (("band", band), ("sample", index)):  # not truncated: 1.9 would take row 1's stream
         _require(keys == np.round(keys), name + " key {key!r} is not an integer", key=keys)
     if np.any((band < 0) | (band > _MASK32) | (index < 0) | (index > _MASK32)):

@@ -116,6 +116,20 @@ def assert_same_bytes(block, instances):
         assert np.ascontiguousarray(stack).tobytes() == expected.tobytes()
 
 
+def drawn_generators(monkeypatch):
+    # Every generator np.random.default_rng makes from here on, so a test can compare a command's stream with its own.
+    made, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(make(seed)) or made[-1])
+    return made
+
+
+def recorded_calls(monkeypatch, module, name):
+    # (args, result) of every call of module.name from here on.
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append((args, fn(*args))) or calls[-1][1])
+    return calls
+
+
 def degenerate_matrix(dim, rng):
     # Eigenvalues from {-1, 0, 1}, so most draws repeat one, in a random basis.
     q, _ = np.linalg.qr(oracles.random_hermitian_matrix(dim, rng))
@@ -239,17 +253,25 @@ class TestStackedGaps:
         degenerate = np.diag([1.0, 1.0, -1.0]).astype(complex)
         hermitians = qcore._hermitians
         monkeypatch.setattr(qcore, "_hermitians", lambda normals: hermitians(normals) * 0.0 + degenerate)
-        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-        _, _, _, _, _, rho0 = cli._draw_dephased_instances(3, 1, rng)
-        for _ in range(3):
-            qcore.random_hermitian(3, ref)
-        ref.uniform(0.0, 1.0)
-        ref.uniform(0.1, 1.0)
-        qcore._ginibre_states(3, 1, ref)  # the state the dephased start replaces
-        weights = ref.uniform(0.1, 1.0, 2)
-        weights /= weights.sum()
-        assert np.allclose(rho0[0], np.diag([weights[1] / 2.0, weights[1] / 2.0, weights[0]]), atol=1e-14)
-        assert rng.random() == ref.random()
+        ref = np.random.default_rng(4)
+        generators, blocks = drawn_generators(monkeypatch), recorded_calls(monkeypatch, correlators, "_tpm_gaps")
+        assert cli.main(["--seed", "4", "tpm-gap", "--dim", "3", "--trials", "1"]) == 0
+        ((_, _, _, _, _, rho0), _), (instance, _) = blocks
+        assert len(rho0) == 10
+        for start in rho0:
+            for _ in range(3):
+                qcore.random_hermitian(3, ref)
+            ref.uniform(0.0, 1.0)
+            ref.uniform(0.1, 1.0)
+            qcore._ginibre_states(3, 1, ref)  # the state the dephased start replaces
+            weights = ref.uniform(0.1, 1.0, 2)
+            weights /= weights.sum()
+            assert np.allclose(start, np.diag([weights[1] / 2.0, weights[1] / 2.0, weights[0]]), atol=1e-14)
+        a, b, h = (qcore.random_hermitian(3, ref) for _ in range(3))
+        t1 = ref.uniform(0.0, 1.0)
+        assert_same_bytes(instance, [(a, b, h, t1, t1 + ref.uniform(0.1, 1.0), qcore._ginibre_states(3, 1, ref)[0])])
+        (rng,) = generators
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_every_drawn_matrix_is_checked(self, monkeypatch):
         # Each A, B and H passes an eigh and each state the Cholesky gate, at most _rows(3) per call.
@@ -389,35 +411,45 @@ def per_row_displacements(rng, n):
 
 
 def per_draw_precession(rng):
-    # One draw of report precession, and its five arrays, through the public API as report precession computed them.
+    # One draw of report precession through the public API: h, tau and five arrays, sigma at tau and tau +- step, the
+    # torque and the unitary of precession_channel(h) at tau.
     h = rng.standard_normal(3)
     h /= np.linalg.norm(h)
     tau = rng.uniform(-4.0 * math.pi, 4.0 * math.pi)
     step = qcore.FINITE_DIFF_STEP
     closed = [spinlab.pauli_heisenberg(PrecessionConfig(h, t)) for t in (tau, tau + step, tau - step)]
     u = spinlab.precession_channel(h).unitary_at(tau)
-    channel = u.conj().T @ np.array(qcore.SIGMA) @ u
-    return h, tau, [*map(np.array, closed), np.array(spinlab.instantaneous_torque(h, tau)), channel]
+    return h, tau, [*map(np.array, closed), np.array(spinlab.instantaneous_torque(h, tau)), u]
 
 
 class TestColumnReports:
     @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 1, 777])
-    def test_displacement_columns_match_the_per_row_path(self, seed):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        columns = cli._draw_displacements(1000, rng)
-        _, _, _, _, _, product, _, _, weighted = gaussian._uncertainties(*columns[1:])  # every column but p0
-        assert [column.tolist() for column in (*columns, product, weighted)] == per_row_displacements(ref, 1000)
+    def test_displacement_columns_match_the_per_row_path(self, monkeypatch, seed):
+        ref = np.random.default_rng(seed)
+        generators = drawn_generators(monkeypatch)
+        preps, uncertainties = (recorded_calls(monkeypatch, gaussian, name) for name in ("_preps", "_uncertainties"))
+        assert cli.main(["--seed", str(seed), "report", "displacement"]) == 0
+        (((_, p0, *_), _),), ((columns, fields),) = preps, uncertainties  # columns: every one but p0
+        rows = [column.tolist() for column in (p0, *columns, fields[5], fields[8])]  # with the product and weighted slacks
+        assert rows == per_row_displacements(ref, 1000)
+        (rng,) = generators
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 100])
-    def test_precession_stacks_match_the_per_draw_path(self, n):
-        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        h, tau, *stacks = cli._precessions(n, rng)
-        for row in range(n):
+    @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 1, 100])
+    def test_precession_stacks_match_the_per_draw_path(self, monkeypatch, seed):
+        ref = np.random.default_rng(seed)
+        generators = drawn_generators(monkeypatch)
+        precessions = recorded_calls(monkeypatch, spinlab, "_precession")
+        unitaries = recorded_calls(monkeypatch, dynamics, "_unitaries")
+        assert cli.main(["--seed", str(seed), "report", "precession"]) == 0
+        (((h, tau), (closed, torque)),), ((_, u),) = precessions, unitaries  # closed and torque at tau, tau +- step
+        stacks = [*np.split(closed, 3), np.split(torque, 3)[0], u]
+        for row in range(100):
             h_row, tau_row, arrays = per_draw_precession(ref)
             assert h[row].tobytes() == h_row.tobytes() and tau[row] == tau_row
             for stack, expected in zip(stacks, arrays, strict=True):
                 assert np.array_equal(stack[row], expected)
+        (rng,) = generators
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("steps", [2, 3, 180, 181])

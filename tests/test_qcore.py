@@ -136,6 +136,16 @@ class TestSpectralDecompose:
             rebuilt = np.einsum("k,kij->ij", obs.eigenvalues, obs.projectors)
             assert np.max(np.abs(rebuilt - h)) <= 1e-9 * np.max(np.abs(h))
 
+    @pytest.mark.parametrize("value", [1e300, 1e308, 1.7e308])
+    def test_an_eigenspace_whose_sum_leaves_the_float_range_keeps_its_eigenvalue(self, value):
+        # diag(v, v, -v) and its turn in the x-z plane: 2v overflows from 1e308 up, and a RuntimeWarning fails here.
+        c, s = math.cos(0.3), math.sin(0.3)
+        turn = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+        diagonal = np.diag([value, value, -value])
+        for matrix in (diagonal, turn @ diagonal @ turn.T):
+            eigenvalues = Observable(matrix).eigenvalues
+            assert len(eigenvalues) == 2 and np.allclose(eigenvalues, [-value, value], rtol=1e-12, atol=0.0)
+
     def test_rejects_non_hermitian_with_defect(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match=r"max \|H - H\^dag\|"):

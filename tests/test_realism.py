@@ -254,13 +254,13 @@ class TestMinForm:
         with pytest.raises(ValueError, match="n_samples"):
             min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=-3)
 
-    @pytest.mark.parametrize("n_samples", [2.0, "2"])
+    @pytest.mark.parametrize("n_samples", [2.0, "2", True, False])
     def test_rejects_a_sample_count_that_is_not_a_non_negative_integer(self, n_samples):
         # 2.0 once reached numpy as "expected a sequence of integers".
         with pytest.raises(ValueError, match=rf"^n_samples must be a non-negative integer, got {n_samples}$"):
             min_form_check(Observable(SIGMA_X), DensityMatrix.maximally_mixed(2), n_samples=n_samples)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, "1"])
+    @pytest.mark.parametrize("seed", [1.5, -1, "1", True, False])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
         # 1.5 once reached numpy as "SeedSequence expects int", and -1 as numpy's "expected non-negative integer".
         with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"):

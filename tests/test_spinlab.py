@@ -302,7 +302,7 @@ class TestFigure1Scan:
         with pytest.raises(ValueError):
             figure1_scan([0.5, 1.1], 10, seed=0)
 
-    @pytest.mark.parametrize("n", [2.5, -1, 2.0, "3", None])
+    @pytest.mark.parametrize("n", [2.5, -1, 2.0, "3", None, True, False])
     def test_rejects_a_sample_count_that_is_not_a_non_negative_integer(self, n):
         # 2.5 once reached numpy as a broadcast error, and -1 as "negative dimensions are not allowed".
         with pytest.raises(ValueError, match=rf"^n must be a non-negative integer, got {n}$"):
@@ -348,6 +348,14 @@ class TestRowAngles:
     def test_rejects_a_seed_that_is_not_an_integer(self):
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got 1.5$"):
             row_angles(1.5, [0], [0])
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_rejects_keys_that_are_not_one_column(self, shape):
+        # A scalar key once failed in the seeding as "len() of unsized object", a 2-D one as a numpy broadcast error.
+        keys = np.zeros(shape, dtype=int)
+        with pytest.raises(ValueError) as error:
+            row_angles(7, keys, keys)
+        assert str(error.value) == f"band and sample keys must be 1-D, got shape {shape}"
 
 
 class TestIrrealityKernel:

@@ -4,8 +4,10 @@ the acceptance criteria: a pinned name that neither uses stays only with a reaso
 
 import ast
 import importlib
+import io
 import os
 import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -125,3 +127,24 @@ def test_every_code_name_the_readme_quotes_resolves():
             value = getattr(value, attribute, None)
         unresolved += [name] if value is None else []
     assert len(quoted) >= 18 and unresolved == []
+
+
+def test_no_source_line_is_packed():
+    # Lines of src/ are a size measure only while none is wider than the widest one (133 characters) or holds two
+    # statements: a ';', or a compound statement's header (if, for, def, else, ...) with its body after the ':'.
+    compound = {"if", "elif", "else", "for", "while", "with", "try", "except", "finally", "def", "class", "async"}
+    packed = []
+    for path in sorted((ROOT / "src" / "twotime").glob("*.py")):
+        text = path.read_text()
+        packed += [f"{path.name}:{n}: wide" for n, line in enumerate(text.splitlines(), 1) if len(line) > 133]
+        statement, depth = [], 0  # the tokens of the current logical line, and its bracket depth
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type in (tokenize.NEWLINE, tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT):
+                statement = [] if token.type == tokenize.NEWLINE else statement
+                continue
+            header = statement and statement[0].string in compound and statement[-1].string == ":" and depth == 0
+            if token.string == ";" or header:  # a ';', or a token after a header's ':' in the same logical line
+                packed.append(f"{path.name}:{token.start[0]}: two statements")
+            depth += (token.string in "([{") - (token.string in ")]}") if token.type == tokenize.OP else 0
+            statement.append(token)
+    assert packed == []
