@@ -166,35 +166,24 @@ def cmd_lambda(args) -> int:
     return 0
 
 
-def _draw_raw(lanes, n, rng):
-    # n instances per lane of (head, tail) shapes, in turn across the lanes and in the order the per-instance calls took
-    # them: head normals, t1 and t2 - t1, tail normals. numpy's uniform(low, high) is low + (high - low) * random().
-    buffers = [(np.empty((n, *head)), np.empty((n, 2)), np.empty((n, *tail))) for head, tail in lanes]
-    for row in range(n):
-        for head, times, tail in buffers:
-            rng.standard_normal(out=head[row])
-            rng.random(out=times[row])
-            rng.standard_normal(out=tail[row])
-    return [(head, times[:, 0], times[:, 0] + (0.1 + (1.0 - 0.1) * times[:, 1]), tail) for head, times, tail in buffers]
-
-
-def _draw_instances(dims, n, rng):
-    # n instances per dimension in dims, drawn in turn: unchecked stacks of A, B, H, t1 < t2 and Ginibre states.
-    lanes = _draw_raw([((3, 2, d, d), (2, d, d)) for d in dims], n, rng)
-    return [(*qcore._hermitians(normals).swapaxes(0, 1), t1, t2, qcore._ginibres(state)) for normals, t1, t2, state in lanes]
+def _draw_instances(d, n, rng):
+    # One block of n unchecked instances, one generator call per quantity: stacks of A, B, H, t1 < t2 and Ginibre states.
+    a, b, h = qcore._hermitians(rng.standard_normal((3, n, 2, d, d)))
+    t1 = rng.random(n)
+    return a, b, h, t1, t1 + rng.uniform(0.1, 1.0, n), qcore._ginibres(rng.standard_normal((n, 2, d, d)))
 
 
 def _draw_pm1_instances(n, rng):
-    # Qubits whose A and B are v . sigma along random unit axes v, spectrum {+1, -1}; |v| computed as in _bloch_norms.
-    ((normals, t1, t2, tail),) = _draw_raw([((2, 2, 2), (14,))], n, rng)
-    axes = tail[:, :6].reshape(n, 2, 3, 1)
-    v = np.moveaxis(axes / np.sqrt(axes.swapaxes(-1, -2) @ axes), 2, 0)[..., None]
-    a, b = (v[0] * qcore.SIGMA_X + v[1] * qcore.SIGMA_Y + v[2] * qcore.SIGMA_Z).swapaxes(0, 1)
-    return a, b, qcore._hermitians(normals), t1, t2, qcore._ginibres(tail[:, 6:].reshape(n, 2, 2, 2))
+    # Qubits whose A and B are v . sigma along random unit axes v, spectrum {+1, -1}: a block whose A, B are dropped.
+    _, _, h, t1, t2, rho0 = _draw_instances(2, n, rng)
+    axes = rng.standard_normal((2 * n, 3))
+    v = (axes / qcore._norms(axes)[:, None]).T.reshape(3, 2, n, 1, 1)
+    a, b = v[0] * qcore.SIGMA_X + v[1] * qcore.SIGMA_Y + v[2] * qcore.SIGMA_Z
+    return a, b, h, t1, t2, rho0
 
 
 def _max_gap(draw, trials: int, dim: int) -> float:
-    # Largest gap over ``trials`` dim x dim instances: draw(n) gives the next n as stacks, in rng order, scored by blocks.
+    # Largest gap over ``trials`` dim x dim instances, a block at a time: draw(n) draws the next block of n as stacks.
     return max(float(correlators._tpm_gaps(*draw(len(range(trials)[block]))).max()) for block in qcore._blocks(trials, dim))
 
 
@@ -203,16 +192,11 @@ def cmd_tpm_gap(args) -> int:
     rng = np.random.default_rng(args.seed)
     ok = True
     # Ten dephased starts, one block at d <= 3: each drawn state is replaced by an unchecked preparation (_tpm_gaps
-    # checks the whole block) whose evolved state at t1 is diagonal in A's eigenbasis, so the two correlator routes
-    # coincide. One weight per distinct eigenvalue of A.
-    draws = []
-    for _ in range(10):
-        a, b, h, t1, t2, _ = _draw_instances((args.dim,), 1, rng)[0]
-        _, _, vectors, (starts,) = qcore._spectra(a)
-        space = np.cumsum(starts) - 1  # each slot's eigenspace: one weight each, shared evenly by its slots
-        w = (rng.uniform(0.1, 1.0, space[-1] + 1) / np.bincount(space))[space]
-        draws.append((a, b, h, t1, t2, vectors * (w / w.sum()) @ vectors.conj().swapaxes(1, 2)))  # V diag(w) V^dag
-    a, b, h, t1, t2, rho_t1 = (np.concatenate(column) for column in zip(*draws))
+    # checks the whole block) whose evolved state at t1 is V diag(w) V^dag in A's frame. It commutes with A for any
+    # positive w, degenerate A included, so it is a fixed point of Phi_A and the two correlator routes coincide.
+    a, b, h, t1, t2, _ = _draw_instances(args.dim, 10, rng)
+    vectors, w = qcore._spectra(a)[2], rng.uniform(0.1, 1.0, (10, args.dim))
+    rho_t1 = vectors * (w / w.sum(axis=1, keepdims=True))[:, None] @ vectors.conj().swapaxes(1, 2)
     u = dynamics._unitaries(*qcore._eighs(h, "hamiltonian")[1:], -t1)  # every rho_t1 evolved back to 0
     eq4_gap = float(correlators._tpm_gaps(a, b, h, t1, t2, u @ rho_t1 @ u.conj().swapaxes(1, 2)).max())
     print(f"d={args.dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
@@ -222,7 +206,7 @@ def cmd_tpm_gap(args) -> int:
         print(f"d=2: max gap over {args.trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
         ok &= max_gap <= IDENTITY_TOL
     else:
-        max_gap = _max_gap(lambda n: _draw_instances((3,), n, rng)[0], args.trials, 3)
+        max_gap = _max_gap(lambda n: _draw_instances(3, n, rng), args.trials, 3)
         print(f"d=3: max gap over {args.trials} random instances: {max_gap:.3e}")
         fx = correlators.qutrit_gap_fixture()
         tpm = correlators.tpm_correlator(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
@@ -243,11 +227,9 @@ def _report_torque_bound(args):
 
 
 def _report_eigenprep(args):
-    # Operator i has d = 2 + i % 2 and kind "product" for i % 4 < 2, else "sum": four stacks of 25, drawn in rng order.
-    groups = _draw_instances((2, 3, 2, 3), 25, np.random.default_rng(args.seed))
-    worst = 0.0
-    for instances, kind in zip(groups, ("product", "product", "sum", "sum")):
-        (a, *_), (b, *_), units = correlators._checked_instances(*instances[:5])
+    rng, worst = np.random.default_rng(args.seed), 0.0
+    for d, kind in ((2, "product"), (3, "product"), (2, "sum"), (3, "sum")):
+        (a, *_), (b, *_), units = correlators._checked_instances(*_draw_instances(d, 25, rng)[:5])
         _, *frame = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
         worst = max(worst, float(np.abs(realism._eigenstate_irrealities(*frame)).max()))
     return worst <= IDENTITY_TOL, (
@@ -274,13 +256,9 @@ def _report_displacement(args):
 
 
 def _report_precession(args):
-    # Two generator calls per draw, as each draw took them, and h divided by its norm as np.linalg.norm computes it.
     rng = np.random.default_rng(args.seed)
-    normals, uniforms = np.empty((100, 3)), np.empty((100, 1))
-    for row in range(100):
-        rng.standard_normal(out=normals[row])
-        rng.random(out=uniforms[row])
-    h, tau = normals / qcore._norms(normals)[:, None], -4.0 * math.pi + 8.0 * math.pi * uniforms[:, 0]
+    normals = rng.standard_normal((100, 3))
+    h, tau = normals / qcore._norms(normals)[:, None], rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 100)
     taus = np.concatenate([tau, tau + FINITE_DIFF_STEP, tau - FINITE_DIFF_STEP])
     (evolved, plus, minus), (torque, _, _) = (np.split(stack, 3) for stack in spinlab._precession(np.tile(h, (3, 1)), taus))
     # The Paulis propagated by precession_channel(h): the 100 Hamiltonians are one block of _rows(2).
@@ -374,7 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: send what is still buffered to devnull, so interpreter shutdown prints nothing more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

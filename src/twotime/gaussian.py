@@ -24,9 +24,12 @@ import numpy as np
 from .qcore import UNCERTAINTY_TOL, _each, _finite, _require
 
 
-def _columns(*values):
-    # One-row columns: every check and formula here is the one-row view of a column kernel.
-    return tuple(np.array([value], dtype=float) for value in values)
+def _columns(**values):
+    # One-row columns: every check and formula here is the one-row view of a column kernel. A field is one number.
+    for name, value in values.items():
+        if np.ndim(value) != 0:
+            raise ValueError(f"{name} must be a real number, got {value}")
+    return tuple(np.array([value], dtype=float) for value in values.values())
 
 
 def _squared(x: float) -> float:
@@ -52,7 +55,7 @@ class GaussianPrep:
     xp_corr: float = 0.0
 
     def __post_init__(self):
-        _preps(*_columns(self.x0, self.p0, self.dx, self.dp, self.xp_corr))
+        _preps(*_columns(x0=self.x0, p0=self.p0, dx=self.dx, dp=self.dp, xp_corr=self.xp_corr))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow to inf and inf - inf to nan pass silently, as with floats
@@ -69,7 +72,7 @@ class FreeParticle:
     mass: float
 
     def __post_init__(self):
-        _masses(*_columns(self.mass))
+        _masses(*_columns(mass=self.mass))
 
 
 def _masses(mass) -> None:
@@ -99,7 +102,7 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
     mean = p0 (t2 - t1) / m, spread = dp (t2 - t1) / m. The dp -> 0 limit
     makes the displacement definite for any bounded interval.
     """
-    p0, dp, mass, t1, t2 = _columns(g.p0, g.dp, fp.mass, t1, t2)
+    p0, dp, mass, t1, t2 = _columns(p0=g.p0, dp=g.dp, mass=fp.mass, t1=t1, t2=t2)
     _finite(t1=t1, t2=t2)
     _require(t2 >= t1, "interval must be ordered, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     mean, spread = p0 * (t2 - t1) / mass, dp * (t2 - t1) / mass  # inf on overflow, rejected here
@@ -109,7 +112,8 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
 
 def uncertainty_report(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float) -> UncertaintyReport:
     """Evaluate both displacement/position trade-offs for one preparation."""
-    return UncertaintyReport(*(float(c[0]) for c in _uncertainties(*_columns(g.dx, g.dp, g.xp_corr, fp.mass, t1, t2))))
+    columns = _columns(dx=g.dx, dp=g.dp, xp_corr=g.xp_corr, mass=fp.mass, t1=t1, t2=t2)
+    return UncertaintyReport(*(float(c[0]) for c in _uncertainties(*columns)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

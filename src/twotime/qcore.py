@@ -72,11 +72,11 @@ def _finite(**columns) -> None:
         _require(np.isfinite(column), name + " must be finite, got {value!r}", value=column)
 
 
-def _count(value, name: str) -> int:
-    # value as a Python int; a ValueError naming it unless it is a non-negative integer (2.0 and True are not).
+def _count(value, name: str, low=0) -> int:
+    # value as a Python int; a ValueError naming it unless it is an integer >= low, 0 or 1 (2.0 and True are not).
     count = int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else -1
-    if count < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    if count < low:
+        raise ValueError(f"{name} must be a {'positive' if low else 'non-negative'} integer, got {value}")
     return count
 
 
@@ -170,6 +170,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        dim = _count(dim, "dim", low=1)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @property
@@ -409,7 +410,7 @@ def _bloch_states(vectors: np.ndarray) -> np.ndarray:
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state from a normalized Ginibre matrix G G^dag."""
-    return DensityMatrix(_ginibre_states(dim, 1, rng)[0])
+    return DensityMatrix(_ginibre_states(_count(dim, "dim", low=1), 1, rng)[0])
 
 
 def _ginibre_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -426,6 +427,7 @@ def _ginibres(normals: np.ndarray) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries."""
+    dim = _count(dim, "dim", low=1)
     return _hermitians(rng.standard_normal((2, dim, dim)))
 
 

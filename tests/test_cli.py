@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,18 +111,23 @@ def per_instance_gap(a, b, h, t1, t2, rho0):
     return abs(protocol - correlators.heisenberg_correlator(correlators.TwoTimeOperator("product", A, B, t1, t2, channel), rho))
 
 
-def assert_same_bytes(block, instances):
-    # The stacks of a drawn block hold the per-instance draws, byte for byte and with the same dtypes.
-    for stack, column in zip(block, zip(*instances), strict=True):
-        expected = np.array(column)
-        assert stack.dtype == expected.dtype and stack.shape == expected.shape
-        assert np.ascontiguousarray(stack).tobytes() == expected.tobytes()
+class CountingGenerator:
+    # A generator that records the name of each method called on it and hands the call on.
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        attribute = getattr(self.rng, name)
+        if not callable(attribute):
+            return attribute
+        return lambda *args, **kwargs: self.calls.append(name) or attribute(*args, **kwargs)
 
 
 def drawn_generators(monkeypatch):
-    # Every generator np.random.default_rng makes from here on, so a test can compare a command's stream with its own.
+    # Every generator np.random.default_rng makes from here on, each counting its calls, so a test can compare a
+    # command's stream with its own.
     made, make = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(make(seed)) or made[-1])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(CountingGenerator(make(seed))) or made[-1])
     return made
 
 
@@ -181,10 +189,10 @@ class TestStackedGaps:
     def test_default_seed_output_is_pinned(self, capsys):
         assert cli.main(["tpm-gap", "--dim", "3"]) == 0
         out = capsys.readouterr().out
-        assert "d=3: max gap over 1000 random instances: 2.237e+00\n" in out
+        assert "d=3: max gap over 1000 random instances: 2.092e+00\n" in out
         assert "Heisenberg 0.353553390593, gap 0.353553 (expected > 1e-6)" in out
 
-    @pytest.mark.parametrize("dim, gap", [(2, "1.332e-15"), (3, "3.775e-15")])
+    @pytest.mark.parametrize("dim, gap", [(2, "1.721e-15"), (3, "1.998e-15")])
     def test_default_seed_dephased_starts_are_pinned(self, capsys, dim, gap):
         assert cli.main(["tpm-gap", "--dim", str(dim)]) == 0
         assert f"d={dim}: max gap over 10 dephased-start instances: {gap} (expected <= 1e-10)\n" in capsys.readouterr().out
@@ -199,47 +207,15 @@ class TestStackedGaps:
         assert cli.main(["tpm-gap", "--dim", str(dim), "--trials", "65"]) == 0
         assert (len(built[Observable]), len(built[ChannelFamily])) == expected
 
-    def test_draws_keep_the_per_instance_rng_order(self):
-        # Each random instance takes A, B, H, t1, t2 - t1 and its state; a +-1 instance takes H, t1, t2 - t1,
-        # the two axes and its state. The blocks match those draws byte for byte (so -0.0 and 0.0 differ), also
-        # across the interleaved lanes report eigenprep draws.
-        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        for n in (1, 63, 64, 65):
-            expected = []
-            for _ in range(n):
-                a, b, h = (qcore.random_hermitian(3, ref) for _ in range(3))
-                t1 = ref.uniform(0.0, 1.0)
-                expected.append((a, b, h, t1, t1 + ref.uniform(0.1, 1.0), qcore._ginibre_states(3, 1, ref)[0]))
-            assert_same_bytes(cli._draw_instances((3,), n, rng)[0], expected)
-            expected = []
-            for _ in range(n):
-                h = qcore.random_hermitian(2, ref)
-                t1 = ref.uniform(0.0, 1.0)
-                t2 = t1 + ref.uniform(0.1, 1.0)
-                axes = [v / np.linalg.norm(v) for v in (ref.standard_normal(3), ref.standard_normal(3))]
-                a, b = (v[0] * qcore.SIGMA_X + v[1] * qcore.SIGMA_Y + v[2] * qcore.SIGMA_Z for v in axes)
-                expected.append((a, b, h, t1, t2, qcore._ginibre_states(2, 1, ref)[0]))
-            assert_same_bytes(cli._draw_pm1_instances(n, rng), expected)
-            expected = [[] for _ in range(4)]
-            for index in range(4 * n):
-                dim = 2 + index % 2
-                a, b, h = (qcore.random_hermitian(dim, ref) for _ in range(3))
-                t1 = ref.uniform(0.0, 1.0)
-                expected[index % 4].append((a, b, h, t1, t1 + ref.uniform(0.1, 1.0), qcore._ginibre_states(dim, 1, ref)[0]))
-            for block, lane in zip(cli._draw_instances((2, 3, 2, 3), n, rng), expected):
-                assert_same_bytes(block, lane)
-            assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random() == ref.random()
-
     def test_default_seed_instances_are_pinned(self, monkeypatch):
         # SHA-256 of the 1,000 random instances each tpm-gap run draws after its 10 dephased starts, at the default
-        # seed, as drawn when every instance was drawn on its own: a change to a drawer's order fails here.
+        # seed, each block in numpy's bulk layout: a change to a drawer's order or layout fails here.
         blocks = []
         stacked = correlators._tpm_gaps
         monkeypatch.setattr(correlators, "_tpm_gaps", lambda *block: blocks.append(block) or stacked(*block))
         for dim, expected in (
-            (3, "a88762a516a18129bda8ded0e6d7c56bc4e1594d02e0ea50c531188ab671fdd9"),
-            (2, "af802bb77cd4f4a63435ff59dc79460a5191be9e55d6ba75e680f0c2c18c73cf"),
+            (3, "f60b7b8e4316c077dda91c012eec8e973b3844c784f0308191337085a75bf852"),
+            (2, "12f158f1cdebdc2e974d46896e1186c8b182f790a786e7a144ecadd1100db769"),
         ):
             blocks.clear()
             assert cli.main(["tpm-gap", "--dim", str(dim)]) == 0
@@ -248,28 +224,33 @@ class TestStackedGaps:
                 digest.update(np.concatenate(column).tobytes())
             assert digest.hexdigest() == expected
 
-    def test_dephased_draw_takes_one_weight_per_distinct_eigenvalue(self, monkeypatch):
-        # With every drawn Hermitian replaced by diag(1, 1, -1), A has two distinct eigenvalues, so two weights.
-        degenerate = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    def test_dephased_starts_commute_with_a_degenerate_a(self, monkeypatch):
+        # Every drawn A is diag(1, 1, -1) in a random frame, so eigh's frame of the degenerate eigenspace is arbitrary.
+        # Each start V diag(w) V^dag at t1, one weight per slot, still commutes with its A and scores a gap within
+        # IDENTITY_TOL. Its eigenvalues are the normalized weights, and the run takes the documented bulk draws.
         hermitians = qcore._hermitians
-        monkeypatch.setattr(qcore, "_hermitians", lambda normals: hermitians(normals) * 0.0 + degenerate)
+
+        def degenerate_a(normals):
+            a, b, h = hermitians(normals)
+            frame = np.linalg.qr(a)[0]
+            return frame * np.array([1.0, 1.0, -1.0]) @ frame.conj().swapaxes(1, 2), b, h
+
+        monkeypatch.setattr(qcore, "_hermitians", degenerate_a)
         ref = np.random.default_rng(4)
         generators, blocks = drawn_generators(monkeypatch), recorded_calls(monkeypatch, correlators, "_tpm_gaps")
         assert cli.main(["--seed", "4", "tpm-gap", "--dim", "3", "--trials", "1"]) == 0
-        ((_, _, _, _, _, rho0), _), (instance, _) = blocks
-        assert len(rho0) == 10
-        for start in rho0:
-            for _ in range(3):
-                qcore.random_hermitian(3, ref)
-            ref.uniform(0.0, 1.0)
-            ref.uniform(0.1, 1.0)
-            qcore._ginibre_states(3, 1, ref)  # the state the dephased start replaces
-            weights = ref.uniform(0.1, 1.0, 2)
-            weights /= weights.sum()
-            assert np.allclose(start, np.diag([weights[1] / 2.0, weights[1] / 2.0, weights[0]]), atol=1e-14)
-        a, b, h = (qcore.random_hermitian(3, ref) for _ in range(3))
-        t1 = ref.uniform(0.0, 1.0)
-        assert_same_bytes(instance, [(a, b, h, t1, t1 + ref.uniform(0.1, 1.0), qcore._ginibre_states(3, 1, ref)[0])])
+        (((a, b, h, t1, t2, rho0), gaps), _) = blocks
+        ref.standard_normal((3, 10, 2, 3, 3)), ref.random(10), ref.uniform(0.1, 1.0, 10), ref.standard_normal((10, 2, 3, 3))
+        w = ref.uniform(0.1, 1.0, (10, 3))
+        for k in range(10):
+            assert np.allclose(np.linalg.eigvalsh(a[k]), [-1.0, 1.0, 1.0], rtol=0.0, atol=1e-12)
+            u = ChannelFamily(h[k]).unitary_at(t1[k])
+            start = u @ rho0[k] @ u.conj().T
+            assert np.max(np.abs(a[k] @ start - start @ a[k])) <= 1e-12
+            assert np.allclose(np.linalg.eigvalsh(start), np.sort(w[k] / w[k].sum()), rtol=0.0, atol=1e-12)
+            assert gaps[k] <= qcore.IDENTITY_TOL
+            assert per_instance_gap(a[k], b[k], h[k], t1[k], t2[k], rho0[k]) <= qcore.IDENTITY_TOL
+        ref.standard_normal((3, 1, 2, 3, 3)), ref.random(1), ref.uniform(0.1, 1.0, 1), ref.standard_normal((1, 2, 3, 3))
         (rng,) = generators
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -297,7 +278,7 @@ class TestReportCommand:
     def test_default_seed_eigenprep_is_pinned(self, capsys):
         # The digits of roundoff-sized irrealities: a change in the irreality kernel's arithmetic shows here.
         assert cli.main(["report", "eigenprep"]) == 0
-        assert "max irreality in eigenstate preparations 1.032e-14 over 100 operators (tolerance 1e-10)\n" in capsys.readouterr().out
+        assert "max irreality in eigenstate preparations 9.778e-15 over 100 operators (tolerance 1e-10)\n" in capsys.readouterr().out
 
     def test_eigenprep_realizes_each_operator_once(self, monkeypatch):
         # Four stacks of 25 are realized, and A and B (in correlators) and the realized operator (in cli)
@@ -345,7 +326,7 @@ class TestStackedEigenprep:
         rng = np.random.default_rng(dim * 10 + len(kind))
         instances = []
         for n in range(30):
-            a, b, h, t1, t2, _ = (column[0] for column in cli._draw_instances((dim,), 1, rng)[0])
+            a, b, h, t1, t2, _ = (column[0] for column in cli._draw_instances(dim, 1, rng))
             if n % 3 == 0:
                 a, b = (qcore.SIGMA_X / 2.0, qcore.SIGMA_Y / 2.0) if dim == 2 else (degenerate_matrix(3, rng), degenerate_matrix(3, rng))
             instances.append((a.astype(complex), b.astype(complex), h, t1, t2))
@@ -373,7 +354,7 @@ class TestStackedEigenprep:
     def test_every_solver_call_takes_at_most_a_block(self, monkeypatch):
         rng = np.random.default_rng(cli.DEFAULT_SEED)
         kinds = ("product", "product", "sum", "sum")
-        groups = cli._draw_instances((2, 3, 2, 3), 25, rng)
+        groups = [cli._draw_instances(dim, 25, rng) for dim in (2, 3, 2, 3)]
         eigenstates = sum(len(per_operator_irrealities(kind, *(column[row] for column in group[:5])))
                           for group, kind in zip(groups, kinds) for row in range(25))
         shapes = {"eigh": [], "eigvalsh": []}
@@ -410,16 +391,13 @@ def per_row_displacements(rng, n):
     return [list(column) for column in zip(*rows)]
 
 
-def per_draw_precession(rng):
-    # One draw of report precession through the public API: h, tau and five arrays, sigma at tau and tau +- step, the
-    # torque and the unitary of precession_channel(h) at tau.
-    h = rng.standard_normal(3)
-    h /= np.linalg.norm(h)
-    tau = rng.uniform(-4.0 * math.pi, 4.0 * math.pi)
+def per_draw_precession(h, tau):
+    # One draw of report precession through the public API: five arrays, sigma at tau and tau +- step, the torque and
+    # the unitary of precession_channel(h) at tau.
     step = qcore.FINITE_DIFF_STEP
     closed = [spinlab.pauli_heisenberg(PrecessionConfig(h, t)) for t in (tau, tau + step, tau - step)]
     u = spinlab.precession_channel(h).unitary_at(tau)
-    return h, tau, [*map(np.array, closed), np.array(spinlab.instantaneous_torque(h, tau)), u]
+    return [*map(np.array, closed), np.array(spinlab.instantaneous_torque(h, tau)), u]
 
 
 class TestColumnReports:
@@ -437,6 +415,8 @@ class TestColumnReports:
 
     @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 1, 100])
     def test_precession_stacks_match_the_per_draw_path(self, monkeypatch, seed):
+        # The rows are the documented bulk draw: standard_normal((100, 3)), each row divided by its np.linalg.norm,
+        # then uniform(-4 pi, 4 pi, 100). The report's stacks match each row's public path bitwise.
         ref = np.random.default_rng(seed)
         generators = drawn_generators(monkeypatch)
         precessions = recorded_calls(monkeypatch, spinlab, "_precession")
@@ -444,10 +424,11 @@ class TestColumnReports:
         assert cli.main(["--seed", str(seed), "report", "precession"]) == 0
         (((h, tau), (closed, torque)),), ((_, u),) = precessions, unitaries  # closed and torque at tau, tau +- step
         stacks = [*np.split(closed, 3), np.split(torque, 3)[0], u]
+        normals = ref.standard_normal((100, 3))
+        assert h[:100].tobytes() == np.array([row / np.linalg.norm(row) for row in normals]).tobytes()
+        assert tau[:100].tobytes() == ref.uniform(-4.0 * math.pi, 4.0 * math.pi, 100).tobytes()
         for row in range(100):
-            h_row, tau_row, arrays = per_draw_precession(ref)
-            assert h[row].tobytes() == h_row.tobytes() and tau[row] == tau_row
-            for stack, expected in zip(stacks, arrays, strict=True):
+            for stack, expected in zip(stacks, per_draw_precession(h[row], tau[row]), strict=True):
                 assert np.array_equal(stack[row], expected)
         (rng,) = generators
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -475,8 +456,8 @@ class TestColumnReports:
         assert capsys.readouterr().out == (
             "PASS displacement: min product slack 6.556512e-02, min weighted slack 1.522195e-03, spread formula defect "
             "0.0e+00 over 1000 preparations (tolerance -1e-12)\n"
-            "PASS precession: closed form vs channel 3.274e-15 (<= 1e-12), field component of torque 2.222e-16 "
-            "(<= 1e-12), finite-difference defect 6.070e-11 (<= 1e-8) over 100 draws\n"
+            "PASS precession: closed form vs channel 2.109e-15 (<= 1e-12), field component of torque 3.192e-16 "
+            "(<= 1e-12), finite-difference defect 5.592e-11 (<= 1e-8) over 100 draws\n"
         )
         assert cli.main(["--out", str(tmp_path), "lambda"]) == 0
         digest = hashlib.sha256((tmp_path / "lambda.csv").read_bytes()).hexdigest()
@@ -504,6 +485,51 @@ def test_seed_changes_output(tmp_path):
     assert cli.main(["--out", str(a), "--samples", "20", "figure1"]) == 0
     assert cli.main(["--out", str(b), "--samples", "20", "--seed", "1", "figure1"]) == 0
     assert (a / "figure1_scatter.csv").read_bytes() != (b / "figure1_scatter.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["tpm-gap", "--dim", "2", "--trials", "65"], 5 + 5 * 1),
+    (["tpm-gap", "--dim", "2", "--trials", "1000"], 5 + 5 * 2),
+    (["tpm-gap", "--dim", "3", "--trials", "65"], 5 + 4 * 1),
+    (["tpm-gap", "--dim", "3", "--trials", "1000"], 5 + 4 * 4),
+    (["report", "eigenprep"], 4 * 4),
+    (["report", "precession"], 2),
+])
+def test_generator_calls_grow_only_with_the_blocks(monkeypatch, argv, calls):
+    # A block of instances takes four calls (A, B and H; t1; t2 - t1; the states) and a +-1 block a fifth for its axes.
+    # tpm-gap's 10 dephased starts are one block and their weights; 65 trials are one block of _rows(d), 1000 are two
+    # at d = 2 and four at d = 3. eigenprep draws four blocks; precession its directions, then its phases.
+    generators = drawn_generators(monkeypatch)
+    assert cli.main(argv) == 0
+    (rng,) = generators
+    assert len(rng.calls) == calls
+
+
+def test_stdout_at_three_seeds_is_pinned(capsys):
+    # One SHA-256 over the argv, exit code and stdout of tpm-gap at d = 2 and 3 and of the four reports, at the default
+    # seed, 1 and 777: a change to a drawn instance, a kernel's arithmetic or a printed digit fails here.
+    digest = hashlib.sha256()
+    for seed in (cli.DEFAULT_SEED, 1, 777):
+        for command in (["tpm-gap", "--dim", "2"], ["tpm-gap", "--dim", "3"], *(["report", name] for name in sorted(cli._REPORTS))):
+            argv = ["--seed", str(seed), *command]
+            code = cli.main(argv)
+            digest.update(f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "1ef2d6b2e5b2604a96e9b96898a30b420956e28dffc6e59224e435dda64cba7d"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["report", "eigenprep"], ["tpm-gap", "--dim", "3", "--trials", "1"]])
+def test_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
+    # stdout is a pipe whose read end was closed first. Unbuffered, the first print fails; buffered, the final flush.
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)), "PYTHONUNBUFFERED": unbuffered}
+    try:
+        done = subprocess.run([sys.executable, "-m", "twotime.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr.decode()) == (2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize(

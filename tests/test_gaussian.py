@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,25 @@ _FP = FreeParticle(1.0)
 def test_rejects_non_finite_input(build):
     with pytest.raises(ValueError, match="must be finite"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (lambda v: GaussianPrep(v, 0.0, 1.0, 1.0), "x0", [0.0, 1.0]),
+        (lambda v: GaussianPrep(0.0, 0.0, v, 1.0), "dx", [1.0, 2.0]),
+        (lambda v: GaussianPrep(0.0, 0.0, 1.0, 1.0, xp_corr=v), "xp_corr", np.array([0.0])),
+        (lambda v: FreeParticle(v), "mass", [1.0, 2.0]),
+        (lambda v: displacement_stats(_G, _FP, v, 1.0), "t1", [0.0, 0.5]),
+        (lambda v: displacement_stats(_G, _FP, 0.0, v), "t2", (1.0,)),
+        (lambda v: uncertainty_report(_G, _FP, v, 1.0), "t1", [0.0]),
+        (lambda v: uncertainty_report(_G, _FP, 0.0, v), "t2", [[1.0]]),
+    ],
+    ids=["prep-x0", "prep-dx", "prep-corr-array", "mass", "stats-t1", "stats-t2", "report-t1", "report-t2"],
+)
+def test_rejects_a_field_or_time_that_is_not_one_number(build, name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {value}")):
+        build(value)
 
 
 @pytest.mark.parametrize(

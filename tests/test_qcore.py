@@ -87,6 +87,27 @@ class TestDensityMatrix:
             rho.matrix[0, 0] = 9.0
 
 
+DIM_BUILDERS = {
+    "random_hermitian": lambda dim: qcore.random_hermitian(dim, np.random.default_rng(0)),
+    "random_density_matrix": lambda dim: random_density_matrix(dim, np.random.default_rng(0)),
+    "maximally_mixed": DensityMatrix.maximally_mixed,
+}
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, 2.5])
+@pytest.mark.parametrize("build", DIM_BUILDERS.values(), ids=DIM_BUILDERS.keys())
+def test_dimension_must_be_a_positive_integer(build, dim):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'dim must be a positive integer, got {dim}')}$"):
+        build(dim)
+
+
+@pytest.mark.parametrize("dim", [1, 3, np.int64(2)])
+@pytest.mark.parametrize("build", DIM_BUILDERS.values(), ids=DIM_BUILDERS.keys())
+def test_any_positive_integer_dimension_builds(build, dim):
+    built = build(dim)
+    assert np.shape(getattr(built, "matrix", built)) == (dim, dim)
+
+
 class TestSpectralDecompose:
     # Observable's grouped decomposition, read as (eigenvalue, projector) pairs.
 

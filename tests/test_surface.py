@@ -74,7 +74,7 @@ def test_package_reexports_exactly_the_pinned_public_names():
 # Why each public name that no module of src/ and no acceptance criterion uses stays public.
 UNUSED_BY_THE_SYSTEM = {
     "dephase": "the map Phi_A that defines J(A|rho); BENCHMARK.json's per-layer list names realism.dephase",
-    "random_hermitian": "tests/test_cli.py's per-instance reference for the order of random draws",
+    "random_hermitian": "the public draw of one Hermitian matrix; tests/test_properties.py draws its Hamiltonians with it",
     "relative_entropy": "S(rho || Phi_A(sigma)) of J's variational form; BENCHMARK.json's per-layer list names "
                         "qcore.relative_entropy",
 }
