@@ -27,7 +27,7 @@ from .qcore import UNCERTAINTY_TOL, _each, _finite, _require
 def _columns(**values):
     # One-row columns: every check and formula here is the one-row view of a column kernel. A field is one number.
     for name, value in values.items():
-        if np.ndim(value) != 0:
+        if np.ndim(value) != 0 or isinstance(value, (str, bytes, bool, np.bool_)):  # numpy would convert these
             raise ValueError(f"{name} must be a real number, got {value}")
     return tuple(np.array([value], dtype=float) for value in values.values())
 

@@ -408,12 +408,12 @@ def _bloch_states(vectors: np.ndarray) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+def random_density_matrix(dim: int, rng: "np.random.Generator") -> DensityMatrix:
     """Full-rank random state from a normalized Ginibre matrix G G^dag."""
     return DensityMatrix(_ginibre_states(_count(dim, "dim", low=1), 1, rng)[0])
 
 
-def _ginibre_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _ginibre_states(dim: int, n: int, rng: "np.random.Generator") -> np.ndarray:
     # n unchecked states as an (n, d, d) stack, bitwise those of n successive random_density_matrix calls.
     return _ginibres(rng.standard_normal((n, 2, dim, dim)))
 
@@ -425,7 +425,7 @@ def _ginibres(normals: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+def random_hermitian(dim: int, rng: "np.random.Generator") -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries."""
     dim = _count(dim, "dim", low=1)
     return _hermitians(rng.standard_normal((2, dim, dim)))

@@ -29,6 +29,7 @@ from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norm
 from .qcore import _count, _require, binary_entropy
 
 CURVE_POINTS = 360  # evenly spaced phi values of each radius' equatorial boundary curve
+SCAN_BLOCK = 8192  # scatter rows drawn and scored per step: bounds the scan's temporaries, not its output
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def _seed_state(seed, band, index):
     words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     # With a spawn key, the run entropy is zero-padded to the pool size.
     words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(len(index), w, dtype=np.uint32) for w in words] + [band, index]
+    entropy = [np.full(1, w, dtype=np.uint32) for w in words] + [band, index]  # the seed words broadcast to each row
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
@@ -271,17 +272,23 @@ def figure1_scan(r_values, n: int, seed):
     holds the n sampled rows of each radius in turn, row i of band b drawn by
     :func:`row_angles` (uniform in theta and phi separately); the curve table
     the analytic equatorial boundary (theta = pi/2) of each radius at
-    ``CURVE_POINTS`` evenly spaced phi values.
+    ``CURVE_POINTS`` evenly spaced phi values. The scatter is drawn and scored
+    ``SCAN_BLOCK`` rows at a time; no row depends on the split.
     """
     n, r_values = _count(n, "n"), [float(r) for r in r_values]
     for r in r_values:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"radius {r!r} outside [0, 1]")
-    bands = len(r_values)
-    theta, phi = row_angles(seed, np.repeat(np.arange(bands), n), np.tile(np.arange(n), bands))
+    bands, rows = len(r_values), len(r_values) * n
+    # Filled in place: joining the blocks at the end would hold every block and the whole table at once.
+    scatter = {key: np.empty(rows) for key in ("r", "theta", "phi", "irr_spin", "irr_torque")}
+    for start in range(0, rows, SCAN_BLOCK):
+        band, index = np.divmod(np.arange(start, min(start + SCAN_BLOCK, rows)), n)  # row k: sample k % n of band k // n
+        for key, column in _scan_table(np.array(r_values)[band], *row_angles(seed, band, index)).items():
+            scatter[key][start:start + SCAN_BLOCK] = column
     curve_phi = 2.0 * math.pi * np.arange(CURVE_POINTS) / CURVE_POINTS
     return (
-        _scan_table(np.repeat(r_values, n), theta, phi),
+        scatter,
         _scan_table(np.repeat(r_values, CURVE_POINTS), np.full(bands * CURVE_POINTS, math.pi / 2.0),
                     np.tile(curve_phi, bands)),
     )

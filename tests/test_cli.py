@@ -192,7 +192,7 @@ class TestStackedGaps:
         assert "d=3: max gap over 1000 random instances: 2.092e+00\n" in out
         assert "Heisenberg 0.353553390593, gap 0.353553 (expected > 1e-6)" in out
 
-    @pytest.mark.parametrize("dim, gap", [(2, "1.721e-15"), (3, "1.998e-15")])
+    @pytest.mark.parametrize("dim, gap", [(2, "1.721e-15"), (3, "1.998e-15")], ids=["2", "3"])  # ids survive a re-pin
     def test_default_seed_dephased_starts_are_pinned(self, capsys, dim, gap):
         assert cli.main(["tpm-gap", "--dim", str(dim)]) == 0
         assert f"d={dim}: max gap over 10 dephased-start instances: {gap} (expected <= 1e-10)\n" in capsys.readouterr().out
@@ -515,6 +515,15 @@ def test_stdout_at_three_seeds_is_pinned(capsys):
             code = cli.main(argv)
             digest.update(f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == "1ef2d6b2e5b2604a96e9b96898a30b420956e28dffc6e59224e435dda64cba7d"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # figure1 and lambda draw no numpy random numbers, so importing the package and the CLI must not load
+    # numpy.random (and with it hashlib, hmac and secrets); the commands that draw import it when they run.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    probe = "import sys, twotime, twotime.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

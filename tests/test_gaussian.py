@@ -195,8 +195,14 @@ def test_rejects_non_finite_input(build):
         (lambda v: displacement_stats(_G, _FP, 0.0, v), "t2", (1.0,)),
         (lambda v: uncertainty_report(_G, _FP, v, 1.0), "t1", [0.0]),
         (lambda v: uncertainty_report(_G, _FP, 0.0, v), "t2", [[1.0]]),
+        # np.ndim of these is 0 and numpy converts each to a float, so the type check names them.
+        (lambda v: GaussianPrep(v, 0.0, 1.0, 1.0), "x0", "1.5"),
+        (lambda v: GaussianPrep(v, 0.0, 1.0, 1.0), "x0", b"1"),
+        (lambda v: FreeParticle(v), "mass", True),
+        (lambda v: GaussianPrep(0.0, 0.0, 1.0, 1.0, xp_corr=v), "xp_corr", np.bool_(False)),
     ],
-    ids=["prep-x0", "prep-dx", "prep-corr-array", "mass", "stats-t1", "stats-t2", "report-t1", "report-t2"],
+    ids=["prep-x0", "prep-dx", "prep-corr-array", "mass", "stats-t1", "stats-t2", "report-t1", "report-t2",
+         "prep-x0-str", "prep-x0-bytes", "mass-bool", "prep-corr-numpy-bool"],
 )
 def test_rejects_a_field_or_time_that_is_not_one_number(build, name, value):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {value}")):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -313,6 +314,34 @@ class TestFigure1Scan:
         numpy_count, python_count = (figure1_scan([0.5], n, seed=1)[0]["theta"] for n in (np.int64(3), 3))
         assert numpy_count.tolist() == python_count.tolist()
 
+    @pytest.mark.parametrize(
+        "radii, n",
+        [([0.4], spinlab.SCAN_BLOCK - 1), ([0.4], spinlab.SCAN_BLOCK), ([0.4], spinlab.SCAN_BLOCK + 1),
+         ([0.2, 0.6, 1.0], 3000), ([0.7], 50), ([0.3, 0.9], 0), ([], 7)],
+        ids=["block-minus-1", "block", "block-plus-1", "bands-inside-a-block", "one-band", "n-0", "no-radius"],
+    )
+    def test_blocks_equal_the_one_shot_scan(self, radii, n):
+        bands = np.repeat(np.arange(len(radii)), n)
+        expected = spinlab._scan_table(np.repeat(np.array(radii, dtype=float), n),
+                                       *row_angles(11, bands, np.tile(np.arange(n), len(radii))))
+        scatter, _ = figure1_scan(radii, n, seed=11)
+        assert scatter.keys() == expected.keys()
+        for key, column in expected.items():
+            assert (scatter[key].dtype, scatter[key].tobytes()) == (column.dtype, column.tobytes())
+
+    def test_default_scan_peak_beyond_its_tables(self):
+        # Drawn and scored SCAN_BLOCK rows at a time, the default scan takes about 1.7 MB beyond its 1.66 MB of
+        # output; drawn in one piece, its whole-column seeding and PCG64 temporaries took 5.75 MB beyond it.
+        figure1_scan([0.5], 10, seed=1)  # first-call caches are not the scan's
+        tracemalloc.start()
+        try:
+            tables = figure1_scan([0.2, 0.5, 0.8, 1.0], 10_000, seed=20240001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(column.nbytes for table in tables for column in table.values())
+        assert peak - returned <= 3_000_000
+
 
 class TestRowAngles:
     def test_matches_numpy_generator(self):
@@ -336,6 +365,18 @@ class TestRowAngles:
             rng = np.random.default_rng(np.random.SeedSequence(20240001, spawn_key=(int(band[j]), int(index[j]))))
             assert theta[j] == rng.uniform(0.0, math.pi)
             assert phi[j] == rng.uniform(0.0, 2.0 * math.pi)
+
+    @pytest.mark.parametrize("words", [1, 2, 5, 7])
+    def test_a_column_equals_its_one_row_calls(self, words):
+        # The seed words are hashed once, as length-1 columns, then broadcast into each row's band and sample phase.
+        picker = random.Random(words)
+        seed = picker.getrandbits(32 * words) | 1 << (32 * words - 1)
+        band = np.array([picker.choice([0, 1, 3, picker.getrandbits(32)]) for _ in range(64)])
+        index = np.array([picker.choice([0, picker.randrange(10_000), picker.getrandbits(32)]) for _ in range(64)])
+        theta, phi = row_angles(seed, band, index)
+        rows = [row_angles(seed, [b], [i]) for b, i in zip(band.tolist(), index.tolist())]
+        assert theta.tolist() == [t[0] for t, _ in rows]
+        assert phi.tolist() == [p[0] for _, p in rows]
 
     @pytest.mark.parametrize("seed, band, index", [(-1, 0, 0), (7, -1, 0), (7, 0, 2**32), (7, 0.5, 0), (7, 0, 1.5)])
     def test_rejects_negative_or_wide_keys(self, seed, band, index):
