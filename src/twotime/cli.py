@@ -1,10 +1,12 @@
 """Command-line scenario runner: deterministic CSV tables and checked summaries.
 
 Every subcommand is deterministic under a fixed seed (default 20240001,
-chosen so the shipped reference tables regenerate exactly) and exits 0 only
-when all of its built-in assertions pass. Numeric output uses 12 significant
-digits. The default output directory can be set with the TWOTIME_OUT
-environment variable.
+chosen so the shipped reference tables regenerate exactly) and prints
+nothing: it returns its verdict, its stdout lines and its tables. :func:`main`
+alone publishes the tables of a passing run, prints every line (verdicts
+included) on stdout and exits 0 only when all of the subcommand's built-in
+assertions pass. Numeric output uses 12 significant digits. The default
+output directory can be set with the TWOTIME_OUT environment variable.
 """
 
 import argparse
@@ -70,18 +72,22 @@ def _cells(column) -> np.ndarray:
     return cells
 
 
-def _write_tables(args, tables) -> list:
-    """Write (stem, header, columns) tables and publish them together; returns their paths.
+def _path(args, stem) -> Path:
+    return args.out / f"{stem}.{args.format}"
+
+
+def _write_tables(args, tables) -> None:
+    """Write (stem, header, columns) tables and publish them together, each at :func:`_path`.
 
     Each table goes to a temporary file in the output directory, and all of
     them are renamed into place only once every one is written. Cells are
     ASCII strings or numbers, numbers exactly as "%.12g" writes them, made
-    bytes by :func:`_cells` a column and WRITE_BLOCK rows at a time. If the
-    directory cannot be written, no table is published: the temporary files
-    are removed and the run exits 2.
+    bytes by :func:`_cells` a column and WRITE_BLOCK rows at a time. If a write
+    fails, the temporary files are removed and its OSError propagates: no table
+    is published that is not already in place.
     """
     sep = "," if args.format == "csv" else "\t"
-    paths = [args.out / f"{stem}.{args.format}" for stem, _, _ in tables]
+    paths = [_path(args, stem) for stem, _, _ in tables]
     temps = []
     try:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -97,12 +103,9 @@ def _write_tables(args, tables) -> list:
                     fh.write(rows.tobytes().translate(None, b"\0"))
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
-    except OSError as exc:
+    finally:  # after a complete run every temporary file is already renamed into place
         for temp in temps:
             temp.unlink(missing_ok=True)
-        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    return paths
 
 
 def _sci(tol: float) -> str:
@@ -123,26 +126,22 @@ def _least_slack(tables):
     return least
 
 
-def cmd_figure1(args) -> int:
-    """Verify the purity bound row by row, then write the irreality trade-off scan."""
+def cmd_figure1(args):
+    """Verify the purity bound row by row; the irreality trade-off scan is its two tables."""
     scatter, curves = spinlab.figure1_scan(args.r_list, args.samples, args.seed)
     min_slack, table, row = _least_slack((scatter, curves))
     if min_slack < -BOUND_TOL:
         cells = ", ".join(f"{name}={table[name][row]:.12g}" for name in SCATTER_HEADER)
-        print(f"FAIL: bound violated by {min_slack:.6e} at {cells}", file=sys.stderr)
-        return 1
-    scatter_path, curves_path = _write_tables(args, [
-        ("figure1_scatter", SCATTER_HEADER, [scatter[name] for name in SCATTER_HEADER]),
-        ("figure1_curves", CURVE_HEADER, [curves[name] for name in CURVE_HEADER]),
-    ])
+        return False, [f"FAIL: bound violated by {min_slack:.6e} at {cells}"], []
     n_scatter, n_curves = len(scatter["r"]), len(curves["r"])
-    print(f"wrote {n_scatter} scatter rows to {scatter_path}")
-    print(f"wrote {n_curves} curve rows to {curves_path}")
-    print(f"min bound slack {min_slack:.6e} over {n_scatter + n_curves} rows")
-    return 0
+    return True, [f"wrote {n_scatter} scatter rows to {_path(args, 'figure1_scatter')}",
+                  f"wrote {n_curves} curve rows to {_path(args, 'figure1_curves')}",
+                  f"min bound slack {min_slack:.6e} over {n_scatter + n_curves} rows"], [
+        ("figure1_scatter", SCATTER_HEADER, [scatter[name] for name in SCATTER_HEADER]),
+        ("figure1_curves", CURVE_HEADER, [curves[name] for name in CURVE_HEADER])]
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args):
     """Tabulate the conditional operator's Bloch norm over a theta grid, once it checks out."""
     alpha = (np.eye(2, dtype=complex) - qcore.SIGMA_Z) / 2.0  # diag(0, 1), a projector exactly
     theta = np.arange(1, args.theta_steps + 1) * math.pi / args.theta_steps
@@ -157,13 +156,11 @@ def cmd_lambda(args) -> int:
     physical_thetas = theta[physical].tolist()
     max_norm_defect = float(np.max(np.abs(nu_norm - 1.0 / np.abs(qcore._each(math.sin, theta / 2.0)))))
     if not (max_norm_defect <= IDENTITY_TOL and physical_thetas == [theta[-1]]):
-        print(f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {physical_thetas}", file=sys.stderr)
-        return 1
-    (path,) = _write_tables(args, [("lambda", LAMBDA_HEADER, [theta, nu_norm, min_eigenvalue, np.where(physical, "true", "false")])])
+        return False, [f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {physical_thetas}"], []
     fraction = len(physical_thetas) / args.theta_steps
-    print(f"wrote {args.theta_steps} rows to {path}")
-    print(f"fraction of physical points: {fraction:.6g} (expected {1 / args.theta_steps:.6g}, theta = pi only)")
-    return 0
+    return True, [f"wrote {args.theta_steps} rows to {_path(args, 'lambda')}",
+                  f"fraction of physical points: {fraction:.6g} (expected {1 / args.theta_steps:.6g}, theta = pi only)"], [
+        ("lambda", LAMBDA_HEADER, [theta, nu_norm, min_eigenvalue, np.where(physical, "true", "false")])]
 
 
 def _draw_instances(d, n, rng):
@@ -187,10 +184,9 @@ def _max_gap(draw, trials: int, dim: int) -> float:
     return max(float(correlators._tpm_gaps(*draw(len(range(trials)[block]))).max()) for block in qcore._blocks(trials, dim))
 
 
-def cmd_tpm_gap(args) -> int:
+def cmd_tpm_gap(args):
     """Compare the protocol and Heisenberg correlators over random instances."""
     rng = np.random.default_rng(args.seed)
-    ok = True
     # Ten dephased starts, one block at d <= 3: each drawn state is replaced by an unchecked preparation (_tpm_gaps
     # checks the whole block) whose evolved state at t1 is V diag(w) V^dag in A's frame. It commutes with A for any
     # positive w, degenerate A included, so it is a fixed point of Phi_A and the two correlator routes coincide.
@@ -199,24 +195,19 @@ def cmd_tpm_gap(args) -> int:
     rho_t1 = vectors * (w / w.sum(axis=1, keepdims=True))[:, None] @ vectors.conj().swapaxes(1, 2)
     u = dynamics._unitaries(*qcore._eighs(h, "hamiltonian")[1:], -t1)  # every rho_t1 evolved back to 0
     eq4_gap = float(correlators._tpm_gaps(a, b, h, t1, t2, u @ rho_t1 @ u.conj().swapaxes(1, 2)).max())
-    print(f"d={args.dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})")
-    ok &= eq4_gap <= IDENTITY_TOL
+    lines = [f"d={args.dim}: max gap over 10 dephased-start instances: {eq4_gap:.3e} (expected <= {IDENTITY_TOL:g})"]
     if args.dim == 2:
         max_gap = _max_gap(lambda n: _draw_pm1_instances(n, rng), args.trials, 2)
-        print(f"d=2: max gap over {args.trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
-        ok &= max_gap <= IDENTITY_TOL
-    else:
-        max_gap = _max_gap(lambda n: _draw_instances(3, n, rng), args.trials, 3)
-        print(f"d=3: max gap over {args.trials} random instances: {max_gap:.3e}")
-        fx = correlators.qutrit_gap_fixture()
-        tpm = correlators.tpm_correlator(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
-        op = correlators.TwoTimeOperator("product", fx.A, fx.B, fx.t1, fx.t2, fx.channel)
-        heis = correlators.heisenberg_correlator(op, fx.rho0)
-        gap = abs(tpm - heis)
-        expected = _sci(FIXTURE_GAP_MIN)
-        print(f"d=3 fixture: protocol {tpm:.12g}, Heisenberg {heis:.12g}, gap {gap:.6g} (expected > {expected})")
-        ok &= gap > FIXTURE_GAP_MIN
-    return 0 if ok else 1
+        lines.append(f"d=2: max gap over {args.trials} random +-1-spectrum instances: {max_gap:.3e} (expected <= {IDENTITY_TOL:g})")
+        return eq4_gap <= IDENTITY_TOL and max_gap <= IDENTITY_TOL, lines, []
+    max_gap = _max_gap(lambda n: _draw_instances(3, n, rng), args.trials, 3)
+    fx = correlators.qutrit_gap_fixture()
+    tpm = correlators.tpm_correlator(fx.A, fx.B, fx.t1, fx.t2, fx.channel, fx.rho0)
+    heis = correlators.heisenberg_correlator(correlators.TwoTimeOperator("product", fx.A, fx.B, fx.t1, fx.t2, fx.channel), fx.rho0)
+    gap = abs(tpm - heis)
+    lines += [f"d=3: max gap over {args.trials} random instances: {max_gap:.3e}",
+              f"d=3 fixture: protocol {tpm:.12g}, Heisenberg {heis:.12g}, gap {gap:.6g} (expected > {_sci(FIXTURE_GAP_MIN)})"]
+    return eq4_gap <= IDENTITY_TOL and gap > FIXTURE_GAP_MIN, lines, []
 
 
 def _report_torque_bound(args):
@@ -283,11 +274,10 @@ _REPORTS = {
 }
 
 
-def cmd_report(args) -> int:
-    """Run one invariant suite and print its line, PASS or FAIL with the suite's detail; exit 0 only on PASS."""
+def cmd_report(args):
+    """Run one invariant suite; its one line is PASS or FAIL with the suite's detail."""
     ok, detail = _REPORTS[args.name](args)
-    print(f"{'PASS' if ok else 'FAIL'} {args.name}: {detail}")
-    return 0 if ok else 1
+    return ok, [f"{'PASS' if ok else 'FAIL'} {args.name}: {detail}"], []
 
 
 def _parse_r_list(text: str):
@@ -351,16 +341,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, publish the tables of a passing run, print its lines; 0 pass, 1 fail, 2 an error."""
     args = build_parser().parse_args(argv)
+    ok, lines, tables = args.run(args)
     try:
-        code = args.run(args)
+        if ok and tables:  # a run without tables never creates --out
+            _write_tables(args, tables)
+    except OSError as exc:
+        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        print(*lines, sep="\n")
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # stdout's reader is gone: send what is still buffered to devnull, so interpreter shutdown prints nothing more.
+    except OSError as exc:
+        # stdout's reader is gone or its disk full: send what is still buffered to devnull, so shutdown prints no more.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -238,6 +238,8 @@ def row_angles(seed, band, index):
     if band.ndim != 1:
         raise ValueError(f"band and sample keys must be 1-D, got shape {band.shape}")
     for name, keys in (("band", band), ("sample", index)):  # not truncated: 1.9 would take row 1's stream
+        if keys.dtype == bool and keys.size:  # nor is a bool a count (qcore._count): True would take band 1's
+            raise ValueError(f"{name} key {keys[0]} is not an integer")
         _require(keys == np.round(keys), name + " key {key!r} is not an integer", key=keys)
     if np.any((band < 0) | (band > _MASK32) | (index < 0) | (index > _MASK32)):
         raise ValueError("band and sample indices must lie in [0, 2**32)")

@@ -1,9 +1,12 @@
+import ast
 import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +520,19 @@ def test_stdout_at_three_seeds_is_pinned(capsys):
     assert digest.hexdigest() == "1ef2d6b2e5b2604a96e9b96898a30b420956e28dffc6e59224e435dda64cba7d"
 
 
+def test_table_command_stdout_at_three_seeds_is_pinned(tmp_path, monkeypatch, capsys):
+    # The same for figure1 and lambda, whose stdout names the tables they wrote: run from tmp_path with a relative
+    # --out, so the printed paths do not depend on where the test runs.
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for seed in (cli.DEFAULT_SEED, 1, 777):
+        for command in (["--samples", "50", "figure1"], ["lambda"]):
+            argv = ["--seed", str(seed), "--out", "out", *command]
+            code = cli.main(argv)
+            digest.update(f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "a9137c2f2130f66bdbf6aaa0171e3c167aab82110d2cc35b5a7329915e9d61e0"
+
+
 def test_import_leaves_numpy_random_unloaded():
     # figure1 and lambda draw no numpy random numbers, so importing the package and the CLI must not load
     # numpy.random (and with it hashlib, hmac and secrets); the commands that draw import it when they run.
@@ -539,6 +555,16 @@ def test_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr.decode()) == (2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full, whose every write fails")
+def test_full_stdout_exits_2_without_a_traceback():
+    # A stdout that fails with another OSError than a broken pipe is an output error too, not a failed check.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "twotime.cli", "report", "precession"], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (done.returncode, done.stderr.decode()) == (2, "error: cannot write to stdout: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize(
@@ -568,13 +594,58 @@ def test_failed_check_writes_no_table(tmp_path, monkeypatch, argv, tolerance, wr
     assert list(tmp_path.glob(written)) == []
 
 
+@pytest.mark.parametrize("argv, tolerance, lines", [
+    (["figure1"], "BOUND_TOL", [r"FAIL: bound violated by -?\d\.\d{6}e[+-]\d\d at r=\S+, theta=\S+, phi=\S+, "
+                                r"irr_spin=\S+, irr_torque=\S+"]),
+    (["lambda"], "IDENTITY_TOL", [r"FAIL: norm defect \d\.\d{3}e[+-]\d\d, physical thetas \[3\.141592653589793\]"]),
+    (["tpm-gap", "--dim", "2", "--trials", "20"], "IDENTITY_TOL", [
+        r"d=2: max gap over 10 dephased-start instances: \S+ \(expected <= -1\)",
+        r"d=2: max gap over 20 random \+-1-spectrum instances: \S+ \(expected <= -1\)"]),
+    (["report", "torque-bound"], "BOUND_TOL", [r"FAIL torque-bound: min bound slack \S+ over 1640 rows \(tolerance 1\)"]),
+], ids=["figure1", "lambda", "tpm-gap", "torque-bound"])
+def test_failed_check_prints_its_lines_on_stdout_and_exits_1(tmp_path, monkeypatch, capsys, argv, tolerance, lines):
+    # Every line of a failed run, its FAIL verdict included, is its whole stdout; stderr is left to errors (exit 2),
+    # and no table, temporary file or --out directory is made.
+    monkeypatch.setattr(cli, tolerance, -1.0)
+    assert cli.main(["--samples", "50", "--out", str(tmp_path / "out")] + argv) == 1
+    out, err = capsys.readouterr()
+    assert re.fullmatch("".join(line + "\n" for line in lines), out) and err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["tpm-gap", "--trials", "5"], ["report", "eigenprep"]], ids=["tpm-gap", "eigenprep"])
+def test_command_without_tables_leaves_out_alone(tmp_path, capsys, argv):
+    # --out lies under a regular file, so creating it would fail: a run with no tables must not try.
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    assert cli.main(["--out", str(blocker / "sub")] + argv) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
+
+
+def test_only_main_prints_or_exits():
+    # Subcommands return (ok, lines, tables); print(...), sys.exit(...) and raise SystemExit belong to main and the
+    # __main__ guard alone.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "main" or (
+                isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"):
+            allowed.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (ast.unparse(node.func) in ("print", "sys.exit")) or (
+                isinstance(node, ast.Raise) and node.exc is not None and "SystemExit" in ast.unparse(node.exc)):
+            if id(node) not in allowed:
+                found.append((node.lineno, ast.unparse(node)))
+    assert found == []
+
+
 @pytest.mark.parametrize("command", ["figure1", "lambda"])
 def test_unwritable_out_exits_2_and_publishes_nothing(tmp_path, capsys, command):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--out", str(blocker / "sub"), "--samples", "10", command])
-    assert exc.value.code == 2
+    assert cli.main(["--out", str(blocker / "sub"), "--samples", "10", command]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write to")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
 
@@ -592,9 +663,7 @@ def test_tables_are_published_together(tmp_path, monkeypatch):
 
     real_replace = cli.os.replace
     monkeypatch.setattr(cli.os, "replace", failing_replace)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--out", str(tmp_path), "--samples", "10", "figure1"])
-    assert exc.value.code == 2
+    assert cli.main(["--out", str(tmp_path), "--samples", "10", "figure1"]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["figure1_scatter.csv"]
 
 
@@ -608,9 +677,7 @@ def test_write_failure_leaves_no_table(tmp_path, monkeypatch):
         return real_open(path, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", failing_open)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--out", str(tmp_path), "--samples", "10", "figure1"])
-    assert exc.value.code == 2
+    assert cli.main(["--out", str(tmp_path), "--samples", "10", "figure1"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 

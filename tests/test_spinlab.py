@@ -378,12 +378,14 @@ class TestRowAngles:
         assert theta.tolist() == [t[0] for t, _ in rows]
         assert phi.tolist() == [p[0] for _, p in rows]
 
-    @pytest.mark.parametrize("seed, band, index", [(-1, 0, 0), (7, -1, 0), (7, 0, 2**32), (7, 0.5, 0), (7, 0, 1.5)])
+    @pytest.mark.parametrize("seed, band, index", [(-1, 0, 0), (7, -1, 0), (7, 0, 2**32), (7, 0.5, 0), (7, 0, 1.5),
+                                                   (7, True, 0), (7, 1, False)])
     def test_rejects_negative_or_wide_keys(self, seed, band, index):
         with pytest.raises(ValueError) as error:
-            row_angles(seed, [band], [index])
+            row_angles(seed, [band, band], [index, index])
         for name, key in (("band", band), ("sample", index)):
-            if key % 1:  # a fractional key is named, not truncated to the stream of another row
+            # A fractional key is named, not truncated to the stream of another row; nor is a bool read as 0 or 1.
+            if key % 1 or isinstance(key, bool):
                 assert str(error.value) == f"{name} key {key} is not an integer"
 
     def test_rejects_a_seed_that_is_not_an_integer(self):
