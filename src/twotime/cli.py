@@ -145,7 +145,7 @@ def cmd_lambda(args):
     """Tabulate the conditional operator's Bloch norm over a theta grid, once it checks out."""
     alpha = (np.eye(2, dtype=complex) - qcore.SIGMA_Z) / 2.0  # diag(0, 1), a projector exactly
     theta = np.arange(1, args.theta_steps + 1) * math.pi / args.theta_steps
-    directions = np.stack([qcore._each(math.sin, theta), np.zeros_like(theta), qcore._each(math.cos, theta)], axis=1)
+    directions = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
     _, nu_norm = spinlab._lambda_nus(directions)
     # Each state passes the DensityMatrix checks (Cholesky gate), each conditional operator one eigvalsh, by blocks.
     min_eigenvalue = np.concatenate([
@@ -154,7 +154,7 @@ def cmd_lambda(args):
     ])
     physical = min_eigenvalue >= qcore.PSD_FLOOR
     physical_thetas = theta[physical].tolist()
-    max_norm_defect = float(np.max(np.abs(nu_norm - 1.0 / np.abs(qcore._each(math.sin, theta / 2.0)))))
+    max_norm_defect = float(np.max(np.abs(nu_norm - 1.0 / np.abs(np.sin(theta / 2.0)))))
     if not (max_norm_defect <= IDENTITY_TOL and physical_thetas == [theta[-1]]):
         return False, [f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {physical_thetas}"], []
     fraction = len(physical_thetas) / args.theta_steps

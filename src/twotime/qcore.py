@@ -113,27 +113,35 @@ def _eighs(stack: np.ndarray, what: str):
     return m, values, vectors
 
 
-def _states(stack: np.ndarray, solver="eigvalsh"):
-    """Check a stack of density matrices: each Hermitian and of unit trace within ``STATE_TOL``, with no eigenvalue
-    below ``PSD_FLOOR``. Returns (symmetrized stack, spectrum), the spectrum None with ``solver=None``. An (n, d, d)
-    stack's spectrum is eigvalsh's; with ``solver=None`` one Cholesky factorization of M - PSD_FLOOR * 1 checks the
-    floor, and only when that fails does eigvalsh decide, and name the first state below it. An (n, d) stack holds the
-    diagonals of diagonal matrices, checked with the messages those matrices get; its spectrum is the real diagonals."""
+def _unit_traces(stack: np.ndarray) -> np.ndarray:
+    """The symmetrized stack, once each density matrix is Hermitian and of unit trace within ``STATE_TOL``; an
+    (n, d) stack holds the diagonals of diagonal matrices, checked with the messages those matrices get."""
     m = _symmetrized(stack, "density matrix", STATE_TOL)
-    diagonals = m if m.ndim == 2 else np.diagonal(m, axis1=1, axis2=2)
-    traces = diagonals.sum(axis=1)  # as np.trace sums a diagonal
+    traces = (m if m.ndim == 2 else np.diagonal(m, axis1=1, axis2=2)).sum(axis=1)  # as np.trace sums a diagonal
     off = np.flatnonzero(np.abs(traces - 1.0) > STATE_TOL)
     if off.size:
         raise ValueError(f"density matrix trace is {traces[off[0]]:.15g}, expected 1")
+    return m
+
+
+def _floor(low: np.ndarray) -> None:  # each state's least eigenvalue must not lie below PSD_FLOOR
+    _require(~(low < PSD_FLOOR), "density matrix is not positive semidefinite: min eigenvalue = {low:.3e}", low=low)
+
+
+def _states(stack: np.ndarray, solver="eigvalsh"):
+    """``_unit_traces`` and ``_floor`` of a stack of density matrices. Returns (symmetrized stack, spectrum), the
+    spectrum None with ``solver=None``. An (n, d, d) stack's spectrum is eigvalsh's; with ``solver=None`` one Cholesky
+    factorization of M - PSD_FLOOR * 1 checks the floor, and only when that fails does eigvalsh decide, and name the
+    first state below it. An (n, d) stack's spectrum is its real diagonals."""
+    m = _unit_traces(stack)
     if solver is None and m.ndim == 3:
         try:
             np.linalg.cholesky(m - PSD_FLOOR * np.eye(m.shape[1]))
             return m, None
         except np.linalg.LinAlgError:  # some state may be below the floor: eigvalsh decides, as without the gate
             pass
-    spectrum = diagonals.real if m.ndim == 2 else np.linalg.eigvalsh(m)
-    low = spectrum.min(axis=1)  # eigvalsh's first column
-    _require(~(low < PSD_FLOOR), "density matrix is not positive semidefinite: min eigenvalue = {low:.3e}", low=low)
+    spectrum = m.real if m.ndim == 2 else np.linalg.eigvalsh(m)
+    _floor(spectrum.min(axis=1))  # eigvalsh's first column
     return m, spectrum if solver else None
 
 
@@ -280,8 +288,9 @@ class BlochVector:
 
     @classmethod
     def from_angles(cls, r: float, theta: float, phi: float) -> "BlochVector":
-        st = math.sin(theta)
-        return cls((r * st * math.cos(phi), r * st * math.sin(phi), r * math.cos(theta)))
+        _finite(r=r, theta=theta, phi=phi)  # before numpy's sin and cos, which warn on inf
+        st = np.sin(theta)
+        return cls((r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)))
 
     @property
     def components(self) -> np.ndarray:
@@ -376,8 +385,8 @@ def binary_entropy(u):
     """-u ln u - (1-u) ln(1-u) for u in [0, 1], in nats; elementwise over an array.
 
     Inputs within 1e-12 outside the unit interval are clamped; anything
-    further out, or NaN, is rejected. Every entry rounds as the scalar
-    formula does on that float alone.
+    further out, or NaN, is rejected. Every entry rounds as the formula does
+    on that float alone, with numpy's log (not always math.log's last ulp).
     """
     values = np.asarray(u, dtype=float)
     inside = (values >= -PROBABILITY_TOL) & (values <= 1.0 + PROBABILITY_TOL)
@@ -386,13 +395,13 @@ def binary_entropy(u):
     inner = np.flatnonzero((p > 0.0) & (p < 1.0))
     q = p[inner]
     h = np.zeros_like(p)
-    h[inner] = -q * _each(math.log, q) - (1.0 - q) * _each(math.log, 1.0 - q)
+    h[inner] = -q * np.log(q) - (1.0 - q) * np.log(1.0 - q)
     return float(h[0]) if values.ndim == 0 else h.reshape(values.shape)
 
 
 def _each(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` of every entry as a Python float: math's rounding, which numpy's own
-    sin, cos and log do not always share (they can differ in the last ulp)."""
+    """``fn`` of every entry as a Python float: for math.exp, which numpy's exp can miss by an ulp, and
+    gaussian._squared, both pinned bitwise to one-row draws; sin, cos and log are numpy's on whole columns."""
     return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 

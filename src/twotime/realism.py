@@ -18,20 +18,8 @@ from functools import cache
 
 import numpy as np
 
-from .qcore import (
-    MEASUREMENT_TOL,
-    SIGMA_X,
-    SIGMA_Y,
-    DensityMatrix,
-    Observable,
-    _blocks,
-    _count,
-    _entropies,
-    _ginibre_states,
-    _relative_entropies,
-    _same_dim,
-    _states,
-)
+from .qcore import MEASUREMENT_TOL, SIGMA_X, SIGMA_Y, DensityMatrix, Observable, _blocks, _count, _entropies, _floor
+from .qcore import _ginibre_states, _relative_entropies, _same_dim, _states, _unit_traces
 
 
 @dataclass(frozen=True)
@@ -132,7 +120,8 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
         if to_diagonal is not None:  # the (n, d) image diagonals
             return _relative_entropies(weights, report.entropy_state, _states(sigmas.reshape(len(sigmas), -1) @ to_diagonal)[1])
         # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
-        q, basis = np.linalg.eigh(_states(_dephased_in_frame(*A._frame[:2], sigmas), solver=None)[0])
+        q, basis = np.linalg.eigh(_unit_traces(_dephased_in_frame(*A._frame[:2], sigmas)))
+        _floor(q[:, 0])  # eigh's own spectrum decides the floor, so each image is factorized once
         return _relative_entropies(np.einsum("nji,nji->ni", basis.conj(), rho_in_frame @ basis).real, report.entropy_state, q)
 
     identity_gap = abs(float(scores(rho.matrix[None])[0]) - report.irreality)  # Phi_A(rho) scored as each sample

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily
-from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _each, _finite, _norms, _readonly
+from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _finite, _norms, _readonly
 from .qcore import _count, _require, binary_entropy
 
 CURVE_POINTS = 360  # evenly spaced phi values of each radius' equatorial boundary curve
@@ -80,9 +80,9 @@ def _field_algebra(h):
 
 def _precession(h, tau):
     """sigma(tau) and the torque d sigma / d tau as (n, 3, 2, 2) stacks, for (n, 3) unit field directions and (n,)
-    phases, each phase checked finite; every entry rounds as it does for one draw (cos and sin through math)."""
+    phases, each phase checked finite."""
     _finite(tau=tau)
-    c, s = (_each(fn, tau)[:, None, None] for fn in (math.cos, math.sin))
+    c, s = np.cos(tau)[:, None, None], np.sin(tau)[:, None, None]
     h_dot_sigma, cross, _ = _field_algebra(h)
     along = [h_i * h_dot_sigma for h_i in h.T[..., None, None]]
     evolved = [sigma_i * c + cross_i * s + along_i * (1.0 - c) for sigma_i, cross_i, along_i in zip(SIGMA, cross, along)]
@@ -258,10 +258,9 @@ def row_angles(seed, band, index):
 
 
 def _scan_table(r, theta, phi) -> dict:
-    # Components in BlochVector.from_angles' operation order, through math's sin and cos.
-    r_sin_theta = r * _each(math.sin, theta)
-    vectors = np.stack([r_sin_theta * _each(math.cos, phi), r_sin_theta * _each(math.sin, phi),
-                        r * _each(math.cos, theta)], axis=1)
+    # Components in BlochVector.from_angles' operation order and ufuncs, each a whole column.
+    r_sin_theta = r * np.sin(theta)
+    vectors = np.stack([r_sin_theta * np.cos(phi), r_sin_theta * np.sin(phi), r * np.cos(theta)], axis=1)
     irr_spin, irr_torque = _irrealities(vectors)
     return {"r": r, "theta": theta, "phi": phi, "irr_spin": irr_spin, "irr_torque": irr_torque}
 

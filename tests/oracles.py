@@ -5,6 +5,8 @@ unitaries come from scipy's Pade-based expm, decompositions from raw eigh
 with explicit outcome grouping, and derivatives from finite differences.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -108,6 +110,11 @@ def relative_entropy_logm(rho, eta, tol=1e-12):
         return np.inf
     _, log_rho = support_and_log(np.asarray(rho, dtype=complex))
     return float(np.trace(rho @ (log_rho - log_eta)).real)
+
+
+def binary_entropy(u):
+    """-u ln u - (1-u) ln(1-u) of one float in [0, 1], in nats, through math.log alone."""
+    return 0.0 if u in (0.0, 1.0) else -u * math.log(u) - (1.0 - u) * math.log(1.0 - u)
 
 
 def random_state_matrix(dim, rng):

@@ -631,6 +631,13 @@ class TestBloch:
         with pytest.raises(ValueError, match=r"^Bloch vector norm inf is not finite or exceeds 1$"):
             make()
 
+    @pytest.mark.parametrize("args, name", [((math.inf, 0.0, 0.0), "r"), ((0.5, math.inf, 0.0), "theta"),
+                                            ((0.5, math.nan, 0.0), "theta"), ((0.5, 0.3, -math.inf), "phi")])
+    def test_from_angles_names_a_non_finite_argument_without_a_warning(self, args, name):
+        # numpy's sin and cos warn on inf (an error under pyproject.toml), so the arguments are checked first.
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got -?(inf|nan)$"):
+            BlochVector.from_angles(*args)
+
     def test_angles(self):
         vec = BlochVector.from_angles(0.7, 1.1, 2.3)
         assert vec.r == pytest.approx(0.7, abs=1e-12)

@@ -182,8 +182,8 @@ class TestMinForm:
     def test_every_sample_is_checked_twice(self, monkeypatch):
         # Each sampled state passes the Cholesky gate, and its dephased image a state check; no call takes more than
         # _rows(d) matrices, and no sample goes through eigvalsh. A nondegenerate A checks and scores each image from
-        # its (n, d) diagonal, with no factorization at all; a degenerate A's image passes the Cholesky gate too, and
-        # then one eigh of the checked image scores it.
+        # its (n, d) diagonal, with no factorization at all; a degenerate A's image is factorized once, by the eigh
+        # whose spectrum both decides its floor and scores it.
         counted = {"cholesky": [], "eigh": [], "eigvalsh": []}
         for name, calls in counted.items():
             solver = getattr(np.linalg, name)
@@ -195,7 +195,7 @@ class TestMinForm:
             min_form_check(obs, DensityMatrix.from_ket(np.eye(obs.dim)[0]), n_samples=n_samples)
             return {name: sum(calls) for name, calls in counted.items()}
 
-        for obs, choleskys, eighs in ((Observable(SIGMA_X), 1, 0), (Observable(np.diag([1.0, 1.0, -1.0])), 2, 1)):
+        for obs, choleskys, eighs in ((Observable(SIGMA_X), 1, 0), (Observable(np.diag([1.0, 1.0, -1.0])), 1, 1)):
             rows = qcore._rows(obs.dim)
             without_samples, with_samples = matrices(obs, 0), matrices(obs, rows + 1)
             per_sample = {name: with_samples[name] - without_samples[name] for name in counted}
@@ -205,18 +205,21 @@ class TestMinForm:
     def test_dephased_images_pass_the_psd_check(self, monkeypatch):
         # Moving weight 1 from the second diagonal entry of each sample block's dephased image to the first (it stays
         # Hermitian, of unit trace) must fail the state check: on the (n, d) diagonals of a nondegenerate A's images,
-        # and on the (n, d, d) images of a degenerate A, which pass the Cholesky gate before their eigh.
-        states, blocks = qcore._states, []
+        # and on the (n, d, d) images of a degenerate A, whose eigh decides the floor once _unit_traces passes them.
+        blocks = []
 
-        def shifted(stack, solver="eigvalsh"):
-            if len(stack) > 1:
-                blocks.append(stack.shape)
-                if len(blocks) % 2 == 0:  # a block's dephased images are checked after its samples
-                    shift = np.array([1.0, -1.0] + [0.0] * (stack.shape[1] - 2))
-                    stack = stack + (shift if stack.ndim == 2 else np.diag(shift))
-            return states(stack, solver)
+        def shifted(check):
+            def run(stack, **solver):
+                if len(stack) > 1:
+                    blocks.append(stack.shape)
+                    if len(blocks) % 2 == 0:  # a block's dephased images are checked after its samples
+                        shift = np.array([1.0, -1.0] + [0.0] * (stack.shape[1] - 2))
+                        stack = stack + (shift if stack.ndim == 2 else np.diag(shift))
+                return check(stack, **solver)
+            return run
 
-        monkeypatch.setattr(realism, "_states", shifted)
+        for name in ("_states", "_unit_traces"):
+            monkeypatch.setattr(realism, name, shifted(getattr(qcore, name)))
         for obs, images in ((Observable(SIGMA_X), (2, 2)), (Observable(np.diag([1.0, 1.0, -1.0])), (2, 3, 3))):
             blocks.clear()
             with pytest.raises(ValueError, match="positive semidefinite"):

@@ -411,10 +411,11 @@ class TestIrrealityKernel:
         assert qcore._bloch_norms(vectors).tolist() == expected
 
     def test_columns_match_the_scalar_formula(self):
-        # Bitwise, so the kernel must round like math.log on each float
-        # (np.log differs from it in the last ulp on some inputs).
+        # Bitwise, so every entry must round like numpy's log of that float alone, wherever it sits in a column
+        # (numpy's log differs from math.log in the last ulp on some inputs; the kernel follows numpy's).
         def entropy(u):
-            return 0.0 if u in (0.0, 1.0) else -u * math.log(u) - (1.0 - u) * math.log(1.0 - u)
+            u = np.float64(u)
+            return 0.0 if u in (0.0, 1.0) else float(-u * np.log(u) - (1.0 - u) * np.log(1.0 - u))
 
         rng = np.random.default_rng(90)
         vectors = rng.uniform(-1.0, 1.0, (20_000, 3)) * rng.uniform(0.0, 1.0, (20_000, 1)) / math.sqrt(3.0)
@@ -423,8 +424,40 @@ class TestIrrealityKernel:
             base = entropy((1.0 + float(np.linalg.norm(vectors[j]))) / 2.0)
             assert irr_spin[j] == entropy((1.0 + abs(vec[0])) / 2.0) - base
             assert irr_torque[j] == entropy((1.0 + abs(vec[1])) / 2.0) - base
-        pair = torque_irreality_pair(vectors[0])
-        assert (pair.irr_spin, pair.irr_torque) == (irr_spin[0], irr_torque[0])
+        for j in (0, 1, 7, 19_999):  # the one-row path
+            pair = torque_irreality_pair(vectors[j])
+            assert (pair.irr_spin, pair.irr_torque) == (irr_spin[j], irr_torque[j])
+
+    def test_binary_entropy_is_the_same_float_in_any_layout(self):
+        # Strided, offset, non-contiguous and 0-d calls give each float the entry the contiguous column gives it.
+        u = np.random.default_rng(91).uniform(0.0, 1.0, 30_001)
+        whole = qcore.binary_entropy(u)
+        assert qcore.binary_entropy(u[1::3]).tolist() == whole[1::3].tolist()
+        assert qcore.binary_entropy(u[5:10_005]).tolist() == whole[5:10_005].tolist()
+        assert qcore.binary_entropy(u[:30_000].reshape(100, 300).T).tolist() == whole[:30_000].reshape(100, 300).T.tolist()
+        assert [qcore.binary_entropy(value) for value in u[:3_000].tolist()] == whole[:3_000].tolist()
+        assert [qcore.binary_entropy(np.float64(value)) for value in u[-3_000:]] == whole[-3_000:].tolist()
+
+    def test_binary_entropy_is_within_4_ulp_of_the_math_oracle(self):
+        # The column kernel against a pure-math oracle on 1e5 draws, both tails included; the measured worst is 2 ulp.
+        rng = np.random.default_rng(92)
+        tails = 10.0 ** -rng.uniform(1.0, 300.0, 20_000)
+        u = np.concatenate([rng.uniform(0.0, 1.0, 60_000), tails, 1.0 - tails])
+        h = qcore.binary_entropy(u)
+        expected = np.array([oracles.binary_entropy(value) for value in u.tolist()])
+        assert np.all(np.abs(h - expected) <= 4 * np.spacing(expected))
+        assert np.count_nonzero(h) == np.count_nonzero(expected) == len(u) - np.count_nonzero(u == 1.0)
+
+    @pytest.mark.parametrize("func", ["sin", "cos"])
+    def test_numpy_trig_is_math_trig_on_the_scan_angles(self, func):
+        # The scan, lambda and precession columns take numpy's sin and cos; their tables stay byte-identical because
+        # this build's numpy rounds both exactly as math does over the angles they use.
+        rng = np.random.default_rng(93)
+        theta, phi = row_angles(94, np.repeat(np.arange(4), 25_000), np.tile(np.arange(25_000), 4))
+        lambda_theta = np.arange(1, 181) * math.pi / 180  # cli's lambda grid, and the curve grid and its theta below
+        angles = np.concatenate([theta, phi, lambda_theta, lambda_theta / 2.0, 2.0 * math.pi * np.arange(360) / 360,
+                                 [math.pi / 2.0], rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 100_000)])
+        assert getattr(np, func)(angles).tolist() == [getattr(math, func)(angle) for angle in angles.tolist()]
 
     def test_scan_rows_match_the_scalar_pair(self):
         for table in figure1_scan([0.2, 0.8, 1.0], 300, seed=6):

@@ -148,3 +148,14 @@ def test_no_source_line_is_packed():
             depth += (token.string in "([{") - (token.string in ")]}") if token.type == tokenize.OP else 0
             statement.append(token)
     assert packed == []
+
+
+def test_each_maps_only_the_functions_numpy_cannot_match():
+    # qcore._each calls a Python function once per float. Only math.exp and gaussian._squared, pinned bitwise to one-row
+    # draws, go through it; sin, cos and log are numpy ufuncs on whole columns, so a per-float math.sin, say, fails here.
+    allowed = {"math.exp", "_squared", "gaussian._squared"}
+    calls = [f"{path.name}:{node.lineno}: {ast.unparse(node.args[0])}"
+             for path in sorted((ROOT / "src" / "twotime").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_each"]
+    assert calls and [call for call in calls if call.split(": ")[-1] not in allowed] == []
