@@ -230,11 +230,11 @@ def _report_eigenprep(args):
 def _report_displacement(args):
     # Row i takes the i-th eight uniforms, as the per-row uniform(low, high) = low + (high - low) * random() calls did.
     u = np.random.default_rng(args.seed).random((1000, 8)).T
-    dx = qcore._each(math.exp, -1.0 + 2.0 * u[0])
-    dp = (0.5 / dx) * qcore._each(math.exp, 1.5 * u[1])
-    c_max = np.sqrt(qcore._each(gaussian._squared, dx) * qcore._each(gaussian._squared, dp) - 0.25)
+    dx = np.exp(-1.0 + 2.0 * u[0])
+    dp = (0.5 / dx) * np.exp(1.5 * u[1])
+    c_max = np.sqrt(np.square(dx) * np.square(dp) - 0.25)
     xp_corr = (-1.0 + 2.0 * u[2]) * 0.999 * c_max
-    mass, t1 = qcore._each(math.exp, -1.0 + 2.0 * u[5]), 2.0 * u[6]
+    mass, t1 = np.exp(-1.0 + 2.0 * u[5]), 2.0 * u[6]
     t2 = t1 + (0.01 + (3.0 - 0.01) * u[7])
     gaussian._preps(-2.0 + 4.0 * u[3], -2.0 + 4.0 * u[4], dx, dp, xp_corr)
     gaussian._masses(mass)

@@ -16,12 +16,11 @@ once. The displacement alone can be: d(delta_12) = dp * (t2 - t1) / m goes to
 zero for a near-momentum-eigenstate while the position spreads blow up.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import UNCERTAINTY_TOL, _each, _finite, _require
+from .qcore import UNCERTAINTY_TOL, _finite, _require
 
 
 def _columns(**values):
@@ -30,14 +29,6 @@ def _columns(**values):
         if np.ndim(value) != 0 or isinstance(value, (str, bytes, bool, np.bool_)):  # numpy would convert these
             raise ValueError(f"{name} must be a real number, got {value}")
     return tuple(np.array([value], dtype=float) for value in values.values())
-
-
-def _squared(x: float) -> float:
-    # x**2 as ** rounds it (not always as x * x does), but inf where ** would raise OverflowError.
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,7 @@ class GaussianPrep:
 def _preps(x0, p0, dx, dp, xp_corr) -> None:
     _finite(x0=x0, p0=p0, dx=dx, dp=dp, xp_corr=xp_corr)
     _require((dx > 0.0) & (dp > 0.0), "spreads must be positive, got dx={dx!r}, dp={dp!r}", dx=dx, dp=dp)
-    det = _each(_squared, dx) * _each(_squared, dp) - _each(_squared, xp_corr)
+    det = np.square(dx) * np.square(dp) - np.square(xp_corr)
     _finite(covariance_determinant=det)
     _require(det >= 0.25 - UNCERTAINTY_TOL, "covariance determinant {det:.15g} violates the uncertainty floor 1/4", det=det)
 
@@ -124,7 +115,7 @@ def _uncertainties(dx, dp, xp_corr, mass, t1, t2):
     spreads = []
     for t in (t1, t2):
         _require(t >= 0.0, "time must be non-negative, got {t!r}", t=t)
-        variance = _each(_squared, dx) + _each(_squared, dp * t / mass) + 2.0 * xp_corr * t / mass
+        variance = np.square(dx) + np.square(dp * t / mass) + 2.0 * xp_corr * t / mass
         _finite(position_variance=variance)
         _require(variance >= 0.0, "position variance {variance:.15g} is negative: inconsistent covariance", variance=variance)
         spreads.append(np.sqrt(variance))

@@ -399,12 +399,6 @@ def binary_entropy(u):
     return float(h[0]) if values.ndim == 0 else h.reshape(values.shape)
 
 
-def _each(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` of every entry as a Python float: for math.exp, which numpy's exp can miss by an ulp, and
-    gaussian._squared, both pinned bitwise to one-row draws; sin, cos and log are numpy's on whole columns."""
-    return np.fromiter(map(fn, values.tolist()), float, len(values))
-
-
 def bloch_to_state(r) -> DensityMatrix:
     """Qubit state (1 + r . sigma) / 2 from a Bloch vector (or 3-sequence)."""
     vec = r if isinstance(r, BlochVector) else BlochVector(r)

@@ -117,6 +117,19 @@ def binary_entropy(u):
     return 0.0 if u in (0.0, 1.0) else -u * math.log(u) - (1.0 - u) * math.log(1.0 - u)
 
 
+def exp(x):
+    """e**x of one float through math.exp alone."""
+    return math.exp(x)
+
+
+def square(x):
+    """x**2 of one float as Python's pow rounds it, inf where pow raises OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def random_state_matrix(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T

@@ -375,18 +375,18 @@ class TestStackedEigenprep:
 def per_row_displacements(rng, n):
     # Each preparation drawn and scored on its own through the public API, as report displacement did: its columns
     # (p0, dx, dp, xp_corr, mass, t1, t2) and (product, weighted) slacks, both slacks checked against the closed forms
-    # in Python floats (x**2, math.sqrt).
+    # in Python floats rounded as numpy rounds them: np.exp of each draw, x * x for np.square, and math.sqrt.
     rows = []
     for _ in range(n):
-        dx = math.exp(rng.uniform(-1.0, 1.0))
-        dp = (0.5 / dx) * math.exp(rng.uniform(0.0, 1.5))
-        corr = rng.uniform(-1.0, 1.0) * 0.999 * math.sqrt(dx**2 * dp**2 - 0.25)
+        dx = float(np.exp(rng.uniform(-1.0, 1.0)))
+        dp = (0.5 / dx) * float(np.exp(rng.uniform(0.0, 1.5)))
+        corr = rng.uniform(-1.0, 1.0) * 0.999 * math.sqrt(dx * dx * (dp * dp) - 0.25)
         prep = GaussianPrep(x0=rng.uniform(-2.0, 2.0), p0=rng.uniform(-2.0, 2.0), dx=dx, dp=dp, xp_corr=corr)
-        m = math.exp(rng.uniform(-1.0, 1.0))
+        m = float(np.exp(rng.uniform(-1.0, 1.0)))
         t1 = rng.uniform(0.0, 2.0)
         t2 = t1 + rng.uniform(0.01, 3.0)
         report = uncertainty_report(prep, FreeParticle(m), t1, t2)
-        dx1, dx2 = (math.sqrt(dx**2 + (dp * t / m) ** 2 + 2.0 * corr * t / m) for t in (t1, t2))
+        dx1, dx2 = (math.sqrt(dx * dx + (dp * t / m) * (dp * t / m) + 2.0 * corr * t / m) for t in (t1, t2))
         dt = t2 - t1
         closed = (dx1 * dx2 - dt / (2.0 * m), dp * dt / m * (dx1 + dx2) - dt / m)
         assert (report.product_slack, report.weighted_slack) == closed

@@ -1,9 +1,12 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
+import oracles
+from twotime import cli
 from twotime.gaussian import (
     FreeParticle,
     GaussianPrep,
@@ -215,8 +218,13 @@ def test_rejects_a_field_or_time_that_is_not_one_number(build, name, value):
         (lambda: GaussianPrep(0.0, 0.0, dx=1e200, dp=1.0), "covariance_determinant"),
         (lambda: uncertainty_report(_G, _FP, 0.0, 1e200), "position_variance"),
         (lambda: displacement_stats(_G, FreeParticle(1e-300), 0.0, 1e300), "displacement_spread"),
+        # A square past the float range is inf, so each is rejected by name: 1 - inf = -inf, inf * 0 = nan, dp t / m = inf.
+        (lambda: GaussianPrep(0.0, 0.0, dx=1.0, dp=1.0, xp_corr=1e200), "covariance_determinant"),
+        (lambda: GaussianPrep(0.0, 0.0, dx=1e200, dp=1e-200), "covariance_determinant"),
+        (lambda: uncertainty_report(_G, FreeParticle(1e-300), 0.0, 1e10), "position_variance"),
     ],
-    ids=["prep-determinant", "spread-variance", "stats-spread"],
+    ids=["prep-determinant", "spread-variance", "stats-spread", "prep-corr-determinant", "prep-inf-times-zero",
+         "spread-dp-t-over-m"],
 )
 def test_rejects_finite_input_whose_result_overflows(build, quantity):
     with pytest.raises(ValueError, match=f"{quantity} must be finite"):
@@ -229,3 +237,30 @@ def test_messages_quote_python_floats():
         GaussianPrep(0.0, 0.0, dx=np.float64(-1.0), dp=1.0)
     with pytest.raises(ValueError, match=r"^t1 must be finite, got nan$"):
         uncertainty_report(_G, _FP, np.float64(math.nan), 1.0)
+
+
+class TestNumpyRoundingAgainstMath:
+    # The gaussian kernels and report displacement take numpy's exp and square of whole columns; each is within 4 ulp
+    # of the pure-math oracle (the measured worst is 1 ulp), and both overflow to inf where math and ** raise.
+    def test_numpy_exp_is_within_4_ulp_of_math_exp(self, monkeypatch):
+        arguments, exp = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda x: arguments.append(x) or exp(x))
+        for seed in (cli.DEFAULT_SEED, 1, 777):
+            assert cli.main(["--seed", str(seed), "report", "displacement"]) == 0
+        assert len(arguments) == 9  # dx, dp's factor and the mass, at each seed
+        x = np.concatenate([*arguments, np.random.default_rng(95).uniform(-1.0, 1.5, 100_000)])
+        expected = np.array([oracles.exp(value) for value in x.tolist()])
+        assert np.all(np.abs(exp(x) - expected) <= 4 * np.spacing(expected))
+
+    def test_numpy_square_is_within_4_ulp_of_pow(self):
+        # 1e5 floats across 1e-160..1e160 and the floats around the root of the float max, past which both are inf.
+        rng = np.random.default_rng(96)
+        root = math.sqrt(sys.float_info.max)
+        edge = [root, -root, np.nextafter(root, math.inf), -np.nextafter(root, math.inf), sys.float_info.max]
+        x = np.concatenate([10.0 ** rng.uniform(-160.0, 160.0, 100_000) * rng.choice([-1.0, 1.0], 100_000), edge])
+        expected = np.array([oracles.square(value) for value in x.tolist()])
+        with np.errstate(over="ignore"):
+            squares = np.square(x)
+        past = np.abs(x) > root
+        assert np.all(np.abs(squares[~past] - expected[~past]) <= 4 * np.spacing(expected[~past]))
+        assert np.count_nonzero(past) > 1_000 and np.all(squares[past] == math.inf) and np.all(expected[past] == math.inf)

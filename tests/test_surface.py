@@ -150,12 +150,13 @@ def test_no_source_line_is_packed():
     assert packed == []
 
 
-def test_each_maps_only_the_functions_numpy_cannot_match():
-    # qcore._each calls a Python function once per float. Only math.exp and gaussian._squared, pinned bitwise to one-row
-    # draws, go through it; sin, cos and log are numpy ufuncs on whole columns, so a per-float math.sin, say, fails here.
-    allowed = {"math.exp", "_squared", "gaussian._squared"}
-    calls = [f"{path.name}:{node.lineno}: {ast.unparse(node.args[0])}"
+def test_no_column_is_mapped_one_python_float_at_a_time():
+    # Columns go through numpy ufuncs whole: no np.fromiter, np.vectorize or np.frompyfunc, and no map over a .tolist(),
+    # so a per-float math.exp, say, cannot come back into src/.
+    per_float = {"fromiter", "vectorize", "frompyfunc"}
+    calls = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
              for path in sorted((ROOT / "src" / "twotime").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_each"]
-    assert calls and [call for call in calls if call.split(": ")[-1] not in allowed] == []
+             if isinstance(node, ast.Call) and (ast.unparse(node.func).split(".")[-1] in per_float or (
+                 ast.unparse(node.func) == "map" and any(".tolist(" in ast.unparse(arg) for arg in node.args[1:])))]
+    assert calls == []
