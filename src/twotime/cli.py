@@ -53,7 +53,7 @@ def _cells(column) -> np.ndarray:
     """(n, w) uint8 rows: strings as they are, numbers x as "%.12g" % x, ASCII with NUL bytes that the writer drops.
     scaled = |x| * 10**(11 - floor(log10 |x|)) is two roundings from exact, so rint(scaled) is %.12g's digits if it
     lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN from a tie; Python formats the rest (0, inf, nan, ties, carries)."""
-    if isinstance(column[0], str):
+    if column.dtype != float:  # a column of strings
         return np.asarray(column, "S").view(np.uint8).reshape(len(column), -1)
     fast = np.isfinite(column) & (column != 0)
     a = np.abs(np.where(fast, column, 1.0))
@@ -287,9 +287,10 @@ def _parse_r_list(text: str):
         raise argparse.ArgumentTypeError(f"invalid radius list {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("radius list is empty")
-    for r in values:
-        if not 0.0 <= r <= 1.0:
-            raise argparse.ArgumentTypeError(f"radius {r!r} outside [0, 1]")
+    try:
+        spinlab._radii(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return values
 
 

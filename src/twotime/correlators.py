@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily, _unitaries
-from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, DensityMatrix, _eighs
-from .qcore import Observable, _as_square_complex, _readonly, _require, _same_dim, _scales, _spectra, _states, _symmetrized
+from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, DensityMatrix, Observable
+from .qcore import _as_square_complex, _eighs, _numbers, _readonly, _require, _same_dim, _scales, _spectra, _states, _symmetrized
 from .realism import _dephased_in_frame
 
 _KINDS = ("product", "sum")
@@ -53,6 +53,8 @@ class TwoTimeOperator:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         _same_dim(A=self.A.dim, B=self.B.dim, channel=self.channel.dim)
+        for name in ("t1", "t2"):  # realizing the operator checks that its times are finite, as unitary_at does
+            _numbers(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,7 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
     1e-12 contribute zero rows and are skipped.
     """
     _same_dim(A=A.dim, B=B.dim, channel=channel.dim, state=rho0.dim)
-    if not t2 > t1:
-        raise ValueError(f"the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}")
+    _require(_numbers(t1, "t1") < _numbers(t2, "t2"), "the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     u1, u21 = (channel.unitary_at(t)[None] for t in (t1, t2 - t1))
     joint = _tpm_joints(A._frame, B._frame, u1, u21, rho0.matrix[None])
     return A.eigenvalues, B.eigenvalues, joint[0][np.ix_(A._frame[2][0], B._frame[2][0])]
@@ -176,7 +177,8 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
     enough. When they commute and alpha is rank one, it equals alpha itself.
     """
     alpha = _symmetrized(_as_square_complex(projector)[None], "projector", OPERATOR_HERMITICITY_TOL)[0]
-    defect = np.max(np.abs(alpha @ alpha - alpha))
+    with np.errstate(over="ignore", invalid="ignore"):  # P^2 of entries past sqrt(float max) is inf or nan: rejected
+        defect = np.max(np.abs(alpha @ alpha - alpha))
     _require(defect <= MEASUREMENT_TOL, "projector is not idempotent: max |P^2 - P| = {defect:.3e}", defect=defect)
     _same_dim(projector=alpha.shape[0], state=rho0.dim, channel=channel.dim)
     lam, eigs = _lambdas(alpha, channel.propagate_state(rho0.matrix, t1)[None])

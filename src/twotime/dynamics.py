@@ -8,7 +8,7 @@ picture, A -> U_t^dag A U_t, which a non-unitary map does not have.
 
 import numpy as np
 
-from .qcore import _as_square_complex, _eighs, _readonly, _require, _same_dim
+from .qcore import _as_square_complex, _eighs, _numbers, _readonly, _require, _same_dim
 
 
 class ChannelFamily:
@@ -35,14 +35,15 @@ class ChannelFamily:
         return self._hamiltonian.shape[0]
 
     def unitary_at(self, t: float) -> np.ndarray:
-        return _unitaries(self._energies[None], self._modes[None], np.array([t], dtype=float))[0]
+        return _unitaries(self._energies[None], self._modes[None], np.array([_numbers(t, "time")]))[0]
 
     def propagate_state(self, matrix: np.ndarray, t: float) -> np.ndarray:
         """Schrodinger direction: U_t M U_t^dag of a finite square matrix M of the channel's dimension."""
         m = _as_square_complex(matrix)
         _same_dim(matrix=m.shape[0], channel=self.dim)
         u = self.unitary_at(t)
-        return u @ m @ u.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near the float max can overflow: checked as a matrix
+            return _as_square_complex(u @ m @ u.conj().T)
 
 
 def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np.ndarray:

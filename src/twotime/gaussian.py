@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import UNCERTAINTY_TOL, _finite, _require
-
-
-def _columns(**values):
-    # One-row columns: every check and formula here is the one-row view of a column kernel. A field is one number.
-    for name, value in values.items():
-        if np.ndim(value) != 0 or isinstance(value, (str, bytes, bool, np.bool_)):  # numpy would convert these
-            raise ValueError(f"{name} must be a real number, got {value}")
-    return tuple(np.array([value], dtype=float) for value in values.values())
+from .qcore import UNCERTAINTY_TOL, _finite, _numbers, _require
 
 
 @dataclass(frozen=True)
@@ -46,7 +38,7 @@ class GaussianPrep:
     xp_corr: float = 0.0
 
     def __post_init__(self):
-        _preps(*_columns(x0=self.x0, p0=self.p0, dx=self.dx, dp=self.dp, xp_corr=self.xp_corr))
+        _preps(*(_numbers(getattr(self, name), name) for name in ("x0", "p0", "dx", "dp", "xp_corr")))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow to inf and inf - inf to nan pass silently, as with floats
@@ -63,7 +55,7 @@ class FreeParticle:
     mass: float
 
     def __post_init__(self):
-        _masses(*_columns(mass=self.mass))
+        _masses(_numbers(self.mass, "mass"))
 
 
 def _masses(mass) -> None:
@@ -93,23 +85,23 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
     mean = p0 (t2 - t1) / m, spread = dp (t2 - t1) / m. The dp -> 0 limit
     makes the displacement definite for any bounded interval.
     """
-    p0, dp, mass, t1, t2 = _columns(p0=g.p0, dp=g.dp, mass=fp.mass, t1=t1, t2=t2)
+    p0, dp, mass, t1, t2 = map(_numbers, (g.p0, g.dp, fp.mass, t1, t2), ("p0", "dp", "mass", "t1", "t2"))
     _finite(t1=t1, t2=t2)
     _require(t2 >= t1, "interval must be ordered, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     mean, spread = p0 * (t2 - t1) / mass, dp * (t2 - t1) / mass  # inf on overflow, rejected here
     _finite(displacement_mean=mean, displacement_spread=spread)
-    return float(mean[0]), float(spread[0])
+    return float(mean), float(spread)
 
 
 def uncertainty_report(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float) -> UncertaintyReport:
     """Evaluate both displacement/position trade-offs for one preparation."""
-    columns = _columns(dx=g.dx, dp=g.dp, xp_corr=g.xp_corr, mass=fp.mass, t1=t1, t2=t2)
-    return UncertaintyReport(*(float(c[0]) for c in _uncertainties(*columns)))
+    values = map(_numbers, (g.dx, g.dp, g.xp_corr, fp.mass, t1, t2), ("dx", "dp", "xp_corr", "mass", "t1", "t2"))
+    return UncertaintyReport(*map(float, _uncertainties(*values)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _uncertainties(dx, dp, xp_corr, mass, t1, t2):
-    # The UncertaintyReport fields, in order, as columns, for columns of checked preparations and masses.
+    # The UncertaintyReport fields, in order, for checked preparations and masses: as columns, or as floats for floats.
     _finite(t1=t1, t2=t2)
     _require(t2 > t1, "interval must satisfy t2 > t1, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     spreads = []

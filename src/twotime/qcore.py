@@ -52,8 +52,8 @@ SIGMA = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def _as_square_complex(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+    m = _numbers(matrix, "matrix", 2, complex)
+    if m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():  # checked before any arithmetic, which would warn on inf - inf
         raise ValueError(f"expected finite matrix entries, got {m[~np.isfinite(m)][0]}")
@@ -70,6 +70,16 @@ def _require(ok, message: str, error=ValueError, **columns) -> None:
 def _finite(**columns) -> None:
     for name, column in columns.items():
         _require(np.isfinite(column), name + " must be finite, got {value!r}", value=column)
+
+
+def _numbers(value, name: str, ndim=0, dtype=float):
+    """The one ingress rule: value as a Python float (ndim 0) or a new ndim-D array of dtype, its entries int, uint or
+    float (or complex, for dtype=complex); a bool, str, bytes, None, an object or another rank raises a ValueError naming it."""
+    array = np.asarray(value)
+    if array.dtype.kind not in ("iufc" if dtype is complex else "iuf") or array.ndim != ndim:
+        raise ValueError(f"{name} must be a real number, got {value}" if ndim == 0 else f"{name} must be a {ndim}-D array "
+                         f"of {'numbers' if dtype is complex else 'real numbers'}, got {array.dtype} of shape {array.shape}")
+    return float(array) if ndim == 0 else array.astype(dtype)
 
 
 def _count(value, name: str, low=0) -> int:
@@ -160,17 +170,14 @@ class DensityMatrix:
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
         """Pure state |psi><psi| from a (not necessarily normalized) finite state vector."""
-        v = np.array(ket, dtype=complex)  # a contiguous copy, so its float view below is valid
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-D ket, got shape {v.shape}")
+        v = _numbers(ket, "ket", 1, complex)  # a new contiguous array, so its float view below is valid
         if not np.isfinite(v).all():  # checked before any arithmetic, which would warn on inf
             raise ValueError(f"expected finite ket entries, got {v[~np.isfinite(v)][0]}")
         with np.errstate(over="ignore"):  # an overflowed norm is inf, which is rescaled below
             norm = np.linalg.norm(v)
         if not 0.0 < norm < math.inf:  # the squares left the float range: divide by the largest |v_i| first
             largest = np.abs(v).max(initial=0.0)
-            if largest == 0.0:
-                raise ValueError("cannot build a state from the zero vector")
+            _require(largest != 0.0, "cannot build a state from the zero vector")
             v = (v.view(float) / largest).view(complex)  # as reals: 1 / largest overflows for a subnormal largest
             norm = np.linalg.norm(v)
         v = v / norm
@@ -280,15 +287,15 @@ class BlochVector:
     """Real 3-vector r with ||r|| <= 1 parameterizing a qubit state."""
 
     def __init__(self, components):
-        vec = np.asarray(components, dtype=float)
+        vec = _numbers(components, "Bloch vector", 1)
         if vec.shape != (3,):
             raise ValueError(f"Bloch vector must have 3 real components, got shape {vec.shape}")
         self._norm = float(_bloch_norms(vec[None])[0])
-        self._vec = _readonly(vec.copy())
+        self._vec = _readonly(vec)
 
     @classmethod
     def from_angles(cls, r: float, theta: float, phi: float) -> "BlochVector":
-        _finite(r=r, theta=theta, phi=phi)  # before numpy's sin and cos, which warn on inf
+        _finite(r=_numbers(r, "r"), theta=_numbers(theta, "theta"), phi=_numbers(phi, "phi"))  # np.sin and np.cos warn on inf
         st = np.sin(theta)
         return cls((r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)))
 
@@ -325,8 +332,8 @@ def _rows(d: int) -> int:
     return max(1, STACK_BYTES // (16 * d * d))
 
 
-def _blocks(n: int, d: int) -> list:
-    return [slice(start, start + _rows(d)) for start in range(0, n, _rows(d))]  # range(n) in slices of _rows(d)
+def _blocks(n: int, d: int):
+    return (slice(start, start + _rows(d)) for start in range(0, n, _rows(d)))  # range(n) in slices of _rows(d), lazily
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -388,7 +395,7 @@ def binary_entropy(u):
     further out, or NaN, is rejected. Every entry rounds as the formula does
     on that float alone, with numpy's log (not always math.log's last ulp).
     """
-    values = np.asarray(u, dtype=float)
+    values = _numbers(u, "binary entropy argument", np.ndim(u))
     inside = (values >= -PROBABILITY_TOL) & (values <= 1.0 + PROBABILITY_TOL)
     _require(inside, "binary entropy argument {u!r} outside [0, 1]", u=values)
     p = np.clip(values, 0.0, 1.0).reshape(-1)
@@ -396,7 +403,7 @@ def binary_entropy(u):
     q = p[inner]
     h = np.zeros_like(p)
     h[inner] = -q * np.log(q) - (1.0 - q) * np.log(1.0 - q)
-    return float(h[0]) if values.ndim == 0 else h.reshape(values.shape)
+    return float(h[0]) if np.ndim(values) == 0 else h.reshape(values.shape)
 
 
 def bloch_to_state(r) -> DensityMatrix:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import ChannelFamily
 from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _finite, _norms, _readonly
-from .qcore import _count, _require, binary_entropy
+from .qcore import _count, _numbers, _require, binary_entropy
 
 CURVE_POINTS = 360  # evenly spaced phi values of each radius' equatorial boundary curve
 SCAN_BLOCK = 8192  # scatter rows drawn and scored per step: bounds the scan's temporaries, not its output
@@ -41,7 +41,7 @@ class PrecessionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "h_hat", _unit_vector(self.h_hat))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", _numbers(self.tau, "tau"))
         _finite(tau=self.tau)
 
 
@@ -57,11 +57,11 @@ class TorquePair:
 
 
 def _unit_vector(vector) -> np.ndarray:
-    v = np.asarray(vector, dtype=float)
+    v = _numbers(vector, "unit vector", 1)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     _unit_vectors(v[None])
-    return _readonly(v.copy())
+    return _readonly(v)
 
 
 def _unit_vectors(vectors: np.ndarray) -> None:
@@ -100,7 +100,7 @@ def instantaneous_torque(h_hat, tau: float):
 
     Orthogonal to the field as an operator identity: h . T = 0.
     """
-    return tuple(_precession(_unit_vector(h_hat)[None], np.array([tau], dtype=float))[1][0])
+    return tuple(_precession(_unit_vector(h_hat)[None], np.array([_numbers(tau, "tau")]))[1][0])
 
 
 def precession_channel(h_hat) -> ChannelFamily:
@@ -140,9 +140,14 @@ def _irrealities(vectors: np.ndarray):
 
 def bound_rhs(r: float) -> float:
     """Purity-dependent lower bound ln 2 - H_bin((1 + r) / 2) on the irreality sum."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"radius {r!r} outside [0, 1]")
-    return LN2 - binary_entropy((1.0 + r) / 2.0)
+    return LN2 - binary_entropy((1.0 + _radii(r, 0)) / 2.0)
+
+
+def _radii(r, ndim=1):
+    """The radius rule: r as a float (ndim 0) or an (n,) float column, each radius a real number in [0, 1]."""
+    r = _numbers(r, "radius", ndim)
+    _require((r >= 0.0) & (r <= 1.0), "radius {r!r} outside [0, 1]", r=r)
+    return r
 
 
 def bloch_lambda_nu(r_hat1):
@@ -235,14 +240,9 @@ def row_angles(seed, band, index):
     integers (integer-valued floats pass) in [0, 2**32), in 1-D columns once broadcast.
     """
     band, index = np.broadcast_arrays(band, index)
-    if band.ndim != 1:
-        raise ValueError(f"band and sample keys must be 1-D, got shape {band.shape}")
     for name, keys in (("band", band), ("sample", index)):  # not truncated: 1.9 would take row 1's stream
-        if keys.dtype == bool and keys.size:  # nor is a bool a count (qcore._count): True would take band 1's
-            raise ValueError(f"{name} key {keys[0]} is not an integer")
-        _require(keys == np.round(keys), name + " key {key!r} is not an integer", key=keys)
-    if np.any((band < 0) | (band > _MASK32) | (index < 0) | (index > _MASK32)):
-        raise ValueError("band and sample indices must lie in [0, 2**32)")
+        _require(_numbers(keys, "band and sample keys", 1) == np.round(keys), name + " key {key!r} is not an integer", key=keys)
+    _require(~((band < 0) | (band > _MASK32) | (index < 0) | (index > _MASK32)), "band and sample indices must lie in [0, 2**32)")
     seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(seed, band.astype(np.uint32), index.astype(np.uint32))
     inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
     lo = inc_lo + seed_lo
@@ -276,16 +276,13 @@ def figure1_scan(r_values, n: int, seed):
     ``CURVE_POINTS`` evenly spaced phi values. The scatter is drawn and scored
     ``SCAN_BLOCK`` rows at a time; no row depends on the split.
     """
-    n, r_values = _count(n, "n"), [float(r) for r in r_values]
-    for r in r_values:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"radius {r!r} outside [0, 1]")
+    n, r_values = _count(n, "n"), _radii(r_values)
     bands, rows = len(r_values), len(r_values) * n
     # Filled in place: joining the blocks at the end would hold every block and the whole table at once.
     scatter = {key: np.empty(rows) for key in ("r", "theta", "phi", "irr_spin", "irr_torque")}
     for start in range(0, rows, SCAN_BLOCK):
         band, index = np.divmod(np.arange(start, min(start + SCAN_BLOCK, rows)), n)  # row k: sample k % n of band k // n
-        for key, column in _scan_table(np.array(r_values)[band], *row_angles(seed, band, index)).items():
+        for key, column in _scan_table(r_values[band], *row_angles(seed, band, index)).items():
             scatter[key][start:start + SCAN_BLOCK] = column
     curve_phi = 2.0 * math.pi * np.arange(CURVE_POINTS) / CURVE_POINTS
     return (

@@ -163,7 +163,7 @@ def test_rejects_empty_matrix(build):
 @pytest.mark.parametrize(
     "matrix, message",
     [(np.array([[math.nan, 0.0], [0.0, 1.0]]), r"expected finite matrix entries, got \(nan\+0j\)"),
-     (np.ones(2), r"expected a non-empty square matrix, got shape \(2,\)"),
+     (np.ones(2), r"matrix must be a 2-D array of numbers, got float64 of shape \(2,\)"),
      (np.ones((2, 3)), r"expected a non-empty square matrix, got shape \(2, 3\)"),
      (np.eye(3), "dimension mismatch: matrix dim 3, channel dim 2")],
     ids=["nan", "vector", "2x3", "3-on-2"],

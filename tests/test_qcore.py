@@ -69,7 +69,7 @@ class TestDensityMatrix:
             DensityMatrix.from_ket([math.inf, 0.0])
 
     def test_from_ket_rejects_a_matrix(self):
-        with pytest.raises(ValueError, match=r"^expected a 1-D ket, got shape \(2, 2\)$"):
+        with pytest.raises(ValueError, match=r"^ket must be a 1-D array of numbers, got int64 of shape \(2, 2\)$"):
             DensityMatrix.from_ket([[1, 0], [0, 1]])
 
     def test_invariants_on_random_states(self):
@@ -371,6 +371,12 @@ def test_a_block_holds_the_matrices_that_fit_the_byte_budget(dim, rows):
     assert qcore._rows(dim) == rows
     blocks = qcore._blocks(2 * rows + 1, dim)
     assert [(block.start, block.stop) for block in blocks] == [(0, rows), (rows, 2 * rows), (2 * rows, 3 * rows)]
+
+
+def test_blocks_are_yielded_one_at_a_time():
+    # Counts are not capped, so no list of slices is built first: tpm-gap --trials 10**20 would list about 3.9e17.
+    blocks = qcore._blocks(10**6, 3)
+    assert iter(blocks) is blocks and next(blocks) == slice(0, 256)
 
 
 class TestEntropies:

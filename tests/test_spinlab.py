@@ -385,7 +385,9 @@ class TestRowAngles:
             row_angles(seed, [band, band], [index, index])
         for name, key in (("band", band), ("sample", index)):
             # A fractional key is named, not truncated to the stream of another row; nor is a bool read as 0 or 1.
-            if key % 1 or isinstance(key, bool):
+            if isinstance(key, bool):
+                assert str(error.value) == "band and sample keys must be a 1-D array of real numbers, got bool of shape (2,)"
+            elif key % 1:
                 assert str(error.value) == f"{name} key {key} is not an integer"
 
     def test_rejects_a_seed_that_is_not_an_integer(self):
@@ -398,7 +400,7 @@ class TestRowAngles:
         keys = np.zeros(shape, dtype=int)
         with pytest.raises(ValueError) as error:
             row_angles(7, keys, keys)
-        assert str(error.value) == f"band and sample keys must be 1-D, got shape {shape}"
+        assert str(error.value) == f"band and sample keys must be a 1-D array of real numbers, got int64 of shape {shape}"
 
 
 class TestIrrealityKernel:

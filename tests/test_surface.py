@@ -160,3 +160,24 @@ def test_no_column_is_mapped_one_python_float_at_a_time():
              if isinstance(node, ast.Call) and (ast.unparse(node.func).split(".")[-1] in per_float or (
                  ast.unparse(node.func) == "map" and any(".tolist(" in ast.unparse(arg) for arg in node.args[1:])))]
     assert calls == []
+
+
+def test_no_module_but_qcore_tests_a_parameters_type():
+    # The ingress rule (qcore._numbers and qcore._count) decides once what counts as a number, a count or a numeric array:
+    # no other module tests isinstance(..., bool | np.bool_ | str | bytes | numbers.*), compares a .dtype with bool or
+    # reads a .dtype.kind.
+    banned = {"bool", "np.bool_", "numpy.bool_", "str", "bytes"}
+
+    def type_test(node):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            return any(ast.unparse(kind) in banned or ast.unparse(kind).startswith("numbers.") for kind in kinds)
+        if isinstance(node, ast.Compare):
+            sides = [ast.unparse(side) for side in (node.left, *node.comparators)]
+            return any(side.endswith(".dtype") for side in sides) and any(side in banned - {"str", "bytes"} for side in sides)
+        return isinstance(node, ast.Attribute) and node.attr == "kind" and ast.unparse(node.value).endswith(".dtype")
+
+    tests = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in sorted((ROOT / "src" / "twotime").glob("*.py")) if path.name != "qcore.py"
+             for node in ast.walk(ast.parse(path.read_text())) if type_test(node)]
+    assert tests == []
