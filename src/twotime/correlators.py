@@ -53,7 +53,7 @@ class TwoTimeOperator:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         _same_dim(A=self.A.dim, B=self.B.dim, channel=self.channel.dim)
-        for name in ("t1", "t2"):  # realizing the operator checks that its times are finite, as unitary_at does
+        for name in ("t1", "t2"):  # finite numbers; realizing the operator checks each phase E*t, as unitary_at does
             _numbers(getattr(self, name), name)
 
 

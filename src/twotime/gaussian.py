@@ -43,7 +43,6 @@ class GaussianPrep:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow to inf and inf - inf to nan pass silently, as with floats
 def _preps(x0, p0, dx, dp, xp_corr) -> None:
-    _finite(x0=x0, p0=p0, dx=dx, dp=dp, xp_corr=xp_corr)
     _require((dx > 0.0) & (dp > 0.0), "spreads must be positive, got dx={dx!r}, dp={dp!r}", dx=dx, dp=dp)
     det = np.square(dx) * np.square(dp) - np.square(xp_corr)
     _finite(covariance_determinant=det)
@@ -59,7 +58,6 @@ class FreeParticle:
 
 
 def _masses(mass) -> None:
-    _finite(mass=mass)
     _require(mass > 0.0, "mass must be positive, got {mass!r}", mass=mass)
 
 
@@ -86,7 +84,6 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
     makes the displacement definite for any bounded interval.
     """
     p0, dp, mass, t1, t2 = map(_numbers, (g.p0, g.dp, fp.mass, t1, t2), ("p0", "dp", "mass", "t1", "t2"))
-    _finite(t1=t1, t2=t2)
     _require(t2 >= t1, "interval must be ordered, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     mean, spread = p0 * (t2 - t1) / mass, dp * (t2 - t1) / mass  # inf on overflow, rejected here
     _finite(displacement_mean=mean, displacement_spread=spread)
@@ -101,8 +98,7 @@ def uncertainty_report(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float) 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _uncertainties(dx, dp, xp_corr, mass, t1, t2):
-    # The UncertaintyReport fields, in order, for checked preparations and masses: as columns, or as floats for floats.
-    _finite(t1=t1, t2=t2)
+    # The UncertaintyReport fields, in order, for checked preparations, masses and finite times: as columns, or as floats.
     _require(t2 > t1, "interval must satisfy t2 > t1, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     spreads = []
     for t in (t1, t2):

@@ -55,8 +55,6 @@ def _as_square_complex(matrix) -> np.ndarray:
     m = _numbers(matrix, "matrix", 2, complex)
     if m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():  # checked before any arithmetic, which would warn on inf - inf
-        raise ValueError(f"expected finite matrix entries, got {m[~np.isfinite(m)][0]}")
     return m
 
 
@@ -68,18 +66,23 @@ def _require(ok, message: str, error=ValueError, **columns) -> None:
 
 
 def _finite(**columns) -> None:
+    # For quantities computed from checked inputs; a parameter's finiteness is _numbers' rule (tests/test_surface.py).
     for name, column in columns.items():
         _require(np.isfinite(column), name + " must be finite, got {value!r}", value=column)
 
 
 def _numbers(value, name: str, ndim=0, dtype=float):
-    """The one ingress rule: value as a Python float (ndim 0) or a new ndim-D array of dtype, its entries int, uint or
-    float (or complex, for dtype=complex); a bool, str, bytes, None, an object or another rank raises a ValueError naming it."""
+    """The one ingress rule: value as a Python float (ndim 0) or a new ndim-D array of dtype, its entries finite int, uint
+    or float (or complex, for dtype=complex); a bool, str, bytes, None, an object, another rank, NaN or inf raises a
+    ValueError naming it, before any arithmetic could warn on it."""
     array = np.asarray(value)
     if array.dtype.kind not in ("iufc" if dtype is complex else "iuf") or array.ndim != ndim:
         raise ValueError(f"{name} must be a real number, got {value}" if ndim == 0 else f"{name} must be a {ndim}-D array "
                          f"of {'numbers' if dtype is complex else 'real numbers'}, got {array.dtype} of shape {array.shape}")
-    return float(array) if ndim == 0 else array.astype(dtype)
+    array = array.astype(dtype)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
+    return float(array) if ndim == 0 else array
 
 
 def _count(value, name: str, low=0) -> int:
@@ -128,9 +131,7 @@ def _unit_traces(stack: np.ndarray) -> np.ndarray:
     (n, d) stack holds the diagonals of diagonal matrices, checked with the messages those matrices get."""
     m = _symmetrized(stack, "density matrix", STATE_TOL)
     traces = (m if m.ndim == 2 else np.diagonal(m, axis1=1, axis2=2)).sum(axis=1)  # as np.trace sums a diagonal
-    off = np.flatnonzero(np.abs(traces - 1.0) > STATE_TOL)
-    if off.size:
-        raise ValueError(f"density matrix trace is {traces[off[0]]:.15g}, expected 1")
+    _require(np.abs(traces - 1.0) <= STATE_TOL, "density matrix trace is {t:.15g}, expected 1", t=traces.real)
     return m
 
 
@@ -171,8 +172,6 @@ class DensityMatrix:
     def from_ket(cls, ket) -> "DensityMatrix":
         """Pure state |psi><psi| from a (not necessarily normalized) finite state vector."""
         v = _numbers(ket, "ket", 1, complex)  # a new contiguous array, so its float view below is valid
-        if not np.isfinite(v).all():  # checked before any arithmetic, which would warn on inf
-            raise ValueError(f"expected finite ket entries, got {v[~np.isfinite(v)][0]}")
         with np.errstate(over="ignore"):  # an overflowed norm is inf, which is rescaled below
             norm = np.linalg.norm(v)
         if not 0.0 < norm < math.inf:  # the squares left the float range: divide by the largest |v_i| first
@@ -295,7 +294,7 @@ class BlochVector:
 
     @classmethod
     def from_angles(cls, r: float, theta: float, phi: float) -> "BlochVector":
-        _finite(r=_numbers(r, "r"), theta=_numbers(theta, "theta"), phi=_numbers(phi, "phi"))  # np.sin and np.cos warn on inf
+        r, theta, phi = _numbers(r, "r"), _numbers(theta, "theta"), _numbers(phi, "phi")
         st = np.sin(theta)
         return cls((r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)))
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily
-from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _finite, _norms, _readonly
-from .qcore import _count, _numbers, _require, binary_entropy
+from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _count, _norms, _numbers, _readonly
+from .qcore import _require, binary_entropy
 
 CURVE_POINTS = 360  # evenly spaced phi values of each radius' equatorial boundary curve
 SCAN_BLOCK = 8192  # scatter rows drawn and scored per step: bounds the scan's temporaries, not its output
@@ -42,7 +42,6 @@ class PrecessionConfig:
     def __post_init__(self):
         object.__setattr__(self, "h_hat", _unit_vector(self.h_hat))
         object.__setattr__(self, "tau", _numbers(self.tau, "tau"))
-        _finite(tau=self.tau)
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,7 @@ def _field_algebra(h):
 
 def _precession(h, tau):
     """sigma(tau) and the torque d sigma / d tau as (n, 3, 2, 2) stacks, for (n, 3) unit field directions and (n,)
-    phases, each phase checked finite."""
-    _finite(tau=tau)
+    finite phases."""
     c, s = np.cos(tau)[:, None, None], np.sin(tau)[:, None, None]
     h_dot_sigma, cross, _ = _field_algebra(h)
     along = [h_i * h_dot_sigma for h_i in h.T[..., None, None]]
@@ -128,10 +126,9 @@ def torque_irreality_pair(r_vec) -> TorquePair:
 def _irrealities(vectors: np.ndarray):
     """Columns (irr_spin, irr_torque) of :func:`torque_irreality_pair` for the rows of an (N, 3) array.
 
-    Rows round as ``BlochVector`` does, or are rejected as it rejects them; H((1 + |r|) / 2) is taken once per distinct |r|.
+    Rows round as ``BlochVector`` does, or are rejected as it rejects them.
     """
-    halves, row = np.unique((1.0 + _bloch_norms(vectors)) / 2.0, return_inverse=True)
-    base = binary_entropy(halves)[row]
+    base = binary_entropy((1.0 + _bloch_norms(vectors)) / 2.0)
     return (
         binary_entropy((1.0 + np.abs(vectors[:, 0])) / 2.0) - base,
         binary_entropy((1.0 + np.abs(vectors[:, 1])) / 2.0) - base,

@@ -238,23 +238,32 @@ class TestTpmCorrelator:
         assert tpm_correlator(a, b, 0.0, 1.0, channel, rho0) == pytest.approx(0.0, abs=1e-12)
 
 
+PHASE_MESSAGE = "time must be finite and keep every phase E*t finite, got 1e+308"
+
+
 @pytest.mark.parametrize(
-    "correlate",
+    "correlate, message",
     [
-        lambda fx, channel: tpm_correlator(fx.A, fx.B, -math.inf, 1.0, channel, fx.rho0),
-        lambda fx, channel: tpm_correlator(fx.A, fx.B, 0.0, math.inf, channel, fx.rho0),
-        lambda fx, channel: heisenberg_correlator(TwoTimeOperator("product", fx.A, fx.B, 0.0, math.inf, channel), fx.rho0),
+        # A non-finite time is rejected where it enters, naming its parameter: a TwoTimeOperator's when it is built.
+        (lambda fx, channel: tpm_correlator(fx.A, fx.B, -math.inf, 1.0, channel, fx.rho0), "t1 must be finite, got -inf"),
+        (lambda fx, channel: tpm_correlator(fx.A, fx.B, 0.0, math.inf, channel, fx.rho0), "t2 must be finite, got inf"),
+        (lambda fx, channel: heisenberg_correlator(TwoTimeOperator("product", fx.A, fx.B, 0.0, math.inf, channel), fx.rho0),
+         "t2 must be finite, got inf"),
+        (lambda fx, channel: TwoTimeOperator("product", fx.A, fx.B, math.inf, 1.0, channel), "t1 must be finite, got inf"),
         # Finite times whose phases E t leave the float range.
-        lambda fx, channel: tpm_correlator(fx.A, fx.B, 1e308, 1.5e308, channel, fx.rho0),
-        lambda fx, channel: heisenberg_correlator(TwoTimeOperator("product", fx.A, fx.B, 0.0, 1e308, channel), fx.rho0),
-        lambda fx, channel: lambda_operator(fx.A.projectors[2], fx.rho0, 1e308, channel),
+        (lambda fx, channel: tpm_correlator(fx.A, fx.B, 1e308, 1.5e308, channel, fx.rho0), PHASE_MESSAGE),
+        (lambda fx, channel: heisenberg_correlator(TwoTimeOperator("product", fx.A, fx.B, 0.0, 1e308, channel), fx.rho0),
+         PHASE_MESSAGE),
+        (lambda fx, channel: lambda_operator(fx.A.projectors[2], fx.rho0, 1e308, channel), PHASE_MESSAGE),
     ],
-    ids=["tpm-t1-minus-inf", "tpm-t2-inf", "heisenberg-t2-inf", "tpm-t1-1e308", "heisenberg-t2-1e308", "lambda-t1-1e308"],
+    ids=["tpm-t1-minus-inf", "tpm-t2-inf", "heisenberg-t2-inf", "operator-t1-inf", "tpm-t1-1e308", "heisenberg-t2-1e308",
+         "lambda-t1-1e308"],
 )
-def test_rejects_non_finite_times(correlate):
+def test_rejects_non_finite_times(correlate, message):
     channel = ChannelFamily(np.diag([0.0, 1.0, 2.0]).astype(complex))
-    with pytest.raises(ValueError, match="time must be finite"):
+    with pytest.raises(ValueError) as info:
         correlate(qutrit_gap_fixture(), channel)
+    assert str(info.value) == message
 
 
 class TestStackKernels:

@@ -150,7 +150,7 @@ each_constructor = pytest.mark.parametrize(
 def test_rejects_non_finite_entry(build, bad):
     # Rejected before any arithmetic, so no RuntimeWarning (an error under pyproject.toml) comes first.
     matrix = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(ValueError, match=rf"^expected finite matrix entries, got \({bad}\+0j\)$"):
+    with pytest.raises(ValueError, match=rf"^matrix must be finite, got \({bad}\+0j\)$"):
         build(matrix)
 
 
@@ -162,7 +162,7 @@ def test_rejects_empty_matrix(build):
 
 @pytest.mark.parametrize(
     "matrix, message",
-    [(np.array([[math.nan, 0.0], [0.0, 1.0]]), r"expected finite matrix entries, got \(nan\+0j\)"),
+    [(np.array([[math.nan, 0.0], [0.0, 1.0]]), r"matrix must be finite, got \(nan\+0j\)"),
      (np.ones(2), r"matrix must be a 2-D array of numbers, got float64 of shape \(2,\)"),
      (np.ones((2, 3)), r"expected a non-empty square matrix, got shape \(2, 3\)"),
      (np.eye(3), "dimension mismatch: matrix dim 3, channel dim 2")],

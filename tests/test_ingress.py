@@ -5,7 +5,8 @@ a reason instead). One argument at a time is replaced by a malformed or extreme 
 return a finite result of its documented type or raise ``ValueError`` or ``TypeError``, with no warning (every
 warning is an error here). A value of the wrong type (a bool, a str, bytes, None, an array of the wrong rank, or a
 float given as a count) must be rejected, and its message must name the parameter by the word the function's other
-messages use for it.
+messages use for it. A number or numeric array of the right type and rank with a NaN or infinite entry must raise
+``ValueError("<that word> must be finite, got <the first such entry>")``, as ``qcore._numbers`` raises it.
 
 Object-typed parameters (an ``Observable``, a ``DensityMatrix``, a ``ChannelFamily``, a ``Generator``) stay
 duck-typed, and an eigenvalue index is a Python index (a bool selects as a list index does), so neither is probed.
@@ -102,13 +103,14 @@ ENTRIES = {
                                                        "xp_corr": number(0.1, "xp_corr")}),
     "Observable": Entry(Observable, Observable, {"matrix": array(np.diag([1.0, -1.0, 2.0]), "matrix")}),
     "PrecessionConfig": Entry(PrecessionConfig, PrecessionConfig,
-                              {"h_hat": array(Z_HAT, "vector"), "tau": number(0.7, "tau")}),
-    # A TwoTimeOperator is a specification: it checks its times' type when built, and their values where realized.
+                              {"h_hat": array(Z_HAT, "unit vector"), "tau": number(0.7, "tau")}),
+    # A TwoTimeOperator is a specification: it checks its times' type and finiteness when built, their phases E*t where
+    # realized.
     "TwoTimeOperator": Entry(lambda t1, t2: twotime.realize(TwoTimeOperator("product", A, B, t1, t2, CHANNEL)), Observable,
                              {"t1": number(0.0, "t1"), "t2": number(1.0, "t2")}),
     "binary_entropy": Entry(twotime.binary_entropy, (float, np.ndarray), {"u": Param(0.3, "binary entropy argument",
                                                                                      "elementwise")}),
-    "bloch_lambda_nu": Entry(twotime.bloch_lambda_nu, tuple, {"r_hat1": array([0.6, 0.0, 0.8], "vector")}),
+    "bloch_lambda_nu": Entry(twotime.bloch_lambda_nu, tuple, {"r_hat1": array([0.6, 0.0, 0.8], "unit vector")}),
     "bloch_to_state": Entry(twotime.bloch_to_state, DensityMatrix, {"r": array([0.0, 0.5, 0.0], "Bloch vector")}),
     "bound_rhs": Entry(twotime.bound_rhs, float, {"r": number(0.5, "radius")}),
     "complementarity_bound_check": Entry(lambda: twotime.complementarity_bound_check(RHO), ComplementarityReport, {}),
@@ -119,14 +121,14 @@ ENTRIES = {
                                                         "n": Param(3, "n", "size"), "seed": Param(7, "seed", "seed")}),
     "heisenberg_correlator": Entry(lambda: twotime.heisenberg_correlator(OP, RHO), float, {}),
     "instantaneous_torque": Entry(twotime.instantaneous_torque, tuple,
-                                  {"h_hat": array(Z_HAT, "vector"), "tau": number(0.7, "tau")}),
+                                  {"h_hat": array(Z_HAT, "unit vector"), "tau": number(0.7, "tau")}),
     "irreality": Entry(lambda: twotime.irreality(B, RHO), IrrealityReport, {}),
     "lambda_operator": Entry(lambda projector, t1: twotime.lambda_operator(projector, RHO, t1, CHANNEL), LambdaReport,
                              {"projector": array(np.diag([1.0, 0.0]), "matrix"), "t1": number(0.5, "time")}),
     "min_form_check": Entry(lambda n_samples, seed: twotime.min_form_check(B, RHO, n_samples, seed), MinFormReport,
                             {"n_samples": Param(5, "n_samples", "size"), "seed": Param(3, "seed", "seed")}),
     "pauli_heisenberg": Entry(lambda: twotime.pauli_heisenberg(PrecessionConfig(Z_HAT, 0.7)), tuple, {}),
-    "precession_channel": Entry(twotime.precession_channel, ChannelFamily, {"h_hat": array(Z_HAT, "vector")}),
+    "precession_channel": Entry(twotime.precession_channel, ChannelFamily, {"h_hat": array(Z_HAT, "unit vector")}),
     # The eigenvalue index k is a Python index, as Observable.eigenstate takes it: not probed.
     "prepare_eigenstate": Entry(lambda: twotime.prepare_eigenstate(TwoTimeOperator("sum", A, B, 0.0, 1.0, CHANNEL), 0),
                                 DensityMatrix, {}),
@@ -137,8 +139,10 @@ ENTRIES = {
                               {"dim": Param(3, "dim", "size")}),
     "realize": Entry(lambda: twotime.realize(OP), Observable, {}),
     "relative_entropy": Entry(lambda: twotime.relative_entropy(RHO, DensityMatrix.maximally_mixed(2)), float, {}),
-    "row_angles": Entry(twotime.row_angles, tuple, {"seed": Param(7, "seed", "seed"), "band": Param([0, 1], "band", "keys"),
-                                                    "index": Param([2, 3], "sample", "keys")}),
+    # The keys are checked as one broadcast pair, so one word names both.
+    "row_angles": Entry(twotime.row_angles, tuple, {"seed": Param(7, "seed", "seed"),
+                                                    "band": Param([0, 1], "band and sample keys", "keys"),
+                                                    "index": Param([2, 3], "band and sample keys", "keys")}),
     "torque_irreality_pair": Entry(twotime.torque_irreality_pair, TorquePair,
                                    {"r_vec": array([0.1, 0.2, 0.3], "Bloch vector")}),
     "tpm_correlator": Entry(lambda t1, t2: twotime.tpm_correlator(A, B, t1, t2, CHANNEL, RHO), float,
@@ -159,6 +163,15 @@ def wrong_rank(param):
     return np.full(np.shape(param.value) + (2,), 0.5)
 
 
+def with_a_non_finite_entry(param):
+    # The baseline array with its last entry NaN, +inf or -inf in turn; a scalar gets these values from EXTREMES.
+    arrays = []
+    for bad in (math.nan, math.inf, -math.inf) if np.ndim(param.value) else ():
+        arrays.append(np.array(param.value) + 0.0)  # a float (or complex) copy
+        arrays[-1].flat[-1] = bad
+    return arrays
+
+
 def must_reject(param, value) -> bool:
     """True when ``value`` has the wrong type for ``param``, so the call must name it in a ValueError or TypeError."""
     if any(value is probe for probe in WRONG_TYPE):
@@ -168,6 +181,12 @@ def must_reject(param, value) -> bool:
     if param.kind == "keys":  # a scalar key broadcasts against the other column
         return np.ndim(value) > 1
     return param.kind != "elementwise" and np.ndim(value) != np.ndim(param.value)
+
+
+def non_finite(param, value) -> bool:
+    """True when ``value`` is a number or numeric array of the right type and rank for ``param`` with a NaN or
+    infinite entry, so the call must raise ValueError("<word> must be finite, got ...")."""
+    return not must_reject(param, value) and np.asarray(value).dtype.kind in "fc" and not np.isfinite(value).all()
 
 
 def finite(value) -> bool:
@@ -199,8 +218,10 @@ def check(label, name, value):
             result = entry.call(**kwargs)
         except (ValueError, TypeError) as error:
             assert not must_reject(param, value) or param.word in str(error), (label, name, value, str(error))
+            named = type(error) is ValueError and str(error).startswith(f"{param.word} must be finite, got ")
+            assert named or not non_finite(param, value), (label, name, value, str(error))
             return
-    assert not must_reject(param, value), (label, name, value, result)
+    assert not must_reject(param, value) and not non_finite(param, value), (label, name, value, result)
     assert isinstance(result, entry.returns) and finite(result), (label, name, value, result)
 
 
@@ -224,7 +245,8 @@ def test_each_baseline_call_returns_a_finite_result_of_its_type(label):
 @pytest.mark.parametrize("label, name", PROBED, ids=[f"{label}-{name}" for label, name in PROBED])
 def test_each_listed_probe_is_rejected_or_gives_a_finite_result(label, name):
     param = ENTRIES[label].params[name]
-    for value in [*WRONG_TYPE, *EXTREMES, wrong_rank(param), *([HUGE] if param.kind == "seed" else [])]:
+    for value in [*WRONG_TYPE, *EXTREMES, wrong_rank(param), *with_a_non_finite_entry(param),
+                  *([HUGE] if param.kind == "seed" else [])]:
         check(label, name, value)
 
 

@@ -65,7 +65,7 @@ class TestDensityMatrix:
 
     def test_from_ket_rejects_a_non_finite_entry(self):
         # Rejected before any arithmetic, so no RuntimeWarning (an error under pyproject.toml) comes first.
-        with pytest.raises(ValueError, match=r"^expected finite ket entries, got \(inf\+0j\)$"):
+        with pytest.raises(ValueError, match=r"^ket must be finite, got \(inf\+0j\)$"):
             DensityMatrix.from_ket([math.inf, 0.0])
 
     def test_from_ket_rejects_a_matrix(self):
@@ -620,13 +620,17 @@ class TestBloch:
         vectors = rng.uniform(-1.0, 1.0, (5000, 3)) * rng.uniform(0.0, 1.0, (5000, 1)) / math.sqrt(3.0)
         assert [BlochVector(v).r for v in vectors] == [float(np.linalg.norm(v)) for v in vectors]
 
-    @pytest.mark.parametrize("bad", [(1.0, 1e-5, 0.0), (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)])
-    def test_ball_check_is_shared_by_the_vector_and_the_row_kernel(self, bad):
-        message = "Bloch vector norm .* is not finite or exceeds 1"
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("bad, norm", [((1.0, 1e-5, 0.0), "1.00000000005"), ((math.nan, 0.0, 0.0), "nan"),
+                                           ((math.inf, 0.0, 0.0), "inf")])
+    def test_ball_check_is_shared_by_the_vector_and_the_row_kernel(self, bad, norm):
+        # The row kernel's ball check also rejects a non-finite row; a vector with such a component fails at ingress.
+        with pytest.raises(ValueError, match=rf"^Bloch vector norm {norm} is not finite or exceeds 1$"):
             _bloch_norms(np.array([(0.1, 0.2, 0.3), bad]))
-        with pytest.raises(ValueError, match=message):
+        finite = math.isfinite(bad[0])
+        expected = f"Bloch vector norm {norm} is not finite or exceeds 1" if finite else f"Bloch vector must be finite, got {norm}"
+        with pytest.raises(ValueError) as info:
             BlochVector(bad)
+        assert str(info.value) == expected
         assert _bloch_norms(np.array([(0.6, 0.0, 0.8)])).tolist() == [1.0]
 
     @pytest.mark.parametrize("make", [lambda: BlochVector((1e200, 0.0, 0.0)), lambda: bloch_to_state((1e200, 0.0, 0.0)),

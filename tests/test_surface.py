@@ -181,3 +181,25 @@ def test_no_module_but_qcore_tests_a_parameters_type():
              for path in sorted((ROOT / "src" / "twotime").glob("*.py")) if path.name != "qcore.py"
              for node in ast.walk(ast.parse(path.read_text())) if type_test(node)]
     assert tests == []
+
+
+def test_finite_checks_only_computed_quantities():
+    # qcore._numbers rejects a NaN or inf parameter at ingress, so qcore._finite is left for quantities computed from
+    # checked ones: no _finite keyword may name a parameter of its enclosing function or a field of its dataclass.
+    def scopes(tree):  # (function, the names its inputs go by) for each top-level function and method
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                fields = {item.target.id for item in node.body if isinstance(item, ast.AnnAssign)}
+                yield from ((item, fields) for item in node.body if isinstance(item, ast.FunctionDef))
+            elif isinstance(node, ast.FunctionDef):
+                yield node, set()
+
+    keywords, inputs_named = [], []
+    for path in sorted((ROOT / "src" / "twotime").glob("*.py")):
+        for function, fields in scopes(ast.parse(path.read_text())):
+            inputs = fields | {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_finite":
+                    keywords += [keyword.arg for keyword in node.keywords]
+                    inputs_named += [f"{path.name}:{node.lineno}: {k.arg}" for k in node.keywords if k.arg in inputs]
+    assert keywords and inputs_named == []
