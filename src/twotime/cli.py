@@ -220,9 +220,10 @@ def _report_torque_bound(args):
 def _report_eigenprep(args):
     rng, worst = np.random.default_rng(args.seed), 0.0
     for d, kind in ((2, "product"), (3, "product"), (2, "sum"), (3, "sum")):
-        (a, *_), (b, *_), units = correlators._checked_instances(*_draw_instances(d, 25, rng)[:5])
-        _, *frame = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
-        worst = max(worst, float(np.abs(realism._eigenstate_irrealities(*frame)).max()))
+        a, b, h, t1, t2, _ = _draw_instances(d, 25, rng)  # A and B exactly Hermitian: only H and each C12 are decomposed
+        energies, modes = qcore._eighs(h, "hamiltonian")[1:]
+        c12 = correlators._two_time_matrices(kind, a, b, *(dynamics._unitaries(energies, modes, t) for t in (t1, t2)))
+        worst = max(worst, float(np.abs(realism._eigenstate_irrealities(*qcore._spectra(c12)[1:])).max()))
     return worst <= IDENTITY_TOL, (
         f"max irreality in eigenstate preparations {worst:.3e} over 100 operators (tolerance {IDENTITY_TOL:g})")
 

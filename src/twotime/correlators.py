@@ -22,13 +22,15 @@ generally not a valid state.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ChannelFamily, _unitaries
 from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, DensityMatrix, Observable
-from .qcore import _as_square_complex, _eighs, _numbers, _readonly, _require, _same_dim, _scales, _spectra, _states, _symmetrized
+from .qcore import _as_square_complex, _eighs, _finite, _numbers, _readonly, _require, _same_dim, _scales, _spectra, _states
+from .qcore import _symmetrized
 from .realism import _dephased_in_frame
 
 _KINDS = ("product", "sum")
@@ -71,14 +73,15 @@ class LambdaReport:
     physical: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a product or sum past the float max is inf or nan: rejected below
 def _two_time_matrices(kind: str, a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    # {A1, B2}/2 or A1 + B2 for (n, d, d) stacks of A, B and the unitaries at t1 and t2. Hermitian
+    # {A1, B2}/2 or A1 + B2 for (n, d, d) stacks of A, B and the unitaries at t1 and t2, each entry finite. Hermitian
     # only up to roundoff: callers symmetrize it through the Hermitian check.
     a1 = u1.conj().swapaxes(1, 2) @ a @ u1
     b2 = u2.conj().swapaxes(1, 2) @ b @ u2
-    if kind == "product":
-        return 0.5 * (a1 @ b2 + b2 @ a1)
-    return a1 + b2
+    c12 = 0.5 * (a1 @ b2 + b2 @ a1) if kind == "product" else a1 + b2
+    _finite(C12=c12.view(float))
+    return c12
 
 
 def _two_time_matrix(op: TwoTimeOperator) -> np.ndarray:
@@ -102,10 +105,12 @@ def heisenberg_correlator(op: TwoTimeOperator, rho0: DensityMatrix) -> float:
     return float(_trace_forms(_two_time_matrix(op)[None], rho0.matrix[None])[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a trace past the float max is inf or nan: rejected below
 def _trace_forms(c12: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     # Tr(C12 rho0) for (n, d, d) stacks, each C12 passing the Hermitian check first; both checks per unit of _scales(C12).
     scale = _scales(c12)
     values = np.trace(_symmetrized(c12, "two-time operator", OPERATOR_HERMITICITY_TOL * scale) @ rho0, axis1=1, axis2=2)
+    _finite(correlator=values.view(float))
     _require(~(np.abs(values.imag) > IMAGINARY_TOL * scale), "correlator has spurious imaginary part {imag:.3e}",
              ArithmeticError, imag=values.imag)
     return values.real
@@ -146,16 +151,11 @@ def _tpm_joints(a_frame, b_frame, u1, u21, rho0) -> np.ndarray:
     return np.where(kept[..., None], marginals[..., None] * np.clip(conditional, 0.0, 1.0), 0.0)
 
 
-def _checked_instances(a, b, h, *times):
-    """_spectra of (n, d, d) stacks of A and B, and the unitaries of an H stack at each (n,) array of times."""
-    _, energies, modes = _eighs(h, "hamiltonian")
-    return _spectra(a), _spectra(b), [_unitaries(energies, modes, t) for t in times]
-
-
 def _tpm_gaps(a, b, h, t1, t2, rho0) -> np.ndarray:
     """|protocol - Heisenberg| of every instance in stacks of A, B, H (n, d, d), times (n,) and
     states (n, d, d), each matrix checked as Observable, ChannelFamily and DensityMatrix check it."""
-    (a, *a_frame), (b, *b_frame), (u1, u2, u21) = _checked_instances(a, b, h, t1, t2, t2 - t1)
+    (_, energies, modes), (a, *a_frame), (b, *b_frame) = _eighs(h, "hamiltonian"), _spectra(a), _spectra(b)
+    u1, u2, u21 = (_unitaries(energies, modes, t) for t in (t1, t2, t2 - t1))
     rho0, _ = _states(rho0, solver=None)
     joint = _tpm_joints(a_frame, b_frame, u1, u21, rho0)
     protocol = (a_frame[0][:, None] @ joint @ b_frame[0][:, :, None])[:, 0, 0]
@@ -165,7 +165,10 @@ def _tpm_gaps(a, b, h, t1, t2, rho0) -> np.ndarray:
 def tpm_correlator(A: Observable, B: Observable, t1: float, t2: float, channel: ChannelFamily, rho0: DensityMatrix) -> float:
     """Correlator of the two-point-measurement protocol: E[a * b]; t2 must be strictly later than t1."""
     a_values, b_values, joint = tpm_joint_distribution(A, B, t1, t2, channel, rho0)
-    return float(a_values @ joint @ b_values)
+    with np.errstate(over="ignore", invalid="ignore"):  # an E[ab] past the float max is inf or nan: rejected below
+        correlator = a_values @ joint @ b_values
+    _finite(correlator=correlator)
+    return float(correlator)
 
 
 def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> LambdaReport:
@@ -209,16 +212,8 @@ def prepare_eigenstate(op: TwoTimeOperator, k: int) -> DensityMatrix:
     return realize(op).eigenstate(k)
 
 
-@dataclass(frozen=True)
-class CorrelatorInstance:
-    """A complete (A, B, times, channel, preparation) correlator scenario."""
-
-    A: Observable
-    B: Observable
-    t1: float
-    t2: float
-    channel: ChannelFamily
-    rho0: DensityMatrix
+# A complete correlator scenario: Observables A and B, times t1 < t2, a ChannelFamily and the DensityMatrix rho0.
+CorrelatorInstance = namedtuple("CorrelatorInstance", "A B t1 t2 channel rho0")
 
 
 def qutrit_gap_fixture() -> CorrelatorInstance:

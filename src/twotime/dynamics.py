@@ -48,8 +48,8 @@ class ChannelFamily:
 
 def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i H t) for an (n, d) stack of H's eigenvalues, (n, d, d) of its eigenvectors and (n,) times."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or 0 * inf gives inf or nan, which fails below
+    with np.errstate(over="ignore"):  # finite times and energies: only an overflowing phase is not finite
         largest = times * np.abs(energies).max(axis=1)
-    _require(np.isfinite(largest), "time must be finite and keep every phase E*t finite, got {t!r}", t=times)
+    _require(np.isfinite(largest), "phase E*t must be finite, got {e!r} at time {t!r}", e=largest, t=times)
     phases = np.exp(energies * (-1j * times)[:, None])
     return (modes * phases[:, None, :]) @ modes.conj().swapaxes(1, 2)

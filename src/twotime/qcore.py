@@ -171,15 +171,11 @@ class DensityMatrix:
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
         """Pure state |psi><psi| from a (not necessarily normalized) finite state vector."""
-        v = _numbers(ket, "ket", 1, complex)  # a new contiguous array, so its float view below is valid
-        with np.errstate(over="ignore"):  # an overflowed norm is inf, which is rescaled below
-            norm = np.linalg.norm(v)
-        if not 0.0 < norm < math.inf:  # the squares left the float range: divide by the largest |v_i| first
-            largest = np.abs(v).max(initial=0.0)
-            _require(largest != 0.0, "cannot build a state from the zero vector")
-            v = (v.view(float) / largest).view(complex)  # as reals: 1 / largest overflows for a subnormal largest
-            norm = np.linalg.norm(v)
-        v = v / norm
+        parts = _numbers(ket, "ket", 1, complex).view(float)  # a new contiguous array, so its float view is valid
+        largest = np.abs(parts).max(initial=0.0)
+        _require(largest != 0.0, "cannot build a state from the zero vector")
+        v = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)  # exact: the largest part in [0.5, 1), no square overflows
+        v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
 
     @classmethod
@@ -213,19 +209,19 @@ def _spectra(stack: np.ndarray):
     check e = max |V^dag V - 1| <= MEASUREMENT_TOL / (d + 1), the eigenprojectors P_g = V_g V_g^dag of slices V_g of V
     keep every entry of P_g P_h - delta_gh P_g and of sum P - 1 = V V^dag - 1 within (1 + d e) d e < MEASUREMENT_TOL."""
     m, values, vectors = _eighs(stack, "observable")
-    scales, adjoints = _scales(m), vectors.conj().swapaxes(1, 2)
+    scales, adjoints = _scales(m)[:, None, None], vectors.conj().swapaxes(1, 2)  # each scale broadcast over its matrix
     with np.errstate(over="ignore"):  # a gap between eigenvalues near +-float max is inf, which is not merged
-        merged = np.diff(values, axis=1) <= GROUP_TOL_DEFAULT * scales[:, None]
+        merged = np.diff(values, axis=1) <= GROUP_TOL_DEFAULT * scales[:, 0]
     starts = np.concatenate([np.ones((len(m), 1), bool), ~merged], axis=1)
     for n in np.flatnonzero(merged.any(axis=1)):
         for space in np.split(values[n], np.flatnonzero(starts[n])[1:]):  # views of each eigenspace's slots
             with np.errstate(over="ignore"):  # a sum past the float max: the mean is then the sum of the shares
                 total = space.sum()
             space[:] = total / len(space) if np.isfinite(total) else (space / len(space)).sum()
-    row, where = np.arange(len(m)), f": matrix {{row:.0f}} of {len(m)}"  # _require names the first failing row
-    gram = np.abs(adjoints @ vectors - np.eye(m.shape[1])).reshape(len(m), -1).max(axis=1)
+    row, where = np.broadcast_to(np.arange(len(m))[:, None, None], m.shape), f": matrix {{row:.0f}} of {len(m)}"
+    gram = np.abs(adjoints @ vectors - np.eye(m.shape[1]))
     _require(gram <= MEASUREMENT_TOL / (m.shape[1] + 1), "projectors are not orthogonal/idempotent" + where, row=row)
-    fit = np.abs((vectors * values[:, None, :]) @ adjoints - m).reshape(len(m), -1).max(axis=1)
+    fit = np.abs((vectors * values[:, None, :]) @ adjoints - m)
     _require(fit <= RECONSTRUCTION_TOL * scales, "spectral decomposition does not reconstruct the matrix" + where, row=row)
     return m, values, vectors, starts
 
@@ -419,12 +415,8 @@ def _bloch_states(vectors: np.ndarray) -> np.ndarray:
 
 def random_density_matrix(dim: int, rng: "np.random.Generator") -> DensityMatrix:
     """Full-rank random state from a normalized Ginibre matrix G G^dag."""
-    return DensityMatrix(_ginibre_states(_count(dim, "dim", low=1), 1, rng)[0])
-
-
-def _ginibre_states(dim: int, n: int, rng: "np.random.Generator") -> np.ndarray:
-    # n unchecked states as an (n, d, d) stack, bitwise those of n successive random_density_matrix calls.
-    return _ginibres(rng.standard_normal((n, 2, dim, dim)))
+    dim = _count(dim, "dim", low=1)
+    return DensityMatrix(_ginibres(rng.standard_normal((2, dim, dim))))
 
 
 def _ginibres(normals: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .qcore import MEASUREMENT_TOL, SIGMA_X, SIGMA_Y, DensityMatrix, Observable, _blocks, _count, _entropies, _floor
-from .qcore import _ginibre_states, _relative_entropies, _same_dim, _states, _unit_traces
+from .qcore import _ginibres, _relative_entropies, _same_dim, _states, _unit_traces
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     rng = np.random.default_rng(seed)
     values = np.empty(n_samples)
     for block in _blocks(n_samples, rho.dim):
-        values[block] = scores(_states(_ginibre_states(rho.dim, len(values[block]), rng), solver=None)[0])
+        values[block] = scores(_states(_ginibres(rng.standard_normal((len(values[block]), 2, rho.dim, rho.dim))), solver=None)[0])
     finite = values[np.isfinite(values)]
     return MinFormReport(
         irreality=report.irreality,

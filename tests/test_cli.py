@@ -284,8 +284,8 @@ class TestReportCommand:
         assert "max irreality in eigenstate preparations 9.778e-15 over 100 operators (tolerance 1e-10)\n" in capsys.readouterr().out
 
     def test_eigenprep_realizes_each_operator_once(self, monkeypatch):
-        # Four stacks of 25 are realized, and A and B (in correlators) and the realized operator (in cli)
-        # of each of the 100 pass the Observable checks in _spectra.
+        # Four stacks of 25 are realized, and only the realized operators pass the Observable checks in _spectra: A
+        # and B are exactly Hermitian draws whose frames no result reads.
         realized, checked = [], []
         realize, spectra = correlators._two_time_matrices, qcore._spectra
         monkeypatch.setattr(correlators, "_two_time_matrices", lambda kind, a, *rest: realized.append(len(a)) or realize(kind, a, *rest))
@@ -293,7 +293,7 @@ class TestReportCommand:
             monkeypatch.setattr(module, "_spectra", lambda stack: checked.append(len(stack)) or spectra(stack))
         assert cli.main(["report", "eigenprep"]) == 0
         assert realized == [25] * 4
-        assert checked == [25] * 12
+        assert checked == [25] * 4
 
     def test_precession_computes_one_unitary_per_draw(self, monkeypatch):
         # The unitaries come a block of draws at a time: 100 rows in all, none of the calls larger than _rows(2).
@@ -333,7 +333,9 @@ class TestStackedEigenprep:
             if n % 3 == 0:
                 a, b = (qcore.SIGMA_X / 2.0, qcore.SIGMA_Y / 2.0) if dim == 2 else (degenerate_matrix(3, rng), degenerate_matrix(3, rng))
             instances.append((a.astype(complex), b.astype(complex), h, t1, t2))
-        (a, *_), (b, *_), units = correlators._checked_instances(*map(np.array, zip(*instances)))
+        a, b, h, t1, t2 = map(np.array, zip(*instances))
+        energies, modes = qcore._eighs(h, "hamiltonian")[1:]
+        units = [dynamics._unitaries(energies, modes, t) for t in (t1, t2)]
         _, values, vectors, starts = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
         checked = []
         eigvalsh = np.linalg.eigvalsh
@@ -366,8 +368,8 @@ class TestStackedEigenprep:
             monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(np.shape(a)) or s(a))
         assert cli.main(["report", "eigenprep"]) == 0
         matrices = {name: [math.prod(shape[:-2]) for shape in calls] for name, calls in shapes.items()}
-        # 4 stacks of A, B, H and the realized operators; every eigenstate and its dephased image checked.
-        assert len(matrices["eigh"]) == 4 * 4 and sum(matrices["eigh"]) == 4 * 100
+        # 4 stacks of H and of the realized operators; every eigenstate and its dephased image checked.
+        assert len(matrices["eigh"]) == 4 * 2 and sum(matrices["eigh"]) == 2 * 100
         assert sum(matrices["eigvalsh"]) == 2 * eigenstates
         assert all(math.prod(shape[:-2]) <= qcore._rows(shape[-1]) for shape in shapes["eigh"] + shapes["eigvalsh"])
 

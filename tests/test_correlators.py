@@ -238,7 +238,7 @@ class TestTpmCorrelator:
         assert tpm_correlator(a, b, 0.0, 1.0, channel, rho0) == pytest.approx(0.0, abs=1e-12)
 
 
-PHASE_MESSAGE = "time must be finite and keep every phase E*t finite, got 1e+308"
+PHASE_MESSAGE = "phase E*t must be finite, got inf at time 1e+308"
 
 
 @pytest.mark.parametrize(
@@ -263,6 +263,31 @@ def test_rejects_non_finite_times(correlate, message):
     channel = ChannelFamily(np.diag([0.0, 1.0, 2.0]).astype(complex))
     with pytest.raises(ValueError) as info:
         correlate(qutrit_gap_fixture(), channel)
+    assert str(info.value) == message
+
+
+HUGE_Z, HUGE_X = Observable(1e300 * SIGMA_Z), Observable(1e300 * SIGMA_X)
+MAX_Z, MAX_X, MAX_D = (Observable(1.7e308 * m) for m in (SIGMA_Z, SIGMA_X, np.diag([1.0, 0.5])))
+
+
+@pytest.mark.parametrize(
+    "compute, message",
+    [
+        # E[ab] = (-1e300)(+-1e300) for the protocol; C12 = {A1, B2}/2 for the trace form (its entries inf - inf).
+        (lambda up: tpm_correlator(HUGE_Z, HUGE_X, 0.0, 1.0, ChannelFamily(SIGMA_Z), up), "correlator must be finite, got -inf"),
+        (lambda up: heisenberg_correlator(TwoTimeOperator("product", HUGE_Z, HUGE_X, 0.0, 1.0, ChannelFamily(SIGMA_Z)), up),
+         "C12 must be finite, got nan"),
+        (lambda up: realize(TwoTimeOperator("sum", MAX_Z, MAX_Z, 0.0, 1.0, ChannelFamily(SIGMA_Z))), "C12 must be finite, got inf"),
+        # A finite C12, entries up to 1.7e308, whose trace form Tr(C12 rho0) overflows as it is summed.
+        (lambda up: heisenberg_correlator(TwoTimeOperator("sum", MAX_X, MAX_D, 0.0, 1.0, ChannelFamily(SIGMA_Z)),
+                                          DensityMatrix.from_ket([1.0, 1.0])), "correlator must be finite, got inf"),
+    ],
+    ids=["tpm-product", "heisenberg-product", "realize-sum", "heisenberg-trace"],
+)
+def test_an_overflowing_two_time_result_raises_one_value_error(compute, message):
+    # Any RuntimeWarning fails the test (pyproject.toml): the overflow is computed silently, then rejected by name.
+    with pytest.raises(ValueError) as info:
+        compute(DensityMatrix.from_ket([1.0, 0.0]))
     assert str(info.value) == message
 
 

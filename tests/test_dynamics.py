@@ -246,13 +246,18 @@ def test_hermiticity_is_checked_per_unit_of_each_matrix():
 
 
 @pytest.mark.parametrize(
-    "energies, t",
-    [((0.0, 0.0), math.inf), ((0.0, 0.0), math.nan), ((0.0, 2.0), 1e308), ((0.0, 2.0), -1e308), ((-2.0, 0.0), 1e308)],
+    "energies, t, message",
+    [((0.0, 0.0), math.inf, "time must be finite, got inf"), ((0.0, 0.0), math.nan, "time must be finite, got nan"),
+     ((0.0, 2.0), 1e308, "phase E*t must be finite, got inf at time 1e+308"),
+     ((0.0, 2.0), -1e308, "phase E*t must be finite, got -inf at time -1e+308"),
+     ((-2.0, 0.0), 1e308, "phase E*t must be finite, got inf at time 1e+308")],
     ids=["zero-H-inf", "zero-H-nan", "phase-overflow", "negative-time-overflow", "negative-energy-overflow"],
 )
-def test_unitary_at_rejects_a_non_finite_phase(energies, t):
-    with pytest.raises(ValueError, match="time must be finite"):
+def test_unitary_at_rejects_a_non_finite_phase(energies, t, message):
+    # A non-finite time is rejected at ingress; a finite one reaches the phase check only when some E*t overflows.
+    with pytest.raises(ValueError) as raised:
         ChannelFamily(np.diag(energies).astype(complex)).unitary_at(t)
+    assert str(raised.value) == message
 
 
 def test_unitary_at_accepts_large_finite_phases():
@@ -268,6 +273,6 @@ def test_stacked_unitaries_are_each_unitary_at_and_check_every_row():
     times = rng.uniform(-2.0, 2.0, 5)
     for u, family, t in zip(_unitaries(energies, modes, times), families, times):
         assert np.array_equal(u, family.unitary_at(t))
-    times[3] = math.inf
-    with pytest.raises(ValueError, match=r"time must be finite and keep every phase E\*t finite, got inf"):
+    times[3] = -1e308  # a finite time whose phase overflows: only row 3's is rejected, and named
+    with pytest.raises(ValueError, match=r"^phase E\*t must be finite, got -inf at time -1e\+308$"):
         _unitaries(energies, modes, times)

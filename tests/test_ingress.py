@@ -9,10 +9,14 @@ messages use for it. A number or numeric array of the right type and rank with a
 ``ValueError("<that word> must be finite, got <the first such entry>")``, as ``qcore._numbers`` raises it.
 
 Object-typed parameters (an ``Observable``, a ``DensityMatrix``, a ``ChannelFamily``, a ``Generator``) stay
-duck-typed, and an eigenvalue index is a Python index (a bool selects as a list index does), so neither is probed.
+duck-typed, and an eigenvalue index is a Python index (a bool selects as a list index does), so neither gets a
+value of the wrong type. Objects built from extreme finite numbers (observables and Hamiltonians scaled toward the
+float max, kets with parts near it) are probed instead: each call returns a finite result or raises ``ValueError``,
+with no warning.
 """
 
 import dataclasses
+import itertools
 import math
 import warnings
 from typing import Callable, NamedTuple
@@ -264,3 +268,44 @@ def drawn_values(param):
 @given(data=st.data())
 def test_a_drawn_value_is_rejected_or_gives_a_finite_result(label, name, data):
     check(label, name, data.draw(drawn_values(ENTRIES[label].params[name])))
+
+
+# Kets whose moduli or squares leave the float range, and observables and Hamiltonians up to the float max.
+EXTREME_KETS = [[1.5e308 + 1.5e308j, 0.0], [1.7e308, -1.7e308j], [5e-324, 1e-310j]]
+OBSERVABLES = [Observable(scale * m) for scale in (1.0, 1e300, 1.7e308, -1.7e308) for m in (SIGMA_X, SIGMA_Z, np.diag([1.0, 0.5]))]
+CHANNELS = [CHANNEL, ChannelFamily(1e300 * SIGMA_X), ChannelFamily(1.7e308 * SIGMA_Z)]
+STATES = [RHO, DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix.from_ket([1.0, -1j])]
+
+OBJECT_CALLS = {
+    "DensityMatrix.from_ket": (DensityMatrix.from_ket, DensityMatrix, [EXTREME_KETS]),
+    "tpm_correlator": (lambda a, b, channel, rho: twotime.tpm_correlator(a, b, 0.0, 1.0, channel, rho), float,
+                       [OBSERVABLES, OBSERVABLES, CHANNELS, STATES]),
+    "tpm_joint_distribution": (lambda a, b, channel, rho: twotime.tpm_joint_distribution(a, b, 0.0, 1.0, channel, rho),
+                               tuple, [OBSERVABLES, OBSERVABLES, CHANNELS, STATES]),
+    "heisenberg_correlator": (lambda kind, a, b, channel, rho: twotime.heisenberg_correlator(
+        TwoTimeOperator(kind, a, b, 0.0, 1.0, channel), rho), float, [("product", "sum"), OBSERVABLES, OBSERVABLES, CHANNELS, STATES]),
+    "realize": (lambda kind, a, b, channel: twotime.realize(TwoTimeOperator(kind, a, b, 0.0, 1.0, channel)), Observable,
+                [("product", "sum"), OBSERVABLES, OBSERVABLES, CHANNELS]),
+    "prepare_eigenstate": (lambda kind, a, b: twotime.prepare_eigenstate(TwoTimeOperator(kind, a, b, 0.0, 1.0, CHANNEL), 0),
+                           DensityMatrix, [("product", "sum"), OBSERVABLES, OBSERVABLES]),
+    "irreality": (twotime.irreality, IrrealityReport, [OBSERVABLES, STATES]),
+    "dephase": (twotime.dephase, DensityMatrix, [OBSERVABLES, STATES]),
+    "min_form_check": (lambda a, rho: twotime.min_form_check(a, rho, 5, 3), MinFormReport, [OBSERVABLES, STATES]),
+    "complementarity_bound_check": (twotime.complementarity_bound_check, ComplementarityReport,
+                                    [STATES, OBSERVABLES, OBSERVABLES]),
+    "lambda_operator": (lambda rho, channel: twotime.lambda_operator(np.diag([1.0, 0.0]), rho, 0.5, channel), LambdaReport,
+                        [STATES, CHANNELS]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(OBJECT_CALLS))
+def test_objects_from_extreme_finite_numbers_give_a_finite_result_or_a_value_error(label):
+    call, returns, argument_lists = OBJECT_CALLS[label]
+    for arguments in itertools.product(*argument_lists):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call(*arguments)
+            except ValueError:
+                continue
+        assert isinstance(result, returns) and finite(result), (label, arguments, result)

@@ -25,7 +25,7 @@ from twotime.qcore import (
     relative_entropy,
     von_neumann_entropy,
 )
-from twotime.qcore import _bloch_norms, _entropies, _ginibre_states, _relative_entropies, _spectra, _states
+from twotime.qcore import _bloch_norms, _entropies, _ginibres, _relative_entropies, _spectra, _states
 
 LN2 = math.log(2.0)
 # -0.9 ln 0.9 - 0.1 ln 0.1, evaluated directly
@@ -52,11 +52,12 @@ class TestDensityMatrix:
 
     @pytest.mark.parametrize("ket, scaled", [([1e300, 1e300], [1.0, 1.0]), ([1e-200, 0.0], [1.0, 0.0]),
                                              ([1e-170, 1e-170], [1.0, 1.0]), ([5e-324, 0.0], [1.0, 0.0]),
-                                             ([1e-310, 1e-310j], [1.0, 1j])])
+                                             ([1e-310, 1e-310j], [2.0**1000 * 1e-310, 2.0**1000 * 1e-310j]),
+                                             ([1.5e308 + 1.5e308j, 0.0], [2.0**-1000 * (1.5e308 + 1.5e308j), 0.0])])
     def test_from_ket_accepts_kets_whose_squares_leave_the_float_range(self, ket, scaled):
-        # Divided by the largest |v_i| first, only when the direct norm is 0 or inf. The division is done on the real
-        # and imaginary parts as reals: a complex division computes 1 / largest, which overflows for a subnormal one.
-        # Any RuntimeWarning fails the test (pyproject.toml).
+        # Every ket is scaled by the power of two that puts its largest real or imaginary part in [0.5, 1) before its
+        # norm is taken: a ket and its multiple by a power of two give the same state, as do kets of equal parts. The
+        # modulus |1.5e308 + 1.5e308j| itself overflows. Any RuntimeWarning fails the test (pyproject.toml).
         assert np.array_equal(DensityMatrix.from_ket(ket).matrix, DensityMatrix.from_ket(scaled).matrix)
 
     def test_from_ket_keeps_the_direct_normalization_of_other_kets(self):
@@ -307,6 +308,20 @@ class TestSpectraStack:
         with pytest.raises(ValueError, match="projectors are not orthogonal/idempotent: matrix 1 of 3"):
             _spectra(np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
+    def test_reconstruction_check_names_the_first_failing_matrix_by_its_own_scale(self, monkeypatch):
+        # The second matrix's eigenvalues shifted by 1e-6: it is rebuilt off by 1e-6, above RECONSTRUCTION_TOL per unit
+        # of its own scale 1, though below the 1e-5 that the first matrix's scale 1e4 would allow.
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            values, vectors = eigh(a)
+            values[1] += 1e-6
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ValueError, match="^spectral decomposition does not reconstruct the matrix: matrix 1 of 3$"):
+            _spectra(np.array([1e4 * SIGMA_X, SIGMA_Y, SIGMA_Z]))
+
     def test_gram_check_is_divided_by_d_plus_one(self, monkeypatch):
         # Eigenvectors of the second qubit scaled by 1 + 3e-11: max |V^dag V - 1| is about 6e-11, above
         # MEASUREMENT_TOL / 3 but below MEASUREMENT_TOL, while the reconstruction (off by about 6e-11) still passes.
@@ -424,7 +439,7 @@ class TestEntropies:
 class TestStateStacks:
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_ginibre_stack_is_successive_draws_bitwise(self, dim):
-        stacked, eigs = _states(_ginibre_states(dim, 70, np.random.default_rng(dim)))
+        stacked, eigs = _states(_ginibres(np.random.default_rng(dim).standard_normal((70, 2, dim, dim))))
         rng = np.random.default_rng(dim)
         for k in range(70):
             one = random_density_matrix(dim, rng)
@@ -478,7 +493,7 @@ class TestStateStacks:
 
     def test_state_check_with_vectors_is_one_eigh(self):
         # A stack whose eigenvectors are needed passes the Cholesky gate, then one eigh of the checked stack.
-        stack = _ginibre_states(4, 5, np.random.default_rng(8))
+        stack = _ginibres(np.random.default_rng(8).standard_normal((5, 2, 4, 4)))
         m, eigs = _states(stack)
         m_v, none = _states(stack, solver=None)
         eigs_v, vectors = np.linalg.eigh(m_v)
