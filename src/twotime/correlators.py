@@ -29,8 +29,8 @@ import numpy as np
 
 from .dynamics import ChannelFamily, _unitaries
 from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, DensityMatrix, Observable
-from .qcore import _as_square_complex, _eighs, _finite, _numbers, _readonly, _require, _same_dim, _scales, _spectra, _states
-from .qcore import _symmetrized
+from .qcore import _as_square_complex, _eighs, _finite, _matmul, _numbers, _readonly, _require, _same_dim, _scales, _spectra
+from .qcore import _states, _symmetrized
 from .realism import _dephased_in_frame
 
 _KINDS = ("product", "sum")
@@ -77,9 +77,9 @@ class LambdaReport:
 def _two_time_matrices(kind: str, a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     # {A1, B2}/2 or A1 + B2 for (n, d, d) stacks of A, B and the unitaries at t1 and t2, each entry finite. Hermitian
     # only up to roundoff: callers symmetrize it through the Hermitian check.
-    a1 = u1.conj().swapaxes(1, 2) @ a @ u1
-    b2 = u2.conj().swapaxes(1, 2) @ b @ u2
-    c12 = 0.5 * (a1 @ b2 + b2 @ a1) if kind == "product" else a1 + b2
+    a1 = _matmul(_matmul(u1.conj().swapaxes(1, 2), a), u1)
+    b2 = _matmul(_matmul(u2.conj().swapaxes(1, 2), b), u2)
+    c12 = 0.5 * (_matmul(a1, b2) + _matmul(b2, a1)) if kind == "product" else a1 + b2
     _finite(C12=c12.view(float))
     return c12
 
@@ -109,7 +109,7 @@ def heisenberg_correlator(op: TwoTimeOperator, rho0: DensityMatrix) -> float:
 def _trace_forms(c12: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     # Tr(C12 rho0) for (n, d, d) stacks, each C12 passing the Hermitian check first; both checks per unit of _scales(C12).
     scale = _scales(c12)
-    values = np.trace(_symmetrized(c12, "two-time operator", OPERATOR_HERMITICITY_TOL * scale) @ rho0, axis1=1, axis2=2)
+    values = np.trace(_matmul(_symmetrized(c12, "two-time operator", OPERATOR_HERMITICITY_TOL * scale), rho0), axis1=1, axis2=2)
     _finite(correlator=values.view(float))
     _require(~(np.abs(values.imag) > IMAGINARY_TOL * scale), "correlator has spurious imaginary part {imag:.3e}",
              ArithmeticError, imag=values.imag)
@@ -139,12 +139,12 @@ def _tpm_joints(a_frame, b_frame, u1, u21, rho0) -> np.ndarray:
     # t2 - t1 and the (n, d, d) initial states; outcome pairs sit at their eigenspaces' first slots, zeros elsewhere.
     # With x = V_A^dag Phi_A(rho_t1) V_A and T = V_B^dag U21 V_A, p(a, b) sums Re[(T x)_ki conj(T_ki)] over the slots
     # i of a and k of b: S[n, s, i] is True when slot i lies in the eigenspace whose first slot is s.
-    x = _dephased_in_frame(*a_frame[:2], u1 @ rho0 @ u1.conj().swapaxes(1, 2))
-    t = b_frame[1].conj().swapaxes(1, 2) @ u21 @ a_frame[1]
+    x = _dephased_in_frame(*a_frame[:2], _matmul(_matmul(u1, rho0), u1.conj().swapaxes(1, 2)))
+    t = _matmul(_matmul(b_frame[1].conj().swapaxes(1, 2), u21), a_frame[1])
     a_sums, b_sums = ((v[:, :, None] == v[:, None, :]) & starts[:, :, None] for v, _, starts in (a_frame, b_frame))
     marginals = (a_sums @ np.diagonal(x, axis1=1, axis2=2).real[..., None])[..., 0]
     kept = ~(marginals <= MARGINAL_TOL)  # a NaN branch is kept, so the sum check below rejects it
-    conditional = a_sums @ ((t @ x) * t.conj()).real.swapaxes(1, 2) @ b_sums.swapaxes(1, 2)
+    conditional = a_sums @ (_matmul(t, x) * t.conj()).real.swapaxes(1, 2) @ b_sums.swapaxes(1, 2)
     conditional /= np.where(kept, marginals, 1.0)[..., None]
     sums = conditional.sum(axis=2)[kept]
     _require(np.abs(sums - 1.0) <= MEASUREMENT_TOL, "conditional distribution sums to {s:.15g}", ArithmeticError, s=sums)
@@ -153,9 +153,13 @@ def _tpm_joints(a_frame, b_frame, u1, u21, rho0) -> np.ndarray:
 
 def _tpm_gaps(a, b, h, t1, t2, rho0) -> np.ndarray:
     """|protocol - Heisenberg| of every instance in stacks of A, B, H (n, d, d), times (n,) and
-    states (n, d, d), each matrix checked as Observable, ChannelFamily and DensityMatrix check it."""
+    states (n, d, d), each matrix checked as Observable, ChannelFamily and DensityMatrix check it. An (n, d) rho0
+    holds weights w instead: the state at t1 is V_A diag(w) V_A^dag in A's frame, evolved back to t = 0."""
     (_, energies, modes), (a, *a_frame), (b, *b_frame) = _eighs(h, "hamiltonian"), _spectra(a), _spectra(b)
     u1, u2, u21 = (_unitaries(energies, modes, t) for t in (t1, t2, t2 - t1))
+    if rho0.ndim == 2:
+        back = _matmul(u1.conj().swapaxes(1, 2), a_frame[1])  # U1^dag V_A
+        rho0 = _matmul(back * rho0[:, None], back.conj().swapaxes(1, 2))
     rho0, _ = _states(rho0, solver=None)
     joint = _tpm_joints(a_frame, b_frame, u1, u21, rho0)
     protocol = (a_frame[0][:, None] @ joint @ b_frame[0][:, :, None])[:, 0, 0]
@@ -192,9 +196,9 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
 def _lambdas(alpha: np.ndarray, rho_t1: np.ndarray):
     """The conditional operators of a checked projector and an (n, d, d) stack of states at t1, symmetrized, with
     their ascending eigenvalues from one eigvalsh over the stack."""
-    denom = np.trace(alpha @ rho_t1, axis1=1, axis2=2).real
+    denom = np.trace(_matmul(alpha, rho_t1), axis1=1, axis2=2).real
     _require(~(denom <= MARGINAL_TOL), "unconditioned outcome: Tr(alpha rho_t1) = {denom:.3e}", denom=denom)
-    lam = (alpha @ rho_t1 + rho_t1 @ alpha) / (2.0 * denom)[:, None, None]
+    lam = (_matmul(alpha, rho_t1) + _matmul(rho_t1, alpha)) / (2.0 * denom)[:, None, None]
     lam = (lam + lam.conj().swapaxes(1, 2)) / 2.0
     return lam, np.linalg.eigvalsh(lam)
 

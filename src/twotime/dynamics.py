@@ -8,7 +8,7 @@ picture, A -> U_t^dag A U_t, which a non-unitary map does not have.
 
 import numpy as np
 
-from .qcore import _as_square_complex, _eighs, _numbers, _readonly, _require, _same_dim
+from .qcore import _as_square_complex, _eighs, _matmul, _numbers, _readonly, _require, _same_dim
 
 
 class ChannelFamily:
@@ -52,4 +52,4 @@ def _unitaries(energies: np.ndarray, modes: np.ndarray, times: np.ndarray) -> np
         largest = times * np.abs(energies).max(axis=1)
     _require(np.isfinite(largest), "phase E*t must be finite, got {e!r} at time {t!r}", e=largest, t=times)
     phases = np.exp(energies * (-1j * times)[:, None])
-    return (modes * phases[:, None, :]) @ modes.conj().swapaxes(1, 2)
+    return _matmul(modes * phases[:, None, :], modes.conj().swapaxes(1, 2))

@@ -219,9 +219,9 @@ def _spectra(stack: np.ndarray):
                 total = space.sum()
             space[:] = total / len(space) if np.isfinite(total) else (space / len(space)).sum()
     row, where = np.broadcast_to(np.arange(len(m))[:, None, None], m.shape), f": matrix {{row:.0f}} of {len(m)}"
-    gram = np.abs(adjoints @ vectors - np.eye(m.shape[1]))
+    gram = np.abs(_matmul(adjoints, vectors) - np.eye(m.shape[1]))
     _require(gram <= MEASUREMENT_TOL / (m.shape[1] + 1), "projectors are not orthogonal/idempotent" + where, row=row)
-    fit = np.abs((vectors * values[:, None, :]) @ adjoints - m)
+    fit = np.abs(_matmul(vectors * values[:, None, :], adjoints) - m)
     _require(fit <= RECONSTRUCTION_TOL * scales, "spectral decomposition does not reconstruct the matrix" + where, row=row)
     return m, values, vectors, starts
 
@@ -331,6 +331,14 @@ def _blocks(n: int, d: int):
     return (slice(start, start + _rows(d)) for start in range(0, n, _rows(d)))  # range(n) in slices of _rows(d), lazily
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex stacks as one float64 matmul, where @ makes one zgemm call per matrix: a's (..., m, d) entries
+    x + iy as (..., m, 2d) floats, times the (..., 2d, 2k) floats whose rows 2j and 2j + 1 are row j of b and of 1j * b."""
+    rows = np.ascontiguousarray(np.concatenate((b, 1j * b), -1))  # concatenate keeps a non-C layout of its inputs
+    b_floats = rows.view(float).reshape(*rows.shape[:-2], -1, rows.shape[-1])
+    return np.matmul(np.ascontiguousarray(a, complex).view(float), b_floats).view(complex)
+
+
 def _norms(vectors: np.ndarray) -> np.ndarray:
     # Each row's norm of an (n, 3) array, bitwise np.linalg.norm's (sqrt of its BLAS dot; a row sum can differ by an ulp).
     with np.errstate(over="ignore"):  # an overflowed norm is inf, which every caller rejects
@@ -368,7 +376,7 @@ def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
     """
     _same_dim(rho=rho.dim, eta=eta.dim)
     q, basis = np.linalg.eigh(eta.matrix[None])
-    weights = np.einsum("nji,nji->ni", basis.conj(), rho.matrix @ basis).real  # <v|rho|v> on each eigenvector v of eta
+    weights = np.einsum("nji,nji->ni", basis.conj(), _matmul(rho.matrix, basis)).real  # <v|rho|v> on each eigenvector v of eta
     return float(_relative_entropies(weights, von_neumann_entropy(rho), q)[0])
 
 
@@ -422,7 +430,7 @@ def random_density_matrix(dim: int, rng: "np.random.Generator") -> DensityMatrix
 def _ginibres(normals: np.ndarray) -> np.ndarray:
     # Unchecked states G G^dag / Tr from (..., 2, d, d) standard normals: real parts of each G, then imaginary parts.
     g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    m = g @ g.conj().swapaxes(-1, -2)
+    m = _matmul(g, g.conj().swapaxes(-1, -2))
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 

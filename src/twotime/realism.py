@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .qcore import MEASUREMENT_TOL, SIGMA_X, SIGMA_Y, DensityMatrix, Observable, _blocks, _count, _entropies, _floor
-from .qcore import _ginibres, _relative_entropies, _same_dim, _states, _unit_traces
+from .qcore import _ginibres, _matmul, _relative_entropies, _same_dim, _states, _unit_traces
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,20 @@ def dephase(A: Observable, rho: DensityMatrix) -> DensityMatrix:
     """Nonselective projective measurement of A: sum_a alpha_a rho alpha_a."""
     _same_dim(observable=A.dim, state=rho.dim)
     _, v, _ = A._frame  # the image rotated back to the lab basis as _irrealities rotates it, so the floats agree
-    return DensityMatrix((v @ _dephased_in_frame(*A._frame[:2], rho.matrix[None]) @ v.conj().swapaxes(1, 2))[0])
+    return DensityMatrix(_matmul(_matmul(v, _dephased_in_frame(*A._frame[:2], rho.matrix[None])), v.conj().swapaxes(1, 2))[0])
 
 
 def _dephased_in_frame(values: np.ndarray, vectors: np.ndarray, states: np.ndarray) -> np.ndarray:
     # V^dag Phi_A(rho) V of (n, d, d) states for _spectra's (n, d) eigenvalues and (n, d, d) V of A (a stack of one
     # broadcasts against the other): V^dag rho V with the entries between different eigenspaces of A zeroed.
-    return (values[:, :, None] == values[:, None, :]) * (vectors.conj().swapaxes(1, 2) @ states @ vectors)
+    return (values[:, :, None] == values[:, None, :]) * _matmul(_matmul(vectors.conj().swapaxes(1, 2), states), vectors)
 
 
 def _irrealities(values: np.ndarray, vectors: np.ndarray, states: np.ndarray, eigs: np.ndarray):
     """Columns (J, S(Phi_A(rho)), S(rho)) of _dephased_in_frame's A, checked (n, d, d) states and their (n, d)
     eigenvalues (a stack of one broadcasts against the other): each dephased image, rotated back to the lab basis,
     passes the state check, then its entropy."""
-    _, dephased_eigs = _states(vectors @ _dephased_in_frame(values, vectors, states) @ vectors.conj().swapaxes(1, 2))
+    _, dephased_eigs = _states(_matmul(_matmul(vectors, _dephased_in_frame(values, vectors, states)), vectors.conj().swapaxes(1, 2)))
     s_dephased, s_state = _entropies(dephased_eigs), _entropies(eigs)
     return s_dephased - s_state, s_dephased, s_state
 
@@ -86,7 +86,7 @@ def _eigenstate_irrealities(values: np.ndarray, vectors: np.ndarray, starts: np.
     rows = np.argwhere(starts)
     for n, k in (rows[block].T for block in _blocks(len(rows), starts.shape[1])):
         space = values[n] == values[n, k][:, None]  # the slots of each eigenstate's eigenspace
-        states = vectors[n] * (space / space.sum(axis=1, keepdims=True))[:, None, :] @ vectors[n].conj().swapaxes(1, 2)
+        states = _matmul(vectors[n] * (space / space.sum(axis=1, keepdims=True))[:, None, :], vectors[n].conj().swapaxes(1, 2))
         irrealities[n, k] = _irrealities(values[n], vectors[n], *_states(states))[0]
     return irrealities
 
@@ -122,7 +122,8 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
         # Two d x d matmuls per sigma: an (n, d^2) x (d^2, d^2) superoperator product would wake BLAS threads.
         q, basis = np.linalg.eigh(_unit_traces(_dephased_in_frame(*A._frame[:2], sigmas)))
         _floor(q[:, 0])  # eigh's own spectrum decides the floor, so each image is factorized once
-        return _relative_entropies(np.einsum("nji,nji->ni", basis.conj(), rho_in_frame @ basis).real, report.entropy_state, q)
+        return _relative_entropies(np.einsum("nji,nji->ni", basis.conj(), _matmul(rho_in_frame, basis)).real,
+                                   report.entropy_state, q)
 
     identity_gap = abs(float(scores(rho.matrix[None])[0]) - report.irreality)  # Phi_A(rho) scored as each sample
     rng = np.random.default_rng(seed)

@@ -107,9 +107,18 @@ class TestTpmGapCommand:
         assert "expected > 1e-6" in out
 
 
+def dephased_start(A, w):
+    # The state at t1 of a dephased start with weights w: V diag(w) V^dag in the frame V of A's eigenvectors.
+    (vectors,) = A._frame[1]
+    return (vectors * w) @ vectors.conj().T
+
+
 def per_instance_gap(a, b, h, t1, t2, rho0):
-    # One instance through the public objects and correlators, as tpm-gap scored it one at a time.
-    A, B, channel, rho = Observable(a), Observable(b), ChannelFamily(h), DensityMatrix(rho0)
+    # One instance through the public objects and correlators, as tpm-gap scored it one at a time; a (d,) rho0 holds
+    # a dephased start's weights, its state at t1 evolved back to 0 as _tpm_gaps evolves it.
+    A, B, channel = Observable(a), Observable(b), ChannelFamily(h)
+    u = channel.unitary_at(t1)
+    rho = DensityMatrix(rho0 if np.ndim(rho0) == 2 else u.conj().T @ dephased_start(A, rho0) @ u)
     protocol = correlators.tpm_correlator(A, B, t1, t2, channel, rho)
     return abs(protocol - correlators.heisenberg_correlator(correlators.TwoTimeOperator("product", A, B, t1, t2, channel), rho))
 
@@ -195,10 +204,19 @@ class TestStackedGaps:
         assert "d=3: max gap over 1000 random instances: 2.092e+00\n" in out
         assert "Heisenberg 0.353553390593, gap 0.353553 (expected > 1e-6)" in out
 
-    @pytest.mark.parametrize("dim, gap", [(2, "1.721e-15"), (3, "1.998e-15")], ids=["2", "3"])  # ids survive a re-pin
+    @pytest.mark.parametrize("dim, gap", [(2, "1.776e-15"), (3, "2.193e-15")], ids=["2", "3"])  # ids survive a re-pin
     def test_default_seed_dephased_starts_are_pinned(self, capsys, dim, gap):
         assert cli.main(["tpm-gap", "--dim", str(dim)]) == 0
         assert f"d={dim}: max gap over 10 dephased-start instances: {gap} (expected <= 1e-10)\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dephased_starts_are_decomposed_once(self, monkeypatch, dim):
+        # The 10 dephased starts' H, A and B pass one eigh each, as the random block's do; only the d = 3 fixture's A,
+        # B and channel are decomposed besides, one matrix each.
+        shapes, solver = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, s=solver: shapes.append(np.shape(a)) or s(a))
+        assert cli.main(["tpm-gap", "--dim", str(dim), "--trials", "1"]) == 0
+        assert [math.prod(shape[:-2]) for shape in shapes] == [10] * 3 + [1] * 3 + [1] * 3 * (dim == 3)
 
     @pytest.mark.parametrize("dim, expected", [(2, (0, 0)), (3, (2, 1))])
     def test_builds_no_observable_or_channel_per_instance(self, monkeypatch, dim, expected):
@@ -217,8 +235,8 @@ class TestStackedGaps:
         stacked = correlators._tpm_gaps
         monkeypatch.setattr(correlators, "_tpm_gaps", lambda *block: blocks.append(block) or stacked(*block))
         for dim, expected in (
-            (3, "f60b7b8e4316c077dda91c012eec8e973b3844c784f0308191337085a75bf852"),
-            (2, "12f158f1cdebdc2e974d46896e1186c8b182f790a786e7a144ecadd1100db769"),
+            (3, "53aaa1d68535342e426a8a7c655079a4a864ce4727fd3f9513be2fdf595f9997"),
+            (2, "97d77edfb6a18f8adc8015479d3d45a1f3c3d0187acfe6a6c4c694ff7e3fa17a"),
         ):
             blocks.clear()
             assert cli.main(["tpm-gap", "--dim", str(dim)]) == 0
@@ -247,8 +265,8 @@ class TestStackedGaps:
         w = ref.uniform(0.1, 1.0, (10, 3))
         for k in range(10):
             assert np.allclose(np.linalg.eigvalsh(a[k]), [-1.0, 1.0, 1.0], rtol=0.0, atol=1e-12)
-            u = ChannelFamily(h[k]).unitary_at(t1[k])
-            start = u @ rho0[k] @ u.conj().T
+            assert np.allclose(rho0[k], w[k] / w[k].sum(), rtol=0.0, atol=1e-12)
+            start = dephased_start(Observable(a[k]), rho0[k])
             assert np.max(np.abs(a[k] @ start - start @ a[k])) <= 1e-12
             assert np.allclose(np.linalg.eigvalsh(start), np.sort(w[k] / w[k].sum()), rtol=0.0, atol=1e-12)
             assert gaps[k] <= qcore.IDENTITY_TOL
@@ -281,7 +299,7 @@ class TestReportCommand:
     def test_default_seed_eigenprep_is_pinned(self, capsys):
         # The digits of roundoff-sized irrealities: a change in the irreality kernel's arithmetic shows here.
         assert cli.main(["report", "eigenprep"]) == 0
-        assert "max irreality in eigenstate preparations 9.778e-15 over 100 operators (tolerance 1e-10)\n" in capsys.readouterr().out
+        assert "max irreality in eigenstate preparations 1.217e-14 over 100 operators (tolerance 1e-10)\n" in capsys.readouterr().out
 
     def test_eigenprep_realizes_each_operator_once(self, monkeypatch):
         # Four stacks of 25 are realized, and only the realized operators pass the Observable checks in _spectra: A
@@ -461,7 +479,7 @@ class TestColumnReports:
         assert capsys.readouterr().out == (
             "PASS displacement: min product slack 6.556512e-02, min weighted slack 1.522195e-03, spread formula defect "
             "0.0e+00 over 1000 preparations (tolerance -1e-12)\n"
-            "PASS precession: closed form vs channel 2.109e-15 (<= 1e-12), field component of torque 3.192e-16 "
+            "PASS precession: closed form vs channel 2.137e-15 (<= 1e-12), field component of torque 3.192e-16 "
             "(<= 1e-12), finite-difference defect 5.592e-11 (<= 1e-8) over 100 draws\n"
         )
         assert cli.main(["--out", str(tmp_path), "lambda"]) == 0
@@ -519,7 +537,7 @@ def test_stdout_at_three_seeds_is_pinned(capsys):
             argv = ["--seed", str(seed), *command]
             code = cli.main(argv)
             digest.update(f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}".encode())
-    assert digest.hexdigest() == "1ef2d6b2e5b2604a96e9b96898a30b420956e28dffc6e59224e435dda64cba7d"
+    assert digest.hexdigest() == "6b521fd27c525ff932b5356b10c2585191fa45cb3c53f7b2191018364236a4cd"
 
 
 def test_table_command_stdout_at_three_seeds_is_pinned(tmp_path, monkeypatch, capsys):

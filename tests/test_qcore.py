@@ -394,6 +394,50 @@ def test_blocks_are_yielded_one_at_a_time():
     assert iter(blocks) is blocks and next(blocks) == slice(0, 256)
 
 
+def matmul_operands(a, b):
+    # Every operand form the library hands qcore._matmul, from (2, n, d, d) stacks a and b: stacks; conj().swapaxes
+    # views on either side (concatenating such a view alone gives a layout whose float view raises); a 2-D operand
+    # against a stack on either side; a stack of one broadcast against a stack.
+    x, y = a[0], b[0]
+    x_adjoint, y_adjoint = x.conj().swapaxes(1, 2), y.conj().swapaxes(1, 2)
+    return [(x, y), (x_adjoint, y), (x, y_adjoint), (x_adjoint, y_adjoint), (a[1, 0], y), (x, b[1, 0]), (x[:1], y_adjoint),
+            (x_adjoint, y[:1])]
+
+
+class TestMatmul:
+    # qcore._matmul is a @ b for complex stacks, taken as one float64 matmul on (re, im) views.
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_bitwise_at_on_gaussian_integers(self, dim):
+        # Small Gaussian integers make every product and sum exact, so both routes give the exact product. Only the
+        # sign of an exact zero may differ (zgemm returns -0.0 for some zero sums), so each side is compared plus 0.0.
+        rng = np.random.default_rng(70 + dim)
+        a, b = rng.integers(-4, 5, (2, 2, 5, dim, dim)) + 1j * rng.integers(-4, 5, (2, 2, 5, dim, dim))
+        for x, y in matmul_operands(a, b):
+            product = qcore._matmul(x, y)
+            assert product.shape == (x @ y).shape and (product + 0.0).tobytes() == (x @ y + 0.0).tobytes()
+
+    def test_precession_broadcast_is_bitwise_at(self):
+        # report precession propagates the three Paulis by each of its unitaries: (n, 1, 2, 2) x (3, 2, 2).
+        rng = np.random.default_rng(79)
+        u = rng.integers(-4, 5, (7, 1, 2, 2)) + 1j * rng.integers(-4, 5, (7, 1, 2, 2))
+        product = qcore._matmul(u, np.array(SIGMA))
+        assert product.shape == (7, 3, 2, 2) and (product + 0.0).tobytes() == (u @ np.array(SIGMA) + 0.0).tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_within_the_dot_product_bound_of_at_on_random_stacks(self, dim):
+        # Either route computes each real or imaginary part as a sum of 2d real products, so each lies within
+        # gamma(2d) (|a| @ |b|) of the exact part, gamma(k) = k u / (1 - k u) with unit roundoff u: they differ by at
+        # most twice that.
+        rng = np.random.default_rng(80 + dim)
+        a, b = rng.standard_normal((2, 2, 2, 36, dim, dim)) * np.exp(rng.uniform(-20.0, 20.0, (2, 2, 2, 36, 1, 1)))
+        unit = np.finfo(float).eps / 2.0
+        gamma = 2 * dim * unit / (1.0 - 2 * dim * unit)
+        for x, y in matmul_operands(a[0] + 1j * a[1], b[0] + 1j * b[1]):
+            defect = qcore._matmul(x, y) - x @ y
+            bound = 2.0 * gamma * (np.abs(x) @ np.abs(y))
+            assert np.all(np.abs(defect.real) <= bound) and np.all(np.abs(defect.imag) <= bound)
+
+
 class TestEntropies:
     def test_pure_state_entropy_zero(self):
         assert von_neumann_entropy(DensityMatrix.from_ket([1, 1j])) == pytest.approx(0.0, abs=1e-14)
@@ -463,7 +507,7 @@ class TestStateStacks:
     @staticmethod
     def weights(rho, basis):
         # <v|rho|v> on each column v of each eigenbasis of a stack, as relative_entropy takes them.
-        return np.einsum("nji,nji->ni", basis.conj(), rho @ basis).real
+        return np.einsum("nji,nji->ni", basis.conj(), qcore._matmul(rho, basis)).real
 
     def test_relative_entropy_kernel_matches_logm_oracle(self):
         # rho has rank 2 in d = 3; the stack holds a full-rank eta, eta = rho and an eta on rho's null space.

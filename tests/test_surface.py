@@ -203,3 +203,39 @@ def test_finite_checks_only_computed_quantities():
                     keywords += [keyword.arg for keyword in node.keywords]
                     inputs_named += [f"{path.name}:{node.lineno}: {k.arg}" for k in node.keywords if k.arg in inputs]
     assert keywords and inputs_named == []
+
+
+# Where @ stays in src/: a real product, or one product of 2-D operands (one BLAS call either way). A complex stack
+# goes through qcore._matmul, since @ makes one zgemm call per matrix of a stack.
+AT_SITES = {
+    "correlators._tpm_gaps: a_frame[0][:, None] @ joint @ b_frame[0][:, :, None]": "real: eigenvalues and joints",
+    "correlators._tpm_joints: a_sums @ (_matmul(t, x) * t.conj()).real.swapaxes(1, 2) @ b_sums.swapaxes(1, 2)": "real",
+    "correlators._tpm_joints: a_sums @ np.diagonal(x, axis1=1, axis2=2).real[..., None]": "real: bool sums of marginals",
+    "correlators.lambda_operator: alpha @ alpha": "2-D: one projector",
+    "correlators.tpm_correlator: a_values @ joint @ b_values": "real: eigenvalues and one joint",
+    "dynamics.ChannelFamily.propagate_state: u @ m @ u.conj().T": "2-D: one matrix",
+    "qcore.Observable.projectors: v @ v.conj().T": "2-D: one eigenspace's columns",
+    "qcore._norms: vectors[:, None, :] @ vectors[:, :, None]": "real, and bitwise np.linalg.norm's",
+    "realism.complementarity_bound_check: vectors[0].conj().T @ vectors[1]": "2-D: the pair's frames",
+    "realism.min_form_check: frame.conj().T @ rho.matrix @ frame": "2-D: rho in A's frame",
+    "realism.min_form_check.scores: sigmas.reshape(len(sigmas), -1) @ to_diagonal": "2-D: (n, d^2) x (d^2, d)",
+}
+
+
+def test_no_complex_stack_is_multiplied_with_at():
+    # Each outermost @ of src/ by its enclosing function; np.matmul only inside qcore._matmul itself.
+    sites = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult) and not (
+                    isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+                sites.append(f"{module}.{'.'.join(scope)}: {ast.unparse(child)}")
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith(".matmul") and scope != ["_matmul"]:
+                sites.append(f"{module}.{'.'.join(scope)}: {ast.unparse(child.func)}")
+            visit(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "twotime").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, [])
+    assert sorted(sites) == sorted(AT_SITES)
