@@ -248,7 +248,8 @@ class TestStackedGaps:
     def test_dephased_starts_commute_with_a_degenerate_a(self, monkeypatch):
         # Every drawn A is diag(1, 1, -1) in a random frame, so eigh's frame of the degenerate eigenspace is arbitrary.
         # Each start V diag(w) V^dag at t1, one weight per slot, still commutes with its A and scores a gap within
-        # IDENTITY_TOL. Its eigenvalues are the normalized weights, and the run takes the documented bulk draws.
+        # IDENTITY_TOL. Its eigenvalues are the normalized weights, and the run takes the documented bulk draws. The
+        # checked states that _tpm_gaps builds from the weights are read where its first _tpm_joints call receives them.
         hermitians = qcore._hermitians
 
         def degenerate_a(normals):
@@ -259,18 +260,23 @@ class TestStackedGaps:
         monkeypatch.setattr(qcore, "_hermitians", degenerate_a)
         ref = np.random.default_rng(4)
         generators, blocks = drawn_generators(monkeypatch), recorded_calls(monkeypatch, correlators, "_tpm_gaps")
+        joints = recorded_calls(monkeypatch, correlators, "_tpm_joints")
         assert cli.main(["--seed", "4", "tpm-gap", "--dim", "3", "--trials", "1"]) == 0
-        (((a, b, h, t1, t2, rho0), gaps), _) = blocks
+        (((a, b, h, t1, t2, weights), gaps), _) = blocks
+        rho0 = joints[0][0][4]
         ref.standard_normal((3, 10, 2, 3, 3)), ref.random(10), ref.uniform(0.1, 1.0, 10), ref.standard_normal((10, 2, 3, 3))
         w = ref.uniform(0.1, 1.0, (10, 3))
+        assert rho0.shape == (10, 3, 3)
         for k in range(10):
             assert np.allclose(np.linalg.eigvalsh(a[k]), [-1.0, 1.0, 1.0], rtol=0.0, atol=1e-12)
-            assert np.allclose(rho0[k], w[k] / w[k].sum(), rtol=0.0, atol=1e-12)
-            start = dephased_start(Observable(a[k]), rho0[k])
+            assert np.allclose(weights[k], w[k] / w[k].sum(), rtol=0.0, atol=1e-12)
+            u = ChannelFamily(h[k]).unitary_at(t1[k])
+            start = u @ rho0[k] @ u.conj().T
             assert np.max(np.abs(a[k] @ start - start @ a[k])) <= 1e-12
             assert np.allclose(np.linalg.eigvalsh(start), np.sort(w[k] / w[k].sum()), rtol=0.0, atol=1e-12)
             assert gaps[k] <= qcore.IDENTITY_TOL
             assert per_instance_gap(a[k], b[k], h[k], t1[k], t2[k], rho0[k]) <= qcore.IDENTITY_TOL
+            assert per_instance_gap(a[k], b[k], h[k], t1[k], t2[k], weights[k]) <= qcore.IDENTITY_TOL
         ref.standard_normal((3, 1, 2, 3, 3)), ref.random(1), ref.uniform(0.1, 1.0, 1), ref.standard_normal((1, 2, 3, 3))
         (rng,) = generators
         assert rng.bit_generator.state == ref.bit_generator.state

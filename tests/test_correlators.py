@@ -14,12 +14,13 @@ from twotime.correlators import (
     tpm_correlator,
     tpm_joint_distribution,
 )
-from twotime.correlators import _tpm_joints, _trace_forms
+from twotime.correlators import _tpm_gaps, _tpm_joints, _trace_forms
 from twotime.dynamics import ChannelFamily, _unitaries
 from twotime.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    IDENTITY_TOL,
     DensityMatrix,
     Observable,
     bloch_to_state,
@@ -314,6 +315,31 @@ class TestStackKernels:
         u21 = identities * np.array([1.0, math.sqrt(2.0)])[:, None, None]
         with pytest.raises(ArithmeticError, match="conditional distribution sums to 2"):
             _tpm_joints(frame, frame, identities, u21, identities / 2.0)
+
+    def test_weighted_starts_commute_with_a_degenerate_a(self, monkeypatch):
+        # An (n, d) rho0 holds each start's weights w: _tpm_gaps builds the state V_A diag(w) V_A^dag at t1 from its own
+        # decomposition of A, so it commutes with A whatever frame eigh picks in the degenerate eigenspace, its spectrum
+        # is w, and the gap is within IDENTITY_TOL. The built states are read where _tpm_joints receives them.
+        rng = np.random.default_rng(53)
+        frames = np.linalg.qr(rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3)))[0]
+        a = frames * np.array([1.0, 1.0, -1.0]) @ frames.conj().swapaxes(1, 2)
+        b, h = (np.array([oracles.random_hermitian_matrix(3, rng) for _ in range(8)]) for _ in range(2))
+        t1 = rng.uniform(0.0, 1.0, 8)
+        t2 = t1 + rng.uniform(0.1, 1.0, 8)
+        w = rng.uniform(0.1, 1.0, (8, 3))
+        w /= w.sum(axis=1, keepdims=True)
+        states, joints = [], _tpm_joints
+        monkeypatch.setattr("twotime.correlators._tpm_joints", lambda *args: states.append(args[4]) or joints(*args))
+        gaps = _tpm_gaps(a, b, h, t1, t2, w)
+        (rho0,) = states
+        assert rho0.shape == (8, 3, 3)
+        for k in range(8):
+            u = ChannelFamily(h[k]).unitary_at(t1[k])
+            start = u @ rho0[k] @ u.conj().T
+            assert np.max(np.abs(a[k] @ start - start @ a[k])) <= 1e-12
+            assert np.allclose(np.linalg.eigvalsh(start), np.sort(w[k]), rtol=0.0, atol=1e-12)
+        assert gaps.max() <= IDENTITY_TOL
+        assert np.array_equal(_tpm_gaps(a, b, h, t1, t2, rho0), gaps)
 
     def test_one_row_protocol_is_a_row_of_the_stack(self):
         # tpm_joint_distribution is the n = 1 view of _tpm_joints: its joint is bitwise the instance's row of a
