@@ -196,9 +196,9 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
 def _lambdas(alpha: np.ndarray, rho_t1: np.ndarray):
     """The conditional operators of a checked projector and an (n, d, d) stack of states at t1, symmetrized, with
     their ascending eigenvalues from one eigvalsh over the stack."""
-    denom = np.trace(_matmul(alpha, rho_t1), axis1=1, axis2=2).real
+    denom = np.trace(product := _matmul(alpha, rho_t1), axis1=1, axis2=2).real
     _require(~(denom <= MARGINAL_TOL), "unconditioned outcome: Tr(alpha rho_t1) = {denom:.3e}", denom=denom)
-    lam = (_matmul(alpha, rho_t1) + _matmul(rho_t1, alpha)) / (2.0 * denom)[:, None, None]
+    lam = (product + _matmul(rho_t1, alpha)) / (2.0 * denom)[:, None, None]
     lam = (lam + lam.conj().swapaxes(1, 2)) / 2.0
     return lam, np.linalg.eigvalsh(lam)
 

@@ -121,9 +121,24 @@ def _scales(stack: np.ndarray) -> np.ndarray:
 def _eighs(stack: np.ndarray, what: str):
     """Check an (n, d, d) stack of ``what`` as Hermitian with a finite spectrum; returns it symmetrized, with its eigh."""
     m = _symmetrized(stack, what, OPERATOR_HERMITICITY_TOL * _scales(stack))
-    values, vectors = np.linalg.eigh(m)
+    values, vectors = (_eigh2 if m.shape[1] == 2 else np.linalg.eigh)(m)
     _require(np.isfinite(values), what + " eigenvalue {e!r} is not finite", e=values)
     return m, values, vectors
+
+
+def _eigh2(m: np.ndarray):
+    """np.linalg.eigh of an (n, 2, 2) Hermitian stack [[a, b], [b*, c]] by the symmetric Schur step (Golub & Van Loan 8.5):
+    eigenvalues mean -+ r (mean, half = a/2 +- c/2, r = hypot(half, |b|)); frame [[-p, b], [b*, p]] / hypot(p, |b|), p = r + |half|,
+    conjugated with rows swapped where half > 0. At half scale only an eigenvalue overflows; LAPACK takes r / 2 = 0 or subnormal."""
+    with np.errstate(all="ignore"):
+        vectors = m * 0.5
+        r = np.hypot(half := (vectors[:, 0, 0] - vectors[:, 1, 1]).real * 0.5, size := np.abs(vectors[:, 0, 1]))
+        values = (vectors[:, 0, 0] + vectors[:, 1, 1]).real[:, None] + r[:, None] * [-2.0, 2.0]
+        vectors[:, 0, 0], vectors[:, 1, 1] = -(p := r + np.abs(half)), p
+        vectors = np.where((half > 0.0)[:, None, None], vectors[:, ::-1].conj(), vectors) / np.hypot(p, size)[:, None, None]
+    if np.count_nonzero(low := r < 2.0**-1022):  # the least normal float: fewer bits below it than a frame needs
+        values[low], vectors[low] = np.linalg.eigh(m[low])
+    return values, vectors
 
 
 def _unit_traces(stack: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+import solvers
 from twotime import cli, correlators, dynamics, gaussian, qcore, realism, spinlab
 from twotime.dynamics import ChannelFamily
 from twotime.gaussian import FreeParticle, GaussianPrep, uncertainty_report
@@ -211,10 +212,9 @@ class TestStackedGaps:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_dephased_starts_are_decomposed_once(self, monkeypatch, dim):
-        # The 10 dephased starts' H, A and B pass one eigh each, as the random block's do; only the d = 3 fixture's A,
-        # B and channel are decomposed besides, one matrix each.
-        shapes, solver = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a, s=solver: shapes.append(np.shape(a)) or s(a))
+        # The 10 dephased starts' H, A and B are decomposed once each, as the random block's are; only the d = 3
+        # fixture's A, B and channel are decomposed besides, one matrix each.
+        shapes = solvers.count_decompositions(monkeypatch)
         assert cli.main(["tpm-gap", "--dim", str(dim), "--trials", "1"]) == 0
         assert [math.prod(shape[:-2]) for shape in shapes] == [10] * 3 + [1] * 3 + [1] * 3 * (dim == 3)
 
@@ -386,10 +386,8 @@ class TestStackedEigenprep:
         groups = [cli._draw_instances(dim, 25, rng) for dim in (2, 3, 2, 3)]
         eigenstates = sum(len(per_operator_irrealities(kind, *(column[row] for column in group[:5])))
                           for group, kind in zip(groups, kinds) for row in range(25))
-        shapes = {"eigh": [], "eigvalsh": []}
-        for name, calls in shapes.items():
-            solver = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(np.shape(a)) or s(a))
+        shapes, eigvalsh = {"eigh": solvers.count_decompositions(monkeypatch), "eigvalsh": []}, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes["eigvalsh"].append(np.shape(a)) or eigvalsh(a))
         assert cli.main(["report", "eigenprep"]) == 0
         matrices = {name: [math.prod(shape[:-2]) for shape in calls] for name, calls in shapes.items()}
         # 4 stacks of H and of the realized operators; every eigenstate and its dephased image checked.
@@ -485,7 +483,7 @@ class TestColumnReports:
         assert capsys.readouterr().out == (
             "PASS displacement: min product slack 6.556512e-02, min weighted slack 1.522195e-03, spread formula defect "
             "0.0e+00 over 1000 preparations (tolerance -1e-12)\n"
-            "PASS precession: closed form vs channel 2.137e-15 (<= 1e-12), field component of torque 3.192e-16 "
+            "PASS precession: closed form vs channel 1.937e-15 (<= 1e-12), field component of torque 3.192e-16 "
             "(<= 1e-12), finite-difference defect 5.592e-11 (<= 1e-8) over 100 draws\n"
         )
         assert cli.main(["--out", str(tmp_path), "lambda"]) == 0
@@ -498,12 +496,14 @@ class TestColumnReports:
     ])
     def test_every_matrix_is_checked(self, tmp_path, monkeypatch, argv, eigh, eigvalsh, cholesky):
         # lambda: each state passes the DensityMatrix checks (the Cholesky gate) and each conditional operator an
-        # eigvalsh; precession: each Hamiltonian passes the checked eigh. No call takes more than _rows(2) matrices.
-        shapes = {"eigh": [], "eigvalsh": [], "cholesky": []}
+        # eigvalsh; precession: each Hamiltonian passes the checked eigh (eigh counts every decomposition, the closed-form
+        # 2 x 2 ones included). No call takes more than _rows(2) matrices.
+        decompositions, shapes = solvers.count_decompositions(monkeypatch), {"eigvalsh": [], "cholesky": []}
         for name, calls in shapes.items():
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
         assert cli.main(["--out", str(tmp_path)] + argv) == 0
+        shapes = {"eigh": [math.prod(shape[:-2]) for shape in decompositions], **shapes}
         assert tuple(sum(calls) for calls in shapes.values()) == (eigh, eigvalsh, cholesky)
         assert max(sum(shapes.values(), [])) <= qcore._rows(2)
 
@@ -543,7 +543,7 @@ def test_stdout_at_three_seeds_is_pinned(capsys):
             argv = ["--seed", str(seed), *command]
             code = cli.main(argv)
             digest.update(f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}".encode())
-    assert digest.hexdigest() == "6b521fd27c525ff932b5356b10c2585191fa45cb3c53f7b2191018364236a4cd"
+    assert digest.hexdigest() == "8d850c5eca5e9ee92ba779b653c377ef8f83f481e17cf0c355117bb2cd75272e"
 
 
 def test_table_command_stdout_at_three_seeds_is_pinned(tmp_path, monkeypatch, capsys):

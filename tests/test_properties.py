@@ -1,5 +1,5 @@
-"""Hypothesis property tests of the irreality, the protocol, the realized two-time operator, the state check and
-the admission of a complementary pair.
+"""Hypothesis property tests of the irreality, the protocol, the realized two-time operator, the state check, the
+admission of a complementary pair and the closed-form qubit decomposition.
 
 Matrices come from a drawn seed; observables get a drawn integer spectrum in a random
 basis, so repeated entries give degenerate observables.
@@ -14,10 +14,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from twotime import qcore
 from twotime.correlators import TwoTimeOperator, heisenberg_correlator, realize, tpm_joint_distribution
 from twotime.dynamics import ChannelFamily
 from twotime.qcore import PSD_FLOOR, DensityMatrix, Observable, _states, random_hermitian, von_neumann_entropy
 from twotime.realism import complementarity_bound_check, dephase, irreality
+from twotime.spinlab import precession_channel
 
 
 def unitary(dim, rng):
@@ -317,3 +319,42 @@ def test_observables_and_hamiltonians_share_one_checked_decomposition(matrix):
     except ValueError:
         return
     assert observable.tobytes() == hamiltonian.tobytes()
+
+
+@st.composite
+def near_degenerate_qubits(draw):
+    """[[c + h, b], [b*, c - h]]: h = 0 or +-10**[-17, 0] / 2, |b| = 0 or 10**[-300, 0] at any phase, c in [-1, 1] (0
+    among them, where a - c keeps its 1e-17); as drawn, times 1e-300, or scaled to a largest entry of 7e307, where
+    every eigenvalue (at most 7e307 + hypot(7e307, 7e307)) is still finite."""
+    centre = draw(st.just(0.0) | st.floats(-1.0, 1.0))
+    half = draw(st.sampled_from([0.0, 0.5, -0.5])) * 10.0 ** draw(st.floats(-17.0, 0.0))
+    b = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, 0.0)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    m = np.array([[centre + half, b], [np.conj(b), centre - half]])
+    scale = draw(st.sampled_from([1.0, 1e-300, 7e307 / max(np.abs(m).max(), 1.0)]))
+    return m * scale
+
+
+@given(near_degenerate_qubits())
+@example(np.diag([1e308, -1e308]).astype(complex))
+@example(np.array([[1e308, 1e308], [1e308, -1e308]], dtype=complex))  # eigenvalues +-sqrt(2) 1e308
+@example(np.array([[1.0, 1e-320], [1e-320, 1.0]], dtype=complex))  # r / 2 subnormal: too few bits for a closed-form frame
+def test_closed_form_qubit_decomposition_matches_lapack(matrix):
+    # qcore._eighs decomposes a 2 x 2 stack in closed form: its eigenvalues ascend and match eigh's within
+    # RECONSTRUCTION_TOL per unit of _scales, and its frame passes the Gram check of _spectra (MEASUREMENT_TOL / 3 at
+    # d = 2) and rebuilds the matrix within RECONSTRUCTION_TOL per unit of _scales.
+    (m,), (values,), (vectors,) = qcore._eighs(matrix[None], "observable")
+    scale = qcore._scales(m[None])[0]
+    assert values[0] <= values[1]
+    assert np.max(np.abs(values - np.linalg.eigh(m)[0])) <= qcore.RECONSTRUCTION_TOL * scale
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(2))) <= qcore.MEASUREMENT_TOL / 3
+    assert np.max(np.abs(vectors * values @ vectors.conj().T - m)) <= qcore.RECONSTRUCTION_TOL * scale
+
+
+@given(st.floats(0.0, 7.0), st.floats(0.0, 7.0))
+def test_spin_product_still_groups_as_a_multiple_of_one(t1, t2):
+    # Criterion 07's {Sx(t1), Sy(t2)} / 2 under precession about z is sin(t2 - t1) / 4 times 1 up to roundoff: the
+    # closed-form decomposition of its qubit matrix leaves one eigenvalue, that multiple.
+    sx, sy = Observable(qcore.SIGMA_X / 2.0), Observable(qcore.SIGMA_Y / 2.0)
+    realized = realize(TwoTimeOperator("product", sx, sy, t1, t2, precession_channel((0.0, 0.0, 1.0))))
+    assert len(realized.eigenvalues) == 1
+    assert abs(realized.eigenvalues[0] - math.sin(t2 - t1) / 4.0) <= qcore.IDENTITY_TOL

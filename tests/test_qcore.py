@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import solvers
 from twotime import cli, qcore
 from twotime.correlators import _tpm_gaps, qutrit_gap_fixture, tpm_joint_distribution
 from twotime.qcore import (
@@ -197,8 +198,8 @@ class TestObservable:
 
 
 def reference_grouped_spectrum(h):
-    # The per-group loop Observable's array path replaced, kept as the bitwise reference.
-    eigvals, eigvecs = np.linalg.eigh(h)
+    # The per-group loop Observable's array path replaced, kept as the bitwise reference, on the same raw decomposition.
+    (eigvals,), (eigvecs,) = solvers.raw_eigh(h[None])
     spectrum = []
     start = 0
     for stop in range(1, len(eigvals) + 1):
@@ -220,6 +221,14 @@ def forced_spectra(dim, rng):
     small = base.copy()
     small[1] = small[0] + 1e-8
     return [base, repeats, tiny, small, np.full(dim, rng.uniform(-3.0, 3.0))]
+
+
+def spin_matrices(dim):
+    # The x, y and z components of spin (d - 1)/2 as a (3, d, d) stack, for d = 2 (the Paulis) or 3: each nondegenerate.
+    if dim == 2:
+        return np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+    x = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2.0)
+    return np.array([x, 1j * (np.tril(x) - np.triu(x)), np.diag([1.0, 0.0, -1.0])], dtype=complex)
 
 
 def observable_matrices(dim):
@@ -295,46 +304,38 @@ class TestSpectraStack:
         with pytest.raises(ValueError, match=r"observable is not Hermitian: max \|H - H\^dag\|"):
             _spectra(np.array([SIGMA_X, bad, SIGMA_Z], dtype=complex))
 
-    def test_projector_checks_name_the_first_failing_matrix(self, monkeypatch):
-        eigh = np.linalg.eigh
-
-        def stretched(a):
-            # Eigenvectors of the second matrix scaled by 2: projectors 4 P, neither idempotent nor summing to 1.
-            values, vectors = eigh(a)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_projector_checks_name_the_first_failing_matrix(self, monkeypatch, dim):
+        # Eigenvectors of the second matrix scaled by 2: projectors 4 P, neither idempotent nor summing to 1.
+        def stretched(values, vectors):
             vectors[1:] *= 2.0
-            return values, vectors
 
-        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        solvers.faulty_solvers(monkeypatch, stretched)
         with pytest.raises(ValueError, match="projectors are not orthogonal/idempotent: matrix 1 of 3"):
-            _spectra(np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+            _spectra(spin_matrices(dim))
 
-    def test_reconstruction_check_names_the_first_failing_matrix_by_its_own_scale(self, monkeypatch):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reconstruction_check_names_the_first_failing_matrix_by_its_own_scale(self, monkeypatch, dim):
         # The second matrix's eigenvalues shifted by 1e-6: it is rebuilt off by 1e-6, above RECONSTRUCTION_TOL per unit
         # of its own scale 1, though below the 1e-5 that the first matrix's scale 1e4 would allow.
-        eigh = np.linalg.eigh
-
-        def shifted(a):
-            values, vectors = eigh(a)
+        def shifted(values, vectors):
             values[1] += 1e-6
-            return values, vectors
 
-        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        solvers.faulty_solvers(monkeypatch, shifted)
+        first, *rest = spin_matrices(dim)
         with pytest.raises(ValueError, match="^spectral decomposition does not reconstruct the matrix: matrix 1 of 3$"):
-            _spectra(np.array([1e4 * SIGMA_X, SIGMA_Y, SIGMA_Z]))
+            _spectra(np.array([1e4 * first, *rest]))
 
-    def test_gram_check_is_divided_by_d_plus_one(self, monkeypatch):
-        # Eigenvectors of the second qubit scaled by 1 + 3e-11: max |V^dag V - 1| is about 6e-11, above
-        # MEASUREMENT_TOL / 3 but below MEASUREMENT_TOL, while the reconstruction (off by about 6e-11) still passes.
-        eigh = np.linalg.eigh
+    @pytest.mark.parametrize("dim, stretch", [(2, 2e-11), (3, 1.45e-11)])
+    def test_gram_check_is_divided_by_d_plus_one(self, monkeypatch, dim, stretch):
+        # Eigenvectors of the second matrix scaled by 1 + stretch: max |V^dag V - 1| is about 2 stretch, above
+        # MEASUREMENT_TOL / (d + 1) but below MEASUREMENT_TOL / d, while the reconstruction (off by as much) still passes.
+        def scaled(values, vectors):
+            vectors[1] *= 1.0 + stretch
 
-        def scaled(a):
-            values, vectors = eigh(a)
-            vectors[1] *= 1.0 + 3e-11
-            return values, vectors
-
-        monkeypatch.setattr(np.linalg, "eigh", scaled)
+        solvers.faulty_solvers(monkeypatch, scaled)
         with pytest.raises(ValueError, match="projectors are not orthogonal/idempotent: matrix 1 of 3"):
-            _spectra(np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+            _spectra(spin_matrices(dim))
 
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(0, 150))
     def test_frame_invariants_hold_at_every_scale(self, dim, seed, k):
@@ -355,20 +356,18 @@ class TestSpectraStack:
 
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(0, 150), st.floats(-15.0, -9.0))
     def test_every_accepted_stack_passes_the_pair_and_completeness_residuals(self, dim, seed, k, log_scale):
-        # eigh's eigenvectors are perturbed by 10**log_scale times complex normals. Whenever the Gram check accepts
+        # The solver's eigenvectors are perturbed by 10**log_scale times complex normals. Whenever the Gram check accepts
         # a forced spectrum scaled by 10**k (degenerate and merged groups included), every pair P_i P_j - delta_ij P_i
         # and sum P - 1 of the projectors built from (V, starts) stays within (1 + d e) d e of the Gram defect e, so
         # within MEASUREMENT_TOL.
         rng = np.random.default_rng(seed)
-        eigh = np.linalg.eigh
 
-        def perturbed(a):
-            values, vectors = eigh(a)
-            return values, vectors + 10.0**log_scale * (rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape))
+        def perturbed(values, vectors):
+            vectors += 10.0**log_scale * (rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape))
 
         for _, matrix in scaled_forced_observables(dim, rng, 10.0**k):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(np.linalg, "eigh", perturbed)
+                solvers.faulty_solvers(patch, perturbed)
                 try:
                     _, _, (vectors,), (starts,) = _spectra(matrix[None])
                 except ValueError as error:  # rejected: by the Gram check, or at the larger scales by the fit
