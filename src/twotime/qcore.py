@@ -136,7 +136,7 @@ def _eigh2(m: np.ndarray):
         values = (vectors[:, 0, 0] + vectors[:, 1, 1]).real[:, None] + r[:, None] * [-2.0, 2.0]
         vectors[:, 0, 0], vectors[:, 1, 1] = -(p := r + np.abs(half)), p
         vectors = np.where((half > 0.0)[:, None, None], vectors[:, ::-1].conj(), vectors) / np.hypot(p, size)[:, None, None]
-    if np.count_nonzero(low := r < 2.0**-1022):  # the least normal float: fewer bits below it than a frame needs
+    if np.count_nonzero(low := r < 2.0**-1022):  # 2**-1022, the least normal float
         values[low], vectors[low] = np.linalg.eigh(m[low])
     return values, vectors
 

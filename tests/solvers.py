@@ -32,8 +32,3 @@ def faulty_solvers(patch, fault):
             return values, vectors
         return faulty
     wrap_solvers(patch, wrap)
-
-
-def raw_eigh(stack):
-    """The raw decomposition ``qcore._eighs`` takes of a checked (n, d, d) stack."""
-    return (qcore._eigh2 if stack.shape[-1] == 2 else np.linalg.eigh)(stack)

@@ -498,14 +498,14 @@ class TestColumnReports:
         # lambda: each state passes the DensityMatrix checks (the Cholesky gate) and each conditional operator an
         # eigvalsh; precession: each Hamiltonian passes the checked eigh (eigh counts every decomposition, the closed-form
         # 2 x 2 ones included). No call takes more than _rows(2) matrices.
-        decompositions, shapes = solvers.count_decompositions(monkeypatch), {"eigvalsh": [], "cholesky": []}
-        for name, calls in shapes.items():
+        shapes = {"eigh": solvers.count_decompositions(monkeypatch), "eigvalsh": [], "cholesky": []}
+        for name in ("eigvalsh", "cholesky"):
             solver = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=calls: c.append(math.prod(np.shape(a)[:-2])) or s(a))
+            monkeypatch.setattr(np.linalg, name, lambda a, s=solver, c=shapes[name]: c.append(np.shape(a)) or s(a))
         assert cli.main(["--out", str(tmp_path)] + argv) == 0
-        shapes = {"eigh": [math.prod(shape[:-2]) for shape in decompositions], **shapes}
-        assert tuple(sum(calls) for calls in shapes.values()) == (eigh, eigvalsh, cholesky)
-        assert max(sum(shapes.values(), [])) <= qcore._rows(2)
+        matrices = [[math.prod(shape[:-2]) for shape in calls] for calls in shapes.values()]
+        assert tuple(map(sum, matrices)) == (eigh, eigvalsh, cholesky)
+        assert max(sum(matrices, [])) <= qcore._rows(2)
 
 
 def test_seed_changes_output(tmp_path):

@@ -199,7 +199,7 @@ class TestObservable:
 
 def reference_grouped_spectrum(h):
     # The per-group loop Observable's array path replaced, kept as the bitwise reference, on the same raw decomposition.
-    (eigvals,), (eigvecs,) = solvers.raw_eigh(h[None])
+    _, (eigvals,), (eigvecs,) = qcore._eighs(h[None], "observable")
     spectrum = []
     start = 0
     for stop in range(1, len(eigvals) + 1):
