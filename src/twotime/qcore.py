@@ -220,7 +220,7 @@ class DensityMatrix:
 def _spectra(stack: np.ndarray):
     """Check and decompose an (n, d, d) stack of observables as ``Observable`` does: the symmetrized stack, (n, d)
     eigenvalues (those within GROUP_TOL_DEFAULT per unit of _scales share an eigenspace, whose slots all hold their
-    mean), eigh's (n, d, d) eigenvectors V and (n, d) ``starts``, True in each eigenspace's first slot. With V's one
+    mean), _eighs' (n, d, d) eigenvectors V and (n, d) ``starts``, True in each eigenspace's first slot. With V's one
     check e = max |V^dag V - 1| <= MEASUREMENT_TOL / (d + 1), the eigenprojectors P_g = V_g V_g^dag of slices V_g of V
     keep every entry of P_g P_h - delta_gh P_g and of sum P - 1 = V V^dag - 1 within (1 + d e) d e < MEASUREMENT_TOL."""
     m, values, vectors = _eighs(stack, "observable")
