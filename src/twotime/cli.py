@@ -34,9 +34,10 @@ WRITE_BLOCK = 4096  # table rows formatted and written per step
 
 # Tables of _cells, from Python's own formatting. A cell is four 8-byte words of ASCII and NUL: the sign, with "0." and
 # z - 1 zeros for a fixed cell of exponent -z < 0 (_PREFIX[5 * negative + z]); twelve digits, three per 4 bytes; and
-# _EXP_TEXT[k + 297]: NUL, or a scientific cell's exponent k. _POW10[k + 297] is 10**k. Digits v (< 1000) of chunk k in
-# a cell of `length` digits with the point after digit `point` are _CHUNKS[4 * v + _VARIANTS[k, 16 * length + point + 4]].
-_v, _k, _point = np.arange(1000), np.arange(4)[:, None, None], np.arange(-4, 12)
+# _EXP_TEXT[k + 297]: NUL, or a scientific cell's exponent k. _POW10[k + 297] is 10**k. Chunk k's digits v (< 1000) in a
+# cell of n significant digits (16 * n = max over k of _SIGNIFICANT[v] + 48 * k) with the point after digit `point` are
+# _CHUNKS[4 * v + _COLUMNS[k, 16 * n + point + 4]]: _VARIANTS[k, 16 * m + point + 4], m = max(n, point + 1) digits shown.
+_v, _k, _n, _point = np.arange(1000), np.arange(4)[:, None, None], np.arange(13)[:, None], np.arange(-4, 12)
 _TRIPLES = np.frombuffer(b"".join(b"%03d" % v for v in range(1000)), np.uint8).reshape(1000, 3)
 _EXP_TEXT = np.array([b"" if -4 <= k < 12 else b"e%+03d" % k for k in range(-297, 309)], "S8").view(np.uint64)
 _POW10 = np.array([float("1e%d" % k) for k in range(-297, 309)])
@@ -44,32 +45,37 @@ _PREFIX = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000", b"-", b"-0.", b"-0.0"
 _SLOTS = np.array([[0, 1, 2, 3], [0, 4, 1, 2], [0, 1, 4, 2], [0, 1, 2, 4]])  # a chunk's bytes: digits, 3 NUL, 4 "."
 _CHUNKS = np.c_[_TRIPLES, np.zeros(1000, np.uint8), np.full(1000, ord("."), np.uint8)][:, _SLOTS]
 _CHUNKS = np.ascontiguousarray(_CHUNKS * ((_SLOTS < _k) | (_SLOTS == 4))[:, None]).view(np.uint32).ravel()
-_VARIANTS = (4000 * np.clip(np.arange(13)[:, None] - 3 * _k, 0, 3) + (_point // 3 == _k) * (_point % 3 + 1)).reshape(4, -1)
-_SIGNIFICANT = np.where(_v == 0, -12, 3 - (_v % 10 == 0) - (_v % 100 == 0))  # v's digits up to its last nonzero one
+_VARIANTS = (4000 * np.clip(_n - 3 * _k, 0, 3) + (_point // 3 == _k) * (_point % 3 + 1)).reshape(4, -1)
+_COLUMNS = _VARIANTS.take((16 * np.maximum(_n, _point + 1) + np.where(_n > _point + 1, _point + 4, 0)).ravel(), axis=1)
+_SIGNIFICANT = 16 * np.where(_v == 0, -12, 3 - (_v % 10 == 0) - (_v % 100 == 0))  # 16 * v's digits up to its last nonzero one
 _python_cell = b"%.12g".__mod__  # a cell the kernel leaves to Python
 
 
-def _cells(column) -> np.ndarray:
-    """(n, w) uint8 rows: strings as they are, numbers x as "%.12g" % x, ASCII with NUL bytes that the writer drops.
-    scaled = |x| * 10**(11 - floor(log10 |x|)) is two roundings from exact, so rint(scaled) is %.12g's digits if it
-    lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN from a tie; Python formats the rest (0, inf, nan, ties, carries)."""
+@np.errstate(divide="ignore", invalid="ignore")  # 0, inf and nan get any in-range slot words here; Python rewrites them
+def _cells(column, out) -> None:
+    """Fill ``out``, (n, 4) uint64 slots, with the column's cells: strings as they are, numbers x as "%.12g" % x, ASCII and
+    NUL bytes that the writer drops; byte 31 of a slot stays NUL. scaled = |x| * 10**(11 - floor(log10 |x|)) is two
+    roundings from exact, so rint(scaled) is %.12g's digits if it lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN from a
+    tie; Python formats the rest (0, inf, nan, ties, carries)."""
     if column.dtype != float:  # a column of strings
-        return np.asarray(column, "S").view(np.uint8).reshape(len(column), -1)
-    fast = np.isfinite(column) & (column != 0)
-    a = np.abs(np.where(fast, column, 1.0))
-    e = np.floor(np.log10(a)).astype(np.int64)
-    scaled = a * _POW10[np.minimum(11 - e, 308) + 297]
-    fast &= (scaled >= 10**11) & (scaled < 10**12 - 1) & (np.abs(scaled - np.rint(scaled)) < 0.5 - CELL_TIE_MARGIN)
-    hi, lo = np.divmod(np.where(fast, np.rint(scaled), 10**11).astype(np.int64), 10**6)
-    chunks = np.stack(np.divmod(hi, 1000) + np.divmod(lo, 1000))
-    place = np.where((e < -4) | (e >= 12), 0, e)  # where the point goes: fixed notation for -4 <= e < 12
-    length = np.maximum((_SIGNIFICANT.take(chunks) + 3 * _k[:, 0]).max(axis=0), place + 1)
-    variants = _VARIANTS.take(16 * length + np.where(length > place + 1, place, -4) + 4, axis=1)
-    digits = np.ascontiguousarray(_CHUNKS.take(4 * chunks + variants).T).view(np.uint64)
-    cells = np.c_[_PREFIX[5 * np.signbit(column) + np.maximum(-place, 0)], digits, _EXP_TEXT[e + 297]].view(np.uint8)
+        out.view("S32")[:, 0] = text = np.asarray(column, "S")
+        qcore._require(text.itemsize < 32, "a table cell of {width:g} bytes does not fit its 31-byte slot", width=text.itemsize)
+        return
+    a = np.abs(column)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scaled = a * _POW10.take(308 - e, mode="clip")
+    fast = (scaled >= 10**11) & (scaled < 10**12 - 1) & (np.abs(scaled - (digits := np.rint(scaled))) < 0.5 - CELL_TIE_MARGIN)
+    chunks = (digits / _POW10[306:296:-3, None]).astype(np.intp)  # / 10**9, 10**6, 10**3 and 1: exact, and floored
+    chunks[1:] -= 1000 * chunks[:-1]
+    out[:, 3] = exponent = _EXP_TEXT.take(e + 297, mode="clip")
+    point = np.where(exponent == 0, e + 4, 4)  # 4 + the exponent of a fixed cell, 4 for a scientific one
+    length = (_SIGNIFICANT.take(chunks, mode="clip") + 48 * _k[:, 0]).max(axis=0)
+    out[:, 0] = _PREFIX.take(5 * np.signbit(column) + np.maximum(4 - point, 0))
+    chunks *= 4
+    chunks += _COLUMNS.take(length + point, axis=1, mode="clip")
+    out.view(np.uint32)[:, 2:6] = _CHUNKS.take(chunks, mode="clip").T
     for row in np.flatnonzero(~fast):
-        cells[row] = np.frombuffer(_python_cell(column[row]).ljust(32, b"\0"), np.uint8)
-    return cells
+        out.view("S32")[row, 0] = _python_cell(column[row])
 
 
 def _path(args, stem) -> Path:
@@ -79,12 +85,11 @@ def _path(args, stem) -> Path:
 def _write_tables(args, tables) -> None:
     """Write (stem, header, columns) tables and publish them together, each at :func:`_path`.
 
-    Each table goes to a temporary file in the output directory, and all of
-    them are renamed into place only once every one is written. Cells are
-    ASCII strings or numbers, numbers exactly as "%.12g" writes them, made
-    bytes by :func:`_cells` a column and WRITE_BLOCK rows at a time. If a write
-    fails, the temporary files are removed and its OSError propagates: no table
-    is published that is not already in place.
+    Each table goes to a temporary file in the output directory, and all of them are renamed into place only
+    once every one is written. Cells are ASCII strings or numbers exactly as "%.12g" writes them, which :func:`_cells`
+    sets a column at a time in WRITE_BLOCK rows of 32-byte slots; byte 31 of a slot is its separator or newline, and
+    NUL bytes are dropped. If a write fails, the temporary files are removed and its OSError propagates: no table is
+    published that is not already in place.
     """
     sep = "," if args.format == "csv" else "\t"
     paths = [_path(args, stem) for stem, _, _ in tables]
@@ -93,14 +98,17 @@ def _write_tables(args, tables) -> None:
         args.out.mkdir(parents=True, exist_ok=True)
         for path, (_, header, columns) in zip(paths, tables):
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            ends = np.frombuffer((sep * (len(columns) - 1) + "\n").encode(), np.uint8)  # each slot's byte 31
             with open(temp, "wb") as fh:
                 temps.append(temp)
                 fh.write((sep.join(header) + "\n").encode())
                 for start in range(0, len(columns[0]), WRITE_BLOCK):
-                    ends = np.full((min(WRITE_BLOCK, len(columns[0]) - start), 1), ord(sep), np.uint8)
-                    rows = np.concatenate([p for c in columns for p in (_cells(c[start:start + WRITE_BLOCK]), ends)], axis=1)
-                    rows[:, -1] = ord("\n")
-                    fh.write(rows.tobytes().translate(None, b"\0"))
+                    block = bytearray(32 * len(columns) * min(WRITE_BLOCK, len(columns[0]) - start))
+                    slots = np.frombuffer(block, np.uint64).reshape(-1, len(columns), 4)
+                    for column, cells in zip(columns, slots.swapaxes(0, 1)):
+                        _cells(column[start:start + WRITE_BLOCK], cells)
+                    slots.view(np.uint8)[:, :, 31] = ends
+                    fh.write(block.translate(None, b"\0"))
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     finally:  # after a complete run every temporary file is already renamed into place

@@ -49,6 +49,7 @@ SIGMA_X = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Y = _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
 SIGMA = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PLUS_MINUS = _readonly(np.array([-2.0, 2.0]))  # _eigh2's eigenvalues mean -+ r, ascending, r at half scale
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -133,9 +134,10 @@ def _eigh2(m: np.ndarray):
     with np.errstate(all="ignore"):
         vectors = m * 0.5
         r = np.hypot(half := (vectors[:, 0, 0] - vectors[:, 1, 1]).real * 0.5, size := np.abs(vectors[:, 0, 1]))
-        values = (vectors[:, 0, 0] + vectors[:, 1, 1]).real[:, None] + r[:, None] * [-2.0, 2.0]
+        values = (vectors[:, 0, 0] + vectors[:, 1, 1]).real[:, None] + r[:, None] * _PLUS_MINUS
         vectors[:, 0, 0], vectors[:, 1, 1] = -(p := r + np.abs(half)), p
-        vectors = np.where((half > 0.0)[:, None, None], vectors[:, ::-1].conj(), vectors) / np.hypot(p, size)[:, None, None]
+        np.copyto(vectors, vectors[:, ::-1].conj(), where=(half > 0.0)[:, None, None])
+        vectors /= np.hypot(p, size)[:, None, None]
     if np.count_nonzero(low := r < 2.0**-1022):  # 2**-1022, the least normal float
         values[low], vectors[low] = np.linalg.eigh(m[low])
     return values, vectors

@@ -708,9 +708,13 @@ def test_write_failure_leaves_no_table(tmp_path, monkeypatch):
 
 
 def kernel_lines(values):
-    # Each value through the column kernel, one line per value, as the writer joins cells.
-    cells = cli._cells(np.asarray(values, dtype=float))
-    return np.c_[cells, np.full(len(values), ord("\n"), np.uint8)].tobytes().translate(None, b"\0")
+    # Each value through the column kernel into its 32-byte slot, one line per value, as the writer joins cells: the
+    # newline goes in byte 31, which no cell may use.
+    slots = np.full((len(values), 4), 0x5A5A5A5A5A5A5A5A, np.uint64)  # "Z" bytes: a word left unwritten shows in the line
+    cli._cells(np.asarray(values, dtype=float), slots)
+    assert not slots.view(np.uint8)[:, 31].any()
+    slots.view(np.uint8)[:, 31] = ord("\n")
+    return slots.tobytes().translate(None, b"\0")
 
 
 def tie_neighbours(rng, n, offsets):
@@ -759,6 +763,58 @@ class TestCellKernel:
         cells = 5 * 40_000 + 4 * 4 * 360
         assert cells == 205_760
         assert 0 < len(calls) <= cells // 100
+
+
+def write_one_table(tmp_path, columns, fmt="csv"):
+    args = cli.build_parser().parse_args(["--out", str(tmp_path), "--format", fmt, "figure1"])
+    cli._write_tables(args, [("table", [f"c{j}" for j in range(len(columns))], columns)])
+    return (tmp_path / f"table.{fmt}").read_bytes()
+
+
+class TestCellSlots:
+    WIDEST = [-1.23456789012e-297, -9.87654321098e+307, -0.000123456789012, -123456789012.0]  # 19, 19, 18 and 13 bytes
+
+    def test_python_and_string_cells_leave_byte_31_nul(self):
+        # The kernel's families are checked in kernel_lines; these are the cells Python formats, and strings.
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, -5e-324, -2.2250738585072014e-308, -1.7976931348623157e308,
+                  -1e-298, -0.5000000000005, -999999999999.5, *self.WIDEST]
+        assert kernel_lines(values) == b"".join(b"%.12g\n" % v for v in values)
+        text = np.array(["", "true", "false", "x" * 31])
+        slots = np.full((len(text), 4), 0x5A5A5A5A5A5A5A5A, np.uint64)
+        cli._cells(text, slots)
+        assert not slots.view(np.uint8)[:, 31].any()
+        assert [slot.tobytes().rstrip(b"\0") for slot in slots] == [t.encode() for t in text]
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_a_31_byte_string_cell_is_written_whole(self, tmp_path, fmt):
+        sep = "," if fmt == "csv" else "\t"
+        written = write_one_table(tmp_path, [np.array(["a" * 31, "b"]), np.array(self.WIDEST[:2]), np.array(["c", "d" * 31])], fmt)
+        lines = [sep.join(("a" * 31, "%.12g" % self.WIDEST[0], "c")), sep.join(("b", "%.12g" % self.WIDEST[1], "d" * 31))]
+        assert written == (sep.join(("c0", "c1", "c2")) + "\n" + "\n".join(lines) + "\n").encode()
+
+    def test_a_string_cell_wider_than_its_slot_raises(self, tmp_path):
+        slots = np.zeros((2, 4), np.uint64)
+        with pytest.raises(ValueError, match="a table cell of 32 bytes does not fit its 31-byte slot"):
+            cli._cells(np.array(["ok", "y" * 32]), slots)
+        with pytest.raises(ValueError, match="a table cell of 40 bytes"):
+            write_one_table(tmp_path, [np.array(["z" * 40]), np.array([1.0])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_block_is_one_buffer_of_slots(self, tmp_path, monkeypatch):
+        # Each block of WRITE_BLOCK rows is formatted in place: every column's slots are views of one buffer, 32 bytes a
+        # cell, and no column is formatted into an array of its own.
+        calls = recorded_calls(monkeypatch, cli, "_cells")
+        n = cli.WRITE_BLOCK + 5
+        columns = [np.arange(n) + 0.5, np.full(n, -2.0), np.where(np.arange(n) % 2 == 0, "true", "false")]
+        written = write_one_table(tmp_path, columns)
+        assert written.count(b"\n") == n + 1
+        blocks = [[args[1] for args, _ in calls[i:i + 3]] for i in range(0, len(calls), 3)]
+        assert [len(block[0]) for block in blocks] == [cli.WRITE_BLOCK, 5]
+        for block in blocks:
+            assert [out.shape for out in block] == [(len(block[0]), 4)] * 3
+            assert all(out.dtype == np.uint64 and out.strides == (3 * 32, 8) for out in block)
+            rows = np.lib.stride_tricks.as_strided(block[0], (len(block[0]), 3 * 4), (3 * 32, 8))  # from the first slot on
+            assert all(np.shares_memory(rows[:, 4 * j:4 * j + 4], out) for j, out in enumerate(block))
 
 
 class TestTableWriter:
