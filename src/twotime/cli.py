@@ -10,6 +10,7 @@ output directory can be set with the TWOTIME_OUT environment variable.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -58,6 +59,7 @@ def _cells(column, out) -> None:
     roundings from exact, so rint(scaled) is %.12g's digits if it lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN from a
     tie; Python formats the rest (0, inf, nan, ties, carries)."""
     if column.dtype != float:  # a column of strings
+        qcore._require(column.dtype.type in (np.str_, np.bytes_), f"a table column of {column.dtype} is neither float64 nor text")
         out.view("S32")[:, 0] = text = np.asarray(column, "S")
         qcore._require(text.itemsize < 32, "a table cell of {width:g} bytes does not fit its 31-byte slot", width=text.itemsize)
         return
@@ -310,6 +312,7 @@ def _int_at_least(low: int):
     return count
 
 
+@functools.cache  # built once per process: main reads TWOTIME_OUT itself, on each run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twotime",
@@ -319,16 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed, >= 0 (default %(default)s)")
     parser.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES,
                         help="samples per band, >= 1 (default %(default)s)")
-    parser.add_argument(
-        "--out", type=Path, default=os.environ.get(OUT_ENV_VAR, "."),
-        help="output directory (default $" + OUT_ENV_VAR + " or the working directory)",
-    )
+    parser.add_argument("--out", type=Path, help="output directory (default $" + OUT_ENV_VAR + " or the working directory)")
     parser.add_argument("--format", choices=("csv", "tsv"), default="csv", help="table format (default %(default)s)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_fig = commands.add_parser("figure1", help="irreality trade-off scan over Bloch bands")
     p_fig.set_defaults(run=cmd_figure1)
-    p_fig.add_argument("--r-list", type=_parse_r_list, default=list(DEFAULT_R_LIST),
+    p_fig.add_argument("--r-list", type=_parse_r_list, default=DEFAULT_R_LIST,
                        help="comma-separated band radii (default 0.2,0.5,0.8,1.0)")
 
     p_lam = commands.add_parser("lambda", help="conditional-operator Bloch norm over a theta grid")
@@ -350,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand, publish the tables of a passing run, print its lines; 0 pass, 1 fail, 2 an error."""
     args = build_parser().parse_args(argv)
+    args.out = Path(os.environ.get(OUT_ENV_VAR, ".")) if args.out is None else args.out
     ok, lines, tables = args.run(args)
     try:
         if ok and tables:  # a run without tables never creates --out

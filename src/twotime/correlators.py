@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import ChannelFamily, _unitaries
 from .qcore import IMAGINARY_TOL, MARGINAL_TOL, MEASUREMENT_TOL, OPERATOR_HERMITICITY_TOL, PSD_FLOOR, DensityMatrix, Observable
 from .qcore import _as_square_complex, _eighs, _finite, _matmul, _numbers, _readonly, _require, _same_dim, _scales, _spectra
-from .qcore import _states, _symmetrized
+from .qcore import _states, _symmetrized, _typed
 from .realism import _dephased_in_frame
 
 _KINDS = ("product", "sum")
@@ -54,7 +54,8 @@ class TwoTimeOperator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        _same_dim(A=self.A.dim, B=self.B.dim, channel=self.channel.dim)
+        _same_dim(A=_typed(self.A, Observable, "A").dim, B=_typed(self.B, Observable, "B").dim,
+                  channel=_typed(self.channel, ChannelFamily, "channel").dim)
         for name in ("t1", "t2"):  # finite numbers; realizing the operator checks each phase E*t, as unitary_at does
             _numbers(getattr(self, name), name)
 
@@ -96,12 +97,12 @@ def realize(op: TwoTimeOperator) -> Observable:
     eigenvalues of the result are grouped (the spin product {Sx(t1), Sy(t2)}/2,
     for instance, is proportional to the identity).
     """
-    return Observable(_two_time_matrix(op))
+    return Observable(_two_time_matrix(_typed(op, TwoTimeOperator, "op")))
 
 
 def heisenberg_correlator(op: TwoTimeOperator, rho0: DensityMatrix) -> float:
     """Tr(C12 rho0) for the realized two-time operator; real up to roundoff."""
-    _same_dim(state=rho0.dim, operator=op.channel.dim)
+    _same_dim(state=_typed(rho0, DensityMatrix, "rho0").dim, operator=_typed(op, TwoTimeOperator, "op").channel.dim)
     return float(_trace_forms(_two_time_matrix(op)[None], rho0.matrix[None])[0])
 
 
@@ -127,7 +128,8 @@ def tpm_joint_distribution(A: Observable, B: Observable, t1: float, t2: float, c
     Tr[beta phi*(alpha)]. Outcomes whose first-measurement marginal is below
     1e-12 contribute zero rows and are skipped.
     """
-    _same_dim(A=A.dim, B=B.dim, channel=channel.dim, state=rho0.dim)
+    _same_dim(A=_typed(A, Observable, "A").dim, B=_typed(B, Observable, "B").dim,
+              channel=_typed(channel, ChannelFamily, "channel").dim, state=_typed(rho0, DensityMatrix, "rho0").dim)
     _require(_numbers(t1, "t1") < _numbers(t2, "t2"), "the protocol requires t2 > t1, got t1={t1!r}, t2={t2!r}", t1=t1, t2=t2)
     u1, u21 = (channel.unitary_at(t)[None] for t in (t1, t2 - t1))
     joint = _tpm_joints(A._frame, B._frame, u1, u21, rho0.matrix[None])
@@ -175,7 +177,7 @@ def tpm_correlator(A: Observable, B: Observable, t1: float, t2: float, channel: 
     return float(correlator)
 
 
-def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> LambdaReport:
+def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel: ChannelFamily) -> LambdaReport:
     """Conditional operator the Heisenberg form assigns to one t1 outcome.
 
     For the outcome projector alpha and evolved state rho_t1, this is
@@ -187,7 +189,8 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel) -> Lambd
     with np.errstate(over="ignore", invalid="ignore"):  # P^2 of entries past sqrt(float max) is inf or nan: rejected
         defect = np.max(np.abs(alpha @ alpha - alpha))
     _require(defect <= MEASUREMENT_TOL, "projector is not idempotent: max |P^2 - P| = {defect:.3e}", defect=defect)
-    _same_dim(projector=alpha.shape[0], state=rho0.dim, channel=channel.dim)
+    _same_dim(projector=alpha.shape[0], state=_typed(rho0, DensityMatrix, "rho0").dim,
+              channel=_typed(channel, ChannelFamily, "channel").dim)
     lam, eigs = _lambdas(alpha, channel.propagate_state(rho0.matrix, t1)[None])
     return LambdaReport(matrix=_readonly(lam[0]), min_eigenvalue=float(eigs[0, 0]), trace=float(lam[0].trace().real),
                         physical=bool(eigs[0, 0] >= PSD_FLOOR))

@@ -61,9 +61,8 @@ def _as_square_complex(matrix) -> np.ndarray:
 
 def _require(ok, message: str, error=ValueError, **columns) -> None:
     """Raise error(message), filled with the named columns' entries as Python floats, at the first row where ok fails."""
-    ok = np.ravel(ok)
-    if not ok.all():  # argmin of a boolean array is its first False
-        raise error(message.format(**{name: float(np.ravel(column)[np.argmin(ok)]) for name, column in columns.items()}))
+    if not (ok is True or np.asarray(ok).all()):  # argmin of a boolean array is its first False, in the order .flat counts
+        raise error(message.format(**{name: float(np.asarray(column).flat[np.argmin(ok)]) for name, column in columns.items()}))
 
 
 def _finite(**columns) -> None:
@@ -94,6 +93,12 @@ def _count(value, name: str, low=0) -> int:
     return count
 
 
+def _typed(value, kind: type, name: str):  # value, once it is a kind: else a TypeError naming the parameter and the kind
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _same_dim(**dims) -> None:
     """Raise one message naming every part's dimension unless all of ``dims`` (name=dim) agree."""
     if len(set(dims.values())) > 1:
@@ -103,14 +108,15 @@ def _same_dim(**dims) -> None:
 def _symmetrized(m: np.ndarray, what: str, tol) -> np.ndarray:
     # M/2 + M^dag/2 of an (n, d, d) stack, or of an (n, d) stack of diagonals (a diagonal's adjoint is its conjugate),
     # once each max |M - M^dag| <= tol, a float or one per matrix; NaN or inf fails.
-    half, adjoint = m * 0.5, (m.conj() if m.ndim == 2 else m.conj().swapaxes(1, 2)) * 0.5
+    half, adjoint = m * 0.5, np.conjugate(m if m.ndim == 2 else m.swapaxes(1, 2), order="C")
+    adjoint *= 0.5  # in place: np.conjugate copies even a real m (whose .conj() is m), C-ordered as each pass below reads it
     with np.errstate(over="ignore"):  # halved first, so only a defect past the float max overflows (to inf)
         gaps = np.abs(half - adjoint)
         # A stack-wide max <= the least finite tol passes every matrix; otherwise (NaN too) each one's defect decides.
-        if not 2.0 * gaps.max(initial=0.0) <= np.min(tol, initial=math.inf) < math.inf:
+        if not 2.0 * gaps.max(initial=0.0) <= (tol if type(tol) is float else tol.min(initial=math.inf)) < math.inf:
             defect = 2.0 * gaps.reshape(len(m), -1).max(axis=1)
             _require((defect <= tol) & (defect < math.inf), what + " is not Hermitian: max |H - H^dag| = {e:.3e}", e=defect)
-    return half + adjoint
+    return np.add(half, adjoint, out=half)
 
 
 def _scales(stack: np.ndarray) -> np.ndarray:
@@ -147,7 +153,7 @@ def _unit_traces(stack: np.ndarray) -> np.ndarray:
     """The symmetrized stack, once each density matrix is Hermitian and of unit trace within ``STATE_TOL``; an
     (n, d) stack holds the diagonals of diagonal matrices, checked with the messages those matrices get."""
     m = _symmetrized(stack, "density matrix", STATE_TOL)
-    traces = (m if m.ndim == 2 else np.diagonal(m, axis1=1, axis2=2)).sum(axis=1)  # as np.trace sums a diagonal
+    traces = (m if m.ndim == 2 else m.diagonal(axis1=1, axis2=2)).sum(axis=1)  # as np.trace sums a diagonal
     _require(np.abs(traces - 1.0) <= STATE_TOL, "density matrix trace is {t:.15g}, expected 1", t=traces.real)
     return m
 
@@ -345,7 +351,7 @@ def _rows(d: int) -> int:
 
 
 def _blocks(n: int, d: int):
-    return (slice(start, start + _rows(d)) for start in range(0, n, _rows(d)))  # range(n) in slices of _rows(d), lazily
+    return map(slice, range(0, n, rows := _rows(d)), range(rows, n + rows, rows))  # range(n) in slices of _rows(d), lazily
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,7 +381,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     Eigenvalues in [-1e-10, 0) are clamped to zero before the log; anything
     more negative is already rejected by the DensityMatrix invariants.
     """
-    return float(_entropies(rho.eigenvalues()[None])[0])
+    return float(_entropies(_typed(rho, DensityMatrix, "rho").eigenvalues()[None])[0])
 
 
 def _entropies(eigs: np.ndarray) -> np.ndarray:
@@ -391,7 +397,7 @@ def relative_entropy(rho: DensityMatrix, eta: DensityMatrix) -> float:
     Returns +inf when the support of rho is not contained in the support of
     eta (an eta-eigenvalue below 1e-12 carrying rho-weight above 1e-10).
     """
-    _same_dim(rho=rho.dim, eta=eta.dim)
+    _same_dim(rho=_typed(rho, DensityMatrix, "rho").dim, eta=_typed(eta, DensityMatrix, "eta").dim)
     q, basis = np.linalg.eigh(eta.matrix[None])
     weights = np.einsum("nji,nji->ni", basis.conj(), _matmul(rho.matrix, basis)).real  # <v|rho|v> on each eigenvector v of eta
     return float(_relative_entropies(weights, von_neumann_entropy(rho), q)[0])
@@ -401,7 +407,7 @@ def _relative_entropies(weights: np.ndarray, entropy: float, q: np.ndarray) -> n
     # relative_entropy(rho, eta) for a state rho of that entropy and each eta of a checked stack given by its (n, d)
     # eigenvalues q, from rho's weights on their eigenvectors: (n, d), or one (d,) row shared by every eta.
     null = q < SUPPORT_TOL
-    infinite = np.any(null & (weights > SUPPORT_WEIGHT_TOL), axis=1)
+    infinite = (null & (weights > SUPPORT_WEIGHT_TOL)).any(axis=1)
     cross = (weights * np.log(np.where(null, 1.0, q))).sum(axis=1)  # log 1 = 0 on the null space
     values = np.where(infinite, math.inf, -entropy - cross)
     _require(~(values < -NEGATIVE_ENTROPY_TOL), "relative entropy evaluated to {v:.3e} < 0", ArithmeticError, v=values)
@@ -441,20 +447,21 @@ def _bloch_states(vectors: np.ndarray) -> np.ndarray:
 def random_density_matrix(dim: int, rng: "np.random.Generator") -> DensityMatrix:
     """Full-rank random state from a normalized Ginibre matrix G G^dag."""
     dim = _count(dim, "dim", low=1)
-    return DensityMatrix(_ginibres(rng.standard_normal((2, dim, dim))))
+    return DensityMatrix(_ginibres(_typed(rng, np.random.Generator, "rng").standard_normal((2, dim, dim))))
 
 
 def _ginibres(normals: np.ndarray) -> np.ndarray:
     # Unchecked states G G^dag / Tr from (..., 2, d, d) standard normals: real parts of each G, then imaginary parts.
-    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    g = np.empty(normals.shape[:-3] + normals.shape[-2:], complex)
+    g.real, g.imag = normals[..., 0, :, :], normals[..., 1, :, :]
     m = _matmul(g, g.conj().swapaxes(-1, -2))
-    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_hermitian(dim: int, rng: "np.random.Generator") -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries."""
     dim = _count(dim, "dim", low=1)
-    return _hermitians(rng.standard_normal((2, dim, dim)))
+    return _hermitians(_typed(rng, np.random.Generator, "rng").standard_normal((2, dim, dim)))
 
 
 def _hermitians(normals: np.ndarray) -> np.ndarray:

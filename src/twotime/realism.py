@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .qcore import MEASUREMENT_TOL, SIGMA_X, SIGMA_Y, DensityMatrix, Observable, _blocks, _count, _entropies, _floor
-from .qcore import _ginibres, _matmul, _relative_entropies, _same_dim, _states, _unit_traces
+from .qcore import _ginibres, _matmul, _relative_entropies, _same_dim, _states, _typed, _unit_traces
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ComplementarityReport:
 
 def dephase(A: Observable, rho: DensityMatrix) -> DensityMatrix:
     """Nonselective projective measurement of A: sum_a alpha_a rho alpha_a."""
-    _same_dim(observable=A.dim, state=rho.dim)
+    _same_dim(observable=_typed(A, Observable, "A").dim, state=_typed(rho, DensityMatrix, "rho").dim)
     _, v, _ = A._frame  # the image rotated back to the lab basis as _irrealities rotates it, so the floats agree
     return DensityMatrix(_matmul(_matmul(v, _dephased_in_frame(*A._frame[:2], rho.matrix[None])), v.conj().swapaxes(1, 2))[0])
 
@@ -93,7 +93,7 @@ def _eigenstate_irrealities(values: np.ndarray, vectors: np.ndarray, starts: np.
 
 def irreality(A: Observable, rho: DensityMatrix) -> IrrealityReport:
     """Entropic distance of rho from being an A-reality state (nats)."""
-    _same_dim(observable=A.dim, state=rho.dim)
+    _same_dim(observable=_typed(A, Observable, "A").dim, state=_typed(rho, DensityMatrix, "rho").dim)
     columns = _irrealities(*A._frame[:2], rho.matrix[None], rho.eigenvalues()[None])
     return IrrealityReport(*(float(column[0]) for column in columns))
 
@@ -126,18 +126,14 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
                                    report.entropy_state, q)
 
     identity_gap = abs(float(scores(rho.matrix[None])[0]) - report.irreality)  # Phi_A(rho) scored as each sample
-    rng = np.random.default_rng(seed)
+    rng, d = np.random.default_rng(seed), rho.dim
     values = np.empty(n_samples)
-    for block in _blocks(n_samples, rho.dim):
-        values[block] = scores(_states(_ginibres(rng.standard_normal((len(values[block]), 2, rho.dim, rho.dim))), solver=None)[0])
+    for block in _blocks(n_samples, d):
+        values[block] = scores(_states(_ginibres(rng.standard_normal((len(values[block]), 2, d, d))), solver=None)[0])
     finite = values[np.isfinite(values)]
-    return MinFormReport(
-        irreality=report.irreality,
-        identity_gap=identity_gap,
-        min_margin=float(finite.min() - report.irreality) if finite.size else math.inf,
-        infinite_samples=len(values) - finite.size,
-        n_samples=n_samples,
-    )
+    return MinFormReport(irreality=report.irreality, identity_gap=identity_gap, n_samples=n_samples,
+                         min_margin=float(finite.min() - report.irreality) if finite.size else math.inf,
+                         infinite_samples=len(values) - finite.size)
 
 
 _qubit_pair = cache(lambda: (Observable(SIGMA_X), Observable(SIGMA_Y)))  # the default pair, built on first use
@@ -154,11 +150,10 @@ def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, se
     """
     if (first is None) != (second is None):
         raise ValueError("give both observables of the pair or neither")
-    if first is None:
-        if rho.dim != 2:
-            raise ValueError(f"default observables are the qubit pair; got state dim {rho.dim}")
-        first, second = _qubit_pair()
-    _same_dim(first=first.dim, second=second.dim, state=rho.dim)
+    if _typed(rho, DensityMatrix, "rho").dim != 2 and first is None:
+        raise ValueError(f"default observables are the qubit pair; got state dim {rho.dim}")
+    first, second = _qubit_pair() if first is None else (first, second)
+    _same_dim(first=_typed(first, Observable, "first").dim, second=_typed(second, Observable, "second").dim, state=rho.dim)
     values, vectors, starts = (np.concatenate(pair) for pair in zip(first._frame, second._frame))
     if not (starts.all() and np.abs(vectors[0].conj().T @ vectors[1]).max() ** 2 <= 1.0 / rho.dim + MEASUREMENT_TOL):
         raise ValueError("composed dephasings of the pair do not yield the maximally mixed state")

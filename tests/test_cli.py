@@ -71,6 +71,26 @@ class TestFigure1Command:
         assert cli.main(["--samples", "10", "figure1"]) == 0
         assert (tmp_path / "envout" / "figure1_scatter.csv").exists()
 
+    def test_out_dir_set_after_a_first_run_is_honored(self, tmp_path, monkeypatch):
+        # The parser is built once per process, so the variable is read by each run, not by the parser's defaults.
+        monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "first"))
+        assert cli.main(["--samples", "10", "figure1"]) == 0
+        monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "second"))
+        assert cli.main(["--samples", "10", "figure1"]) == 0
+        monkeypatch.delenv(cli.OUT_ENV_VAR)
+        monkeypatch.chdir(tmp_path / "first")
+        assert cli.main(["lambda"]) == 0
+        assert sorted(path.name for path in (tmp_path / "first").iterdir()) == ["figure1_curves.csv", "figure1_scatter.csv",
+                                                                                 "lambda.csv"]
+        assert sorted(path.name for path in (tmp_path / "second").iterdir()) == ["figure1_curves.csv", "figure1_scatter.csv"]
+
+    def test_parser_is_built_once_and_shares_no_mutable_default(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first, second = (parser.parse_args(["figure1"]) for _ in range(2))
+        assert first.r_list == second.r_list == cli.DEFAULT_R_LIST and isinstance(first.r_list, tuple)
+        assert first.out is None  # main reads the environment variable at parse time
+
 
 class TestLambdaCommand:
     def test_grid_and_physical_fraction(self, tmp_path, capsys):
@@ -799,6 +819,16 @@ class TestCellSlots:
         with pytest.raises(ValueError, match="a table cell of 40 bytes"):
             write_one_table(tmp_path, [np.array(["z" * 40]), np.array([1.0])])
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex128, bool, object])
+    def test_a_column_neither_float64_nor_text_raises_and_publishes_nothing(self, tmp_path, dtype):
+        # float32 was once written as the text of each float ("0.1" as 0.100000001490 is not), and an int column as str.
+        args = cli.build_parser().parse_args(["--out", str(tmp_path), "figure1"])
+        good, bad = ("good", ["x"], [np.array([0.5, 2.5])]), ("bad", ["x", "y"], [np.array([1.0, 2.0]), np.array([1, 2], dtype)])
+        with pytest.raises(ValueError, match=f"a table column of {np.dtype(dtype)} is neither float64 nor text"):
+            cli._write_tables(args, [good, bad])
+        assert list(tmp_path.iterdir()) == []
+        assert write_one_table(tmp_path, [np.array(["a"]), np.array([b"b"]), np.array([0.1])]) == b"c0,c1,c2\na,b,0.1\n"
 
     def test_a_block_is_one_buffer_of_slots(self, tmp_path, monkeypatch):
         # Each block of WRITE_BLOCK rows is formatted in place: every column's slots are views of one buffer, 32 bytes a

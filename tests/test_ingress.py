@@ -8,14 +8,16 @@ float given as a count) must be rejected, and its message must name the paramete
 messages use for it. A number or numeric array of the right type and rank with a NaN or infinite entry must raise
 ``ValueError("<that word> must be finite, got <the first such entry>")``, as ``qcore._numbers`` raises it.
 
-Object-typed parameters (an ``Observable``, a ``DensityMatrix``, a ``ChannelFamily``, a ``Generator``) stay
-duck-typed, and an eigenvalue index is a Python index (a bool selects as a list index does), so neither gets a
-value of the wrong type. Objects built from extreme finite numbers (observables and Hamiltonians scaled toward the
-float max, kets with parts near it) are probed instead: each call returns a finite result or raises ``ValueError``,
-with no warning.
+An object-typed parameter (an ``Observable``, a ``DensityMatrix``, a ``ChannelFamily``, a ``TwoTimeOperator`` or a
+``Generator``) given None, an ndarray or another library type must raise ``TypeError("<name> must be of type <type>,
+got <its type>")``, as ``qcore._typed`` raises it. An eigenvalue index is a Python index (a bool selects as a list
+index does), so it gets no value of the wrong type. Objects built from extreme finite numbers (observables and
+Hamiltonians scaled toward the float max, kets with parts near it) are probed too: each call returns a finite result
+or raises ``ValueError``, with no warning.
 """
 
 import dataclasses
+import inspect
 import itertools
 import math
 import warnings
@@ -30,6 +32,7 @@ import twotime
 from test_surface import PUBLIC_NAMES
 from twotime import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     BlochVector,
     ChannelFamily,
@@ -309,3 +312,61 @@ def test_objects_from_extreme_finite_numbers_give_a_finite_result_or_a_value_err
             except ValueError:
                 continue
         assert isinstance(result, returns) and finite(result), (label, arguments, result)
+
+
+# Each public callable that takes a library object: its call by keyword, and its object parameters' baselines.
+GENERATOR = np.random.Generator
+OBJECT_PARAMS = {
+    "von_neumann_entropy": (twotime.von_neumann_entropy, {"rho": RHO}),
+    "relative_entropy": (twotime.relative_entropy, {"rho": RHO, "eta": DensityMatrix.maximally_mixed(2)}),
+    "random_density_matrix": (lambda rng: twotime.random_density_matrix(2, rng), {"rng": np.random.default_rng(0)}),
+    "random_hermitian": (lambda rng: twotime.random_hermitian(2, rng), {"rng": np.random.default_rng(0)}),
+    "dephase": (twotime.dephase, {"A": B, "rho": RHO}),
+    "irreality": (twotime.irreality, {"A": B, "rho": RHO}),
+    "min_form_check": (lambda A, rho: twotime.min_form_check(A, rho, 5, 3), {"A": B, "rho": RHO}),
+    "complementarity_bound_check": (twotime.complementarity_bound_check, {"rho": RHO, "first": A, "second": Observable(SIGMA_Y)}),
+    "TwoTimeOperator": (lambda A, B, channel: TwoTimeOperator("product", A, B, 0.0, 1.0, channel),
+                        {"A": A, "B": B, "channel": CHANNEL}),
+    "realize": (twotime.realize, {"op": OP}),
+    "heisenberg_correlator": (twotime.heisenberg_correlator, {"op": OP, "rho0": RHO}),
+    "prepare_eigenstate": (lambda op: twotime.prepare_eigenstate(op, 0), {"op": OP}),
+    "tpm_joint_distribution": (lambda A, B, channel, rho0: twotime.tpm_joint_distribution(A, B, 0.0, 1.0, channel, rho0),
+                               {"A": A, "B": B, "channel": CHANNEL, "rho0": RHO}),
+    "tpm_correlator": (lambda A, B, channel, rho0: twotime.tpm_correlator(A, B, 0.0, 1.0, channel, rho0),
+                       {"A": A, "B": B, "channel": CHANNEL, "rho0": RHO}),
+    "lambda_operator": (lambda rho0, channel: twotime.lambda_operator(np.diag([1.0, 0.0]), rho0, 0.5, channel),
+                        {"rho0": RHO, "channel": CHANNEL}),
+}
+OBJECT_PROBES = [(label, name) for label, (_, params) in OBJECT_PARAMS.items() for name in params]
+
+
+def object_parameters(value):
+    # (name, type) of each parameter of a public callable annotated with a library object type (or Generator).
+    kinds = {Observable, DensityMatrix, ChannelFamily, TwoTimeOperator, GENERATOR, "np.random.Generator"}
+    return [(name, param.annotation) for name, param in inspect.signature(value).parameters.items()
+            if param.annotation in kinds]
+
+
+def test_every_object_parameter_is_probed():
+    annotated = {(label, name) for label in PUBLIC_NAMES if callable(value := getattr(twotime, label))
+                 for name, _ in object_parameters(value)}
+    assert annotated and annotated == set(OBJECT_PROBES)
+
+
+@pytest.mark.parametrize("label, name", OBJECT_PROBES, ids=[f"{label}-{name}" for label, name in OBJECT_PROBES])
+def test_an_object_parameter_of_another_type_raises_a_type_error_naming_it(label, name):
+    call, params = OBJECT_PARAMS[label]
+    kind = dict(object_parameters(getattr(twotime, label)))[name]
+    kind = GENERATOR if kind == "np.random.Generator" else kind
+    other = CHANNEL if kind is not ChannelFamily else A  # a library object of another type
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(**params)  # the baseline call passes
+        for value in (None, np.eye(2), other):
+            if value is None and label == "complementarity_bound_check" and name != "rho":
+                with pytest.raises(ValueError, match="^give both observables of the pair or neither$"):
+                    call(**params | {name: value})  # None for both selects the default pair, so one None is a ValueError
+                continue
+            with pytest.raises(TypeError) as info:
+                call(**params | {name: value})
+            assert str(info.value) == f"{name} must be of type {kind.__name__}, got {type(value).__name__}", (label, name)

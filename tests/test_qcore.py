@@ -711,3 +711,75 @@ class TestBloch:
         assert vec.r == pytest.approx(0.7, abs=1e-12)
         assert vec.theta == pytest.approx(1.1, abs=1e-12)
         assert vec.phi == pytest.approx(2.3, abs=1e-12)
+
+
+def reference_require(ok, message, error=ValueError, **columns):
+    # _require as it was before its passing path returned early: ravel ok, then argmin names the first False.
+    ok = np.ravel(ok)
+    if not ok.all():
+        raise error(message.format(**{name: float(np.ravel(column)[np.argmin(ok)]) for name, column in columns.items()}))
+
+
+def outcome(check, ok, **columns):
+    try:
+        check(ok, "x={x!r} y={y!r}", ArithmeticError, **columns)
+    except ArithmeticError as error:
+        return str(error)
+    return None
+
+
+NAN_COLUMN = np.array([0.5, math.nan, 3.0, -1.0])
+GRID = np.arange(6.0).reshape(2, 3)
+
+
+class TestRequire:
+    @pytest.mark.parametrize("ok, columns", [
+        (False, {"x": 1.5, "y": -2.0}),
+        (True, {"x": 1.5, "y": -2.0}),
+        (np.False_, {"x": np.float64(0.25), "y": 3}),
+        (np.True_, {"x": np.float64(0.25), "y": 3}),
+        (np.array(False), {"x": np.array(7.0), "y": 1.0}),
+        (np.array(True), {"x": np.array(7.0), "y": 1.0}),
+        (NAN_COLUMN <= 1.0, {"x": NAN_COLUMN, "y": -NAN_COLUMN}),  # NaN fails a comparison: row 1 is named
+        (~(NAN_COLUMN > 1.0), {"x": NAN_COLUMN, "y": NAN_COLUMN}),  # ... and passes a negated one: row 2 is named
+        (np.isfinite(NAN_COLUMN), {"x": NAN_COLUMN, "y": np.zeros(4)}),
+        (np.ones(4, bool), {"x": NAN_COLUMN, "y": NAN_COLUMN}),
+        (GRID.T < 4.0, {"x": GRID.T, "y": np.broadcast_to(np.arange(3.0)[:, None], (3, 2))}),  # in C order of the view
+        (np.array([], bool), {"x": np.array([]), "y": np.array([])}),
+        (np.zeros((0, 3), bool), {"x": np.zeros((0, 3)), "y": np.zeros((0, 3))}),
+    ], ids=["False", "True", "np.False_", "np.True_", "0-d False", "0-d True", "NaN fails", "NaN passes negated",
+            "non-finite", "all pass", "2-D view", "empty", "empty 2-D"])
+    def test_raises_exactly_as_the_reference_and_passes_the_same(self, ok, columns):
+        assert outcome(qcore._require, ok, **columns) == outcome(reference_require, ok, **columns)
+
+    def test_names_the_first_failing_row(self):
+        assert outcome(qcore._require, NAN_COLUMN <= 1.0, x=NAN_COLUMN, y=np.arange(4.0)) == "x=nan y=1.0"
+        assert outcome(qcore._require, np.array([]), x=np.array([])) is None
+
+
+def reference_symmetrized(m):
+    # The stack's symmetrized form as it was first written: both halves scaled, then summed.
+    return m * 0.5 + (m.conj() if m.ndim == 2 else m.conj().swapaxes(1, 2)) * 0.5
+
+
+class TestSymmetrized:
+    def test_is_bitwise_the_half_sum_and_leaves_its_input_alone(self):
+        rng = np.random.default_rng(3)
+        stacks = [_ginibres(rng.standard_normal((5, 2, 4, 4))), rng.standard_normal((6, 3)), rng.standard_normal((6, 3)) + 0j,
+                  np.diag([0.25, 0.75])[None] + np.array([[0.0, 1e-15], [0.0, 0.0]])]
+        for stack in stacks:
+            before = stack.copy()
+            got = qcore._symmetrized(stack, "density matrix", qcore.STATE_TOL)
+            assert got.tobytes() == reference_symmetrized(before).tobytes() and stack.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("tol", [qcore.STATE_TOL, np.full(2, qcore.STATE_TOL)], ids=["float", "per matrix"])
+    def test_a_defect_within_the_least_tol_is_passed_stack_wide(self, monkeypatch, tol):
+        # No per-matrix defect is formed or checked when the stack-wide max passes: _require is never reached.
+        stack = np.array([np.diag([0.5, 0.5]), [[0.5, 1e-14], [0.0, 0.5]]], complex)
+        calls = []
+        monkeypatch.setattr(qcore, "_require", lambda *args, **kwargs: calls.append(args))
+        qcore._symmetrized(stack, "density matrix", tol)
+        assert calls == []
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"^density matrix is not Hermitian: max \|H - H\^dag\| = 1\.000e-10$"):
+            qcore._symmetrized(stack + np.array([[0.0, 1e-10], [0.0, 0.0]]), "density matrix", tol)

@@ -163,10 +163,11 @@ def test_no_column_is_mapped_one_python_float_at_a_time():
 
 
 def test_no_module_but_qcore_tests_a_parameters_type():
-    # The ingress rule (qcore._numbers and qcore._count) decides once what counts as a number, a count or a numeric array:
-    # no other module tests isinstance(..., bool | np.bool_ | str | bytes | numbers.*), compares a .dtype with bool or
-    # reads a .dtype.kind.
-    banned = {"bool", "np.bool_", "numpy.bool_", "str", "bytes"}
+    # The ingress rule (qcore._numbers and qcore._count) decides once what counts as a number, a count or a numeric array,
+    # and qcore._typed what counts as an object parameter: no other module tests isinstance(..., bool | np.bool_ | str |
+    # bytes | numbers.* | a library type or Generator), compares a .dtype with bool or reads a .dtype.kind.
+    banned = {"bool", "np.bool_", "numpy.bool_", "str", "bytes", "Observable", "DensityMatrix", "ChannelFamily",
+              "TwoTimeOperator", "np.random.Generator"}
 
     def type_test(node):
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
@@ -239,3 +240,16 @@ def test_no_complex_stack_is_multiplied_with_at():
     for path in sorted((ROOT / "src" / "twotime").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, [])
     assert sorted(sites) == sorted(AT_SITES)
+
+
+# The shared checks on the realism path: their passing path takes methods and ufuncs, not numpy's Python wrappers.
+CHECK_HELPERS = ("_require", "_symmetrized", "_unit_traces", "_ginibres", "_relative_entropies")
+
+
+def test_check_helpers_call_no_numpy_reduction_wrapper():
+    wrappers = {"np.ravel", "np.min", "np.any", "np.trace", "np.diagonal"}
+    tree = ast.parse((ROOT / "src" / "twotime" / "qcore.py").read_text())
+    helpers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in CHECK_HELPERS}
+    calls = [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, helper in helpers.items() for node in ast.walk(helper)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in wrappers]
+    assert sorted(helpers) == sorted(CHECK_HELPERS) and calls == []
