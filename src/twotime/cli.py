@@ -33,14 +33,13 @@ LAMBDA_HEADER = ("theta", "nu_norm", "min_eigenvalue", "physical")
 WRITE_BLOCK = 4096  # table rows formatted and written per step
 
 
-# Tables of _cells, from Python's own formatting. A cell is four 8-byte words of ASCII and NUL: the sign, with "0." and
-# z - 1 zeros for a fixed cell of exponent -z < 0 (_PREFIX[5 * negative + z]); twelve digits, three per 4 bytes; and
-# _EXP_TEXT[k + 297]: NUL, or a scientific cell's exponent k. _POW10[k + 297] is 10**k. Chunk k's digits v (< 1000) in a
-# cell of n significant digits (16 * n = max over k of _SIGNIFICANT[v] + 48 * k) with the point after digit `point` are
-# _CHUNKS[4 * v + _COLUMNS[k, 16 * n + point + 4]]: _VARIANTS[k, 16 * m + point + 4], m = max(n, point + 1) digits shown.
+# Tables of _cells, from Python's own formatting. A float cell is three 8-byte words of ASCII and NUL: the sign, with "0."
+# and z - 1 zeros for a cell of exponent -z < 0 (_PREFIX[5 * negative + z]); then twelve digits, three per 4 bytes.
+# _POW10[k + 297] is 10**k. Chunk k's digits v (< 1000) in a cell of n significant digits (16 * n = max over k of
+# _SIGNIFICANT[v] + 48 * k) with the point after digit `point` are _CHUNKS[4 * v + _COLUMNS[k, 16 * n + point + 4]]:
+# _VARIANTS[k, 16 * m + point + 4], m = max(n, point + 1) digits shown.
 _v, _k, _n, _point = np.arange(1000), np.arange(4)[:, None, None], np.arange(13)[:, None], np.arange(-4, 12)
 _TRIPLES = np.frombuffer(b"".join(b"%03d" % v for v in range(1000)), np.uint8).reshape(1000, 3)
-_EXP_TEXT = np.array([b"" if -4 <= k < 12 else b"e%+03d" % k for k in range(-297, 309)], "S8").view(np.uint64)
 _POW10 = np.array([float("1e%d" % k) for k in range(-297, 309)])
 _PREFIX = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000", b"-", b"-0.", b"-0.0", b"-0.00", b"-0.000"], "S8").view(np.uint64)
 _SLOTS = np.array([[0, 1, 2, 3], [0, 4, 1, 2], [0, 1, 4, 2], [0, 1, 2, 4]])  # a chunk's bytes: digits, 3 NUL, 4 "."
@@ -54,10 +53,11 @@ _python_cell = b"%.12g".__mod__  # a cell the kernel leaves to Python
 
 @np.errstate(divide="ignore", invalid="ignore")  # 0, inf and nan get any in-range slot words here; Python rewrites them
 def _cells(column, out) -> None:
-    """Fill ``out``, (n, 4) uint64 slots, with the column's cells: strings as they are, numbers x as "%.12g" % x, ASCII and
-    NUL bytes that the writer drops; byte 31 of a slot stays NUL. scaled = |x| * 10**(11 - floor(log10 |x|)) is two
-    roundings from exact, so rint(scaled) is %.12g's digits if it lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN from a
-    tie; Python formats the rest (0, inf, nan, ties, carries)."""
+    """Fill ``out`` with the column's cells, ASCII and NUL bytes that the writer drops: strings as they are in (n, 4) uint64
+    slots, numbers x as "%.12g" % x in (n, 3) slots; a slot's last byte stays NUL. scaled = |x| * 10**(11 - floor(log10 |x|))
+    is two roundings from exact, so rint(scaled) is %.12g's digits if it lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN
+    from a tie. The kernel writes those cells with exponent -4 <= e <= 8, fixed ones whose last chunk holds no point, so
+    its byte 23 is NUL; Python formats the rest (scientific cells, 1e9 <= |x| < 1e12, 0, inf, nan, ties, carries)."""
     if column.dtype != float:  # a column of strings
         qcore._require(column.dtype.type in (np.str_, np.bytes_), f"a table column of {column.dtype} is neither float64 nor text")
         out.view("S32")[:, 0] = text = np.asarray(column, "S")
@@ -66,18 +66,17 @@ def _cells(column, out) -> None:
     a = np.abs(column)
     e = np.floor(np.log10(a)).astype(np.intp)
     scaled = a * _POW10.take(308 - e, mode="clip")
-    fast = (scaled >= 10**11) & (scaled < 10**12 - 1) & (np.abs(scaled - (digits := np.rint(scaled))) < 0.5 - CELL_TIE_MARGIN)
+    fast = (e >= -4) & (e <= 8) & (scaled >= 10**11) & (scaled < 10**12 - 1)
+    fast &= np.abs(scaled - (digits := np.rint(scaled))) < 0.5 - CELL_TIE_MARGIN
     chunks = (digits / _POW10[306:296:-3, None]).astype(np.intp)  # / 10**9, 10**6, 10**3 and 1: exact, and floored
     chunks[1:] -= 1000 * chunks[:-1]
-    out[:, 3] = exponent = _EXP_TEXT.take(e + 297, mode="clip")
-    point = np.where(exponent == 0, e + 4, 4)  # 4 + the exponent of a fixed cell, 4 for a scientific one
     length = (_SIGNIFICANT.take(chunks, mode="clip") + 48 * _k[:, 0]).max(axis=0)
-    out[:, 0] = _PREFIX.take(5 * np.signbit(column) + np.maximum(4 - point, 0))
+    out[:, 0] = _PREFIX.take(5 * np.signbit(column) + np.maximum(-e, 0), mode="clip")
     chunks *= 4
-    chunks += _COLUMNS.take(length + point, axis=1, mode="clip")
-    out.view(np.uint32)[:, 2:6] = _CHUNKS.take(chunks, mode="clip").T
-    for row in np.flatnonzero(~fast):
-        out.view("S32")[row, 0] = _python_cell(column[row])
+    chunks += _COLUMNS.take(length + e + 4, axis=1, mode="clip")
+    out.view(np.uint32)[:, 2:] = _CHUNKS.take(chunks, mode="clip").T
+    slow = np.flatnonzero(~fast)
+    out.view("S24")[slow, 0] = [_python_cell(x) for x in column[slow]]
 
 
 def _path(args, stem) -> Path:
@@ -89,9 +88,9 @@ def _write_tables(args, tables) -> None:
 
     Each table goes to a temporary file in the output directory, and all of them are renamed into place only
     once every one is written. Cells are ASCII strings or numbers exactly as "%.12g" writes them, which :func:`_cells`
-    sets a column at a time in WRITE_BLOCK rows of 32-byte slots; byte 31 of a slot is its separator or newline, and
-    NUL bytes are dropped. If a write fails, the temporary files are removed and its OSError propagates: no table is
-    published that is not already in place.
+    sets a column at a time in WRITE_BLOCK rows of slots, 24 bytes for a float64 column and 32 for text; a slot's last
+    byte is its separator or newline, and NUL bytes are dropped. If a write fails, the temporary files are removed and
+    its OSError propagates: no table is published that is not already in place.
     """
     sep = "," if args.format == "csv" else "\t"
     paths = [_path(args, stem) for stem, _, _ in tables]
@@ -100,16 +99,17 @@ def _write_tables(args, tables) -> None:
         args.out.mkdir(parents=True, exist_ok=True)
         for path, (_, header, columns) in zip(paths, tables):
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            ends = np.frombuffer((sep * (len(columns) - 1) + "\n").encode(), np.uint8)  # each slot's byte 31
+            words = np.cumsum([0] + [3 if column.dtype == float else 4 for column in columns])  # slot j: words[j]:words[j + 1]
+            ends = np.frombuffer((sep * (len(columns) - 1) + "\n").encode(), np.uint8)  # each slot's last byte
             with open(temp, "wb") as fh:
                 temps.append(temp)
                 fh.write((sep.join(header) + "\n").encode())
                 for start in range(0, len(columns[0]), WRITE_BLOCK):
-                    block = bytearray(32 * len(columns) * min(WRITE_BLOCK, len(columns[0]) - start))
-                    slots = np.frombuffer(block, np.uint64).reshape(-1, len(columns), 4)
-                    for column, cells in zip(columns, slots.swapaxes(0, 1)):
-                        _cells(column[start:start + WRITE_BLOCK], cells)
-                    slots.view(np.uint8)[:, :, 31] = ends
+                    block = bytearray(8 * int(words[-1]) * min(WRITE_BLOCK, len(columns[0]) - start))
+                    slots = np.frombuffer(block, np.uint64).reshape(-1, words[-1])
+                    for column, first, stop in zip(columns, words, words[1:]):
+                        _cells(column[start:start + WRITE_BLOCK], slots[:, first:stop])
+                    slots.view(np.uint8)[:, 8 * words[1:] - 1] = ends
                     fh.write(block.translate(None, b"\0"))
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
@@ -127,8 +127,9 @@ def _least_slack(tables):
     """(slack, table, row) of the row whose irreality sum sits least above its purity bound."""
     least = None
     for table in tables:
-        radii, band = np.unique(table["r"], return_inverse=True)
-        bound = np.array([spinlab.bound_rhs(r) for r in radii])[band]
+        r = table["r"]
+        runs = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])  # the first row of each run of equal radii
+        bound = np.repeat([spinlab.bound_rhs(radius) for radius in r[runs]], np.diff(runs, append=len(r)))
         slack = table["irr_spin"] + table["irr_torque"] - bound
         row = int(np.argmin(slack))
         if least is None or slack[row] < least[0]:

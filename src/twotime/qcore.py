@@ -138,12 +138,12 @@ def _eigh2(m: np.ndarray):
     eigenvalues mean -+ r (mean, half = a/2 +- c/2, r = hypot(half, |b|)); frame [[-p, b], [b*, p]] / hypot(p, |b|), p = r + |half|,
     conjugated with rows swapped where half > 0. At half scale only an eigenvalue overflows; LAPACK takes r / 2 = 0 or subnormal."""
     with np.errstate(all="ignore"):
-        vectors = m * 0.5
+        vectors = np.multiply(m, 0.5, order="C")  # C-ordered, so its float view below is valid
         r = np.hypot(half := (vectors[:, 0, 0] - vectors[:, 1, 1]).real * 0.5, size := np.abs(vectors[:, 0, 1]))
         values = (vectors[:, 0, 0] + vectors[:, 1, 1]).real[:, None] + r[:, None] * _PLUS_MINUS
         vectors[:, 0, 0], vectors[:, 1, 1] = -(p := r + np.abs(half)), p
         np.copyto(vectors, vectors[:, ::-1].conj(), where=(half > 0.0)[:, None, None])
-        vectors /= np.hypot(p, size)[:, None, None]
+        vectors.view(float)[...] *= 1.0 / np.hypot(p, size)[:, None, None]  # bitwise numpy's complex / real
     if np.count_nonzero(low := r < 2.0**-1022):  # 2**-1022, the least normal float
         values[low], vectors[low] = np.linalg.eigh(m[low])
     return values, vectors
@@ -170,7 +170,8 @@ def _states(stack: np.ndarray, solver="eigvalsh"):
     m = _unit_traces(stack)
     if solver is None and m.ndim == 3:
         try:
-            np.linalg.cholesky(m - PSD_FLOOR * np.eye(m.shape[1]))
+            (shifted := m.copy()).reshape(len(m), -1)[:, :: m.shape[1] + 1] -= PSD_FLOOR  # M - PSD_FLOOR * 1, on its diagonal
+            np.linalg.cholesky(shifted)
             return m, None
         except np.linalg.LinAlgError:  # some state may be below the floor: eigvalsh decides, as without the gate
             pass
@@ -455,7 +456,7 @@ def _ginibres(normals: np.ndarray) -> np.ndarray:
     g = np.empty(normals.shape[:-3] + normals.shape[-2:], complex)
     g.real, g.imag = normals[..., 0, :, :], normals[..., 1, :, :]
     m = _matmul(g, g.conj().swapaxes(-1, -2))
-    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return (m.view(float) * (1.0 / m.trace(axis1=-2, axis2=-1).real[..., None, None])).view(complex)  # bitwise m / trace
 
 
 def random_hermitian(dim: int, rng: "np.random.Generator") -> np.ndarray:
@@ -466,5 +467,6 @@ def random_hermitian(dim: int, rng: "np.random.Generator") -> np.ndarray:
 
 def _hermitians(normals: np.ndarray) -> np.ndarray:
     # (G + G^dag) / 2 from (..., 2, d, d) standard normals: real parts of each G, then imaginary parts.
-    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    g = np.empty(normals.shape[:-3] + normals.shape[-2:], complex)
+    g.real, g.imag = normals[..., 0, :, :], normals[..., 1, :, :]
     return (g + g.conj().swapaxes(-1, -2)) / 2.0

@@ -194,13 +194,14 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
+@np.errstate(over="ignore")  # the seed words' uint32 scalars wrap, as the key columns do
 def _seed_state(seed, band, index):
     """``SeedSequence(seed, spawn_key=(band, i)).generate_state(4, np.uint64)`` per row, as four uint64 columns."""
     seed = _count(seed, "seed")
     words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     # With a spawn key, the run entropy is zero-padded to the pool size.
     words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(1, w, dtype=np.uint32) for w in words] + [band, index]  # the seed words broadcast to each row
+    entropy = [np.uint32(w) for w in words] + [band, index]  # all but the keys hash once per call, as scalars
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
@@ -240,7 +241,12 @@ def row_angles(seed, band, index):
     for name, keys in (("band", band), ("sample", index)):  # not truncated: 1.9 would take row 1's stream
         _require(_numbers(keys, "band and sample keys", 1) == np.round(keys), name + " key {key!r} is not an integer", key=keys)
     _require(~((band < 0) | (band > _MASK32) | (index < 0) | (index > _MASK32)), "band and sample indices must lie in [0, 2**32)")
-    seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(seed, band.astype(np.uint32), index.astype(np.uint32))
+    return _angles(seed, band.astype(np.uint32), index.astype(np.uint32))
+
+
+def _angles(seed, band, index):
+    # row_angles of uint32 key columns, unchecked.
+    seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(seed, band, index)
     inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
     lo = inc_lo + seed_lo
     hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
@@ -279,7 +285,7 @@ def figure1_scan(r_values, n: int, seed):
     scatter = {key: np.empty(rows) for key in ("r", "theta", "phi", "irr_spin", "irr_torque")}
     for start in range(0, rows, SCAN_BLOCK):
         band, index = np.divmod(np.arange(start, min(start + SCAN_BLOCK, rows)), n)  # row k: sample k % n of band k // n
-        for key, column in _scan_table(r_values[band], *row_angles(seed, band, index)).items():
+        for key, column in _scan_table(r_values[band], *_angles(seed, band.astype(np.uint32), index.astype(np.uint32))).items():
             scatter[key][start:start + SCAN_BLOCK] = column
     curve_phi = 2.0 * math.pi * np.arange(CURVE_POINTS) / CURVE_POINTS
     return (

@@ -356,6 +356,37 @@ class TestReportCommand:
             cli.main(["report", "unknown-scenario"])
 
 
+def sorting_least_slack(tables):
+    # _least_slack as it was written with np.unique, which sorts the radii: its oracle.
+    least = None
+    for table in tables:
+        radii, band = np.unique(table["r"], return_inverse=True)
+        slack = table["irr_spin"] + table["irr_torque"] - np.array([bound_rhs(r) for r in radii])[band]
+        row = int(np.argmin(slack))
+        if least is None or slack[row] < least[0]:
+            least = (float(slack[row]), table, row)
+    return least
+
+
+class TestLeastSlack:
+    @pytest.mark.parametrize("r_list", [cli.DEFAULT_R_LIST, (0.5, 0.2, 0.5), (1.0, 0.3, 0.0, 0.3, 0.8)])
+    def test_matches_the_sorting_formulation_on_the_scan(self, r_list):
+        # The scatter and the curves; a repeated radius (--r-list 0.5,0.2,0.5) makes two runs of one radius.
+        tables = spinlab.figure1_scan(r_list, 300, 20240001)
+        (slack, table, row), (expected, expected_table, expected_row) = cli._least_slack(tables), sorting_least_slack(tables)
+        assert (slack, row, table is expected_table) == (expected, expected_row, True)
+        assert math.copysign(1.0, slack) == math.copysign(1.0, expected)
+
+    def test_each_rows_bound_is_bitwise_the_sorting_formulations(self):
+        # Unsorted and repeated radii, runs of one row included: with every other row's irreality sum raised, row k has the
+        # least slack, -bound_rhs(r[k]) exactly.
+        r = np.array([0.5, 0.2, 0.5, 0.5, 1.0, 0.0, 0.2, 0.2, 0.9, 0.5])
+        for k in range(len(r)):
+            table = {"r": r, "irr_spin": np.where(np.arange(len(r)) == k, 0.0, 10.0), "irr_torque": np.zeros(len(r))}
+            got, expected = cli._least_slack([table]), sorting_least_slack([table])
+            assert got[0] == expected[0] == -bound_rhs(r[k]) and got[2] == expected[2] == k
+
+
 def per_operator_irrealities(kind, a, b, h, t1, t2):
     # J of each eigenstate of one realized operator, as eigenprep scored them one operator at a time.
     op = correlators.TwoTimeOperator(kind, Observable(a), Observable(b), t1, t2, ChannelFamily(h))
@@ -728,12 +759,12 @@ def test_write_failure_leaves_no_table(tmp_path, monkeypatch):
 
 
 def kernel_lines(values):
-    # Each value through the column kernel into its 32-byte slot, one line per value, as the writer joins cells: the
-    # newline goes in byte 31, which no cell may use.
-    slots = np.full((len(values), 4), 0x5A5A5A5A5A5A5A5A, np.uint64)  # "Z" bytes: a word left unwritten shows in the line
+    # Each value through the column kernel into its 24-byte slot, one line per value, as the writer joins cells: the
+    # newline goes in byte 23, which no cell may use.
+    slots = np.full((len(values), 3), 0x5A5A5A5A5A5A5A5A, np.uint64)  # "Z" bytes: a word left unwritten shows in the line
     cli._cells(np.asarray(values, dtype=float), slots)
-    assert not slots.view(np.uint8)[:, 31].any()
-    slots.view(np.uint8)[:, 31] = ord("\n")
+    assert not slots.view(np.uint8)[:, 23].any()
+    slots.view(np.uint8)[:, 23] = ord("\n")
     return slots.tobytes().translate(None, b"\0")
 
 
@@ -771,6 +802,18 @@ class TestCellKernel:
             if got != expected:
                 mismatches = [(v, g, e) for v, g, e in zip(block.tolist(), got.split(b"\n"), expected.split(b"\n")) if g != e]
                 pytest.fail(f"{len(mismatches)} cells differ from %.12g, first (value, kernel, python): {mismatches[0]!r}")
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cells_from_a_billion_on_go_to_python(self, monkeypatch, sign):
+        # From e = 9 on, a fixed cell's point may fall in the last digit chunk, whose marker byte 23 is the separator's:
+        # Python formats 1e9 <= |x| < 1e12, and the kernel keeps the cells just below 1e9.
+        below = [999999999.998, 999999999.25, 987654321.012, 100000000.5, 123456789.0]
+        above = [1e9, 999999999.9996, 1234567890.12, 9876543210.98, 12345678901.2, 123456789012.0, 999999999999.4]
+        calls = []
+        monkeypatch.setattr(cli, "_python_cell", lambda value, cell=cli._python_cell: calls.append(value) or cell(value))
+        values = sign * np.array(below + above)
+        assert kernel_lines(values) == b"".join(b"%.12g\n" % v for v in values.tolist())
+        assert calls == values[len(below):].tolist()
 
     def test_powers_of_ten_are_correctly_rounded(self):
         assert cli._POW10.tolist() == [float(f"1e{k}") for k in range(-297, 309)]
@@ -831,8 +874,8 @@ class TestCellSlots:
         assert write_one_table(tmp_path, [np.array(["a"]), np.array([b"b"]), np.array([0.1])]) == b"c0,c1,c2\na,b,0.1\n"
 
     def test_a_block_is_one_buffer_of_slots(self, tmp_path, monkeypatch):
-        # Each block of WRITE_BLOCK rows is formatted in place: every column's slots are views of one buffer, 32 bytes a
-        # cell, and no column is formatted into an array of its own.
+        # Each block of WRITE_BLOCK rows is formatted in place: every column's slots are views of one buffer, 24 bytes a
+        # float cell and 32 a text cell, and no column is formatted into an array of its own.
         calls = recorded_calls(monkeypatch, cli, "_cells")
         n = cli.WRITE_BLOCK + 5
         columns = [np.arange(n) + 0.5, np.full(n, -2.0), np.where(np.arange(n) % 2 == 0, "true", "false")]
@@ -841,10 +884,10 @@ class TestCellSlots:
         blocks = [[args[1] for args, _ in calls[i:i + 3]] for i in range(0, len(calls), 3)]
         assert [len(block[0]) for block in blocks] == [cli.WRITE_BLOCK, 5]
         for block in blocks:
-            assert [out.shape for out in block] == [(len(block[0]), 4)] * 3
-            assert all(out.dtype == np.uint64 and out.strides == (3 * 32, 8) for out in block)
-            rows = np.lib.stride_tricks.as_strided(block[0], (len(block[0]), 3 * 4), (3 * 32, 8))  # from the first slot on
-            assert all(np.shares_memory(rows[:, 4 * j:4 * j + 4], out) for j, out in enumerate(block))
+            assert [out.shape for out in block] == [(len(block[0]), 3), (len(block[0]), 3), (len(block[0]), 4)]
+            assert all(out.dtype == np.uint64 and out.strides == (24 + 24 + 32, 8) for out in block)
+            rows = np.lib.stride_tricks.as_strided(block[0], (len(block[0]), 10), (24 + 24 + 32, 8))  # from the first slot on
+            assert all(np.shares_memory(rows[:, first:first + 4], out) for first, out in zip((0, 3, 6), block))
 
 
 class TestTableWriter:

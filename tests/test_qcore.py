@@ -783,3 +783,32 @@ class TestSymmetrized:
         monkeypatch.undo()
         with pytest.raises(ValueError, match=r"^density matrix is not Hermitian: max \|H - H\^dag\| = 1\.000e-10$"):
             qcore._symmetrized(stack + np.array([[0.0, 1e-10], [0.0, 0.0]]), "density matrix", tol)
+
+
+class TestComplexOverReal:
+    # _ginibres and _eigh2 divide a complex stack by a positive real one as its float view times the reciprocal. numpy's
+    # complex / real loop (Smith's method with a zero imaginary part) computes (re + im * 0) * (1 / x), the same bits but
+    # for an exact -0 real part, which / turns into +0. A numpy whose division rounds otherwise fails the first test.
+
+    def test_is_the_float_view_times_the_reciprocal(self):
+        rng = np.random.default_rng(34)
+        scale = 10.0 ** rng.integers(-150, 150, (2, 500))
+        z = (rng.standard_normal((500, 3, 3)) + 1j * rng.standard_normal((500, 3, 3))) * scale[0, :, None, None]
+        x = rng.uniform(0.5, 2.0, 500) * scale[1]
+        assert (z.view(float) * (1.0 / x)[:, None, None]).view(complex).tobytes() == (z / x[:, None, None]).tobytes()
+
+    def test_random_draws_are_bitwise_the_complex_formulas(self):
+        # G = x + iy from the normals, G G^dag / Tr and (G + G^dag) / 2, as the draws were written with complex arithmetic.
+        normals = np.random.default_rng(35).standard_normal((40, 2, 4, 4))
+        g = normals[:, 0] + 1j * normals[:, 1]
+        m = qcore._matmul(g, g.conj().swapaxes(1, 2))
+        assert _ginibres(normals).tobytes() == (m / m.trace(axis1=1, axis2=2).real[:, None, None]).tobytes()
+        assert qcore._hermitians(normals).tobytes() == ((g + g.conj().swapaxes(1, 2)) / 2.0).tobytes()
+
+    def test_eigh2_takes_a_stack_of_any_layout(self):
+        # A transposed layout (Observable of a real m.T, say) reaches _eigh2, which scales a C-ordered copy's float view.
+        h = qcore._hermitians(np.random.default_rng(36).standard_normal((50, 2, 2, 2)))
+        transposed = np.ascontiguousarray(h.swapaxes(1, 2)).swapaxes(1, 2)
+        assert np.array_equal(transposed, h) and not transposed.flags.c_contiguous
+        for got, expected in zip(qcore._eighs(transposed, "hamiltonian"), qcore._eighs(h, "hamiltonian")):
+            assert got.tobytes() == expected.tobytes()
