@@ -143,7 +143,7 @@ def _eigh2(m: np.ndarray):
         values = (vectors[:, 0, 0] + vectors[:, 1, 1]).real[:, None] + r[:, None] * _PLUS_MINUS
         vectors[:, 0, 0], vectors[:, 1, 1] = -(p := r + np.abs(half)), p
         np.copyto(vectors, vectors[:, ::-1].conj(), where=(half > 0.0)[:, None, None])
-        vectors.view(float)[...] *= 1.0 / np.hypot(p, size)[:, None, None]  # bitwise numpy's complex / real
+        vectors.view(float)[...] *= 1.0 / np.hypot(p, size)[:, None, None]  # as complex / real, but for a zero's sign
     if np.count_nonzero(low := r < 2.0**-1022):  # 2**-1022, the least normal float
         values[low], vectors[low] = np.linalg.eigh(m[low])
     return values, vectors
@@ -456,7 +456,7 @@ def _ginibres(normals: np.ndarray) -> np.ndarray:
     g = np.empty(normals.shape[:-3] + normals.shape[-2:], complex)
     g.real, g.imag = normals[..., 0, :, :], normals[..., 1, :, :]
     m = _matmul(g, g.conj().swapaxes(-1, -2))
-    return (m.view(float) * (1.0 / m.trace(axis1=-2, axis2=-1).real[..., None, None])).view(complex)  # bitwise m / trace
+    return (m.view(float) * (1.0 / m.trace(axis1=-2, axis2=-1).real[..., None, None])).view(complex)  # m / trace, bitwise
 
 
 def random_hermitian(dim: int, rng: "np.random.Generator") -> np.ndarray:

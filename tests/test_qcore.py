@@ -787,8 +787,8 @@ class TestSymmetrized:
 
 class TestComplexOverReal:
     # _ginibres and _eigh2 divide a complex stack by a positive real one as its float view times the reciprocal. numpy's
-    # complex / real loop (Smith's method with a zero imaginary part) computes (re + im * 0) * (1 / x), the same bits but
-    # for an exact -0 real part, which / turns into +0. A numpy whose division rounds otherwise fails the first test.
+    # complex / real loop (Smith's method with a zero imaginary part) computes ((re + im * 0) / x, (im - re * 0) / x) as
+    # those products by 1 / x. A numpy whose division rounds otherwise fails the first test.
 
     def test_is_the_float_view_times_the_reciprocal(self):
         rng = np.random.default_rng(34)
@@ -796,6 +796,14 @@ class TestComplexOverReal:
         z = (rng.standard_normal((500, 3, 3)) + 1j * rng.standard_normal((500, 3, 3))) * scale[0, :, None, None]
         x = rng.uniform(0.5, 2.0, 500) * scale[1]
         assert (z.view(float) * (1.0 / x)[:, None, None]).view(complex).tobytes() == (z / x[:, None, None]).tobytes()
+
+    def test_differs_only_in_the_sign_of_a_zero_part(self):
+        # re + im * 0 turns a -0 real part into +0, and im - re * 0 a -0 imaginary part beside a negative real part:
+        # _eigh2's -p - 0j entries, which its conjugated rows hold, now keep their -0.
+        z = np.array([complex(-0.0, 1.0), complex(-2.0, -0.0), complex(2.0, -0.0), complex(-2.0, 0.0), complex(0.0, -0.0)])
+        divided, scaled = z / np.full(5, 4.0), (z.view(float) * 0.25).view(complex)
+        assert np.array_equal(divided, scaled)
+        assert (divided.view(np.uint64) != scaled.view(np.uint64)).tolist() == [True, False, False, True] + [False] * 6
 
     def test_random_draws_are_bitwise_the_complex_formulas(self):
         # G = x + iy from the normals, G G^dag / Tr and (G + G^dag) / 2, as the draws were written with complex arithmetic.
