@@ -35,29 +35,29 @@ WRITE_BLOCK = 4096  # table rows formatted and written per step
 
 # Tables of _cells, from Python's own formatting. A float cell is three 8-byte words of ASCII and NUL: the sign, with "0."
 # and z - 1 zeros for a cell of exponent -z < 0 (_PREFIX[5 * negative + z]); then twelve digits, three per 4 bytes.
-# _POW10[k + 297] is 10**k. Chunk k's digits v (< 1000) in a cell of n significant digits (16 * n = max over k of
-# _SIGNIFICANT[v] + 48 * k) with the point after digit `point` are _CHUNKS[4 * v + _COLUMNS[k, 16 * n + point + 4]]:
-# _VARIANTS[k, 16 * m + point + 4], m = max(n, point + 1) digits shown.
-_v, _k, _n, _point = np.arange(1000), np.arange(4)[:, None, None], np.arange(13)[:, None], np.arange(-4, 12)
+# _POW10[k] is 10**k. Chunk k's digits v (< 1000) in a cell of n significant digits (13 * n = max over k of
+# _SIGNIFICANT[v] + 39 * k) with the point after digit `point` (-4 to 8) are _CHUNKS[4 * v + _COLUMNS[k, 13 * n + point + 4]]:
+# _VARIANTS[k, 13 * m + point + 4], m = max(n, point + 1) digits shown.
+_v, _k, _n, _point = np.arange(1000), np.arange(4)[:, None, None], np.arange(13)[:, None], np.arange(-4, 9)
 _TRIPLES = np.frombuffer(b"".join(b"%03d" % v for v in range(1000)), np.uint8).reshape(1000, 3)
-_POW10 = np.array([float("1e%d" % k) for k in range(-297, 309)])
+_POW10 = np.array([float("1e%d" % k) for k in range(16)])
 _PREFIX = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000", b"-", b"-0.", b"-0.0", b"-0.00", b"-0.000"], "S8").view(np.uint64)
 _SLOTS = np.array([[0, 1, 2, 3], [0, 4, 1, 2], [0, 1, 4, 2], [0, 1, 2, 4]])  # a chunk's bytes: digits, 3 NUL, 4 "."
 _CHUNKS = np.c_[_TRIPLES, np.zeros(1000, np.uint8), np.full(1000, ord("."), np.uint8)][:, _SLOTS]
 _CHUNKS = np.ascontiguousarray(_CHUNKS * ((_SLOTS < _k) | (_SLOTS == 4))[:, None]).view(np.uint32).ravel()
 _VARIANTS = (4000 * np.clip(_n - 3 * _k, 0, 3) + (_point // 3 == _k) * (_point % 3 + 1)).reshape(4, -1)
-_COLUMNS = _VARIANTS.take((16 * np.maximum(_n, _point + 1) + np.where(_n > _point + 1, _point + 4, 0)).ravel(), axis=1)
-_SIGNIFICANT = 16 * np.where(_v == 0, -12, 3 - (_v % 10 == 0) - (_v % 100 == 0))  # 16 * v's digits up to its last nonzero one
+_COLUMNS = _VARIANTS.take((13 * np.maximum(_n, _point + 1) + np.where(_n > _point + 1, _point + 4, 0)).ravel(), axis=1)
+_SIGNIFICANT = 13 * np.where(_v == 0, -12, 3 - (_v % 10 == 0) - (_v % 100 == 0))  # 13 * v's digits up to its last nonzero one
 _python_cell = b"%.12g".__mod__  # a cell the kernel leaves to Python
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # 0, inf and nan get any in-range slot words here; Python rewrites them
 def _cells(column, out) -> None:
     """Fill ``out`` with the column's cells, ASCII and NUL bytes that the writer drops: strings as they are in (n, 4) uint64
-    slots, numbers x as "%.12g" % x in (n, 3) slots; a slot's last byte stays NUL. scaled = |x| * 10**(11 - floor(log10 |x|))
+    slots, numbers x as "%.12g" % x in (n, 3) slots; a slot's last byte stays NUL. The kernel keeps the cells of exponent
+    -4 <= e = floor(log10 |x|) <= 8, fixed ones whose last chunk holds no point, so byte 23 is NUL. scaled = |x| * 10**(11 - e)
     is two roundings from exact, so rint(scaled) is %.12g's digits if it lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN
-    from a tie. The kernel writes those cells with exponent -4 <= e <= 8, fixed ones whose last chunk holds no point, so
-    its byte 23 is NUL; Python formats the rest (scientific cells, 1e9 <= |x| < 1e12, 0, inf, nan, ties, carries)."""
+    from a tie; Python formats the rest (scientific cells, 1e9 <= |x| < 1e12, 0, inf, nan, ties, carries)."""
     if column.dtype != float:  # a column of strings
         qcore._require(column.dtype.type in (np.str_, np.bytes_), f"a table column of {column.dtype} is neither float64 nor text")
         out.view("S32")[:, 0] = text = np.asarray(column, "S")
@@ -65,12 +65,12 @@ def _cells(column, out) -> None:
         return
     a = np.abs(column)
     e = np.floor(np.log10(a)).astype(np.intp)
-    scaled = a * _POW10.take(308 - e, mode="clip")
+    scaled = a * _POW10.take(11 - e, mode="clip")
     fast = (e >= -4) & (e <= 8) & (scaled >= 10**11) & (scaled < 10**12 - 1)
     fast &= np.abs(scaled - (digits := np.rint(scaled))) < 0.5 - CELL_TIE_MARGIN
-    chunks = (digits / _POW10[306:296:-3, None]).astype(np.intp)  # / 10**9, 10**6, 10**3 and 1: exact, and floored
+    chunks = (digits / _POW10[9::-3, None]).astype(np.intp)  # / 10**9, 10**6, 10**3 and 1: exact, and floored
     chunks[1:] -= 1000 * chunks[:-1]
-    length = (_SIGNIFICANT.take(chunks, mode="clip") + 48 * _k[:, 0]).max(axis=0)
+    length = (_SIGNIFICANT.take(chunks, mode="clip") + 39 * _k[:, 0]).max(axis=0)
     out[:, 0] = _PREFIX.take(5 * np.signbit(column) + np.maximum(-e, 0), mode="clip")
     chunks *= 4
     chunks += _COLUMNS.take(length + e + 4, axis=1, mode="clip")

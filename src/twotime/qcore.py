@@ -138,12 +138,12 @@ def _eigh2(m: np.ndarray):
     eigenvalues mean -+ r (mean, half = a/2 +- c/2, r = hypot(half, |b|)); frame [[-p, b], [b*, p]] / hypot(p, |b|), p = r + |half|,
     conjugated with rows swapped where half > 0. At half scale only an eigenvalue overflows; LAPACK takes r / 2 = 0 or subnormal."""
     with np.errstate(all="ignore"):
-        vectors = np.multiply(m, 0.5, order="C")  # C-ordered, so its float view below is valid
+        vectors = m * 0.5
         r = np.hypot(half := (vectors[:, 0, 0] - vectors[:, 1, 1]).real * 0.5, size := np.abs(vectors[:, 0, 1]))
         values = (vectors[:, 0, 0] + vectors[:, 1, 1]).real[:, None] + r[:, None] * _PLUS_MINUS
         vectors[:, 0, 0], vectors[:, 1, 1] = -(p := r + np.abs(half)), p
         np.copyto(vectors, vectors[:, ::-1].conj(), where=(half > 0.0)[:, None, None])
-        vectors.view(float)[...] *= 1.0 / np.hypot(p, size)[:, None, None]  # as complex / real, but for a zero's sign
+        vectors /= np.hypot(p, size)[:, None, None]
     if np.count_nonzero(low := r < 2.0**-1022):  # 2**-1022, the least normal float
         values[low], vectors[low] = np.linalg.eigh(m[low])
     return values, vectors

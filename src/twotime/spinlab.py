@@ -19,6 +19,7 @@ r = 0. :func:`figure1_scan` samples this trade-off over randomly drawn
 boundary curves.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,14 +179,14 @@ _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def _hasher(const: int, mult: int):
-    # SeedSequence's hashmix: each call advances the shared constant.
+    # SeedSequence's hashmix: each call advances the shared constant, hashed.const.
     def hashed(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
+        value = value ^ hashed.const
+        hashed.const = hashed.const * mult & _MASK32
+        value = value * hashed.const
         return value ^ (value >> 16)
 
+    hashed.const = const
     return hashed
 
 
@@ -194,23 +195,28 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-@np.errstate(over="ignore")  # the seed words' uint32 scalars wrap, as the key columns do
-def _seed_state(seed, band, index):
-    """``SeedSequence(seed, spawn_key=(band, i)).generate_state(4, np.uint64)`` per row, as four uint64 columns."""
-    seed = _count(seed, "seed")
-    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # With a spawn key, the run entropy is zero-padded to the pool size.
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.uint32(w) for w in words] + [band, index]  # all but the keys hash once per call, as scalars
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int):
+    # Pool and hashmix constant after the seed's words; as 1-element uint32 arrays they wrap alike under numpy 1 and 2.
+    words = [np.full(1, seed >> shift & _MASK32, np.uint32) for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [np.zeros(1, np.uint32)] * (_POOL_SIZE - len(words))  # with a spawn key, zero-padded to the pool size
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    for word in words[_POOL_SIZE:]:
+        pool = [_mix(entry, hashmix(word)) for entry in pool]
+    return tuple(map(_readonly, pool)), hashmix.const
+
+
+def _seed_state(seed, band, index):
+    """``SeedSequence(seed, spawn_key=(band, i)).generate_state(4, np.uint64)`` per row, as four uint64 columns."""
+    pool, const = _seed_pool(_count(seed, "seed"))  # the seed's part is hashed once per seed
+    hashmix = _hasher(const, _MULT_A)
+    for word in (band, index):
+        pool = [_mix(entry, hashmix(word)) for entry in pool]
     hashed = _hasher(_INIT_B, _MULT_B)
     state = [hashed(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
     return [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)]
@@ -241,12 +247,7 @@ def row_angles(seed, band, index):
     for name, keys in (("band", band), ("sample", index)):  # not truncated: 1.9 would take row 1's stream
         _require(_numbers(keys, "band and sample keys", 1) == np.round(keys), name + " key {key!r} is not an integer", key=keys)
     _require(~((band < 0) | (band > _MASK32) | (index < 0) | (index > _MASK32)), "band and sample indices must lie in [0, 2**32)")
-    return _angles(seed, band.astype(np.uint32), index.astype(np.uint32))
-
-
-def _angles(seed, band, index):
-    # row_angles of uint32 key columns, unchecked.
-    seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(seed, band, index)
+    seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(seed, band.astype(np.uint32), index.astype(np.uint32))
     inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
     lo = inc_lo + seed_lo
     hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
@@ -285,7 +286,7 @@ def figure1_scan(r_values, n: int, seed):
     scatter = {key: np.empty(rows) for key in ("r", "theta", "phi", "irr_spin", "irr_torque")}
     for start in range(0, rows, SCAN_BLOCK):
         band, index = np.divmod(np.arange(start, min(start + SCAN_BLOCK, rows)), n)  # row k: sample k % n of band k // n
-        for key, column in _scan_table(r_values[band], *_angles(seed, band.astype(np.uint32), index.astype(np.uint32))).items():
+        for key, column in _scan_table(r_values[band], *row_angles(seed, band, index)).items():
             scatter[key][start:start + SCAN_BLOCK] = column
     curve_phi = 2.0 * math.pi * np.arange(CURVE_POINTS) / CURVE_POINTS
     return (

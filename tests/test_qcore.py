@@ -786,7 +786,7 @@ class TestSymmetrized:
 
 
 class TestComplexOverReal:
-    # _ginibres and _eigh2 divide a complex stack by a positive real one as its float view times the reciprocal. numpy's
+    # _ginibres divides a complex stack by its positive real traces as its float view times the reciprocal. numpy's
     # complex / real loop (Smith's method with a zero imaginary part) computes ((re + im * 0) / x, (im - re * 0) / x) as
     # those products by 1 / x. A numpy whose division rounds otherwise fails the first test.
 
@@ -798,8 +798,8 @@ class TestComplexOverReal:
         assert (z.view(float) * (1.0 / x)[:, None, None]).view(complex).tobytes() == (z / x[:, None, None]).tobytes()
 
     def test_differs_only_in_the_sign_of_a_zero_part(self):
-        # re + im * 0 turns a -0 real part into +0, and im - re * 0 a -0 imaginary part beside a negative real part:
-        # _eigh2's -p - 0j entries, which its conjugated rows hold, now keep their -0.
+        # re + im * 0 turns a -0 real part into +0, and im - re * 0 a -0 imaginary part beside a negative real part; a
+        # draw's entries are almost surely neither, and the test below compares draws bitwise.
         z = np.array([complex(-0.0, 1.0), complex(-2.0, -0.0), complex(2.0, -0.0), complex(-2.0, 0.0), complex(0.0, -0.0)])
         divided, scaled = z / np.full(5, 4.0), (z.view(float) * 0.25).view(complex)
         assert np.array_equal(divided, scaled)
@@ -812,11 +812,3 @@ class TestComplexOverReal:
         m = qcore._matmul(g, g.conj().swapaxes(1, 2))
         assert _ginibres(normals).tobytes() == (m / m.trace(axis1=1, axis2=2).real[:, None, None]).tobytes()
         assert qcore._hermitians(normals).tobytes() == ((g + g.conj().swapaxes(1, 2)) / 2.0).tobytes()
-
-    def test_eigh2_takes_a_stack_of_any_layout(self):
-        # A transposed layout (Observable of a real m.T, say) reaches _eigh2, which scales a C-ordered copy's float view.
-        h = qcore._hermitians(np.random.default_rng(36).standard_normal((50, 2, 2, 2)))
-        transposed = np.ascontiguousarray(h.swapaxes(1, 2)).swapaxes(1, 2)
-        assert np.array_equal(transposed, h) and not transposed.flags.c_contiguous
-        for got, expected in zip(qcore._eighs(transposed, "hamiltonian"), qcore._eighs(h, "hamiltonian")):
-            assert got.tobytes() == expected.tobytes()

@@ -378,6 +378,16 @@ class TestRowAngles:
         assert theta.tolist() == [t[0] for t, _ in rows]
         assert phi.tolist() == [p[0] for _, p in rows]
 
+    def test_the_seed_pool_is_cached_as_uint32_columns(self):
+        # A seed's own words are hashed once per seed, as 1-element uint32 arrays: uint32 scalars with Python int
+        # constants widen to int64 under numpy 1's promotion, and the bits above 32 would then reach the hash.
+        seed = 2**160 + 12345
+        first = row_angles(seed, [0, 1], [2, 3])
+        pool, const = spinlab._seed_pool(seed)
+        assert [(entry.dtype, entry.shape, entry.flags.writeable) for entry in pool] == [(np.uint32, (1,), False)] * 4
+        assert 0 <= const <= 2**32 - 1
+        assert [column.tobytes() for column in row_angles(seed, [0, 1], [2, 3])] == [column.tobytes() for column in first]
+
     @pytest.mark.parametrize("seed, band, index", [(-1, 0, 0), (7, -1, 0), (7, 0, 2**32), (7, 0.5, 0), (7, 0, 1.5),
                                                    (7, True, 0), (7, 1, False)])
     def test_rejects_negative_or_wide_keys(self, seed, band, index):

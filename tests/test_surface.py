@@ -77,8 +77,6 @@ UNUSED_BY_THE_SYSTEM = {
     "random_hermitian": "the public draw of one Hermitian matrix; tests/test_properties.py draws its Hamiltonians with it",
     "relative_entropy": "S(rho || Phi_A(sigma)) of J's variational form; BENCHMARK.json's per-layer list names "
                         "qcore.relative_entropy",
-    "row_angles": "the checked per-row stream of figure1's scatter; figure1_scan passes its own uint32 keys to the "
-                  "unchecked kernel under it, and tests/test_spinlab.py ties the scan's rows to it",
 }
 
 
