@@ -60,18 +60,7 @@ class TwoTimeOperator:
             _numbers(getattr(self, name), name)
 
 
-@dataclass(frozen=True)
-class LambdaReport:
-    """The conditional operator {alpha, rho_t1} / (2 Tr(alpha rho_t1)).
-
-    ``physical`` is True when the minimum eigenvalue clears -1e-10, i.e. when
-    the operator happens to be a valid state.
-    """
-
-    matrix: np.ndarray
-    min_eigenvalue: float
-    trace: float
-    physical: bool
+LambdaReport = namedtuple("LambdaReport", "matrix min_eigenvalue trace physical")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a product or sum past the float max is inf or nan: rejected below
@@ -184,6 +173,8 @@ def lambda_operator(projector, rho0: DensityMatrix, t1: float, channel: ChannelF
     {alpha, rho_t1} / (2 Tr(alpha rho_t1)) — unit trace and Hermitian, but
     with negative eigenvalues whenever alpha and rho_t1 fail to commute badly
     enough. When they commute and alpha is rank one, it equals alpha itself.
+    ``physical`` is True when the minimum eigenvalue clears -1e-10, i.e. when
+    the operator happens to be a valid state.
     """
     alpha = _symmetrized(_as_square_complex(projector)[None], "projector", OPERATOR_HERMITICITY_TOL)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # P^2 of entries past sqrt(float max) is inf or nan: rejected

@@ -16,6 +16,7 @@ once. The displacement alone can be: d(delta_12) = dp * (t2 - t1) / m goes to
 zero for a near-momentum-eigenstate while the position spreads blow up.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,19 +62,8 @@ def _masses(mass) -> None:
     _require(mass > 0.0, "mass must be positive, got {mass!r}", mass=mass)
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
-    """Measured left-hand sides, bounds and slacks of both trade-offs."""
-
-    spread_t1: float
-    spread_t2: float
-    displacement_spread: float
-    product_value: float
-    product_bound: float
-    product_slack: float
-    weighted_value: float
-    weighted_bound: float
-    weighted_slack: float
+UncertaintyReport = namedtuple("UncertaintyReport", "spread_t1 spread_t2 displacement_spread product_value product_bound "
+                                                   "product_slack weighted_value weighted_bound weighted_slack")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -91,7 +81,8 @@ def displacement_stats(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float):
 
 
 def uncertainty_report(g: GaussianPrep, fp: FreeParticle, t1: float, t2: float) -> UncertaintyReport:
-    """Evaluate both displacement/position trade-offs for one preparation."""
+    """Evaluate both displacement/position trade-offs for one preparation: the measured left-hand sides, bounds and
+    slacks of each."""
     values = map(_numbers, (g.dx, g.dp, g.xp_corr, fp.mass, t1, t2), ("dx", "dp", "xp_corr", "mass", "t1", "t2"))
     return UncertaintyReport(*map(float, _uncertainties(*values)))
 

@@ -13,7 +13,7 @@ minimum characterization by random sampling.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 import numpy as np
@@ -22,46 +22,15 @@ from .qcore import MEASUREMENT_TOL, SIGMA_X, SIGMA_Y, DensityMatrix, Observable,
 from .qcore import _ginibres, _matmul, _relative_entropies, _same_dim, _states, _typed, _unit_traces
 
 
-@dataclass(frozen=True)
-class IrrealityReport:
-    irreality: float
-    entropy_dephased: float
-    entropy_state: float
-
-
-@dataclass(frozen=True)
-class MinFormReport:
-    """Result of sampling the variational form of the irreality.
-
-    ``identity_gap`` is |S(rho || Phi_A(rho)) - J(A|rho)|; ``min_margin`` the
-    smallest S(rho || Phi_A(sigma)) - J(A|rho) over the finite sampled values
-    (infinite samples trivially satisfy the bound and are only counted).
-    """
-
-    irreality: float
-    identity_gap: float
-    min_margin: float
-    infinite_samples: int
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class ComplementarityReport:
-    """Both sides of S(Phi_A(rho)) + S(Phi_B(rho)) >= ln d + S(rho)."""
-
-    lhs: float
-    rhs: float
-    slack: float
-    entropy_first: float
-    entropy_second: float
-    entropy_state: float
+IrrealityReport = namedtuple("IrrealityReport", "irreality entropy_dephased entropy_state")
+MinFormReport = namedtuple("MinFormReport", "irreality identity_gap min_margin infinite_samples n_samples")
+ComplementarityReport = namedtuple("ComplementarityReport", "lhs rhs slack entropy_first entropy_second entropy_state")
 
 
 def dephase(A: Observable, rho: DensityMatrix) -> DensityMatrix:
     """Nonselective projective measurement of A: sum_a alpha_a rho alpha_a."""
     _same_dim(observable=_typed(A, Observable, "A").dim, state=_typed(rho, DensityMatrix, "rho").dim)
-    _, v, _ = A._frame  # the image rotated back to the lab basis as _irrealities rotates it, so the floats agree
-    return DensityMatrix(_matmul(_matmul(v, _dephased_in_frame(*A._frame[:2], rho.matrix[None])), v.conj().swapaxes(1, 2))[0])
+    return DensityMatrix(_dephased(*A._frame[:2], rho.matrix[None])[0])
 
 
 def _dephased_in_frame(values: np.ndarray, vectors: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -70,11 +39,16 @@ def _dephased_in_frame(values: np.ndarray, vectors: np.ndarray, states: np.ndarr
     return (values[:, :, None] == values[:, None, :]) * _matmul(_matmul(vectors.conj().swapaxes(1, 2), states), vectors)
 
 
+def _dephased(values: np.ndarray, vectors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    # Phi_A(rho) of (n, d, d) states in the lab basis: _dephased_in_frame's image rotated back, V x V^dag.
+    return _matmul(_matmul(vectors, _dephased_in_frame(values, vectors, states)), vectors.conj().swapaxes(1, 2))
+
+
 def _irrealities(values: np.ndarray, vectors: np.ndarray, states: np.ndarray, eigs: np.ndarray):
     """Columns (J, S(Phi_A(rho)), S(rho)) of _dephased_in_frame's A, checked (n, d, d) states and their (n, d)
     eigenvalues (a stack of one broadcasts against the other): each dephased image, rotated back to the lab basis,
     passes the state check, then its entropy."""
-    _, dephased_eigs = _states(_matmul(_matmul(vectors, _dephased_in_frame(values, vectors, states)), vectors.conj().swapaxes(1, 2)))
+    _, dephased_eigs = _states(_dephased(values, vectors, states))
     s_dephased, s_state = _entropies(dephased_eigs), _entropies(eigs)
     return s_dephased - s_state, s_dephased, s_state
 
@@ -92,7 +66,7 @@ def _eigenstate_irrealities(values: np.ndarray, vectors: np.ndarray, starts: np.
 
 
 def irreality(A: Observable, rho: DensityMatrix) -> IrrealityReport:
-    """Entropic distance of rho from being an A-reality state (nats)."""
+    """Entropic distance of rho from being an A-reality state (nats): J(A|rho) = S(Phi_A(rho)) - S(rho), both entropies."""
     _same_dim(observable=_typed(A, Observable, "A").dim, state=_typed(rho, DensityMatrix, "rho").dim)
     columns = _irrealities(*A._frame[:2], rho.matrix[None], rho.eigenvalues()[None])
     return IrrealityReport(*(float(column[0]) for column in columns))
@@ -105,6 +79,8 @@ def min_form_check(A: Observable, rho: DensityMatrix, n_samples: int = 500, seed
     smaller relative entropy; +inf samples count as satisfying the bound. The samples
     are the first ``n_samples`` states ``random_density_matrix(d, default_rng(seed))`` gives.
     Each sample and its dephased image pass the density-matrix check (on its diagonal when A is nondegenerate).
+    ``identity_gap`` is |S(rho || Phi_A(rho)) - J(A|rho)|; ``min_margin`` the smallest S(rho || Phi_A(sigma)) - J(A|rho)
+    over the finite sampled values (infinite samples trivially satisfy the bound and are only counted).
     """
     n_samples, seed = _count(n_samples, "n_samples"), _count(seed, "seed")
     report = irreality(A, rho)
@@ -146,7 +122,8 @@ def complementarity_bound_check(rho: DensityMatrix, first: Observable = None, se
     (sigma_x, sigma_y). The bound holds for any pair whose overlap constant c = max_ab ||alpha_a beta_b||^2 takes
     its least value 1/d (Maassen and Uffink; the composed dephasings then fully depolarize). A degenerate pair has
     c >= 2/d, so c is read from the frames of a nondegenerate one, as max_ij |(V_A^dag V_B)_ij|^2; a pair with c
-    above 1/d + MEASUREMENT_TOL is rejected before use.
+    above 1/d + MEASUREMENT_TOL is rejected before use. The record holds both sides, the slack lhs - rhs and the
+    three entropies.
     """
     if (first is None) != (second is None):
         raise ValueError("give both observables of the pair or neither")

@@ -21,6 +21,7 @@ boundary curves.
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,7 @@ class PrecessionConfig:
         object.__setattr__(self, "tau", _numbers(self.tau, "tau"))
 
 
-@dataclass(frozen=True)
-class TorquePair:
-    """Irrealities of the torque and spin x components in one Bloch state."""
-
-    irr_torque: float
-    irr_spin: float
-    r: float
-    theta: float
-    phi: float
+TorquePair = namedtuple("TorquePair", "irr_torque irr_spin r theta phi")
 
 
 def _unit_vector(vector) -> np.ndarray:
@@ -108,7 +101,7 @@ def precession_channel(h_hat) -> ChannelFamily:
 
 
 def torque_irreality_pair(r_vec) -> TorquePair:
-    """Closed-form irrealities of the 2*pi torque and spin x components.
+    """Closed-form irrealities of the 2*pi torque and spin x components in one Bloch state, with its r, theta, phi.
 
     For rho with Bloch vector r of radius r = ||r||:
 

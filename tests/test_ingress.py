@@ -16,6 +16,7 @@ Hamiltonians scaled toward the float max, kets with parts near it) are probed to
 or raises ``ValueError``, with no warning.
 """
 
+import ast
 import dataclasses
 import inspect
 import itertools
@@ -29,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twotime
-from test_surface import PUBLIC_NAMES
+from test_surface import PUBLIC_NAMES, ROOT
 from twotime import (
     SIGMA_X,
     SIGMA_Y,
@@ -70,6 +71,19 @@ NOT_CALLED = {
     "MinFormReport": "output-only record of min_form_check",
     "TorquePair": "output-only record of torque_irreality_pair",
     "UncertaintyReport": "output-only record of uncertainty_report",
+}
+
+# Each output-only record is a namedtuple, and some are built by position (IrrealityReport(*columns)), so a field
+# reorder would silently swap values: the fields are pinned in order.
+OUTPUT_FIELDS = {
+    "ComplementarityReport": ("lhs", "rhs", "slack", "entropy_first", "entropy_second", "entropy_state"),
+    "CorrelatorInstance": ("A", "B", "t1", "t2", "channel", "rho0"),
+    "IrrealityReport": ("irreality", "entropy_dephased", "entropy_state"),
+    "LambdaReport": ("matrix", "min_eigenvalue", "trace", "physical"),
+    "MinFormReport": ("irreality", "identity_gap", "min_margin", "infinite_samples", "n_samples"),
+    "TorquePair": ("irr_torque", "irr_spin", "r", "theta", "phi"),
+    "UncertaintyReport": ("spread_t1", "spread_t2", "displacement_spread", "product_value", "product_bound",
+                          "product_slack", "weighted_value", "weighted_bound", "weighted_slack"),
 }
 
 
@@ -238,6 +252,24 @@ PROBED = [(label, name) for label, entry in ENTRIES.items() for name in entry.pa
 def test_every_public_name_has_a_baseline_call_or_a_reason():
     called = {label.split(".")[0] for label in ENTRIES}
     assert sorted(called | set(NOT_CALLED)) == PUBLIC_NAMES and not called & set(NOT_CALLED)
+
+
+def test_each_output_record_is_a_tuple_with_its_pinned_fields():
+    records = [name for name, reason in NOT_CALLED.items() if reason.startswith("output-only record")]
+    assert sorted(records) == sorted(OUTPUT_FIELDS)
+    for name, fields in OUTPUT_FIELDS.items():
+        record = getattr(twotime, name)
+        assert issubclass(record, tuple) and record._fields == fields, name
+
+
+def test_every_dataclass_validates_its_fields():
+    # A dataclass in src/ is a validated input; a record without a __post_init__ check is an output, so a namedtuple.
+    classes = [(path.name, node) for path in sorted((ROOT / "src" / "twotime").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+               and any(ast.unparse(decorator).startswith("dataclass") for decorator in node.decorator_list)]
+    unchecked = [f"{name}: {node.name}" for name, node in classes
+                 if "__post_init__" not in {item.name for item in node.body if isinstance(item, ast.FunctionDef)}]
+    assert classes and unchecked == []
 
 
 @pytest.mark.parametrize("label", sorted(ENTRIES))
