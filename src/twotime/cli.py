@@ -231,7 +231,9 @@ def _report_eigenprep(args):
         a, b, h, t1, t2, _ = _draw_instances(d, 25, rng)  # A and B exactly Hermitian: only H and each C12 are decomposed
         energies, modes = qcore._eighs(h, "hamiltonian")[1:]
         c12 = correlators._two_time_matrices(kind, a, b, *(dynamics._unitaries(energies, modes, t) for t in (t1, t2)))
-        worst = max(worst, float(np.abs(realism._eigenstate_irrealities(*qcore._spectra(c12)[1:])).max()))
+        _, values, vectors, starts = qcore._spectra(c12)
+        states, (n, _) = qcore._eigenstates(values, vectors, starts)  # at most 75, within one block of _rows(d)
+        worst = max(worst, float(np.abs(realism._irrealities(values[n], vectors[n], *qcore._states(states))[0]).max()))
     return worst <= IDENTITY_TOL, (
         f"max irreality in eigenstate preparations {worst:.3e} over 100 operators (tolerance {IDENTITY_TOL:g})")
 

@@ -250,6 +250,14 @@ def _spectra(stack: np.ndarray):
     return m, values, vectors, starts
 
 
+def _eigenstates(values: np.ndarray, vectors: np.ndarray, starts: np.ndarray):
+    """Unchecked maximally mixed states V diag(1_g / |g|) V^dag on each eigenspace g of _spectra's (n, d) eigenvalues,
+    (n, d, d) V and (n, d) starts, in order, with the (matrix, first slot) index arrays of each state's eigenspace."""
+    n, k = np.nonzero(starts)
+    space = values[n] == values[n, k][:, None]  # the slots of each eigenstate's eigenspace
+    return _matmul(vectors[n] * (space / space.sum(axis=1, keepdims=True))[:, None, :], vectors[n].conj().swapaxes(1, 2)), (n, k)
+
+
 class Observable:
     """A Hermitian matrix with its grouped spectral decomposition cached.
 
@@ -294,8 +302,7 @@ class Observable:
         k = operator.index(k)  # a float or numpy bool raises TypeError; a bool would index projectors as a mask
         if not 0 <= k < len(self._eigenvalues):
             raise IndexError(f"eigenvalue index {k} out of range for {len(self._eigenvalues)} distinct eigenvalues")
-        proj = self.projectors[k]
-        return DensityMatrix(proj / int(round(proj.trace().real)))
+        return DensityMatrix(_eigenstates(*self._frame)[0][k])
 
     def __repr__(self):
         vals = ", ".join(f"{v:.6g}" for v in self._eigenvalues.tolist())

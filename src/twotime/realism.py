@@ -53,18 +53,6 @@ def _irrealities(values: np.ndarray, vectors: np.ndarray, states: np.ndarray, ei
     return s_dephased - s_state, s_dephased, s_state
 
 
-def _eigenstate_irrealities(values: np.ndarray, vectors: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """irreality(A, A.eigenstate(k)).irreality of each eigenspace of _spectra's (n, d) eigenvalues, (n, d, d) V and
-    (n, d) starts, in its first slot and 0 in the others; _rows(d) eigenstates at a time."""
-    irrealities = np.zeros(starts.shape)
-    rows = np.argwhere(starts)
-    for n, k in (rows[block].T for block in _blocks(len(rows), starts.shape[1])):
-        space = values[n] == values[n, k][:, None]  # the slots of each eigenstate's eigenspace
-        states = _matmul(vectors[n] * (space / space.sum(axis=1, keepdims=True))[:, None, :], vectors[n].conj().swapaxes(1, 2))
-        irrealities[n, k] = _irrealities(values[n], vectors[n], *_states(states))[0]
-    return irrealities
-
-
 def irreality(A: Observable, rho: DensityMatrix) -> IrrealityReport:
     """Entropic distance of rho from being an A-reality state (nats): J(A|rho) = S(Phi_A(rho)) - S(rho), both entropies."""
     _same_dim(observable=_typed(A, Observable, "A").dim, state=_typed(rho, DensityMatrix, "rho").dim)

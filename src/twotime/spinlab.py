@@ -156,9 +156,11 @@ def bloch_lambda_nu(r_hat1):
 def _lambda_nus(r1: np.ndarray):
     # bloch_lambda_nu of every row of an (n, 3) array: nu as (n, 3) and its norms, each unit direction checked.
     _unit_vectors(r1)
-    denom = 1.0 - r1[:, 2]
+    x, y, z = r1.T
+    # 1 - z without its cancellation near the pole: (x^2 + y^2) / (1 + z) there; |z| keeps the other branch finite.
+    denom = np.where(z > 0.0, (x * x + y * y) / (1.0 + np.abs(z)), 1.0 - z)
     _require(~(denom <= POLE_TOL), "pole: the conditional Bloch vector diverges as r1 -> z")
-    nu = (r1 - np.array([0.0, 0.0, 1.0])) / denom[:, None]
+    nu = np.stack([x / denom, y / denom, np.full(len(r1), -1.0)], axis=1)
     return nu, _norms(nu)
 
 
@@ -190,18 +192,10 @@ def _mix(x, y):
 
 @functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int):
-    # Pool and hashmix constant after the seed's words; as 1-element uint32 arrays they wrap alike under numpy 1 and 2.
-    words = [np.full(1, seed >> shift & _MASK32, np.uint32) for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [np.zeros(1, np.uint32)] * (_POOL_SIZE - len(words))  # with a spawn key, zero-padded to the pool size
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        pool = [_mix(entry, hashmix(word)) for entry in pool]
-    return tuple(map(_readonly, pool)), hashmix.const
+    # numpy's pool after the seed's words, as 1-element uint32 arrays (they wrap alike under numpy 1 and 2), and the
+    # hashmix constant after its 16 calls that fill and mix the pool and 4 per seed word beyond the pool's 4.
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(-(-seed.bit_length() // 32) - _POOL_SIZE, 0), 2**32) & _MASK32
+    return tuple(_readonly(word) for word in np.split(np.random.SeedSequence(seed).pool, _POOL_SIZE)), const
 
 
 def _seed_state(seed, band, index):

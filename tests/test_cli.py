@@ -1,4 +1,6 @@
+import argparse
 import ast
+import collections
 import csv
 import hashlib
 import math
@@ -109,6 +111,12 @@ class TestLambdaCommand:
         for row in rows:
             theta, nu_norm = float(row[0]), float(row[1])
             assert nu_norm == pytest.approx(1.0 / abs(math.sin(theta / 2.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("steps", [302, 1000, 5000])
+    def test_fine_grids_pass(self, tmp_path, steps):
+        # The norm check is absolute, so the norm near theta = 0 must not lose digits to 1 - z's cancellation.
+        assert cli.main(["--out", str(tmp_path), "lambda", "--theta-steps", str(steps)]) == 0
+        assert len(read_table(tmp_path / "lambda.csv")[1]) == steps
 
     def test_rejects_tiny_grid(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -388,48 +396,92 @@ class TestLeastSlack:
 
 
 def per_operator_irrealities(kind, a, b, h, t1, t2):
-    # J of each eigenstate of one realized operator, as eigenprep scored them one operator at a time.
+    # J of each eigenstate of one operator through the public API: prepare_eigenstate's state, scored by irreality.
     op = correlators.TwoTimeOperator(kind, Observable(a), Observable(b), t1, t2, ChannelFamily(h))
     realized = correlators.realize(op)
-    return [realism.irreality(realized, realized.eigenstate(k)).irreality for k in range(len(realized.eigenvalues))]
+    return [realism.irreality(realized, correlators.prepare_eigenstate(op, k)).irreality for k in range(len(realized.eigenvalues))]
+
+
+def eigenprep_scores(monkeypatch, draw=None):
+    # report eigenprep's verdict and, for each of its four stacks, the matrix index and J of every eigenstate it
+    # scored; draw(d), when given, replaces each stack's draw of (A, B, H, t1, t2) stacks.
+    scored, eigenstates, irrealities = [], qcore._eigenstates, realism._irrealities
+
+    def eigenstates_spy(values, vectors, starts):
+        states, (n, k) = eigenstates(values, vectors, starts)
+        scored.append([n])
+        return states, (n, k)
+
+    def irrealities_spy(*args):
+        columns = irrealities(*args)
+        scored[-1].append(columns[0])
+        return columns
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qcore, "_eigenstates", eigenstates_spy)
+        patch.setattr(realism, "_irrealities", irrealities_spy)
+        if draw is not None:
+            patch.setattr(cli, "_draw_instances", lambda d, n, rng: draw(d) + (None,))
+        ok, _ = cli._report_eigenprep(argparse.Namespace(seed=cli.DEFAULT_SEED))
+    return ok, scored
 
 
 class TestStackedEigenprep:
     @pytest.mark.parametrize("kind", ["product", "sum"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_matches_the_per_operator_path(self, monkeypatch, dim, kind):
-        # 30 operators, and a budget of 64 rows at d = 3, so d = 3 scores its eigenstates in two blocks. At d = 2 every
-        # third one is the spin product {Sx(t1), Sy(t2)}/2, a multiple of the identity; at d = 3 every third A and B are
-        # degenerate.
+        # The report scores 30 operators in place of each of its stacks, (2, product), (3, product), (2, sum) and
+        # (3, sum) in turn. At d = 2 every third one is the spin product {Sx(t1), Sy(t2)}/2, a multiple of the identity;
+        # at d = 3 every third A and B are degenerate.
         rng = np.random.default_rng(dim * 10 + len(kind))
         instances = []
         for n in range(30):
             a, b, h, t1, t2, _ = (column[0] for column in cli._draw_instances(dim, 1, rng))
             if n % 3 == 0:
                 a, b = (qcore.SIGMA_X / 2.0, qcore.SIGMA_Y / 2.0) if dim == 2 else (degenerate_matrix(3, rng), degenerate_matrix(3, rng))
-            instances.append((a.astype(complex), b.astype(complex), h, t1, t2))
-        a, b, h, t1, t2 = map(np.array, zip(*instances))
-        energies, modes = qcore._eighs(h, "hamiltonian")[1:]
-        units = [dynamics._unitaries(energies, modes, t) for t in (t1, t2)]
-        _, values, vectors, starts = qcore._spectra(correlators._two_time_matrices(kind, a, b, *units))
-        checked = []
-        eigvalsh = np.linalg.eigvalsh
+            a, b = (Observable(m).matrix for m in (a, b))  # exactly Hermitian, as the report's draws are
+            instances.append((a, b, h, t1, t2))
+        expected = [per_operator_irrealities(kind, *instance) for instance in instances]
+        checked, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: checked.append(len(m)) or eigvalsh(m))
-        monkeypatch.setattr(qcore, "STACK_BYTES", 16 * 3 * 3 * 64)
-        rows = qcore._rows(dim)
-        irrealities = realism._eigenstate_irrealities(values, vectors, starts)
-        monkeypatch.undo()
-        eigenstates = 0
-        for instance, row, first in zip(instances, irrealities, starts):
-            expected = per_operator_irrealities(kind, *instance)
-            assert first.sum() == len(expected) and np.all(row[~first] == 0.0)
-            assert np.max(np.abs(row[first] - expected)) <= 1e-12
-            eigenstates += len(expected)
-        # Every eigenstate and its dephased image pass the state check (J of an eigenstate is 0 up to roundoff,
-        # so an eigenstate left unscored would not show in the values).
-        assert sum(checked) == 2 * eigenstates and max(checked) <= rows
+        ok, scored = eigenprep_scores(monkeypatch, lambda d: tuple(map(np.array, zip(*instances))))
+        assert ok and len(scored) == 4
+        n, irrealities = scored[0 if kind == "product" else 2]
+        assert [irrealities[n == row].tolist() for row in range(30)] == expected
+        # Every eigenstate and its dephased image pass the state check, each stack's in one call of at most _rows(d)
+        # (J of an eigenstate is 0 up to roundoff, so an eigenstate left unscored would not show in the values).
+        assert checked == [len(n) for n, _ in scored for _ in range(2)] and max(checked) <= qcore._rows(dim)
         if dim == 2 and kind == "product":
-            assert np.all(starts[::3] == [True, False]) and np.all(values[::3, 0] == values[::3, 1])
+            assert np.all(np.bincount(n)[::3] == 1) and np.all(np.bincount(n)[1::3] == 2)
+
+    def test_each_stack_is_one_kernel_call_that_builds_no_state(self, monkeypatch):
+        # One qubit operator in place of each of the report's four stacks: its two eigenstates and their dephased
+        # images pass one eigvalsh each, in one _irrealities call per stack, and no DensityMatrix is built.
+        a, b, h, t1, t2, _ = cli._draw_instances(2, 1, np.random.default_rng(79))
+        counts = collections.Counter()
+
+        def counted(name, fn, size=lambda *args: 1):
+            return lambda *args: counts.update({name: size(*args)}) or fn(*args)
+
+        for solver in ("eigvalsh", "eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, solver, counted(solver, getattr(np.linalg, solver), lambda m: math.prod(np.shape(m)[:-2])))
+        monkeypatch.setattr(realism, "_irrealities", counted("_irrealities", realism._irrealities))
+        monkeypatch.setattr(DensityMatrix, "__init__", counted("DensityMatrix", DensityMatrix.__init__))
+        monkeypatch.setattr(cli, "_draw_instances", lambda d, n, rng: (a, b, h, t1, t2, None))
+        assert cli._report_eigenprep(argparse.Namespace(seed=cli.DEFAULT_SEED))[0]
+        assert counts == collections.Counter({"_irrealities": 4, "eigvalsh": 4 * 4})
+
+    def test_the_report_certifies_the_states_the_api_returns(self, monkeypatch):
+        # The report's worst |J| is bitwise the worst over its 100 operators, each built through the public constructors,
+        # of irreality(realize(op), prepare_eigenstate(op, k)).
+        rng, worst = np.random.default_rng(cli.DEFAULT_SEED), 0.0
+        for d, kind in ((2, "product"), (3, "product"), (2, "sum"), (3, "sum")):
+            a, b, h, t1, t2, _ = cli._draw_instances(d, 25, rng)
+            for instance in zip(a, b, h, t1, t2):
+                worst = max(worst, *map(abs, per_operator_irrealities(kind, *instance)))
+        ok, scored = eigenprep_scores(monkeypatch)
+        assert ok and max(float(np.abs(irrealities).max()) for _, irrealities in scored) == worst
+        assert f"{worst:.3e}" == "1.217e-14"
 
     def test_every_solver_call_takes_at_most_a_block(self, monkeypatch):
         rng = np.random.default_rng(cli.DEFAULT_SEED)

@@ -250,6 +250,32 @@ def scaled_forced_observables(dim, rng, s):
             yield values, s * matrix
 
 
+class TestEigenstates:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_one_stacked_call_gives_each_observables_eigenstates(self, dim):
+        # Degenerate observables included: the states come in order, each with its matrix index and first slot, and each
+        # Observable's eigenstate(k) is bitwise its k-th state of the stack, once checked.
+        matrices = observable_matrices(dim)
+        _, values, vectors, starts = _spectra(np.array(matrices))
+        states, (n, k) = qcore._eigenstates(values, vectors, starts)
+        assert np.array_equal(np.argwhere(starts), np.c_[n, k])
+        checked = _states(states)[0]
+        for row, matrix in enumerate(matrices):
+            obs = Observable(matrix)
+            assert len(obs.eigenvalues) == np.count_nonzero(n == row)
+            for j, state in enumerate(checked[n == row]):
+                assert np.array_equal(obs.eigenstate(j).matrix, state)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_each_state_is_its_projector_over_its_rank(self, dim):
+        for matrix in observable_matrices(dim):
+            obs = Observable(matrix)
+            for j, projector in enumerate(obs.projectors):
+                rho = obs.eigenstate(j)
+                assert np.max(np.abs(rho.matrix - projector / round(projector.trace().real))) <= 1e-12
+                assert abs(rho.matrix.trace() - 1.0) <= 1e-12
+
+
 def frame_projectors(vectors, starts):
     # The (k, d, d) eigenprojectors V_g V_g^dag of the column slices of V that starts marks off.
     edges = [*np.flatnonzero(starts), len(starts)]

@@ -301,8 +301,9 @@ class TestMinForm:
 
 class TestOneIrrealityKernel:
     def test_each_irreality_is_one_kernel_call_that_builds_no_state(self, monkeypatch):
-        # irreality, the complementarity entropies, min_form_check's J and report eigenprep's eigenstates all come from
-        # one _irrealities call; none builds a DensityMatrix, and rho's own eigenvalues are reused, not recomputed.
+        # irreality, the complementarity entropies and min_form_check's J each come from one _irrealities call (report
+        # eigenprep's, per stack, is tests/test_cli.py's); none builds a DensityMatrix, and rho's own eigenvalues are
+        # reused, not recomputed.
         rng = np.random.default_rng(79)
         obs = Observable(oracles.random_hermitian_matrix(2, rng))
         rho = random_density_matrix(2, rng)
@@ -321,8 +322,6 @@ class TestOneIrrealityKernel:
             (lambda: complementarity_bound_check(rho), {"_irrealities": 1, "eigvalsh": 2}),
             # No eigh: A's frame is the one built with it, and Phi_A(rho) of a nondegenerate A is diagonal there.
             (lambda: min_form_check(obs, rho, n_samples=0), {"_irrealities": 1, "eigvalsh": 1}),
-            # Both eigenstates and both dephased images.
-            (lambda: realism._eigenstate_irrealities(*obs._frame), {"_irrealities": 1, "eigvalsh": 4}),
         ):
             counts.clear()
             call()

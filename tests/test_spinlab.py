@@ -226,6 +226,13 @@ class TestBlochLambdaNu:
             _, norm = bloch_lambda_nu(direction)
             assert norm == pytest.approx(1.0 / abs(math.sin(theta / 2.0)), abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [1e-2, 1e-4, 2e-6, math.pi / 3.0, 2.0, math.pi])
+    def test_norm_is_accurate_to_a_few_ulps_near_the_pole(self, theta):
+        # 1 - z cancels as theta -> 0: formed directly, the norm's relative error grows like 1e-16 / theta^2. At theta =
+        # 2e-6, 1 - z = 2e-12 is just outside POLE_TOL.
+        nu, norm = bloch_lambda_nu((math.sin(theta), 0.0, math.cos(theta)))
+        assert norm == pytest.approx(1.0 / math.sin(theta / 2.0), rel=1e-15) and nu[2] == -1.0
+
     def test_pole_error(self):
         with pytest.raises(ValueError, match="pole"):
             bloch_lambda_nu((0.0, 0.0, 1.0))
