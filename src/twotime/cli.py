@@ -53,15 +53,15 @@ _python_cell = b"%.12g".__mod__  # a cell the kernel leaves to Python
 
 @np.errstate(divide="ignore", invalid="ignore")  # 0, inf and nan get any in-range slot words here; Python rewrites them
 def _cells(column, out) -> None:
-    """Fill ``out`` with the column's cells, ASCII and NUL bytes that the writer drops: strings as they are in (n, 4) uint64
-    slots, numbers x as "%.12g" % x in (n, 3) slots; a slot's last byte stays NUL. The kernel keeps the cells of exponent
+    """Fill ``out``'s (n, 3) uint64 slots with the column's cells, ASCII and NUL bytes that the writer drops: strings as
+    they are, numbers x as "%.12g" % x; a slot's last byte stays NUL. The kernel keeps the cells of exponent
     -4 <= e = floor(log10 |x|) <= 8, fixed ones whose last chunk holds no point, so byte 23 is NUL. scaled = |x| * 10**(11 - e)
     is two roundings from exact, so rint(scaled) is %.12g's digits if it lies in [10**11, 10**12 - 1) and CELL_TIE_MARGIN
     from a tie; Python formats the rest (scientific cells, 1e9 <= |x| < 1e12, 0, inf, nan, ties, carries)."""
     if column.dtype != float:  # a column of strings
         qcore._require(column.dtype.type in (np.str_, np.bytes_), f"a table column of {column.dtype} is neither float64 nor text")
-        out.view("S32")[:, 0] = text = np.asarray(column, "S")
-        qcore._require(text.itemsize < 32, "a table cell of {width:g} bytes does not fit its 31-byte slot", width=text.itemsize)
+        out.view("S24")[:, 0] = text = np.asarray(column, "S")
+        qcore._require(text.itemsize < 24, "a table cell of {width:g} bytes does not fit its 23-byte slot", width=text.itemsize)
         return
     a = np.abs(column)
     e = np.floor(np.log10(a)).astype(np.intp)
@@ -88,9 +88,9 @@ def _write_tables(args, tables) -> None:
 
     Each table goes to a temporary file in the output directory, and all of them are renamed into place only
     once every one is written. Cells are ASCII strings or numbers exactly as "%.12g" writes them, which :func:`_cells`
-    sets a column at a time in WRITE_BLOCK rows of slots, 24 bytes for a float64 column and 32 for text; a slot's last
-    byte is its separator or newline, and NUL bytes are dropped. If a write fails, the temporary files are removed and
-    its OSError propagates: no table is published that is not already in place.
+    sets a column at a time in WRITE_BLOCK rows of 24-byte slots; a slot's last byte is its separator or newline, and NUL
+    bytes are dropped. If a write fails, the temporary files are removed and its OSError propagates: no table is
+    published that is not already in place.
     """
     sep = "," if args.format == "csv" else "\t"
     paths = [_path(args, stem) for stem, _, _ in tables]
@@ -99,17 +99,16 @@ def _write_tables(args, tables) -> None:
         args.out.mkdir(parents=True, exist_ok=True)
         for path, (_, header, columns) in zip(paths, tables):
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            words = np.cumsum([0] + [3 if column.dtype == float else 4 for column in columns])  # slot j: words[j]:words[j + 1]
             ends = np.frombuffer((sep * (len(columns) - 1) + "\n").encode(), np.uint8)  # each slot's last byte
             with open(temp, "wb") as fh:
                 temps.append(temp)
                 fh.write((sep.join(header) + "\n").encode())
                 for start in range(0, len(columns[0]), WRITE_BLOCK):
-                    block = bytearray(8 * int(words[-1]) * min(WRITE_BLOCK, len(columns[0]) - start))
-                    slots = np.frombuffer(block, np.uint64).reshape(-1, words[-1])
-                    for column, first, stop in zip(columns, words, words[1:]):
-                        _cells(column[start:start + WRITE_BLOCK], slots[:, first:stop])
-                    slots.view(np.uint8)[:, 8 * words[1:] - 1] = ends
+                    block = bytearray(24 * len(columns) * min(WRITE_BLOCK, len(columns[0]) - start))
+                    slots = np.frombuffer(block, np.uint64).reshape(-1, len(columns), 3)
+                    for j, column in enumerate(columns):
+                        _cells(column[start:start + WRITE_BLOCK], slots[:, j])
+                    slots.view(np.uint8)[:, :, 23] = ends
                     fh.write(block.translate(None, b"\0"))
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
@@ -163,14 +162,15 @@ def cmd_lambda(args):
         correlators._lambdas(alpha, qcore._states(qcore._bloch_states(directions[block]), solver=None)[0])[1][:, 0]
         for block in qcore._blocks(args.theta_steps, 2)
     ])
-    physical = min_eigenvalue >= qcore.PSD_FLOOR
-    physical_thetas = theta[physical].tolist()
-    max_norm_defect = float(np.max(np.abs(nu_norm - 1.0 / np.abs(np.sin(theta / 2.0)))))
-    if not (max_norm_defect <= IDENTITY_TOL and physical_thetas == [theta[-1]]):
-        return False, [f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {physical_thetas}"], []
-    fraction = len(physical_thetas) / args.theta_steps
+    physical, norm = min_eigenvalue >= qcore.PSD_FLOOR, 1.0 / np.abs(np.sin(theta / 2.0))
+    expected = (1.0 - norm) / 2.0 >= qcore.PSD_FLOOR  # the closed-form least eigenvalue clears the floor; theta = pi always
+    max_norm_defect = float(np.max(np.abs(nu_norm - norm)))
+    if not (max_norm_defect <= IDENTITY_TOL and np.array_equal(physical, expected)):
+        return False, [f"FAIL: norm defect {max_norm_defect:.3e}, physical thetas {theta[physical].tolist()}"], []
+    fraction, n_expected = np.count_nonzero(physical) / args.theta_steps, np.count_nonzero(expected)
+    where = "theta = pi only" if n_expected == 1 else f"the {n_expected} thetas nearest pi"
     return True, [f"wrote {args.theta_steps} rows to {_path(args, 'lambda')}",
-                  f"fraction of physical points: {fraction:.6g} (expected {1 / args.theta_steps:.6g}, theta = pi only)"], [
+                  f"fraction of physical points: {fraction:.6g} (expected {n_expected / args.theta_steps:.6g}, {where})"], [
         ("lambda", LAMBDA_HEADER, [theta, nu_norm, min_eigenvalue, np.where(physical, "true", "false")])]
 
 

@@ -321,9 +321,7 @@ class BlochVector:
 
     @classmethod
     def from_angles(cls, r: float, theta: float, phi: float) -> "BlochVector":
-        r, theta, phi = _numbers(r, "r"), _numbers(theta, "theta"), _numbers(phi, "phi")
-        st = np.sin(theta)
-        return cls((r * st * np.cos(phi), r * st * np.sin(phi), r * np.cos(theta)))
+        return cls(_bloch_components(_numbers(r, "r"), _numbers(theta, "theta"), _numbers(phi, "phi")))
 
     @property
     def components(self) -> np.ndarray:
@@ -351,6 +349,12 @@ class BlochVector:
     def __repr__(self):
         x, y, z = self._vec
         return f"BlochVector(({x:.6g}, {y:.6g}, {z:.6g}))"
+
+
+def _bloch_components(r, theta, phi):
+    """(x, y, z) of the Bloch vector of radius r at polar angle theta and azimuth phi, for floats or columns alike."""
+    r_sin_theta = r * np.sin(theta)
+    return r_sin_theta * np.cos(phi), r_sin_theta * np.sin(phi), r * np.cos(theta)
 
 
 def _rows(d: int) -> int:

@@ -19,7 +19,6 @@ r = 0. :func:`figure1_scan` samples this trade-off over randomly drawn
 boundary curves.
 """
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -27,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelFamily
-from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_norms, _count, _norms, _numbers, _readonly
-from .qcore import _require, binary_entropy
+from .qcore import LN2, POLE_TOL, SIGMA, UNIT_NORM_TOL, BlochVector, _bloch_components, _bloch_norms, _count, _norms, _numbers
+from .qcore import _readonly, _require, binary_entropy
 
 CURVE_POINTS = 360  # evenly spaced phi values of each radius' equatorial boundary curve
 SCAN_BLOCK = 8192  # scatter rows drawn and scored per step: bounds the scan's temporaries, not its output
@@ -190,18 +189,14 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-@functools.lru_cache(maxsize=16)
-def _seed_pool(seed: int):
-    # numpy's pool after the seed's words, as 1-element uint32 arrays (they wrap alike under numpy 1 and 2), and the
-    # hashmix constant after its 16 calls that fill and mix the pool and 4 per seed word beyond the pool's 4.
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(-(-seed.bit_length() // 32) - _POOL_SIZE, 0), 2**32) & _MASK32
-    return tuple(_readonly(word) for word in np.split(np.random.SeedSequence(seed).pool, _POOL_SIZE)), const
-
-
 def _seed_state(seed, band, index):
     """``SeedSequence(seed, spawn_key=(band, i)).generate_state(4, np.uint64)`` per row, as four uint64 columns."""
-    pool, const = _seed_pool(_count(seed, "seed"))  # the seed's part is hashed once per seed
-    hashmix = _hasher(const, _MULT_A)
+    seed = _count(seed, "seed")
+    # numpy's pool after the seed's words, as 1-element uint32 arrays: a uint32 scalar product that wraps warns (an error
+    # under the suite's warning filter), an array wraps silently. hashmix resumes past its 16 calls that fill and mix the
+    # pool and 4 per seed word beyond the pool's 4.
+    pool = np.split(np.random.SeedSequence(seed).pool, _POOL_SIZE)
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, 16 + 4 * max(-(-seed.bit_length() // 32) - _POOL_SIZE, 0), 2**32) & _MASK32, _MULT_A)
     for word in (band, index):
         pool = [_mix(entry, hashmix(word)) for entry in pool]
     hashed = _hasher(_INIT_B, _MULT_B)
@@ -249,10 +244,7 @@ def row_angles(seed, band, index):
 
 
 def _scan_table(r, theta, phi) -> dict:
-    # Components in BlochVector.from_angles' operation order and ufuncs, each a whole column.
-    r_sin_theta = r * np.sin(theta)
-    vectors = np.stack([r_sin_theta * np.cos(phi), r_sin_theta * np.sin(phi), r * np.cos(theta)], axis=1)
-    irr_spin, irr_torque = _irrealities(vectors)
+    irr_spin, irr_torque = _irrealities(np.stack(_bloch_components(r, theta, phi), axis=1))
     return {"r": r, "theta": theta, "phi": phi, "irr_spin": irr_spin, "irr_torque": irr_torque}
 
 

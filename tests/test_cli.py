@@ -112,9 +112,10 @@ class TestLambdaCommand:
             theta, nu_norm = float(row[0]), float(row[1])
             assert nu_norm == pytest.approx(1.0 / abs(math.sin(theta / 2.0)), rel=1e-9)
 
-    @pytest.mark.parametrize("steps", [302, 1000, 5000])
+    @pytest.mark.parametrize("steps", [302, 1000, 5000, 78_540, 100_000])
     def test_fine_grids_pass(self, tmp_path, steps):
-        # The norm check is absolute, so the norm near theta = 0 must not lose digits to 1 - z's cancellation.
+        # The norm check is absolute, so the norm near theta = 0 must not lose digits to 1 - z's cancellation. From 78,540
+        # steps on, the point next to theta = pi is physical too: its least eigenvalue clears the absolute PSD_FLOOR.
         assert cli.main(["--out", str(tmp_path), "lambda", "--theta-steps", str(steps)]) == 0
         assert len(read_table(tmp_path / "lambda.csv")[1]) == steps
 
@@ -889,31 +890,33 @@ def write_one_table(tmp_path, columns, fmt="csv"):
 class TestCellSlots:
     WIDEST = [-1.23456789012e-297, -9.87654321098e+307, -0.000123456789012, -123456789012.0]  # 19, 19, 18 and 13 bytes
 
-    def test_python_and_string_cells_leave_byte_31_nul(self):
-        # The kernel's families are checked in kernel_lines; these are the cells Python formats, and strings.
+    def test_python_and_string_cells_leave_byte_23_nul(self):
+        # The kernel's families are checked in kernel_lines; these are the cells Python formats, and strings, each in the
+        # one 24-byte slot every cell has.
         values = [0.0, -0.0, math.inf, -math.inf, math.nan, -5e-324, -2.2250738585072014e-308, -1.7976931348623157e308,
                   -1e-298, -0.5000000000005, -999999999999.5, *self.WIDEST]
         assert kernel_lines(values) == b"".join(b"%.12g\n" % v for v in values)
-        text = np.array(["", "true", "false", "x" * 31])
-        slots = np.full((len(text), 4), 0x5A5A5A5A5A5A5A5A, np.uint64)
+        text = np.array(["", "true", "false", "x" * 23])
+        slots = np.full((len(text), 3), 0x5A5A5A5A5A5A5A5A, np.uint64)
         cli._cells(text, slots)
-        assert not slots.view(np.uint8)[:, 31].any()
+        assert not slots.view(np.uint8)[:, 23].any()
         assert [slot.tobytes().rstrip(b"\0") for slot in slots] == [t.encode() for t in text]
 
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
-    def test_a_31_byte_string_cell_is_written_whole(self, tmp_path, fmt):
+    def test_a_23_byte_string_cell_is_written_whole(self, tmp_path, fmt):
         sep = "," if fmt == "csv" else "\t"
-        written = write_one_table(tmp_path, [np.array(["a" * 31, "b"]), np.array(self.WIDEST[:2]), np.array(["c", "d" * 31])], fmt)
-        lines = [sep.join(("a" * 31, "%.12g" % self.WIDEST[0], "c")), sep.join(("b", "%.12g" % self.WIDEST[1], "d" * 31))]
+        written = write_one_table(tmp_path, [np.array(["a" * 23, "b"]), np.array(self.WIDEST[:2]), np.array(["c", "d" * 23])], fmt)
+        lines = [sep.join(("a" * 23, "%.12g" % self.WIDEST[0], "c")), sep.join(("b", "%.12g" % self.WIDEST[1], "d" * 23))]
         assert written == (sep.join(("c0", "c1", "c2")) + "\n" + "\n".join(lines) + "\n").encode()
 
     def test_a_string_cell_wider_than_its_slot_raises(self, tmp_path):
-        slots = np.zeros((2, 4), np.uint64)
-        with pytest.raises(ValueError, match="a table cell of 32 bytes does not fit its 31-byte slot"):
-            cli._cells(np.array(["ok", "y" * 32]), slots)
-        with pytest.raises(ValueError, match="a table cell of 40 bytes"):
-            write_one_table(tmp_path, [np.array(["z" * 40]), np.array([1.0])])
-        assert list(tmp_path.iterdir()) == []
+        slots = np.zeros((2, 3), np.uint64)
+        with pytest.raises(ValueError, match="^a table cell of 24 bytes does not fit its 23-byte slot$"):
+            cli._cells(np.array(["ok", "y" * 24]), slots)
+        for width in (24, 32):  # 24 to 31 bytes once fit a text column's 32-byte slot
+            with pytest.raises(ValueError, match=f"^a table cell of {width} bytes does not fit its 23-byte slot$"):
+                write_one_table(tmp_path, [np.array(["z" * width]), np.array([1.0])])
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex128, bool, object])
     def test_a_column_neither_float64_nor_text_raises_and_publishes_nothing(self, tmp_path, dtype):
@@ -926,20 +929,18 @@ class TestCellSlots:
         assert write_one_table(tmp_path, [np.array(["a"]), np.array([b"b"]), np.array([0.1])]) == b"c0,c1,c2\na,b,0.1\n"
 
     def test_a_block_is_one_buffer_of_slots(self, tmp_path, monkeypatch):
-        # Each block of WRITE_BLOCK rows is formatted in place: every column's slots are views of one buffer, 24 bytes a
-        # float cell and 32 a text cell, and no column is formatted into an array of its own.
+        # Each block of WRITE_BLOCK rows is formatted in place in one (rows, columns, 3) uint64 view: column j's slots are
+        # its [:, j], 24 bytes a cell whatever the column's dtype, and no column is formatted into an array of its own.
         calls = recorded_calls(monkeypatch, cli, "_cells")
         n = cli.WRITE_BLOCK + 5
-        columns = [np.arange(n) + 0.5, np.full(n, -2.0), np.where(np.arange(n) % 2 == 0, "true", "false")]
+        columns = [np.arange(n) + 0.5, np.where(np.arange(n) % 2 == 0, "true", "false"), np.full(n, -2.0)]
         written = write_one_table(tmp_path, columns)
         assert written.count(b"\n") == n + 1
         blocks = [[args[1] for args, _ in calls[i:i + 3]] for i in range(0, len(calls), 3)]
         assert [len(block[0]) for block in blocks] == [cli.WRITE_BLOCK, 5]
         for block in blocks:
-            assert [out.shape for out in block] == [(len(block[0]), 3), (len(block[0]), 3), (len(block[0]), 4)]
-            assert all(out.dtype == np.uint64 and out.strides == (24 + 24 + 32, 8) for out in block)
-            rows = np.lib.stride_tricks.as_strided(block[0], (len(block[0]), 10), (24 + 24 + 32, 8))  # from the first slot on
-            assert all(np.shares_memory(rows[:, first:first + 4], out) for first, out in zip((0, 3, 6), block))
+            assert all(out.dtype == np.uint64 and out.shape == (len(block[0]), 3) and out.strides == (3 * 24, 8) for out in block)
+            assert [out.ctypes.data - block[0].ctypes.data for out in block] == [0, 24, 48]  # column j's slot at byte 24 j
 
 
 class TestTableWriter:

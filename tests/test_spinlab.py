@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -385,15 +386,18 @@ class TestRowAngles:
         assert theta.tolist() == [t[0] for t, _ in rows]
         assert phi.tolist() == [p[0] for _, p in rows]
 
-    def test_the_seed_pool_is_cached_as_uint32_columns(self):
-        # A seed's own words are hashed once per seed, as 1-element uint32 arrays: uint32 scalars with Python int
-        # constants widen to int64 under numpy 1's promotion, and the bits above 32 would then reach the hash.
+    def test_a_multi_word_seed_matches_numpy_under_the_warning_filter(self):
+        # The pool and every hash are 1-element uint32 arrays, which wrap mod 2**32 silently; a uint32 scalar product that
+        # wraps warns instead, and a RuntimeWarning is an error under the suite's filter.
         seed = 2**160 + 12345
-        first = row_angles(seed, [0, 1], [2, 3])
-        pool, const = spinlab._seed_pool(seed)
-        assert [(entry.dtype, entry.shape, entry.flags.writeable) for entry in pool] == [(np.uint32, (1,), False)] * 4
-        assert 0 <= const <= 2**32 - 1
-        assert [column.tobytes() for column in row_angles(seed, [0, 1], [2, 3])] == [column.tobytes() for column in first]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            theta, phi = row_angles(seed, [0, 1], [2, 3])
+            with pytest.raises(RuntimeWarning, match="overflow encountered in scalar multiply"):
+                np.uint32(spinlab._MIX_MULT_L) * np.uint32(spinlab._MULT_A)
+        for j, (band, index) in enumerate([(0, 2), (1, 3)]):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(band, index)))
+            assert (theta[j], phi[j]) == (rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
 
     @pytest.mark.parametrize("seed, band, index", [(-1, 0, 0), (7, -1, 0), (7, 0, 2**32), (7, 0.5, 0), (7, 0, 1.5),
                                                    (7, True, 0), (7, 1, False)])
@@ -483,6 +487,22 @@ class TestIrrealityKernel:
             for row in rows(table):
                 pair = torque_irreality_pair(BlochVector.from_angles(row.r, row.theta, row.phi))
                 assert (row.irr_spin, row.irr_torque) == (pair.irr_spin, pair.irr_torque)
+
+    def test_scan_components_are_from_angles_bitwise(self, monkeypatch):
+        # One formula: the scan's columns and BlochVector.from_angles' floats both come from qcore._bloch_components, in
+        # the per-float order (r * sin(theta)) * cos(phi) that the reference tables were written with. The angles are
+        # among those whose numpy trig is math's (test_numpy_trig_is_math_trig_on_the_scan_angles).
+        theta, phi = row_angles(94, np.zeros(5_000), np.arange(5_000))
+        r = np.r_[0.0, 1.0, np.random.default_rng(95).uniform(0.0, 1.0, 4_998)]
+        columns = np.stack(qcore._bloch_components(r, theta, phi), axis=1)
+        rows = list(zip(r.tolist(), theta.tolist(), phi.tolist()))
+        assert columns.tolist() == [BlochVector.from_angles(*row).components.tolist() for row in rows]
+        assert columns.tolist() == [[r * math.sin(t) * math.cos(p), r * math.sin(t) * math.sin(p), r * math.cos(t)]
+                                    for r, t, p in rows]
+        calls = []
+        monkeypatch.setattr(spinlab, "_bloch_components", lambda *args: calls.append(args) or qcore._bloch_components(*args))
+        table = spinlab._scan_table(r, theta, phi)
+        assert len(calls) == 1 and table["irr_spin"].tolist() == spinlab._irrealities(columns)[0].tolist()
 
     @pytest.mark.parametrize("bad", [(1.0, 1e-5, 0.0), (math.nan, 0.0, 0.0)])
     def test_rejects_rows_outside_the_ball(self, bad):
